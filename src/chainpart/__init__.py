@@ -54,7 +54,6 @@ from .enumeration import (
     ResidueEnumerator,
     SplitEnumerator,
     enumerate_residue,
-    enumerate_split,
     sample_uniform,
 )
 from .graph23 import build_graph, connectivity_check, neighbors, random_walk, reduce_to_binary

@@ -54,29 +54,6 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _base_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, default=2, help="first base (default 2)")
-    sub.add_argument("--q", type=int, default=3, help="second base (default 3)")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    sub.add_argument("--config", default=None, help="key=value defaults file")
-    sub.add_argument(
-        "--ceiling",
-        type=int,
-        default=None,
-        help="brute-force ceiling (default env CHAINPART_CEILING or 10^7)",
-    )
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=enumeration.DEFAULT_PARTITION_BUDGET,
-        help="max partitions held by enumeration memo tables",
-    )
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for multi-q scans (default 1)",
-    )
-
-
 def _ceiling(args: argparse.Namespace) -> int:
     if args.ceiling is not None:
         return args.ceiling
@@ -385,25 +362,31 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
                     "chained two-base partitions.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    built: list[argparse.ArgumentParser] = []
-    original_add = subs.add_parser
+    # options every subcommand takes; the others belong to the commands that read them
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--p", type=int, default=2, help="first base (default 2)")
+    base.add_argument("--q", type=int, default=3, help="second base (default 3)")
+    base.add_argument("--config", default=None, help="key=value defaults file")
 
-    def add_parser(*args, **kwargs):
-        sub = original_add(*args, **kwargs)
-        built.append(sub)
-        return sub
-
-    subs.add_parser = add_parser  # type: ignore[method-assign]
-
-    sub = subs.add_parser("enumerate", help="list all partitions of a sum")
-    _base_options(sub)
+    sub = subs.add_parser("enumerate", parents=[base], help="list all partitions of a sum")
     sub.add_argument("--u", type=int, required=True)
+    sub.add_argument(
+        "--ceiling",
+        type=int,
+        default=None,
+        help="largest sum to enumerate (default env CHAINPART_CEILING or 10^7)",
+    )
+    sub.add_argument(
+        "--budget",
+        type=int,
+        default=enumeration.DEFAULT_PARTITION_BUDGET,
+        help="max partitions held by enumeration memo tables",
+    )
     sub.add_argument("--format", choices=("json", "csv", "words", "tree"),
                      default="json")
     sub.set_defaults(fn=_cmd_enumerate)
 
-    sub = subs.add_parser("count", help="W(u) by one or all engines")
-    _base_options(sub)
+    sub = subs.add_parser("count", parents=[base], help="W(u) by one or all engines")
     sub.add_argument("--u", type=int, required=True)
     sub.add_argument(
         "--method",
@@ -413,76 +396,68 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     )
     sub.set_defaults(fn=_cmd_count)
 
-    sub = subs.add_parser("scan", help="bulk scans and structure checks")
-    _base_options(sub)
+    sub = subs.add_parser("scan", parents=[base], help="bulk scans and structure checks")
     sub.add_argument("mode", nargs="?", choices=_SCAN_MODES, default="w")
     sub.add_argument("--limit", type=int, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
     sub.add_argument("--scan-q", type=int, action="append", default=None,
                      help="extra q values for the monotonicity scan")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker processes for multi-q scans (default 1)")
     sub.set_defaults(fn=_cmd_scan)
 
-    sub = subs.add_parser("sample", help="uniform random partitions of a sum")
-    _base_options(sub)
+    sub = subs.add_parser("sample", parents=[base], help="uniform random partitions of a sum")
+    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     sub.add_argument("--u", type=int, required=True)
     sub.add_argument("--n", type=int, default=1)
     sub.set_defaults(fn=_cmd_sample)
 
-    sub = subs.add_parser("encode", help="partitions on stdin -> words")
-    _base_options(sub)
+    sub = subs.add_parser("encode", parents=[base], help="partitions on stdin -> words")
     sub.add_argument("--codec", choices=("lattice", "tree"), default="lattice")
     sub.set_defaults(fn=_cmd_encode)
 
-    sub = subs.add_parser("decode", help="words on stdin -> partitions")
-    _base_options(sub)
+    sub = subs.add_parser("decode", parents=[base], help="words on stdin -> partitions")
     sub.add_argument("--codec", choices=("lattice", "tree"), default="lattice")
     sub.add_argument("--format", choices=("json", "values"), default="json")
     sub.set_defaults(fn=_cmd_decode)
 
-    sub = subs.add_parser("sigma", help="least number of parts")
-    _base_options(sub)
+    sub = subs.add_parser("sigma", parents=[base], help="least number of parts")
     sub.add_argument("--u", type=int, required=True)
     sub.add_argument("--witness", action="store_true")
     sub.set_defaults(fn=_cmd_sigma)
 
-    sub = subs.add_parser("sigma-stats", help="shortest-length statistics")
-    _base_options(sub)
+    sub = subs.add_parser("sigma-stats", parents=[base], help="shortest-length statistics")
     sub.add_argument("--limit", type=int, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
     sub.set_defaults(fn=_cmd_sigma_stats)
 
-    sub = subs.add_parser("chainpow", help="modular power along a chain")
-    _base_options(sub)
+    sub = subs.add_parser("chainpow", parents=[base], help="modular power along a chain")
     sub.add_argument("--g", type=int, required=True)
     sub.add_argument("--u", type=int, required=True)
     sub.add_argument("--mod", type=int, required=True)
     sub.add_argument("--cost", action="store_true")
     sub.set_defaults(fn=_cmd_chainpow)
 
-    sub = subs.add_parser("graph", help="transition graph for (2,3)")
-    _base_options(sub)
+    sub = subs.add_parser("graph", parents=[base], help="transition graph for (2,3)")
     sub.add_argument("--u", type=int, required=True)
     sub.add_argument("--dot", action="store_true")
     sub.set_defaults(fn=_cmd_graph)
 
-    sub = subs.add_parser("walk", help="lazy random walk on the graph")
-    _base_options(sub)
+    sub = subs.add_parser("walk", parents=[base], help="lazy random walk on the graph")
+    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     sub.add_argument("--u", type=int, required=True)
     sub.add_argument("--steps", type=int, required=True)
     sub.set_defaults(fn=_cmd_walk)
 
-    sub = subs.add_parser("alpha", help="growth exponents and the C ceiling")
-    _base_options(sub)
+    sub = subs.add_parser("alpha", parents=[base], help="growth exponents and the C ceiling")
     sub.set_defaults(fn=_cmd_alpha)
 
-    sub = subs.add_parser("sumfn", help="partial-sum ratios at dyadic points")
-    _base_options(sub)
+    sub = subs.add_parser("sumfn", parents=[base], help="partial-sum ratios at dyadic points")
     sub.add_argument("--xmax", type=int, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
     sub.set_defaults(fn=_cmd_sumfn)
 
-    sub = subs.add_parser("selftest", help="run the acceptance criteria")
-    _base_options(sub)
+    sub = subs.add_parser("selftest", parents=[base], help="run the acceptance criteria")
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", default=True)
     mode.add_argument("--full", action="store_true", default=False)
@@ -492,7 +467,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     if config:
         # config values become per-subcommand defaults; flags still override
-        for sub in built:
+        for sub in subs.choices.values():
             dests = {action.dest for action in sub._actions}
             sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser

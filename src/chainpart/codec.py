@@ -1,13 +1,13 @@
 """Word encodings of strictly chained partitions.
 
-Tree words (p = 2 only).  The residue decomposition of Omega(U) is a tree
-whose nodes are the successive arguments and whose edges are labelled 1
-(the +1 map), 2 (scale by 2) or q (scale by q).  Reading the labels from the
-root U down to a leaf of value 1 yields one word per partition; replaying the
-reversed word from the single-part partition of 1 rebuilds the partition.
-The word of the one-part partition of 1 is the empty word (the root is
-already the leaf).  For fixed U the word set is a hypercode: no word is a
-subsequence of another.
+Tree words (p = 2 only).  The binary table in ``decomposition`` makes
+Omega(U) a tree whose nodes are the successive arguments and whose edges are
+labelled 1 (the +1 map), 2 (scale by 2) or q (scale by q).  Reading the
+labels from the root U down to a leaf of value 1 yields one word per
+partition; replaying the reversed word from the single-part partition of 1
+rebuilds the partition.  The word of the one-part partition of 1 is the
+empty word (the root is already the leaf).  For fixed U the word set is a
+hypercode: no word is a subsequence of another.
 
 Lattice words (any bases).  A partition is a chain C in N^2; the canonical
 C-filling path walks from (0, 0) to the maximal point of C, always going
@@ -24,24 +24,21 @@ contain neither 02 nor 12 as a factor; for fixed U they form an infix code
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
-    ChainBreakError,
     MalformedWordError,
     Partition,
     PQSystem,
     UNIT_PARTITION,
-    binary_amount,
-    map_one_strict,
-    map_p,
-    map_q,
     unmap_one_strict,
     unmap_p,
     unmap_q,
     value,
 )
+from .decomposition import Branch, binary_table
 
 TREE_LETTERS = ("1", "2", "q")
 LATTICE_ALPHABET = "0123"
@@ -91,67 +88,33 @@ class TreeWord:
         return cls(tuple(letters))
 
 
-def _tree_branch(v: int, q: int) -> str:
-    """Classify a node of the decomposition tree, for v >= 2.
-
-    Returns one of:
-      'A'  v divisible by q:      scale-q branch to v/q, +1 branch to v-1
-      'B'  v = 1 mod 2q:          +1 branch to v-1
-      'C'  v = q+1 mod 2q:        scale-2 branch to v/2, (+1,q) branch to (v-1)/q
-      'D'  other even v:          scale-2 branch to v/2
-      'E'  other odd v:           (+1,2) branch to (v-1)/2
-    """
-    if v % q == 0:
-        return "A"
-    m = v % (2 * q)
-    if m == 1:
-        return "B"
-    if m == q + 1:
-        return "C"
-    return "D" if v % 2 == 0 else "E"
-
-
 def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
-    """The root-to-leaf label word of ``pt`` in the decomposition tree."""
+    """The root-to-leaf label word of ``pt`` in the binary table.
+
+    At each node the word takes the first branch whose leading label can be
+    undone, judged by the smallest part (a, b): 2 needs a > 0, q needs b > 0,
+    and 1 needs b = 0 (a positive binary amount).
+    """
     _require_p2(sys)
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no tree word")
-    v = value(pt, sys)
+    decomposition = binary_table(sys)
+    undo = {"2": unmap_p, "q": unmap_q, "1": functools.partial(unmap_one_strict, sys=sys)}
+    u = value(pt, sys)
     letters: list[str] = []
-    while v > 1:
-        kind = _tree_branch(v, sys.q)
-        if kind == "A":
-            if binary_amount(pt, sys) == 0:
-                letters.append("q")
-                pt = unmap_q(pt)
-                v //= sys.q
-            else:
-                letters.append("1")
-                pt = unmap_one_strict(pt, sys)
-                v -= 1
-        elif kind == "B":
-            letters.append("1")
-            pt = unmap_one_strict(pt, sys)
-            v -= 1
-        elif kind == "C":
-            if pt.parts[-1][0] > 0:  # every part even
-                letters.append("2")
-                pt = unmap_p(pt)
-                v //= 2
-            else:
-                letters.append("1")
-                letters.append("q")
-                pt = unmap_q(unmap_one_strict(pt, sys))
-                v = (v - 1) // sys.q
-        elif kind == "D":
-            letters.append("2")
-            pt = unmap_p(pt)
-            v //= 2
-        else:  # E
-            letters.append("1")
-            letters.append("2")
-            pt = unmap_p(unmap_one_strict(pt, sys))
-            v = (v - 1) // 2
+    while u > 1:
+        v, r = divmod(u, decomposition.modulus)
+        a, b = pt.parts[-1]
+        undoable = {"2": a > 0, "q": b > 0, "1": b == 0}
+        for branch in decomposition.rows[r]:
+            if undoable[branch.labels[0]]:
+                break
+        else:
+            raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
+        for letter in branch.labels:
+            pt = undo[letter](pt)
+        letters.extend(branch.labels)
+        u = branch.mul * v + branch.off
     if pt != UNIT_PARTITION:
         raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
     return TreeWord(tuple(letters))
@@ -160,28 +123,31 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
 def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     """Replay a word from the leaf; returns (U, partition).
 
-    Raises MalformedWordError when a +1 step breaks the chain or when the
-    word is not the canonical word of the partition it replays to.
+    A word is canonical when it spells a path of the binary table from its
+    value U down to the leaf 1.  That is checked on integers before the
+    partition is rebuilt along the path; MalformedWordError otherwise.
     """
     _require_p2(sys)
-    v = 1
-    pt = UNIT_PARTITION
-    for ch in reversed(word.letters):
-        if ch == "2":
-            pt = map_p(pt)
-            v *= 2
-        elif ch == "q":
-            pt = map_q(pt)
-            v *= sys.q
-        else:
-            try:
-                pt = map_one_strict(pt, sys)
-            except ChainBreakError as exc:
-                raise MalformedWordError(f"+1 step breaks the chain: {exc}") from exc
-            v += 1
-    if tree_encode(pt, sys).letters != word.letters:
+    letters = "".join(word.letters)
+    u = 1
+    for letter in reversed(letters):
+        u = u + 1 if letter == "1" else u * (2 if letter == "2" else sys.q)
+    decomposition = binary_table(sys)
+    path: list[Branch] = []
+    x, i = u, 0
+    while x > 1:
+        v, r = divmod(x, decomposition.modulus)
+        branch = next((b for b in decomposition.rows[r] if letters.startswith(b.labels, i)), None)
+        if branch is None:
+            break
+        path.append(branch)
+        x, i = branch.mul * v + branch.off, i + len(branch.labels)
+    if x > 1 or i < len(letters):
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")
-    return v, pt
+    pt = UNIT_PARTITION
+    for branch in reversed(path):
+        pt = decomposition.lift(branch, pt)
+    return u, pt
 
 
 class TreeLanguage:
@@ -190,29 +156,28 @@ class TreeLanguage:
     def __init__(self, sys: PQSystem) -> None:
         _require_p2(sys)
         self.sys = sys
+        self._decomposition = binary_table(sys)
         self._memo: dict[int, tuple[str, ...]] = {0: (), 1: ("",)}
 
     def words(self, v: int) -> tuple[str, ...]:
         """All symbolic words ('1', '2', 'q' letters concatenated) for v."""
-        hit = self._memo.get(v)
-        if hit is not None:
-            return hit
-        q = self.sys.q
-        kind = _tree_branch(v, q)
-        if kind == "A":
-            out = tuple("q" + w for w in self.words(v // q))
-            out += tuple("1" + w for w in self.words(v - 1))
-        elif kind == "B":
-            out = tuple("1" + w for w in self.words(v - 1))
-        elif kind == "C":
-            out = tuple("2" + w for w in self.words(v // 2))
-            out += tuple("1q" + w for w in self.words((v - 1) // q))
-        elif kind == "D":
-            out = tuple("2" + w for w in self.words(v // 2))
-        else:
-            out = tuple("12" + w for w in self.words((v - 1) // 2))
-        self._memo[v] = out
-        return out
+        memo = self._memo
+        decomposition = self._decomposition
+        stack = [v]
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+                continue
+            y, r = divmod(x, decomposition.modulus)
+            branches = [(b.labels, b.mul * y + b.off) for b in decomposition.rows[r]]
+            missing = [arg for _, arg in branches if arg not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            memo[x] = tuple(labels + w for labels, arg in branches for w in memo[arg])
+            stack.pop()
+        return memo[v]
 
 
 def lattice_encode(pt: Partition) -> str:

@@ -3,9 +3,9 @@
 Three independent engines compute the same function so that they can
 cross-validate each other and the brute-force oracle:
 
-* ``CaseTableCounter`` -- the residue-class recurrence on U mod pq,
-      W(pqU) = W(pqU+1) = W(pU) + W(qU) - W(U)
-  together with the eight-way case table for pqU+r, 1 < r < pq.
+* ``CaseTableCounter`` -- the sum-of-products fold of the general table in
+  ``decomposition``: W(U) is the sum of W over the branch arguments of
+  U mod pq, minus W(U div pq) for the one filtered branch.
 
 * ``HalvingCounter`` -- the p = 2 specialization,
       W(qU)   = W(U) + W(qU-1)
@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import InvalidSystemError, PQSystem
+from .decomposition import general_table
 
 Expansion = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -146,43 +147,55 @@ class CountTable:
         arr[0] = 1
         if limit >= 1:
             arr[1] = 1
+        self._fill(arr)
+        return arr
+
+    def _fill(self, arr: list[int]) -> None:
+        """Fill arr[2:] given arr[0] = arr[1] = 1, in increasing order.
+
+        Subclasses may override this with a faster dense loop.
+        """
         expand = self._expand
-        for v in range(2, limit + 1):
+        for v in range(2, len(arr)):
             const, deps = expand(v)
             total = const
             for coeff, d in deps:
                 if d >= 0:
                     total += coeff * arr[d]
             arr[v] = total
-        return arr
 
 
 class CaseTableCounter(CountTable):
-    """General engine: recurrence by the residue of U modulo pq."""
+    """General engine: the sum over the branches of the general table.
+
+    W(U) is the sum of W over the branch arguments, minus W(v) for the
+    filtered branch (its members divisible by pq are counted twice).
+    """
+
+    def __init__(self, sys: PQSystem) -> None:
+        super().__init__(sys)
+        self._rows = general_table(sys).rows
 
     def _expand(self, u: int) -> Expansion:
-        sys = self.sys
-        p, q = sys.p, sys.q
-        v, r = divmod(u, sys.pq)
-        if r == 0:
-            return 0, ((1, u // p), (1, u // q), (-1, v))
-        if r == 1:
-            return 0, ((1, u - 1),)
-        if r % p == 0:
-            k = r // p
-            if k == sys.k0:
-                return 0, ((1, q * v + sys.k0), (1, p * v + p - sys.l0))
-            return 0, ((1, q * v + k),)
-        if r % q == 0:
-            l = r // q
-            if l == sys.l0:
-                return 0, ((1, p * v + sys.l0), (1, q * v + q - sys.k0))
-            return 0, ((1, p * v + l),)
-        if (r - 1) % p == 0:
-            return 0, ((1, q * v + (r - 1) // p),)
-        if (r - 1) % q == 0:
-            return 0, ((1, p * v + (r - 1) // q),)
-        return 0, ()
+        v, r = divmod(u, self.sys.pq)
+        deps = []
+        for _, mul, off, filtered in self._rows[r]:
+            deps.append((1, mul * v + off))
+            if filtered:
+                deps.append((-1, v))
+        return 0, tuple(deps)
+
+    def _fill(self, arr: list[int]) -> None:
+        pq = self.sys.pq
+        rows = self._rows
+        for u in range(2, len(arr)):
+            v, r = divmod(u, pq)
+            total = 0
+            for _, mul, off, filtered in rows[r]:
+                total += arr[mul * v + off]
+                if filtered:
+                    total -= arr[v]
+            arr[u] = total
 
 
 class HalvingCounter(CountTable):

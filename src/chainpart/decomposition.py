@@ -1,0 +1,126 @@
+"""The residue decomposition of Omega(U), as tables built once per base system.
+
+Omega(U), for U >= 2, is the disjoint union of branch images: a branch
+``(labels, mul, off, filtered)`` of the row of r = U mod ``modulus`` maps
+Omega(mul*v + off), v = U div ``modulus``, into Omega(U) by applying its
+labels, last label first.  A filtered branch keeps only the members whose
+smallest part is not divisible by p.  Counting, sigma, enumeration, sampling
+and tree words all fold these tables.
+
+The general table (any bases, modulus pq) splits on the part 1: a partition
+without it is p-scaled or q-scaled, and one with it is the part 1 (label
+``1``, ``append_unit``) plus such a partition of U - 1.  So a row has ``p``
+when p | r, ``q`` when q | r, ``1p`` when p | r - 1 and ``1q`` when q | r - 1.
+For r in {0, 1} the q-scaled branch is filtered, since its members divisible
+by pq are already p-scaled; it holds W(pv) - W(v) members.
+
+The binary table (p = 2, modulus 2q) applies the +1 map to the block of
+powers of 2 (``map_one_strict``), which keeps every branch disjoint and
+unfiltered.  Its rows are the classes r in {0, q}: ``q`` and ``1``; r = 1:
+``1``; r = q + 1: ``2`` and ``1q``; other even r: ``2``; other odd r: ``12``.
+Its labels spell the tree words of ``codec``.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+from .core import (
+    InvalidSystemError,
+    Partition,
+    PQSystem,
+    append_unit,
+    map_one_strict,
+    map_p,
+    map_q,
+)
+
+Lift = Callable[[Partition], Partition]
+
+
+class Branch(NamedTuple):
+    """Labels applied to Omega(mul*v + off), with the smallest-part filter."""
+
+    labels: str
+    mul: int
+    off: int
+    filtered: bool
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """Branch rows indexed by U mod ``modulus``; ``lifts`` maps labels to maps."""
+
+    modulus: int
+    rows: tuple[tuple[Branch, ...], ...]
+    lifts: dict[str, Lift]
+
+    def lift(self, branch: Branch, pt: Partition) -> Partition:
+        """Map a member of Omega(argument) into Omega(U) along ``branch``."""
+        return self.lifts[branch.labels](pt)
+
+
+def admits(branch: Branch, pt: Partition) -> bool:
+    """True unless ``branch`` is filtered and the smallest part of ``pt`` is divisible by p."""
+    return not branch.filtered or pt.parts[-1][0] == 0
+
+
+def _decomposition(modulus: int, rows: list[tuple[Branch, ...]],
+                   maps: dict[str, Lift]) -> Decomposition:
+    lifts: dict[str, Lift] = {}
+    for branch in {b for row in rows for b in row}:
+        fns = [maps[ch] for ch in branch.labels]
+        lifts[branch.labels] = fns[0] if len(fns) == 1 else _compose(*fns)
+    return Decomposition(modulus, tuple(rows), lifts)
+
+
+def _compose(outer: Lift, inner: Lift) -> Lift:
+    return lambda pt: outer(inner(pt))
+
+
+@functools.lru_cache(maxsize=128)
+def general_table(sys: PQSystem) -> Decomposition:
+    """The table of Omega(U) by U mod pq, for any bases."""
+    p, q = sys.p, sys.q
+    rows = []
+    for r in range(sys.pq):
+        row = []
+        if r % p == 0:
+            row.append(Branch("p", q, r // p, False))
+        if r % q == 0:
+            row.append(Branch("q", p, r // q, r % p == 0))
+        if (r - 1) % p == 0:
+            row.append(Branch("1p", q, (r - 1) // p, False))
+        if (r - 1) % q == 0:
+            row.append(Branch("1q", p, (r - 1) // q, (r - 1) % p == 0))
+        rows.append(tuple(row))
+    return _decomposition(sys.pq, rows, {"p": map_p, "q": map_q, "1": append_unit})
+
+
+@functools.lru_cache(maxsize=128)
+def binary_table(sys: PQSystem) -> Decomposition:
+    """The disjoint table of Omega(U) by U mod 2q, for p = 2."""
+    if sys.p != 2:
+        raise InvalidSystemError("the binary decomposition requires p = 2")
+    q = sys.q
+    rows = []
+    for r in range(2 * q):
+        if r % q == 0:
+            rows.append((Branch("q", 2, r // q, False), Branch("1", 2 * q, r - 1, False)))
+        elif r == 1:
+            rows.append((Branch("1", 2 * q, 0, False),))
+        elif r == q + 1:
+            rows.append((Branch("2", q, r // 2, False), Branch("1q", 2, 1, False)))
+        elif r % 2 == 0:
+            rows.append((Branch("2", q, r // 2, False),))
+        else:
+            rows.append((Branch("12", q, (r - 1) // 2, False),))
+    one = functools.partial(map_one_strict, sys=sys)
+    return _decomposition(2 * q, rows, {"2": map_p, "q": map_q, "1": one})
+
+
+def residue_table(sys: PQSystem) -> Decomposition:
+    """The table that enumeration and sampling walk: binary when p = 2."""
+    return binary_table(sys) if sys.p == 2 else general_table(sys)

@@ -8,15 +8,14 @@ partitions of U:
       Omega*(U) = p-scaled Omega(U/p)  union  q-scaled Omega(U/q),
   deduplicating the (pq-scaled) overlap with a set union.
 
-* ``ResidueEnumerator`` branches on U mod pq.  For p = 2 every union in the
-  decomposition is disjoint and the +1 map is applied only where it provably
-  preserves chaining; for general bases the set difference
-  Omega(pU) minus p-scaled Omega(U) is realized by an O(1) filter on the
-  smallest part's p-exponent.
+* ``ResidueEnumerator`` takes the union of the mapped branch sets of the
+  residue table in ``decomposition``: the binary table when p = 2, where
+  every union is disjoint, and the general table otherwise, whose one
+  overlapping branch is cut down by a filter on the smallest part.
 
-The residue decomposition also drives ``sample_uniform``: descending the
-disjoint branches with probabilities proportional to their exact weights
-returns every member of Omega(U) with probability exactly 1/W(U).
+The same table drives ``sample_uniform``: descending the branches with
+probabilities proportional to their exact weights returns every member of
+Omega(U) with probability exactly 1/W(U).
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ from .core import (
     PQSystem,
     UnreachableSumError,
     append_unit,
-    map_one_strict,
     map_p,
     map_q,
     part_value,
     value,
 )
 from .counting import CountTable, make_counter
+from .decomposition import Branch, admits, residue_table
 
 #: Default cap on the total number of partitions held across memo tables.
 DEFAULT_PARTITION_BUDGET = 2_000_000
@@ -134,7 +133,11 @@ class SplitEnumerator(_BaseEnumerator):
 
 
 class ResidueEnumerator(_BaseEnumerator):
-    """Recursion on U mod pq, with the disjoint fast path when p = 2."""
+    """Union of the mapped branch sets of the residue table."""
+
+    def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
+        super().__init__(sys, budget)
+        self._decomposition = residue_table(sys)
 
     def omega(self, u: int) -> frozenset[Partition]:
         if u < 0:
@@ -146,80 +149,15 @@ class ResidueEnumerator(_BaseEnumerator):
         hit = self._memo.get(u)
         if hit is not None:
             return hit
-        if self.sys.p == 2:
-            members = self._expand_p2(u)
-        else:
-            members = self._expand_general(u)
+        decomposition = self._decomposition
+        v, r = divmod(u, decomposition.modulus)
+        members: set[Partition] = set()
+        for branch in decomposition.rows[r]:
+            sub = self.omega(branch.mul * v + branch.off)
+            if branch.filtered:
+                sub = [w for w in sub if admits(branch, w)]
+            members.update(map(decomposition.lifts[branch.labels], sub))
         return self._store(u, frozenset(members))
-
-    def _expand_p2(self, u: int) -> set[Partition]:
-        sys = self.sys
-        q = sys.q
-        members: set[Partition] = set()
-        m = u % (2 * q)
-        if u % q == 0:
-            members.update(map_q(w) for w in self.omega(u // q))
-            members.update(map_one_strict(w, sys) for w in self.omega(u - 1))
-        elif m == 1:
-            members.update(map_one_strict(w, sys) for w in self.omega(u - 1))
-        elif m == q + 1:
-            members.update(map_p(w) for w in self.omega(u // 2))
-            members.update(
-                map_one_strict(map_q(w), sys) for w in self.omega((u - 1) // q)
-            )
-        elif u % 2 == 0:
-            members.update(map_p(w) for w in self.omega(u // 2))
-        else:
-            members.update(
-                map_one_strict(map_p(w), sys) for w in self.omega((u - 1) // 2)
-            )
-        return members
-
-    def _expand_general(self, u: int) -> set[Partition]:
-        sys = self.sys
-        p, q = sys.p, sys.q
-        v, r = divmod(u, sys.pq)
-        members: set[Partition] = set()
-        if r == 0 or r == 1:
-            scaled = [map_p(w) for w in self.omega(q * v)]
-            scaled.extend(
-                map_q(w)
-                for w in self.omega(p * v)
-                if w.parts[-1][0] == 0  # smallest part not divisible by p
-            )
-            if r == 1:
-                members.update(append_unit(w) for w in scaled)
-            else:
-                members.update(scaled)
-        elif r % p == 0:
-            k = r // p
-            members.update(map_p(w) for w in self.omega(q * v + k))
-            if k == sys.k0:
-                members.update(
-                    append_unit(map_q(w)) for w in self.omega(p * v + p - sys.l0)
-                )
-        elif r % q == 0:
-            l = r // q
-            members.update(map_q(w) for w in self.omega(p * v + l))
-            if l == sys.l0:
-                members.update(
-                    append_unit(map_p(w)) for w in self.omega(q * v + q - sys.k0)
-                )
-        elif (r - 1) % p == 0:
-            members.update(
-                append_unit(map_p(w)) for w in self.omega(q * v + (r - 1) // p)
-            )
-        elif (r - 1) % q == 0:
-            members.update(
-                append_unit(map_q(w)) for w in self.omega(p * v + (r - 1) // q)
-            )
-        return members
-
-
-def enumerate_split(u: int, sys: PQSystem,
-                    budget: int = DEFAULT_PARTITION_BUDGET) -> OmegaSet:
-    """One-shot enumeration via the part-1 split recursion."""
-    return SplitEnumerator(sys, budget).omega_set(u)
 
 
 def enumerate_residue(u: int, sys: PQSystem,
@@ -236,11 +174,13 @@ def sample_uniform(
 ) -> Partition:
     """Draw one member of Omega(u) with probability exactly 1/W(u).
 
-    The sampler walks the residue decomposition, choosing each disjoint
-    branch with probability (branch weight)/(node weight); the weights come
-    from a counting engine.  The set-difference branch of the general
-    decomposition is handled by rejection on the smallest-part divisibility
-    flag, with expected retry factor W(pU)/(W(pU)-W(U)).
+    The sampler descends the residue table from u to a leaf, choosing among
+    two or more branches with one ``randrange`` of the node weight, so each
+    branch is taken with probability (branch weight)/(node weight); the
+    weights come from a counting engine.  A filtered branch weighs
+    W(pv) - W(v): its argument is sampled whole, and the draw restarts there
+    until the smallest part is not divisible by p (expected retry factor
+    W(pv)/(W(pv)-W(v))).  The descent is a loop, not a recursion.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -248,78 +188,29 @@ def sample_uniform(
         counter = make_counter(sys)
     if u < 0 or counter.w(u) == 0:
         raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
-    if sys.p == 2:
-        pt = _sample_p2(u, sys, rng, counter)
-    else:
-        pt = _sample_general(u, sys, rng, counter)
+    decomposition = residue_table(sys)
+    path: list[tuple[Branch, int]] = []  # (branch taken, its argument) from u down
+    x = u
+    while True:
+        while x > 1:
+            v, r = divmod(x, decomposition.modulus)
+            branches = decomposition.rows[r]
+            pick = branches[0]
+            if len(branches) > 1:
+                weights = [counter.w(b.mul * v + b.off) - (counter.w(v) if b.filtered else 0)
+                           for b in branches]
+                draw = rng.randrange(sum(weights))
+                for pick, weight in zip(branches, weights):
+                    if draw < weight:
+                        break
+                    draw -= weight
+            x = pick.mul * v + pick.off
+            path.append((pick, x))
+        pt = UNIT_PARTITION if x == 1 else EMPTY_PARTITION
+        while path and admits(path[-1][0], pt):
+            pt = decomposition.lift(path.pop()[0], pt)
+        if not path:
+            break
+        x = path[-1][1]  # rejected by a filtered branch: draw its argument again
     assert value(pt, sys) == u
     return pt
-
-
-def _sample_p2(u: int, sys: PQSystem, rng: random.Random, counter: CountTable) -> Partition:
-    if u == 0:
-        return EMPTY_PARTITION
-    if u == 1:
-        return UNIT_PARTITION
-    q = sys.q
-    m = u % (2 * q)
-    if u % q == 0:
-        w_scaled = counter.w(u // q)
-        if rng.randrange(w_scaled + counter.w(u - 1)) < w_scaled:
-            return map_q(_sample_p2(u // q, sys, rng, counter))
-        return map_one_strict(_sample_p2(u - 1, sys, rng, counter), sys)
-    if m == 1:
-        return map_one_strict(_sample_p2(u - 1, sys, rng, counter), sys)
-    if m == q + 1:
-        w_even = counter.w(u // 2)
-        if rng.randrange(w_even + counter.w((u - 1) // q)) < w_even:
-            return map_p(_sample_p2(u // 2, sys, rng, counter))
-        return map_one_strict(map_q(_sample_p2((u - 1) // q, sys, rng, counter)), sys)
-    if u % 2 == 0:
-        return map_p(_sample_p2(u // 2, sys, rng, counter))
-    return map_one_strict(map_p(_sample_p2((u - 1) // 2, sys, rng, counter)), sys)
-
-
-def _sample_general(u: int, sys: PQSystem, rng: random.Random,
-                    counter: CountTable) -> Partition:
-    if u == 0:
-        return EMPTY_PARTITION
-    if u == 1:
-        return UNIT_PARTITION
-    p, q = sys.p, sys.q
-    v, r = divmod(u, sys.pq)
-    if r == 0 or r == 1:
-        w_p_branch = counter.w(q * v)
-        w_rest = counter.w(p * v) - counter.w(v)
-        if rng.randrange(w_p_branch + w_rest) < w_p_branch:
-            pt = map_p(_sample_general(q * v, sys, rng, counter))
-        else:
-            while True:
-                cand = _sample_general(p * v, sys, rng, counter)
-                if cand.parts[-1][0] == 0:
-                    break
-            pt = map_q(cand)
-        return append_unit(pt) if r == 1 else pt
-    if r % p == 0:
-        k = r // p
-        if k == sys.k0:
-            w_first = counter.w(q * v + k)
-            if rng.randrange(w_first + counter.w(p * v + p - sys.l0)) >= w_first:
-                return append_unit(
-                    map_q(_sample_general(p * v + p - sys.l0, sys, rng, counter))
-                )
-        return map_p(_sample_general(q * v + k, sys, rng, counter))
-    if r % q == 0:
-        l = r // q
-        if l == sys.l0:
-            w_first = counter.w(p * v + l)
-            if rng.randrange(w_first + counter.w(q * v + q - sys.k0)) >= w_first:
-                return append_unit(
-                    map_p(_sample_general(q * v + q - sys.k0, sys, rng, counter))
-                )
-        return map_q(_sample_general(p * v + l, sys, rng, counter))
-    if (r - 1) % p == 0:
-        return append_unit(map_p(_sample_general(q * v + (r - 1) // p, sys, rng, counter)))
-    if (r - 1) % q == 0:
-        return append_unit(map_q(_sample_general(p * v + (r - 1) // q, sys, rng, counter)))
-    raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")

@@ -1,14 +1,11 @@
 """Shortest strictly chained partitions and the exponentiation cost model.
 
-The least number of parts sigma(U) obeys the same residue case split as the
-set decomposition:
-
-    sigma(pqU)   = min(sigma(qU), sigma(pU))
-    sigma(pqU+1) = 1 + sigma(pqU)
-
-with the analogous one- or two-branch rules for pqU+r, 1 < r < pq (a +1 edge
-costs one extra part, a scaling edge is free).  Witnesses are rebuilt by
-replaying the argmin branches; ties go to the first-listed branch of the case
+The least number of parts sigma(U) is the min-plus fold of the general table
+in ``decomposition``: the minimum over the branches of U of sigma(argument)
+plus the number of ``1`` labels (a +1 edge costs one extra part, a scaling
+edge is free).  The filter of the one overlapping branch can be ignored here,
+because the union of the branch images is the same.  Witnesses are rebuilt
+by replaying the argmin branches; ties go to the first-listed branch of the
 table (the p-scaled one), which makes witnesses deterministic.
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
@@ -27,18 +24,11 @@ from .core import (
     PQSystem,
     UNIT_PARTITION,
     UnreachableSumError,
-    append_unit,
-    map_p,
-    map_q,
     value,
 )
+from .decomposition import Branch, general_table
 
 _INF = math.inf
-
-#: (offset, argument, transform) triples; transform is applied to the branch
-#: witness, where "p"/"q" scale and a leading "1" appends the part 1.
-_Branch = tuple[int, int, str]
-
 
 @dataclass(frozen=True, slots=True)
 class ShortestResult:
@@ -75,30 +65,12 @@ class ShortestTable:
     def __init__(self, sys: PQSystem) -> None:
         self.sys = sys
         self.table: dict[int, float] = {0: 0, 1: 1}
-
-    def _branches(self, u: int) -> tuple[_Branch, ...]:
-        sys = self.sys
-        p, q = sys.p, sys.q
-        v, r = divmod(u, sys.pq)
-        if r == 0:
-            return ((0, u // p, "p"), (0, u // q, "q"))
-        if r == 1:
-            return ((1, u - 1, "1"),)
-        if r % p == 0:
-            k = r // p
-            if k == sys.k0:
-                return ((0, q * v + k, "p"), (1, p * v + p - sys.l0, "1q"))
-            return ((0, q * v + k, "p"),)
-        if r % q == 0:
-            l = r // q
-            if l == sys.l0:
-                return ((0, p * v + l, "q"), (1, q * v + q - sys.k0, "1p"))
-            return ((0, p * v + l, "q"),)
-        if (r - 1) % p == 0:
-            return ((1, q * v + (r - 1) // p, "1p"),)
-        if (r - 1) % q == 0:
-            return ((1, p * v + (r - 1) // q, "1q"),)
-        return ()
+        self._decomposition = general_table(sys)
+        # per residue: (number of 1 labels, mul, off) for each branch
+        self._rows = tuple(
+            tuple((b.labels.count("1"), b.mul, b.off) for b in row)
+            for row in self._decomposition.rows
+        )
 
     def sigma_or_inf(self, u: int) -> float:
         """sigma(u), or infinity when Omega(u) is empty."""
@@ -108,20 +80,21 @@ class ShortestTable:
         hit = table.get(u)
         if hit is not None:
             return hit
+        pq = self.sys.pq
+        rows = self._rows
         stack = [u]
         while stack:
-            v = stack[-1]
-            if v in table:
+            x = stack[-1]
+            if x in table:
                 stack.pop()
                 continue
-            branches = self._branches(v)
-            missing = [arg for _, arg, _ in branches if arg not in table]
+            v, r = divmod(x, pq)
+            row = rows[r]
+            missing = [mul * v + off for _, mul, off in row if mul * v + off not in table]
             if missing:
                 stack.extend(missing)
                 continue
-            table[v] = min(
-                (off + table[arg] for off, arg, _ in branches), default=_INF
-            )
+            table[x] = min((ones + table[mul * v + off] for ones, mul, off in row), default=_INF)
             stack.pop()
         return table[u]
 
@@ -133,30 +106,22 @@ class ShortestTable:
             )
         return int(best)
 
-    def _apply(self, transform: str, pt: Partition) -> Partition:
-        for ch in reversed(transform):
-            if ch == "p":
-                pt = map_p(pt)
-            elif ch == "q":
-                pt = map_q(pt)
-            else:
-                pt = append_unit(pt)
-        return pt
-
     def witness(self, u: int) -> ShortestResult:
         """One shortest partition, rebuilt by replaying argmin branches."""
         best = self.sigma(u)
-        path: list[str] = []
-        v = u
-        while v > 1:
-            branches = self._branches(v)
-            scores = [off + self.sigma_or_inf(arg) for off, arg, _ in branches]
-            pick = min(range(len(branches)), key=scores.__getitem__)
-            path.append(branches[pick][2])
-            v = branches[pick][1]
-        pt = UNIT_PARTITION if v == 1 else Partition()
-        for transform in reversed(path):
-            pt = self._apply(transform, pt)
+        decomposition = self._decomposition
+        path: list[Branch] = []
+        x = u
+        while x > 1:
+            v, r = divmod(x, decomposition.modulus)
+            branches = decomposition.rows[r]
+            scores = [b.labels.count("1") + self.sigma_or_inf(b.mul * v + b.off) for b in branches]
+            pick = branches[scores.index(min(scores))]
+            path.append(pick)
+            x = pick.mul * v + pick.off
+        pt = UNIT_PARTITION if x == 1 else Partition()
+        for branch in reversed(path):
+            pt = decomposition.lift(branch, pt)
         assert value(pt, self.sys) == u and len(pt) == best
         return ShortestResult(u, best, pt)
 
@@ -167,13 +132,16 @@ class ShortestTable:
         arr: list[float] = [0] * (limit + 1)
         if limit >= 1:
             arr[1] = 1
-        for v in range(2, limit + 1):
+        pq = self.sys.pq
+        rows = self._rows
+        for x in range(2, limit + 1):
+            v, r = divmod(x, pq)
             best = _INF
-            for off, arg, _ in self._branches(v):
-                score = off + arr[arg]
+            for ones, mul, off in rows[r]:
+                score = ones + arr[mul * v + off]
                 if score < best:
                     best = score
-            arr[v] = best
+            arr[x] = best
         return arr
 
     def stats(self, limit: int) -> ShortestStats:

@@ -163,6 +163,19 @@ def test_sample_deterministic(capsys):
     assert len(out1.splitlines()) == 5
 
 
+def test_sample_deep_exponent(capsys):
+    u = 2**1200 + 12345
+    code, out, err = run(capsys, "sample", "--u", str(u))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sum"] == str(u)
+
+
+def test_options_belong_to_their_commands(capsys):
+    code, _, err = run(capsys, "count", "--u", "5", "--threads", "2")
+    assert code == 1
+    assert "usage" in err and "--threads" in err
+
+
 def test_alpha_output(capsys):
     code, out, _ = run(capsys, "alpha", "--p", "3", "--q", "4")
     assert code == 0

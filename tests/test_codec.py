@@ -146,3 +146,10 @@ def test_grammar_bijection_short_words():
 def test_subsequence_helper():
     assert subsequence("132", "1332")
     assert not subsequence("231", "1332")
+
+
+def test_tree_language_deep_value(sys23):
+    # 3*2^a - 1 has a single partition, 2a+1 letters deep in the binary table
+    words = TreeLanguage(sys23).words(3 * 2**1200 - 1)
+    assert len(words) == 1
+    assert len(words[0]) == 2401

@@ -12,6 +12,8 @@ from chainpart.core import (
     binary_partition,
     brute_force_enumerate,
     make_system,
+    part_value,
+    validate,
     value,
 )
 from chainpart.counting import make_counter
@@ -142,3 +144,20 @@ def test_sampler_rejection_branch_is_exactly_uniform(sys35):
     tally = Counter(sample_uniform(2280, sys35, rng, counter) for _ in range(3000))
     assert set(tally) == members
     assert all(880 <= n <= 1120 for n in tally.values()), dict(tally)
+
+
+def test_sampler_deep_binary_descent(sys23):
+    # about 2,400 levels of the binary table below the root
+    u = 2**1200 + 12345
+    pt = sample_uniform(u, sys23, 1)
+    assert value(validate([part_value(pair, sys23) for pair in pt], sys23), sys23) == u
+
+
+def test_sampler_deep_filtered_descent(sys35):
+    # W(u) = 2; the root sits on the filtered branch, 1,500 levels above the leaf
+    u = 3**1500 * 25 + 3**300 * 5 + 1
+    counter = make_counter(sys35)
+    assert counter.w(u) == 2
+    for seed in range(4):
+        pt = sample_uniform(u, sys35, seed, counter)
+        assert value(validate([part_value(pair, sys35) for pair in pt], sys35), sys35) == u

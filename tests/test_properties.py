@@ -30,9 +30,9 @@ def fixed(max_examples):
 
 
 @st.composite
-def chains(draw, system_strategy=systems):
+def chains(draw):
     """(system, part values) of a random chain, smallest part first, sum <= 10^60."""
-    sys_ = draw(system_strategy)
+    sys_ = draw(systems)
     a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     parts = [part_value((a, b), sys_)]
     steps = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda s: s != (0, 0))
@@ -99,7 +99,7 @@ def test_words_round_trip(chain):
 
 
 @fixed(80)
-@given(st.sampled_from([q for q in range(3, 14, 2)]),
+@given(st.sampled_from(range(3, 14, 2)),
        st.lists(st.sampled_from("12q"), max_size=40))
 def test_tree_decode_accepts_exactly_the_canonical_words(q, letters):
     sys_ = make_system(2, q)

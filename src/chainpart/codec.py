@@ -24,7 +24,6 @@ contain neither 02 nor 12 as a factor; for fixed U they form an infix code
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -32,10 +31,6 @@ from .core import (
     MalformedWordError,
     Partition,
     PQSystem,
-    UNIT_PARTITION,
-    unmap_one_strict,
-    unmap_p,
-    unmap_q,
     value,
 )
 from .decomposition import Branch, binary_table
@@ -93,18 +88,27 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
 
     At each node the word takes the first branch whose leading label can be
     undone, judged by the smallest part (a, b): 2 needs a > 0, q needs b > 0,
-    and 1 needs b = 0 (a positive binary amount).
+    and 1 needs b = 0 (a positive binary amount).  The partition being undone
+    is held as exponent offsets, a pointer into its parts with b > 0 and its
+    binary amount, so each letter costs O(1) amortized, not a new tuple.
     """
     _require_p2(sys)
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no tree word")
     decomposition = binary_table(sys)
-    undo = {"2": unmap_p, "q": unmap_q, "1": functools.partial(unmap_one_strict, sys=sys)}
     u = value(pt, sys)
+    # The current partition is the pairs (a - da, b - db) of rest[i:] plus the
+    # powers of 2 that sum to ``amount``.
+    rest = [(a, b) for a, b in reversed(pt.parts) if b > 0]  # smallest first
+    amount = sum(1 << a for a, b in pt.parts if b == 0)
+    da = db = i = 0
     letters: list[str] = []
     while u > 1:
         v, r = divmod(u, decomposition.modulus)
-        a, b = pt.parts[-1]
+        if amount:
+            a, b = (amount & -amount).bit_length() - 1, 0
+        else:
+            a, b = rest[i][0] - da, rest[i][1] - db
         undoable = {"2": a > 0, "q": b > 0, "1": b == 0}
         for branch in decomposition.rows[r]:
             if undoable[branch.labels[0]]:
@@ -112,10 +116,19 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
         else:
             raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
         for letter in branch.labels:
-            pt = undo[letter](pt)
+            if letter == "1":
+                amount -= 1
+            elif letter == "2":
+                da += 1
+                amount >>= 1
+            else:
+                db += 1
+                while i < len(rest) and rest[i][1] == db:
+                    amount += 1 << (rest[i][0] - da)
+                    i += 1
         letters.extend(branch.labels)
         u = branch.mul * v + branch.off
-    if pt != UNIT_PARTITION:
+    if amount != 1 or i < len(rest):
         raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
     return TreeWord(tuple(letters))
 
@@ -124,29 +137,28 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     """Replay a word from the leaf; returns (U, partition).
 
     A word is canonical when it spells a path of the binary table from its
-    value U down to the leaf 1.  That is checked on integers before the
-    partition is rebuilt along the path; MalformedWordError otherwise.
+    value U down to the leaf 1.  The descent from U takes at each node the
+    branch whose labels come next in the word and rebuilds the partition on
+    the way back; MalformedWordError on a mismatch or on unused letters.
     """
     _require_p2(sys)
     letters = "".join(word.letters)
     u = 1
     for letter in reversed(letters):
         u = u + 1 if letter == "1" else u * (2 if letter == "2" else sys.q)
-    decomposition = binary_table(sys)
-    path: list[Branch] = []
-    x, i = u, 0
-    while x > 1:
-        v, r = divmod(x, decomposition.modulus)
-        branch = next((b for b in decomposition.rows[r] if letters.startswith(b.labels, i)), None)
-        if branch is None:
-            break
-        path.append(branch)
-        x, i = branch.mul * v + branch.off, i + len(branch.labels)
-    if x > 1 or i < len(letters):
+    i = 0
+
+    def match(v: int, row: tuple[Branch, ...]) -> Branch:
+        nonlocal i
+        for branch in row:
+            if letters.startswith(branch.labels, i):
+                i += len(branch.labels)
+                return branch
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")
-    pt = UNIT_PARTITION
-    for branch in reversed(path):
-        pt = decomposition.lift(branch, pt)
+
+    pt = binary_table(sys).descend(u, match)
+    if i < len(letters):
+        raise MalformedWordError(f"{word.letters} is not a canonical tree word")
     return u, pt
 
 

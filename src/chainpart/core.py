@@ -224,19 +224,6 @@ def map_q(pt: Partition) -> Partition:
     return Partition(tuple((a, b + 1) for a, b in pt.parts))
 
 
-def unmap_p(pt: Partition) -> Partition:
-    """Divide every part by p; all first exponents must be positive."""
-    if any(a == 0 for a, _ in pt.parts):
-        raise PartitionError("a part is not divisible by p")
-    return Partition(tuple((a - 1, b) for a, b in pt.parts))
-
-
-def unmap_q(pt: Partition) -> Partition:
-    if any(b == 0 for _, b in pt.parts):
-        raise PartitionError("a part is not divisible by q")
-    return Partition(tuple((a, b - 1) for a, b in pt.parts))
-
-
 def _binary_split(pt: Partition, sys: PQSystem) -> tuple[list[tuple[int, int]], int]:
     """Split off the pure powers of 2; return (other parts, binary amount)."""
     if not sys.has_binary_base:
@@ -314,18 +301,6 @@ def map_one_strict(pt: Partition, sys: PQSystem) -> Partition:
     if pt.has_unit:
         raise DuplicatePartError("cannot append a second part 1")
     return Partition(pt.parts + ((0, 0),))
-
-
-def unmap_one_strict(pt: Partition, sys: PQSystem) -> Partition:
-    """Inverse of the +1 map; the binary amount (or a part 1) must be positive."""
-    if sys.has_binary_base:
-        rest, amount = _binary_split(pt, sys)
-        if amount == 0:
-            raise PartitionError("binary amount is already 0")
-        return _with_amount(rest, amount - 1, sys)
-    if not pt.has_unit:
-        raise PartitionError("no part 1 to remove")
-    return Partition(pt.parts[:-1])
 
 
 def append_unit(pt: Partition) -> Partition:

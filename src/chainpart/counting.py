@@ -221,43 +221,31 @@ class HalvingCounter(CountTable):
 class DirectSumCounter(CountTable):
     """Direct engine: sum over the sizes of the pure-power block.
 
-    The two optional accelerations are provably result-neutral: once a base-p
-    digit of U exceeds 1 every later indicator vanishes (``prefix_exit``), and
-    a surviving summand silences its ``indicator_gap`` successors
-    (``gap_skip``).  Both can be switched off to test that neutrality.
+    Two result-neutral accelerations keep the sum short: once a base-p digit
+    of U exceeds 1 every later indicator vanishes, and a surviving summand
+    silences its ``indicator_gap`` successors.
     """
 
-    def __init__(self, sys: PQSystem, prefix_exit: bool = True, gap_skip: bool = True) -> None:
+    def __init__(self, sys: PQSystem) -> None:
         super().__init__(sys)
-        self.prefix_exit = prefix_exit
-        self.gap_skip = gap_skip
         self._gap = indicator_gap(sys)
 
     def _expand(self, u: int) -> Expansion:
-        sys = self.sys
-        p, q = sys.p, sys.q
+        p, q = self.sys.p, self.sys.q
         const = 1 if digits_zero_one(u, p) else 0
         deps: list[tuple[int, int]] = []
         if u % q == 0:
             deps.append((1, u // q))
         pc = 1
-        prefix_ok = True  # digits of u below the current index are all 0/1
         skip_until = -1
         c = 0
         bound = u // (q + 1)
         while pc <= bound:
-            if prefix_ok:
-                if c > skip_until and (u // pc) % q == 1:
-                    deps.append((1, u // (pc * q)))
-                    if self.gap_skip:
-                        skip_until = c + self._gap
-            elif self.prefix_exit:
-                break
-            else:
-                if c > skip_until and summand_indicator(c, u, sys):
-                    deps.append((1, u // (pc * q)))  # pragma: no cover - neutral
+            if c > skip_until and (u // pc) % q == 1:
+                deps.append((1, u // (pc * q)))
+                skip_until = c + self._gap
             if (u // pc) % p > 1:
-                prefix_ok = False
+                break
             pc *= p
             c += 1
         return const, tuple(deps)

@@ -5,14 +5,18 @@ Omega(U), for U >= 2, is the disjoint union of branch images: a branch
 Omega(mul*v + off), v = U div ``modulus``, into Omega(U) by applying its
 labels, last label first.  A filtered branch keeps only the members whose
 smallest part is not divisible by p.  Counting, sigma, enumeration, sampling
-and tree words all fold these tables.
+and tree words all fold these tables; sampling, the sigma witness and tree
+decoding take one path of it with ``Decomposition.descend``.
 
 The general table (any bases, modulus pq) splits on the part 1: a partition
 without it is p-scaled or q-scaled, and one with it is the part 1 (label
 ``1``, ``append_unit``) plus such a partition of U - 1.  So a row has ``p``
 when p | r, ``q`` when q | r, ``1p`` when p | r - 1 and ``1q`` when q | r - 1.
 For r in {0, 1} the q-scaled branch is filtered, since its members divisible
-by pq are already p-scaled; it holds W(pv) - W(v) members.
+by pq are already p-scaled; it holds W(pv) - W(v) members.  Its argument pv
+lies in a row whose first branch, the p-scaled Omega(v), holds exactly the
+members of Omega(pv) whose smallest part is divisible by p, so the filtered
+members are those of the other branches of that row.
 
 The binary table (p = 2, modulus 2q) applies the +1 map to the block of
 powers of 2 (``map_one_strict``), which keeps every branch disjoint and
@@ -28,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import (
+    EMPTY_PARTITION,
+    UNIT_PARTITION,
     InvalidSystemError,
     Partition,
     PQSystem,
@@ -57,9 +63,24 @@ class Decomposition:
     rows: tuple[tuple[Branch, ...], ...]
     lifts: dict[str, Lift]
 
-    def lift(self, branch: Branch, pt: Partition) -> Partition:
-        """Map a member of Omega(argument) into Omega(U) along ``branch``."""
-        return self.lifts[branch.labels](pt)
+    def descend(self, u: int, choose: Callable[[int, tuple[Branch, ...]], Branch]) -> Partition:
+        """Walk from u to a leaf and lift the leaf back up along the path.
+
+        At each node x > 1, ``choose(x div modulus, row of x)`` returns the
+        branch to take.  The walk is a loop, not a recursion.
+        """
+        path: list[str] = []
+        x = u
+        while x > 1:
+            v, r = divmod(x, self.modulus)
+            branch = choose(v, self.rows[r])
+            path.append(branch.labels)
+            x = branch.mul * v + branch.off
+        pt = UNIT_PARTITION if x == 1 else EMPTY_PARTITION
+        lifts = self.lifts
+        for labels in reversed(path):
+            pt = lifts[labels](pt)
+        return pt
 
 
 def admits(branch: Branch, pt: Partition) -> bool:

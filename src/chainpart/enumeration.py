@@ -13,9 +13,11 @@ partitions of U:
   every union is disjoint, and the general table otherwise, whose one
   overlapping branch is cut down by a filter on the smallest part.
 
-The same table drives ``sample_uniform``: descending the branches with
-probabilities proportional to their exact weights returns every member of
-Omega(U) with probability exactly 1/W(U).
+The same table drives ``sample_uniform`` in one descent
+(``Decomposition.descend``): it takes each branch with probability
+proportional to its exact weight, and below a filtered branch it leaves out
+the p-scaled branch that the filter removes.  Every member of Omega(U) is
+returned with probability exactly 1/W(U), and no draw is rejected.
 """
 
 from __future__ import annotations
@@ -75,13 +77,15 @@ class _BaseEnumerator:
         self._stored = 0
         self._memo: dict[int, frozenset[Partition]] = {}
 
-    def _store(self, u: int, members: frozenset[Partition]) -> frozenset[Partition]:
+    def _store(self, memo: dict[int, frozenset[Partition]], u: int,
+               members: frozenset[Partition]) -> frozenset[Partition]:
+        """Put ``members`` in ``memo`` at u, counting them against the budget."""
         self._stored += len(members)
         if self._stored > self.budget:
             raise BudgetError(
                 f"enumeration memo grew past {self.budget} partitions at u={u}"
             )
-        self._memo[u] = members
+        memo[u] = members
         return members
 
     def omega(self, u: int) -> frozenset[Partition]:
@@ -112,12 +116,7 @@ class SplitEnumerator(_BaseEnumerator):
             members.update(map_p(w) for w in self.omega(u // self.sys.p))
         if u % self.sys.q == 0:
             members.update(map_q(w) for w in self.omega(u // self.sys.q))
-        out = frozenset(members)
-        self._stored += len(out)
-        if self._stored > self.budget:
-            raise BudgetError(f"enumeration memo grew past {self.budget} partitions")
-        self._star_memo[u] = out
-        return out
+        return self._store(self._star_memo, u, frozenset(members))
 
     def omega(self, u: int) -> frozenset[Partition]:
         if u < 0:
@@ -129,7 +128,7 @@ class SplitEnumerator(_BaseEnumerator):
             return hit
         members = set(self._star(u))
         members.update(append_unit(w) for w in self._star(u - 1))
-        return self._store(u, frozenset(members))
+        return self._store(self._memo, u, frozenset(members))
 
 
 class ResidueEnumerator(_BaseEnumerator):
@@ -157,7 +156,7 @@ class ResidueEnumerator(_BaseEnumerator):
             if branch.filtered:
                 sub = [w for w in sub if admits(branch, w)]
             members.update(map(decomposition.lifts[branch.labels], sub))
-        return self._store(u, frozenset(members))
+        return self._store(self._memo, u, frozenset(members))
 
 
 def enumerate_residue(u: int, sys: PQSystem,
@@ -177,10 +176,10 @@ def sample_uniform(
     The sampler descends the residue table from u to a leaf, choosing among
     two or more branches with one ``randrange`` of the node weight, so each
     branch is taken with probability (branch weight)/(node weight); the
-    weights come from a counting engine.  A filtered branch weighs
-    W(pv) - W(v): its argument is sampled whole, and the draw restarts there
-    until the smallest part is not divisible by p (expected retry factor
-    W(pv)/(W(pv)-W(v))).  The descent is a loop, not a recursion.
+    weights come from a counting engine.  A filtered branch into Omega(pv)
+    weighs W(pv) - W(v), and the node below it drops its row's first branch,
+    the p-scaled Omega(v): the other branches hold exactly the members whose
+    smallest part is not divisible by p.  No draw is rejected or repeated.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -188,29 +187,24 @@ def sample_uniform(
         counter = make_counter(sys)
     if u < 0 or counter.w(u) == 0:
         raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
-    decomposition = residue_table(sys)
-    path: list[tuple[Branch, int]] = []  # (branch taken, its argument) from u down
-    x = u
-    while True:
-        while x > 1:
-            v, r = divmod(x, decomposition.modulus)
-            branches = decomposition.rows[r]
-            pick = branches[0]
-            if len(branches) > 1:
-                weights = [counter.w(b.mul * v + b.off) - (counter.w(v) if b.filtered else 0)
-                           for b in branches]
-                draw = rng.randrange(sum(weights))
-                for pick, weight in zip(branches, weights):
-                    if draw < weight:
-                        break
-                    draw -= weight
-            x = pick.mul * v + pick.off
-            path.append((pick, x))
-        pt = UNIT_PARTITION if x == 1 else EMPTY_PARTITION
-        while path and admits(path[-1][0], pt):
-            pt = decomposition.lift(path.pop()[0], pt)
-        if not path:
-            break
-        x = path[-1][1]  # rejected by a filtered branch: draw its argument again
+    w = counter.w
+    filtered = False  # whether the branch into the current node was filtered
+
+    def choose(v: int, row: tuple[Branch, ...]) -> Branch:
+        nonlocal filtered
+        if filtered:
+            row = row[1:]
+        pick = row[0]
+        if len(row) > 1:
+            weights = [w(b.mul * v + b.off) - (w(v) if b.filtered else 0) for b in row]
+            draw = rng.randrange(sum(weights))
+            for pick, weight in zip(row, weights):
+                if draw < weight:
+                    break
+                draw -= weight
+        filtered = pick.filtered
+        return pick
+
+    pt = residue_table(sys).descend(u, choose)
     assert value(pt, sys) == u
     return pt

@@ -4,9 +4,9 @@ The least number of parts sigma(U) is the min-plus fold of the general table
 in ``decomposition``: the minimum over the branches of U of sigma(argument)
 plus the number of ``1`` labels (a +1 edge costs one extra part, a scaling
 edge is free).  The filter of the one overlapping branch can be ignored here,
-because the union of the branch images is the same.  Witnesses are rebuilt
-by replaying the argmin branches; ties go to the first-listed branch of the
-table (the p-scaled one), which makes witnesses deterministic.
+because the union of the branch images is the same.  A witness is one
+descent of the table along the argmin branches; ties go to the first-listed
+branch of the row (the p-scaled one), which makes witnesses deterministic.
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
 by a Horner walk along the chain, with one p-th or q-th powering per exponent
@@ -22,7 +22,6 @@ from typing import Optional
 from .core import (
     Partition,
     PQSystem,
-    UNIT_PARTITION,
     UnreachableSumError,
     value,
 )
@@ -107,21 +106,14 @@ class ShortestTable:
         return int(best)
 
     def witness(self, u: int) -> ShortestResult:
-        """One shortest partition, rebuilt by replaying argmin branches."""
+        """One shortest partition, rebuilt by descending the argmin branches."""
         best = self.sigma(u)
-        decomposition = self._decomposition
-        path: list[Branch] = []
-        x = u
-        while x > 1:
-            v, r = divmod(x, decomposition.modulus)
-            branches = decomposition.rows[r]
-            scores = [b.labels.count("1") + self.sigma_or_inf(b.mul * v + b.off) for b in branches]
-            pick = branches[scores.index(min(scores))]
-            path.append(pick)
-            x = pick.mul * v + pick.off
-        pt = UNIT_PARTITION if x == 1 else Partition()
-        for branch in reversed(path):
-            pt = decomposition.lift(branch, pt)
+        sigma = self.sigma_or_inf
+
+        def argmin(v: int, row: tuple[Branch, ...]) -> Branch:
+            return min(row, key=lambda b: b.labels.count("1") + sigma(b.mul * v + b.off))
+
+        pt = self._decomposition.descend(u, argmin)
         assert value(pt, self.sys) == u and len(pt) == best
         return ShortestResult(u, best, pt)
 

@@ -123,11 +123,20 @@ def test_direct_sum_breakdown_u19(sys23):
 
 
 def test_direct_sum_accelerations_are_neutral():
+    # the plain direct sum, with every c such that p^c <= u div (q+1)
     for p, q in ((2, 3), (2, 5), (3, 4)):
         sys_ = make_system(p, q)
-        plain = DirectSumCounter(sys_, prefix_exit=False, gap_skip=False)
-        fast = DirectSumCounter(sys_)
-        assert plain.scan(5000) == fast.scan(5000)
+        plain = [1, 1]
+        for u in range(2, 5001):
+            total = int(digits_zero_one(u, p))
+            if u % q == 0:
+                total += plain[u // q]
+            c = 0
+            while p**c <= u // (q + 1):
+                total += summand_indicator(c, u, sys_) * plain[u // (p**c * q)]
+                c += 1
+            plain.append(total)
+        assert DirectSumCounter(sys_).scan(5000) == plain
 
 
 def test_w_star(sys23):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -161,3 +162,85 @@ def test_sampler_deep_filtered_descent(sys35):
     for seed in range(4):
         pt = sample_uniform(u, sys35, seed, counter)
         assert value(validate([part_value(pair, sys35) for pair in pt], sys35), sys35) == u
+
+
+class CountingRandom(random.Random):
+    """A seeded PRNG that counts ``randrange`` calls and fails past ``cap``."""
+
+    def __init__(self, seed: int, cap: int) -> None:
+        super().__init__(seed)
+        self.cap = cap
+        self.calls = 0
+
+    def randrange(self, *args, **kwargs):
+        self.calls += 1
+        assert self.calls <= self.cap, "the draw passed its randrange cap"
+        return super().randrange(*args, **kwargs)
+
+
+def test_sampler_makes_at_most_one_draw_per_level():
+    # (3,2) at this U has nested filtered nodes; a sampler that rejects and
+    # redraws their subtrees makes over 100,000 randrange calls here
+    sys32 = make_system(3, 2)
+    u = 224947739702172812439
+    rng = CountingRandom(0, cap=u.bit_length())
+    pt = sample_uniform(u, sys32, rng)
+    assert value(validate([part_value(pair, sys32) for pair in pt], sys32), sys32) == u
+
+
+class Odometer(random.Random):
+    """Replays every sequence of ``randrange`` outcomes, one per draw.
+
+    ``digits`` holds [outcome, n] for the calls of the current draw;
+    ``advance`` moves to the next sequence and returns False after the last.
+    A draw that makes more than ``cap`` calls fails.
+    """
+
+    def __init__(self, cap: int) -> None:
+        super().__init__(0)
+        self.cap = cap
+        self.digits: list[list[int]] = []
+        self.pos = 0
+
+    def randrange(self, n):
+        assert self.pos < self.cap, "the draw passed its randrange cap"
+        if self.pos == len(self.digits):
+            self.digits.append([0, n])
+        self.pos += 1
+        return self.digits[self.pos - 1][0]
+
+    def probability(self) -> Fraction:
+        out = Fraction(1)
+        for _, n in self.digits[: self.pos]:
+            out /= n
+        return out
+
+    def advance(self) -> bool:
+        del self.digits[self.pos :]
+        self.pos = 0
+        while self.digits:
+            self.digits[-1][0] += 1
+            if self.digits[-1][0] < self.digits[-1][1]:
+                return True
+            self.digits.pop()
+        return False
+
+
+@pytest.mark.parametrize("p,q,limit", [(3, 2, 160), (5, 2, 600), (4, 3, 600), (3, 5, 600)])
+def test_sampler_law_is_exactly_uniform(p, q, limit):
+    # sums Prod 1/n over every outcome sequence of the draw's randrange calls
+    sys_ = make_system(p, q)
+    counter = make_counter(sys_)
+    enumerator = ResidueEnumerator(sys_)
+    for u in range(1, limit):
+        if not counter.w(u):
+            continue
+        rng = Odometer(cap=u.bit_length())
+        law: dict[Partition, Fraction] = {}
+        while True:
+            pt = sample_uniform(u, sys_, rng, counter)
+            law[pt] = law.get(pt, 0) + rng.probability()
+            if not rng.advance():
+                break
+        assert set(law) == enumerator.omega(u), u
+        assert set(law.values()) == {Fraction(1, counter.w(u))}, u

@@ -6,7 +6,6 @@ is then a known member of Omega(U).
 """
 
 import math
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +18,6 @@ from chainpart.shortest import ShortestTable
 
 LIMIT = 10**60
 PAIRS = [(p, q) for p in range(2, 14) for q in range(2, 14) if p != q and math.gcd(p, q) == 1]
-#: Random draws allowed per sample; see ``CappedRandom``.
-DRAW_CAP = 2_000
 
 systems = st.sampled_from(PAIRS).map(lambda pq: make_system(*pq))
 
@@ -46,42 +43,15 @@ def chains(draw):
     return sys_, parts
 
 
-class DrawCapExceeded(Exception):
-    pass
-
-
-class CappedRandom(random.Random):
-    """A seeded PRNG that gives up after ``DRAW_CAP`` draws.
-
-    For some general bases the sampler's rejection of filtered branches
-    restarts whole subtrees, nested, so a draw at a large U can take
-    exponentially many restarts; such a draw is outside this test's time.
-    """
-
-    def __init__(self, seed: int) -> None:
-        super().__init__(seed)
-        self.draws = 0
-
-    def randrange(self, *args, **kwargs):
-        self.draws += 1
-        if self.draws > DRAW_CAP:
-            raise DrawCapExceeded
-        return super().randrange(*args, **kwargs)
-
-
 @fixed(60)
 @given(chains(), st.integers(0, 2**32))
 def test_sample_is_member_and_sigma_is_no_longer(chain, seed):
     sys_, parts = chain
     u = sum(parts)
-    try:
-        pt = sample_uniform(u, sys_, CappedRandom(seed), make_counter(sys_))
-    except DrawCapExceeded:
-        assert sys_.p != 2  # the binary table has no rejection branch
-    else:
-        assert validate([part_value(pair, sys_) for pair in pt], sys_) == pt
-        assert value(pt, sys_) == u
-        parts = min(parts, [part_value(pair, sys_) for pair in pt], key=len)
+    pt = sample_uniform(u, sys_, seed, make_counter(sys_))
+    assert validate([part_value(pair, sys_) for pair in pt], sys_) == pt
+    assert value(pt, sys_) == u
+    parts = min(parts, [part_value(pair, sys_) for pair in pt], key=len)
     witness = ShortestTable(sys_).witness(u)
     assert validate([part_value(pair, sys_) for pair in witness.witness], sys_) == witness.witness
     assert value(witness.witness, sys_) == u

@@ -496,8 +496,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=_sys.stderr)
         return 2
-    except (ChainPartError, ValueError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+    except (ChainPartError, ValueError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=_sys.stderr)
         return 1
 
 

@@ -5,7 +5,8 @@ cross-validate each other and the brute-force oracle:
 
 * ``CaseTableCounter`` -- the sum-of-products fold of the general table in
   ``decomposition``: W(U) is the sum of W over the branch arguments of
-  U mod pq, minus W(U div pq) for the one filtered branch.
+  U mod pq, minus W(U div pq) for the one filtered branch.  A sparse W(U)
+  is one ``grid_sweep`` over the quotients U div (p^a q^b).
 
 * ``HalvingCounter`` -- the p = 2 specialization,
       W(qU)   = W(U) + W(qU-1)
@@ -19,7 +20,7 @@ cross-validate each other and the brute-force oracle:
   delta(c, U) = 1 iff floor(U/p^c) = 1 mod q and Wp(U mod p^c) = 1.
 
 All engines use exact integer arithmetic, memoize on U alone, and evaluate
-with an explicit work stack so deeply chained arguments cannot overflow the
+with loops, not recursion, so deeply chained arguments cannot overflow the
 interpreter recursion limit.  W(x) = 0 for any x outside the naturals; inside
 the recurrences this shows up as divisibility checks, never as rationals.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import InvalidSystemError, PQSystem
-from .decomposition import general_table
+from .decomposition import general_table, grid_sweep
 
 Expansion = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -97,12 +98,14 @@ class CountTable:
 
     def w(self, u: int) -> int:
         """W(u): the number of strictly chained partitions of u."""
-        table = self.table
         if u < 0:
             return 0
-        hit = table.get(u)
-        if hit is not None:
-            return hit
+        hit = self.table.get(u)
+        return hit if hit is not None else self._sparse(u)
+
+    def _sparse(self, u: int) -> int:
+        """Memoize W at u, which ``table`` lacks, and at every argument it needs."""
+        table = self.table
         stack = [u]
         while stack:
             v = stack[-1]
@@ -176,14 +179,19 @@ class CaseTableCounter(CountTable):
         super().__init__(sys)
         self._rows = general_table(sys).rows
 
-    def _expand(self, u: int) -> Expansion:
-        v, r = divmod(u, self.sys.pq)
-        deps = []
-        for _, mul, off, filtered in self._rows[r]:
-            deps.append((1, mul * v + off))
-            if filtered:
-                deps.append((-1, v))
-        return 0, tuple(deps)
+    def _sparse(self, u: int) -> int:
+        table = self.table
+        rows = self._rows
+
+        def fold(v: int, r: int) -> int:
+            total = 0
+            for _, mul, off, filtered in rows[r]:
+                total += table[mul * v + off]
+                if filtered:
+                    total -= table[v]
+            return total
+
+        return grid_sweep(u, self.sys, table, fold)
 
     def _fill(self, arr: list[int]) -> None:
         pq = self.sys.pq

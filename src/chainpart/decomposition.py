@@ -23,17 +23,19 @@ powers of 2 (``map_one_strict``), which keeps every branch disjoint and
 unfiltered.  Its rows are the classes r in {0, q}: ``q`` and ``1``; r = 1:
 ``1``; r = q + 1: ``2`` and ``1q``; other even r: ``2``; other odd r: ``12``.
 Its labels spell the tree words of ``codec``.
+
+Every branch argument of x in the general table is x div p or x div q, and the
+filtered correction is x div pq, so every node below U is a grid quotient
+U div (p^a q^b); ``grid_sweep`` folds the table over them row by row.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from .core import (
-    EMPTY_PARTITION,
-    UNIT_PARTITION,
     InvalidSystemError,
     Partition,
     PQSystem,
@@ -44,6 +46,7 @@ from .core import (
 )
 
 Lift = Callable[[Partition], Partition]
+V = TypeVar("V")
 
 
 class Branch(NamedTuple):
@@ -67,7 +70,8 @@ class Decomposition:
         """Walk from u to a leaf and lift the leaf back up along the path.
 
         At each node x > 1, ``choose(x div modulus, row of x)`` returns the
-        branch to take.  The walk is a loop, not a recursion.
+        branch to take.  The walk is a loop, not a recursion; the lift replays
+        the labels on exponent offsets, so a letter costs O(1) amortized.
         """
         path: list[str] = []
         x = u
@@ -76,11 +80,53 @@ class Decomposition:
             branch = choose(v, self.rows[r])
             path.append(branch.labels)
             x = branch.mul * v + branch.off
-        pt = UNIT_PARTITION if x == 1 else EMPTY_PARTITION
-        lifts = self.lifts
-        for labels in reversed(path):
-            pt = lifts[labels](pt)
-        return pt
+        stored: list[tuple[int, int]] = []  # the parts (a - da, b - db) with b > 0
+        block, da, db = [0] * x, 0, 0  # block: a - da of the parts (a, 0), largest first
+        for letter in reversed("".join(path)):
+            if letter == "1":  # the part 1; it carries only in the binary table
+                a = -da
+                while block and block[-1] == a:
+                    block.pop()
+                    a += 1
+                block.append(a)
+            elif letter == "q":
+                stored += [(a, -db) for a in block]
+                block, db = [], db + 1
+            else:
+                da += 1
+        parts = [(a + da, b + db) for a, b in stored] + [(a + da, 0) for a in block]
+        return Partition(tuple(parts))
+
+
+def grid_sweep(u: int, sys: PQSystem, memo: dict[int, V],
+               fold: Callable[[int, int], V]) -> V:
+    """Fill ``memo`` at every node of the general table below u; return memo[u].
+
+    ``memo`` holds 0, 1 and, with any node, all nodes below it.  Top-down, row
+    b lists the nodes it lacks, a ascending: each q-child of row b - 1, then
+    its p-children up to the next one.  Bottom-up, each node gets
+    ``fold(x div pq, x mod pq)`` after its children; a value listed in two
+    rows is folded at its last listing.
+    """
+    p, q, pq = sys.p, sys.q, sys.pq
+    order: list[int] = []
+    starts = [u]
+    while starts:
+        below: list[int] = []
+        for x, stop in zip(starts, starts[1:] + [-1]):
+            while x != stop and x not in memo:
+                order.append(x)
+                y, r = divmod(x, q)
+                if r <= 1:
+                    below.append(y)
+                x, r = divmod(x, p)
+                if r > 1:
+                    break
+        starts = below
+    for x in reversed(order):
+        if x not in memo:
+            memo[x] = fold(*divmod(x, pq))
+    return memo[u]
 
 
 def admits(branch: Branch, pt: Partition) -> bool:

@@ -7,6 +7,7 @@ edge is free).  The filter of the one overlapping branch can be ignored here,
 because the union of the branch images is the same.  A witness is one
 descent of the table along the argmin branches; ties go to the first-listed
 branch of the row (the p-scaled one), which makes witnesses deterministic.
+A sparse sigma(U) is one ``grid_sweep``, with the memo keys of the sparse W.
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
 by a Horner walk along the chain, with one p-th or q-th powering per exponent
@@ -25,7 +26,7 @@ from .core import (
     UnreachableSumError,
     value,
 )
-from .decomposition import Branch, general_table
+from .decomposition import Branch, general_table, grid_sweep
 
 _INF = math.inf
 
@@ -79,23 +80,17 @@ class ShortestTable:
         hit = table.get(u)
         if hit is not None:
             return hit
-        pq = self.sys.pq
         rows = self._rows
-        stack = [u]
-        while stack:
-            x = stack[-1]
-            if x in table:
-                stack.pop()
-                continue
-            v, r = divmod(x, pq)
-            row = rows[r]
-            missing = [mul * v + off for _, mul, off in row if mul * v + off not in table]
-            if missing:
-                stack.extend(missing)
-                continue
-            table[x] = min((ones + table[mul * v + off] for ones, mul, off in row), default=_INF)
-            stack.pop()
-        return table[u]
+
+        def fold(v: int, r: int) -> float:
+            best = _INF
+            for ones, mul, off in rows[r]:
+                score = ones + table[mul * v + off]
+                if score < best:
+                    best = score
+            return best
+
+        return grid_sweep(u, self.sys, table, fold)
 
     def sigma(self, u: int) -> int:
         best = self.sigma_or_inf(u)

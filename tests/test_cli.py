@@ -204,6 +204,29 @@ def test_usage_error_exit_code(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
+                                   MemoryError()])
+def test_resource_errors_exit_1_without_traceback(capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_count", fail)
+    code, out, err = run(capsys, "count", "--u", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip()) > len("error:")
+    assert "Traceback" not in err
+
+
+def test_keyboard_interrupt_propagates(monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_count", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["count", "--u", "5"])
+
+
 def test_ceiling_env(capsys, monkeypatch):
     monkeypatch.setenv("CHAINPART_CEILING", "100")
     code, _, err = run(capsys, "enumerate", "--u", "200")

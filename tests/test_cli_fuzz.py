@@ -1,0 +1,90 @@
+"""Fuzzed command lines: every subcommand and option comes from the real parser.
+
+Each case must exit 0, 1 or 2 and never print a Python traceback.  Values
+stay small (``--u`` up to 10^6, ``--limit`` up to 2000, ``--n`` up to 3,
+``--steps`` up to 50, ``--threads`` up to 2) and reach a little past the valid
+range on purpose.  ``selftest`` is left out (it runs the acceptance suite) and
+so is ``--config`` (it names a file).  Hypothesis runs derandomized with a
+fixed number of examples, so every run draws the same command lines.
+"""
+
+import argparse
+import contextlib
+import io
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainpart import cli
+
+PARSER = cli.build_parser()
+COMMANDS = {
+    name: sub
+    for action in PARSER._actions if isinstance(action, argparse._SubParsersAction)
+    for name, sub in action.choices.items() if name != "selftest"
+}
+INTS = {
+    "u": (-3, 10**6), "limit": (-3, 2000), "n": (-1, 3), "steps": (-1, 50),
+    "threads": (0, 2), "seed": (0, 2**32), "g": (-3, 10**6), "mod": (-3, 10**6),
+    "xmax": (-3, 2000), "ceiling": (0, 10**6), "budget": (0, 10**5),
+}
+# Bases: mostly valid pairs, with 1, a repeat or a shared factor now and then.
+BASES = st.sampled_from(["2", "3", "5", "7", "4", "9", "1"])
+STDIN = st.lists(
+    st.one_of(
+        st.text("0123456789 ", max_size=12),
+        st.text("12q", max_size=8),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3)
+        .map(lambda pairs: str([list(pair) for pair in pairs])),
+        st.just('{"parts": [[1, 0]]}'),
+    ),
+    max_size=3,
+).map("\n".join)
+
+
+def _value(action: argparse.Action) -> st.SearchStrategy[str]:
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.dest in ("p", "q", "scan_q"):
+        return BASES
+    low, high = INTS[action.dest]
+    return st.integers(low, high).map(str)
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name]
+    for action in COMMANDS[name]._actions:
+        if action.dest in ("help", "config"):
+            continue
+        if not action.option_strings:  # a positional argument
+            if draw(st.booleans()):
+                argv.append(draw(_value(action)))
+            continue
+        if not action.required and not draw(st.booleans()):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        else:
+            repeats = draw(st.integers(1, 2)) if isinstance(action, argparse._AppendAction) else 1
+            for _ in range(repeats):
+                argv += [flag, draw(_value(action))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(command_lines(), STDIN)
+def test_fuzzed_argv_exits_cleanly(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())

@@ -1,0 +1,96 @@
+"""The grid sweep behind the sparse W and sigma of the general table.
+
+Every node below U is a grid quotient U div (p^a q^b); the sweep must memoize
+exactly the nodes the table reaches from U, agree with the independent
+engines, and give the same values warm as fresh.
+"""
+
+import random
+
+import pytest
+
+from chainpart.core import make_system
+from chainpart.counting import CaseTableCounter, DirectSumCounter, HalvingCounter
+from chainpart.decomposition import general_table
+from chainpart.shortest import ShortestTable
+
+SYSTEMS = [(2, 3), (3, 4), (5, 7), (3, 2), (2, 5), (7, 2)]
+
+
+def grid_quotients(u, p, q):
+    nodes = set()
+    pb = 1
+    while pb <= u:
+        pa = pb
+        while pa <= u:
+            nodes.add(u // pa)
+            pa *= p
+        pb *= q
+    return nodes
+
+
+def reachable(u, sys_):
+    """The nodes x >= 2 that the general table reaches from u (a plain search)."""
+    table = general_table(sys_)
+    seen, todo = set(), [u]
+    while todo:
+        x = todo.pop()
+        if x < 2 or x in seen:
+            continue
+        seen.add(x)
+        v, r = divmod(x, table.modulus)
+        todo.extend(b.mul * v + b.off for b in table.rows[r])
+    return seen
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 4), (5, 7)])
+def test_memo_keys_are_the_reachable_grid_quotients(pq):
+    sys_ = make_system(*pq)
+    u = random.Random(150).randrange(10**149, 10**150)
+    counter, table = CaseTableCounter(sys_), ShortestTable(sys_)
+    counter.w(u)
+    table.sigma_or_inf(u)
+    keys = set(counter.table) - {0, 1}
+    assert keys <= grid_quotients(u, *pq)
+    assert keys == reachable(u, sys_)
+    assert set(table.table) == set(counter.table)
+
+
+@pytest.mark.parametrize("pq", SYSTEMS)
+def test_sweep_agrees_with_the_other_engines(pq):
+    sys_ = make_system(*pq)
+    rng = random.Random(sum(pq))
+    counter, direct = CaseTableCounter(sys_), DirectSumCounter(sys_)
+    halving = HalvingCounter(sys_) if sys_.p == 2 else None
+    for digits in (5, 20, 60, 120):
+        u = rng.randrange(10**digits)
+        # the direct sum needs seconds past 60 digits when p = 2
+        if digits <= 60 or sys_.p > 2:
+            assert counter.w(u) == direct.w(u), u
+        if halving:
+            assert counter.w(u) == halving.w(u), u
+    assert [counter.w(u) for u in range(3001)] == counter.scan(3000)
+
+
+@pytest.mark.parametrize("pq", SYSTEMS)
+def test_sigma_sweep_matches_the_dense_scan(pq):
+    sys_ = make_system(*pq)
+    dense = ShortestTable(sys_).scan(3000)
+    ascending, descending = ShortestTable(sys_), ShortestTable(sys_)
+    assert [ascending.sigma_or_inf(u) for u in range(3001)] == dense
+    assert [descending.sigma_or_inf(u) for u in range(3000, -1, -1)] == dense[::-1]
+
+
+@pytest.mark.parametrize("pq", SYSTEMS)
+def test_warm_engine_matches_fresh(pq):
+    sys_ = make_system(*pq)
+    rng = random.Random(7 * sum(pq))
+    u = rng.randrange(10**80, 10**81)
+    counter, table = CaseTableCounter(sys_), ShortestTable(sys_)
+    counter.w(u)
+    table.sigma_or_inf(u)
+    nearby = [u + d for d in range(-4, 5)] + [u // sys_.p + 1, u * sys_.q + 1]
+    unrelated = [rng.randrange(10**digits) for digits in (3, 30, 90)]
+    for x in nearby + unrelated:
+        assert counter.w(x) == CaseTableCounter(sys_).w(x), x
+        assert table.sigma_or_inf(x) == ShortestTable(sys_).sigma_or_inf(x), x

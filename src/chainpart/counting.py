@@ -3,12 +3,13 @@
 Three independent engines compute the same function so that they can
 cross-validate each other and the brute-force oracle:
 
-* ``CaseTableCounter`` -- the sum-of-products fold of the general table in
-  ``decomposition``: W(U) is the sum of W over the branch arguments of
-  U mod pq, minus W(U div pq) for the one filtered branch.  A sparse W(U)
-  is one ``grid_sweep`` over the quotients U div (p^a q^b).
+* ``CaseTableCounter`` -- the ``auto`` engine at every base: the cell rule
+  of the general table in ``decomposition``, W(U) = the sum of W over the
+  branch arguments of U mod pq, minus W(U div pq) for the one filtered
+  branch.  A sparse W(U) is one ``count_grid`` row sweep over the reachable
+  quotients U div (p^a q^b); a dense scan is ``count_fill``.
 
-* ``HalvingCounter`` -- the p = 2 specialization,
+* ``HalvingCounter`` -- the p = 2 specialization, kept as a cross-check,
       W(qU)   = W(U) + W(qU-1)
       W(qU+1) = W(U) + W(qU/2 - 1)        (U even)
       W(qU+1) = W(U) + W((qU+1)/2)        (U odd)
@@ -19,8 +20,8 @@ cross-validate each other and the brute-force oracle:
   where Wp(n) says whether n has only digits 0 and 1 in base p, and
   delta(c, U) = 1 iff floor(U/p^c) = 1 mod q and Wp(U mod p^c) = 1.
 
-All engines use exact integer arithmetic, memoize on U alone, and evaluate
-with loops, not recursion, so deeply chained arguments cannot overflow the
+All engines use exact integer arithmetic and evaluate with loops, not
+recursion, so deeply chained arguments cannot overflow the
 interpreter recursion limit.  W(x) = 0 for any x outside the naturals; inside
 the recurrences this shows up as divisibility checks, never as rationals.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import InvalidSystemError, PQSystem
-from .decomposition import general_table, grid_sweep
+from .decomposition import count_fill, count_grid
 
 Expansion = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -91,6 +92,7 @@ class CountTable:
         self.sys = sys
         self.table: dict[int, int] = {0: 1, 1: 1}
         self.star: dict[int, int] = {0: 1}
+        self._grid: tuple[int, list[list]] = (-1, [])
 
     def _expand(self, u: int) -> Expansion:
         """Return (constant, ((coeff, dep), ...)) with all deps < u."""
@@ -124,6 +126,18 @@ class CountTable:
             table[v] = total
             stack.pop()
         return table[u]
+
+    def grid(self, u: int) -> list[list]:
+        """W at every cell below u: ``rows[b][a]`` is W(u div (p^a q^b)).
+
+        Cells the general table does not reach from u hold None.  The rows of
+        the last u are kept, so that repeated draws at one u share one sweep.
+        """
+        if u < 2:
+            return [[self.w(u)]]
+        if self._grid[0] != u:
+            self._grid = (u, count_grid(u, self.sys, keep=True))
+        return self._grid[1]
 
     def w_star(self, u: int) -> int:
         """W*(u): partitions of u with no part 1; W*(0) = 1 by convention."""
@@ -169,41 +183,21 @@ class CountTable:
 
 
 class CaseTableCounter(CountTable):
-    """General engine: the sum over the branches of the general table.
+    """General engine: the one cell rule of the general table.
 
-    W(U) is the sum of W over the branch arguments, minus W(v) for the
-    filtered branch (its members divisible by pq are counted twice).
+    W(U) = [U mod p <= 1] W(U div p) + [U mod q <= 1] W(U div q)
+    - [U mod pq <= 1] W(U div pq): the branch arguments of U mod pq, minus
+    W(U div pq) for the filtered branch, whose members divisible by pq are
+    counted twice.
     """
 
-    def __init__(self, sys: PQSystem) -> None:
-        super().__init__(sys)
-        self._rows = general_table(sys).rows
-
     def _sparse(self, u: int) -> int:
-        table = self.table
-        rows = self._rows
-
-        def fold(v: int, r: int) -> int:
-            total = 0
-            for _, mul, off, filtered in rows[r]:
-                total += table[mul * v + off]
-                if filtered:
-                    total -= table[v]
-            return total
-
-        return grid_sweep(u, self.sys, table, fold)
+        """One two-row sweep; ``table`` keeps u alone, not the cells below it."""
+        w = self.table[u] = count_grid(u, self.sys)[0][0]
+        return w
 
     def _fill(self, arr: list[int]) -> None:
-        pq = self.sys.pq
-        rows = self._rows
-        for u in range(2, len(arr)):
-            v, r = divmod(u, pq)
-            total = 0
-            for _, mul, off, filtered in rows[r]:
-                total += arr[mul * v + off]
-                if filtered:
-                    total -= arr[v]
-            arr[u] = total
+        count_fill(arr, self.sys)
 
 
 class HalvingCounter(CountTable):
@@ -271,10 +265,8 @@ METHOD_ALIASES = {
 
 
 def make_counter(sys: PQSystem, method: str = "auto") -> CountTable:
-    """Build a counting engine; ``auto`` prefers the p = 2 fast path."""
-    if method == "auto":
-        method = "halving" if sys.p == 2 else "cases"
-    name = METHOD_ALIASES.get(method)
+    """Build a counting engine; ``auto`` is the general table at every base."""
+    name = "cases" if method == "auto" else METHOD_ALIASES.get(method)
     if name is None:
         raise ValueError(f"unknown counting method {method!r}")
     if name == "cases":

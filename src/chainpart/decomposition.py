@@ -26,14 +26,27 @@ Its labels spell the tree words of ``codec``.
 
 Every branch argument of x in the general table is x div p or x div q, and the
 filtered correction is x div pq, so every node below U is a grid quotient
-U div (p^a q^b); ``grid_sweep`` folds the table over them row by row.
+N(a, b) = U div (p^a q^b), and the general table folds to one rule per cell:
+W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
+- [N mod pq <= 1] W(N div pq), and sigma(N) is the least of
+sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms whose
+residue is at most 1.  ``count_grid`` and ``sigma_grid`` apply it to the
+cells reachable from U, filling rows b descending, each a list indexed by a:
+a lone value keeps two rows, while the sampler and the sigma witness keep
+them all and descend the general table reading cells (a + 1, b), (a, b + 1)
+and (a + 1, b + 1).  ``count_fill`` and ``sigma_fill`` apply the same rule
+densely on 0..n.
+``residue_table`` serves ``ResidueEnumerator`` only.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     InvalidSystemError,
@@ -46,7 +59,7 @@ from .core import (
 )
 
 Lift = Callable[[Partition], Partition]
-V = TypeVar("V")
+_INF = math.inf
 
 
 class Branch(NamedTuple):
@@ -98,35 +111,237 @@ class Decomposition:
         return Partition(tuple(parts))
 
 
-def grid_sweep(u: int, sys: PQSystem, memo: dict[int, V],
-               fold: Callable[[int, int], V]) -> V:
-    """Fill ``memo`` at every node of the general table below u; return memo[u].
+# Cell codes of the grid sweep; a cell the table does not reach from u is 0.
+REACHED, STEP_P, ONE_P, STEP_Q, ONE_Q, FILTERED = 32, 1, 2, 4, 8, 16
 
-    ``memo`` holds 0, 1 and, with any node, all nodes below it.  Top-down, row
-    b lists the nodes it lacks, a ascending: each q-child of row b - 1, then
-    its p-children up to the next one.  Bottom-up, each node gets
-    ``fold(x div pq, x mod pq)`` after its children; a value listed in two
-    rows is folded at its last listing.
+
+def _digits(n: int, base: int) -> Sequence[int]:
+    """The base-``base`` digits of n >= 0, least significant first."""
+    if base == 256:
+        return n.to_bytes((n.bit_length() + 7) // 8, "little")
+    k, chunk = 1, base
+    while chunk * base < 1 << 30:  # a one-limb divisor keeps each divmod linear
+        k, chunk = k + 1, chunk * base
+    out: list[int] = []
+    while n >= chunk:
+        n, c = divmod(n, chunk)
+        for _ in range(k):
+            c, d = divmod(c, base)
+            out.append(d)
+    while n:
+        n, d = divmod(n, base)
+        out.append(d)
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _chunk_codes(sys: PQSystem) -> tuple[int, dict[int, tuple[bytes, int]]]:
+    """k, and a map filled on demand from s * p^k + c to (codes, s after).
+
+    c holds the base-p digits N mod p of k cells in a row, least significant
+    first, and s is N mod q at the first; the codes ignore reachability.
+    """
+    k = 1
+    while sys.p ** (k + 1) <= 256:
+        k += 1
+    return k, {}
+
+
+def _codes_of(sys: PQSystem, k: int, s: int, c: int) -> tuple[bytes, int]:
+    p, q = sys.p, sys.q
+    p_inv = pow(p, -1, q)
+    codes = bytearray()
+    for _ in range(k):
+        c, d = divmod(c, p)
+        code = REACHED
+        if d < 2:
+            code |= STEP_P | (ONE_P if d else 0)
+        if s < 2:
+            code |= STEP_Q | (ONE_Q if s else 0) | (FILTERED if d == s else 0)
+        codes.append(code)
+        s = (s - d) * p_inv % q  # N(a + 1, b) = (N(a, b) - d) / p
+    return bytes(codes), s
+
+
+_P_FF = bytes(0xFF if c & STEP_P else 0 for c in range(256))
+_Q_01 = bytes(1 if c & STEP_Q else 0 for c in range(256))
+
+
+def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
+    """Codes of the cells of the general table reachable from u >= 1, row by row.
+
+    ``cells[b][a]`` describes N = u div (p^a q^b): 0 when the table does not
+    reach it from u, else REACHED plus STEP_P when N mod p <= 1 (ONE_P when it
+    is 1), STEP_Q and ONE_Q likewise for q, and FILTERED when N mod pq <= 1.
+    The codes of a row come k digits at a time from u div q^b in base p^k.
+    Reachability is bytewise integer arithmetic, one byte per cell: a run of
+    cells a, a + 1, ... joined by STEP_P and starting at a seed (a reached
+    cell of the row above with STEP_Q) is cleared by adding the seed, as a
+    carry.  A row ends at its last reached cell, and the rows end at one with
+    no reached STEP_Q cell, or at N = 0.
+    """
+    k, table = _chunk_codes(sys)
+    span = sys.p**k
+    cells: list[bytes] = []
+    seeds, n = 1, u  # one byte per cell: 1 at a seed, else 0
+    while seeds and n:
+        chunks, parts, s = _digits(n, span), [], n % sys.q
+        for c in chunks:
+            hit = table.get(s * span + c)
+            if hit is None:
+                hit = table[s * span + c] = _codes_of(sys, k, s, c)
+            parts.append(hit[0])
+            s = hit[1]
+        length, top = k * (len(chunks) - 1), chunks[-1]
+        while top:
+            length, top = length + 1, top // sys.p
+        flags = b"".join(parts)[:length]
+        mask = (1 << 8 * length) - 1
+        seeds_ff = seeds * 0xFF
+        # 0xFF at each seed and at each cell that a STEP_P cell steps into
+        run = int.from_bytes(flags.translate(_P_FF), "little") << 8 | seeds_ff
+        reached = (((run + seeds) ^ run) & run | seeds_ff) & mask
+        cells.append((int.from_bytes(flags, "little") & reached)
+                     .to_bytes(length, "little").rstrip(b"\0"))
+        seeds = reached & int.from_bytes(flags.translate(_Q_01), "little")
+        n //= sys.q
+    return cells
+
+
+def _sweep(u: int, sys: PQSystem, keep: bool, at_zero: object,
+           fold_row: Callable[[bytes, list], list]) -> list[list]:
+    """Fold the rows of ``grid_cells`` b descending with ``fold_row(codes, below)``.
+
+    Returns the rows b ascending, or row 0 alone unless ``keep``.  A row holds
+    one value per cell a, None where unreached, and then the value at N = 0;
+    the row below is padded with that value past its end.
+    """
+    kept: list[list] = []
+    below: list = []
+    for codes in reversed(grid_cells(u, sys)):
+        below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
+        if keep:
+            kept.append(below)
+    return kept[::-1] if keep else [below]
+
+
+def count_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list]:
+    """W on the reachable cells below u >= 1, rows b ascending; W(u) is [0][0].
+
+    Rows are filled b descending, a descending, by the one rule of the table:
+    W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
+    - [N mod pq <= 1] W(N div pq), with W(0) = 1.  Only row 0 is returned
+    unless ``keep``; unreached cells hold None.
+    """
+    return _sweep(u, sys, keep, 1, _count_row)
+
+
+def _count_row(codes: bytes, below: list) -> list:
+    row: list = [None] * len(codes) + [1]
+    w = 1  # W at (a + 1, b) whenever c has STEP_P
+    for a, c in zip(range(len(codes) - 1, -1, -1), reversed(codes)):
+        if not c:
+            continue
+        if c & STEP_Q:
+            w = (w if c & STEP_P else 0) + below[a]
+            if c & FILTERED:
+                w -= below[a + 1]
+        elif not c & STEP_P:
+            w = 0
+        row[a] = w
+    return row
+
+
+def sigma_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list]:
+    """sigma on the reachable cells below u >= 1, rows b ascending, as ``count_grid``.
+
+    sigma(N) = min(sigma(N div p) + N mod p, sigma(N div q) + N mod q) over
+    the terms whose residue is at most 1, with sigma(0) = 0 (inf if none).
+    """
+    return _sweep(u, sys, keep, 0, _sigma_row)
+
+
+def _sigma_row(codes: bytes, below: list) -> list:
+    row: list = [None] * len(codes) + [0]
+    best = 0  # sigma at (a + 1, b) whenever c has STEP_P
+    for a, c in zip(range(len(codes) - 1, -1, -1), reversed(codes)):
+        if not c:
+            continue
+        if not c & STEP_P:
+            best = _INF
+        elif c & ONE_P:
+            best += 1
+        if c & STEP_Q:
+            score = below[a] + 1 if c & ONE_Q else below[a]
+            if score < best:
+                best = score
+        row[a] = best
+    return row
+
+
+def _fill_columns(arr: list, sys: PQSystem,
+                  column: Callable[[int, list, list, list], list]) -> None:
+    """Fill arr[2:] in place, given arr[0] and arr[1], one residue class at a time.
+
+    For u = pq k + r, ``column(r, P, Q, V)`` gets the values at u div p,
+    u div q and u div pq for a run of k, each as a list, and returns the
+    values at those u.  A run of k from k0 to min(p, q) k0 has every
+    argument below pq k0, so it reads only finished entries, as strided slices.
     """
     p, q, pq = sys.p, sys.q, sys.pq
-    order: list[int] = []
-    starts = [u]
-    while starts:
-        below: list[int] = []
-        for x, stop in zip(starts, starts[1:] + [-1]):
-            while x != stop and x not in memo:
-                order.append(x)
-                y, r = divmod(x, q)
-                if r <= 1:
-                    below.append(y)
-                x, r = divmod(x, p)
-                if r > 1:
-                    break
-        starts = below
-    for x in reversed(order):
-        if x not in memo:
-            memo[x] = fold(*divmod(x, pq))
-    return memo[u]
+    n = len(arr)
+    for u in range(2, min(pq, n)):
+        arr[u] = column(u, [arr[u // p]], [arr[u // q]], [arr[0]])[0]
+    k0, end = 1, -(-n // pq)
+    arr += [None] * (pq * end - n)
+    while k0 < end:
+        k1 = min(k0 * min(p, q), end)
+        for r in range(pq):
+            arr[pq * k0 + r : pq * k1 : pq] = column(
+                r,
+                arr[q * k0 + r // p : q * k1 : q],
+                arr[p * k0 + r // q : p * k1 : p],
+                arr[k0:k1],
+            )
+        k0 = k1
+    del arr[n:]
+
+
+def count_fill(arr: list[int], sys: PQSystem) -> None:
+    """W on 0..len(arr) - 1 by the rule of ``count_grid``, given arr[0] = arr[1] = 1."""
+    p, q = sys.p, sys.q
+
+    def column(r: int, at_p: list, at_q: list, at_pq: list) -> list:
+        if r % p > 1:
+            return at_q if r % q < 2 else [0] * len(at_pq)
+        if r % q > 1:
+            return at_p
+        total = list(map(operator.add, at_p, at_q))
+        return list(map(operator.sub, total, at_pq)) if r < 2 else total
+
+    _fill_columns(arr, sys, column)
+
+
+def sigma_fill(arr: list, sys: PQSystem) -> None:
+    """sigma on 0..len(arr) - 1 by the rule of ``sigma_grid``, given arr[0] = 0, arr[1] = 1."""
+    p, q = sys.p, sys.q
+
+    def column(r: int, at_p: list, at_q: list, at_pq: list) -> list:
+        terms = [
+            at if d == 0 else list(map(operator.add, at, itertools.repeat(1)))
+            for at, d in ((at_p, r % p), (at_q, r % q))
+            if d < 2
+        ]
+        if len(terms) == 2:
+            return list(map(min, *terms))
+        return terms[0] if terms else [_INF] * len(at_pq)
+
+    _fill_columns(arr, sys, column)
+
+
+def cell_below(a: int, b: int, branch: Branch) -> tuple[int, int]:
+    """The cell of a general-table branch argument taken from the cell (a, b)."""
+    return (a + 1, b) if branch.labels[-1] == "p" else (a, b + 1)
 
 
 def admits(branch: Branch, pt: Partition) -> bool:
@@ -189,5 +404,5 @@ def binary_table(sys: PQSystem) -> Decomposition:
 
 
 def residue_table(sys: PQSystem) -> Decomposition:
-    """The table that enumeration and sampling walk: binary when p = 2."""
+    """The table that ``ResidueEnumerator`` unions: binary when p = 2."""
     return binary_table(sys) if sys.p == 2 else general_table(sys)

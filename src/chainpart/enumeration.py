@@ -13,9 +13,10 @@ partitions of U:
   every union is disjoint, and the general table otherwise, whose one
   overlapping branch is cut down by a filter on the smallest part.
 
-The same table drives ``sample_uniform`` in one descent
-(``Decomposition.descend``): it takes each branch with probability
-proportional to its exact weight, and below a filtered branch it leaves out
+``sample_uniform`` unranks one uniform draw from [0, W(U)) in one descent
+(``Decomposition.descend``) of the general table, at every base: it takes
+the branch whose weight range holds the rank, with the weights read from the
+rows of one ``count_grid`` sweep, and below a filtered branch it leaves out
 the p-scaled branch that the filter removes.  Every member of Omega(U) is
 returned with probability exactly 1/W(U), and no draw is rejected.
 """
@@ -40,7 +41,7 @@ from .core import (
     value,
 )
 from .counting import CountTable, make_counter
-from .decomposition import Branch, admits, residue_table
+from .decomposition import Branch, admits, cell_below, general_table, residue_table
 
 #: Default cap on the total number of partitions held across memo tables.
 DEFAULT_PARTITION_BUDGET = 2_000_000
@@ -173,38 +174,42 @@ def sample_uniform(
 ) -> Partition:
     """Draw one member of Omega(u) with probability exactly 1/W(u).
 
-    The sampler descends the residue table from u to a leaf, choosing among
-    two or more branches with one ``randrange`` of the node weight, so each
-    branch is taken with probability (branch weight)/(node weight); the
-    weights come from a counting engine.  A filtered branch into Omega(pv)
-    weighs W(pv) - W(v), and the node below it drops its row's first branch,
-    the p-scaled Omega(v): the other branches hold exactly the members whose
-    smallest part is not divisible by p.  No draw is rejected or repeated.
+    The sampler unranks one ``randrange(W(u))`` on the general table: it
+    descends from u to a leaf, and at a node with two or more branches it
+    takes the branch whose weight range holds the rank, less the weights of
+    the branches before it.  The weights are the W values of the counter's
+    ``grid`` at the cells (a, b) the descent tracks; a filtered branch into
+    Omega(pv) weighs W(pv) - W(v), and the node below it drops its row's first
+    branch, the p-scaled Omega(v): the other branches hold exactly the members
+    whose smallest part is not divisible by p.  Draws at one u share one sweep.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
     if counter is None:
         counter = make_counter(sys)
-    if u < 0 or counter.w(u) == 0:
+    rows = counter.grid(u)
+    if not rows[0][0]:
         raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
-    w = counter.w
+    rank = rng.randrange(rows[0][0])
+    a = b = 0
     filtered = False  # whether the branch into the current node was filtered
 
     def choose(v: int, row: tuple[Branch, ...]) -> Branch:
-        nonlocal filtered
+        nonlocal rank, a, b, filtered
         if filtered:
             row = row[1:]
         pick = row[0]
         if len(row) > 1:
-            weights = [w(b.mul * v + b.off) - (w(v) if b.filtered else 0) for b in row]
-            draw = rng.randrange(sum(weights))
-            for pick, weight in zip(row, weights):
-                if draw < weight:
+            for pick in row:
+                ca, cb = cell_below(a, b, pick)
+                weight = rows[cb][ca] - (rows[b + 1][a + 1] if pick.filtered else 0)
+                if rank < weight:
                     break
-                draw -= weight
+                rank -= weight
+        a, b = cell_below(a, b, pick)
         filtered = pick.filtered
         return pick
 
-    pt = residue_table(sys).descend(u, choose)
+    pt = general_table(sys).descend(u, choose)
     assert value(pt, sys) == u
     return pt

@@ -4,10 +4,12 @@ The least number of parts sigma(U) is the min-plus fold of the general table
 in ``decomposition``: the minimum over the branches of U of sigma(argument)
 plus the number of ``1`` labels (a +1 edge costs one extra part, a scaling
 edge is free).  The filter of the one overlapping branch can be ignored here,
-because the union of the branch images is the same.  A witness is one
-descent of the table along the argmin branches; ties go to the first-listed
-branch of the row (the p-scaled one), which makes witnesses deterministic.
-A sparse sigma(U) is one ``grid_sweep``, with the memo keys of the sparse W.
+because the union of the branch images is the same.  A sparse sigma(U) is
+one two-row ``sigma_grid`` sweep over the reachable quotients
+U div (p^a q^b), and a dense scan is ``sigma_fill``.  A witness is one
+descent of the table along the argmin branches, reading the rows of one
+kept sweep; ties go to the first-listed branch of the row (the p-scaled
+one), which makes witnesses deterministic.
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
 by a Horner walk along the chain, with one p-th or q-th powering per exponent
@@ -26,7 +28,7 @@ from .core import (
     UnreachableSumError,
     value,
 )
-from .decomposition import Branch, general_table, grid_sweep
+from .decomposition import Branch, cell_below, general_table, sigma_fill, sigma_grid
 
 _INF = math.inf
 
@@ -60,37 +62,21 @@ class ShortestStats:
 
 
 class ShortestTable:
-    """Memoized sigma values for one base system."""
+    """sigma for one base system; ``table`` holds the values queried so far."""
 
     def __init__(self, sys: PQSystem) -> None:
         self.sys = sys
         self.table: dict[int, float] = {0: 0, 1: 1}
         self._decomposition = general_table(sys)
-        # per residue: (number of 1 labels, mul, off) for each branch
-        self._rows = tuple(
-            tuple((b.labels.count("1"), b.mul, b.off) for b in row)
-            for row in self._decomposition.rows
-        )
 
     def sigma_or_inf(self, u: int) -> float:
         """sigma(u), or infinity when Omega(u) is empty."""
         if u < 0:
             return _INF
-        table = self.table
-        hit = table.get(u)
-        if hit is not None:
-            return hit
-        rows = self._rows
-
-        def fold(v: int, r: int) -> float:
-            best = _INF
-            for ones, mul, off in rows[r]:
-                score = ones + table[mul * v + off]
-                if score < best:
-                    best = score
-            return best
-
-        return grid_sweep(u, self.sys, table, fold)
+        hit = self.table.get(u)
+        if hit is None:
+            hit = self.table[u] = sigma_grid(u, self.sys)[0][0]
+        return hit
 
     def sigma(self, u: int) -> int:
         best = self.sigma_or_inf(u)
@@ -101,12 +87,28 @@ class ShortestTable:
         return int(best)
 
     def witness(self, u: int) -> ShortestResult:
-        """One shortest partition, rebuilt by descending the argmin branches."""
+        """One shortest partition, rebuilt by descending the argmin branches.
+
+        One sweep keeps sigma on every row; the descent tracks its cell (a, b)
+        and reads the cells of the branch arguments there.
+        """
+        if u < 2:
+            rows = [[self.sigma_or_inf(u)]]
+        else:
+            rows = sigma_grid(u, self.sys, keep=True)
+            self.table[u] = rows[0][0]
         best = self.sigma(u)
-        sigma = self.sigma_or_inf
+        a = b = 0
+
+        def score(branch: Branch) -> float:
+            ca, cb = cell_below(a, b, branch)
+            return branch.labels.count("1") + rows[cb][ca]
 
         def argmin(v: int, row: tuple[Branch, ...]) -> Branch:
-            return min(row, key=lambda b: b.labels.count("1") + sigma(b.mul * v + b.off))
+            nonlocal a, b
+            pick = min(row, key=score)
+            a, b = cell_below(a, b, pick)
+            return pick
 
         pt = self._decomposition.descend(u, argmin)
         assert value(pt, self.sys) == u and len(pt) == best
@@ -119,16 +121,7 @@ class ShortestTable:
         arr: list[float] = [0] * (limit + 1)
         if limit >= 1:
             arr[1] = 1
-        pq = self.sys.pq
-        rows = self._rows
-        for x in range(2, limit + 1):
-            v, r = divmod(x, pq)
-            best = _INF
-            for ones, mul, off in rows[r]:
-                score = ones + arr[mul * v + off]
-                if score < best:
-                    best = score
-            arr[x] = best
+        sigma_fill(arr, self.sys)
         return arr
 
     def stats(self, limit: int) -> ShortestStats:

@@ -226,7 +226,10 @@ class Odometer(random.Random):
         return False
 
 
-@pytest.mark.parametrize("p,q,limit", [(3, 2, 160), (5, 2, 600), (4, 3, 600), (3, 5, 600)])
+@pytest.mark.parametrize(
+    "p,q,limit",
+    [(3, 2, 160), (5, 2, 600), (4, 3, 600), (3, 5, 600), (2, 3, 600), (2, 5, 600)],
+)
 def test_sampler_law_is_exactly_uniform(p, q, limit):
     # sums Prod 1/n over every outcome sequence of the draw's randrange calls
     sys_ = make_system(p, q)

@@ -1,6 +1,6 @@
 """The grid sweep behind the sparse W and sigma of the general table.
 
-Every node below U is a grid quotient U div (p^a q^b); the sweep must memoize
+Every node below U is a grid quotient U div (p^a q^b); the sweep must visit
 exactly the nodes the table reaches from U, agree with the independent
 engines, and give the same values warm as fresh.
 """
@@ -11,7 +11,7 @@ import pytest
 
 from chainpart.core import make_system
 from chainpart.counting import CaseTableCounter, DirectSumCounter, HalvingCounter
-from chainpart.decomposition import general_table
+from chainpart.decomposition import count_grid, general_table, grid_cells, sigma_grid
 from chainpart.shortest import ShortestTable
 
 SYSTEMS = [(2, 3), (3, 4), (5, 7), (3, 2), (2, 5), (7, 2)]
@@ -44,16 +44,29 @@ def reachable(u, sys_):
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (3, 4), (5, 7)])
-def test_memo_keys_are_the_reachable_grid_quotients(pq):
+def test_sweep_visits_exactly_the_reachable_grid_quotients(pq):
     sys_ = make_system(*pq)
+    p, q = pq
     u = random.Random(150).randrange(10**149, 10**150)
+    cells = grid_cells(u, sys_)
+    visited = {(a, b) for b, codes in enumerate(cells) for a, code in enumerate(codes) if code}
+    values = {u // (p**a * q**b) for a, b in visited}
+    assert values <= grid_quotients(u, p, q)
+    assert {x for x in values if x >= 2} == reachable(u, sys_)
+    for rows in (count_grid(u, sys_, keep=True), sigma_grid(u, sys_, keep=True)):
+        assert len(rows) == len(cells)
+        filled = {(a, b) for b, (row, codes) in enumerate(zip(rows, cells))
+                  for a, x in enumerate(row[: len(codes)]) if x is not None}
+        assert filled == visited
+
+
+def test_tables_hold_only_the_queried_sums():
+    sys_ = make_system(2, 3)
+    u = random.Random(151).randrange(10**149, 10**150)
     counter, table = CaseTableCounter(sys_), ShortestTable(sys_)
-    counter.w(u)
+    assert counter.w(u) == HalvingCounter(sys_).w(u)
     table.sigma_or_inf(u)
-    keys = set(counter.table) - {0, 1}
-    assert keys <= grid_quotients(u, *pq)
-    assert keys == reachable(u, sys_)
-    assert set(table.table) == set(counter.table)
+    assert set(counter.table) == set(table.table) == {0, 1, u}
 
 
 @pytest.mark.parametrize("pq", SYSTEMS)

@@ -17,13 +17,18 @@ jump scan with its divisibility classification, the exact characterization of
 {W = 1} and {W = 2} for (2, 3), and the doubling construction that certifies
 W is unbounded once any value exceeds 1.
 
+Each check reads its count scan in passes that run in C (slices, map, compress,
+max); Python loops walk only slices holding a running-maximum jump, or a failure.
+
 Violations of proved statements raise InvariantViolationError; conjecture
 exceptions are reported as data, never as errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +43,8 @@ from .enumeration import ResidueEnumerator
 
 BISECTION_LO = 1e-6
 BISECTION_HI = 8.0
+#: Slice length of the running-maximum search; only slices holding a jump are walked.
+JUMP_SLICE = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,14 +107,8 @@ class PrefixSums:
         self.sys = sys
         self.limit = limit
         self.counter = counter or make_counter(sys)
-        counts = self.counter.scan(limit)
-        sums = [0] * (limit + 1)
-        acc = 0
-        for u in range(1, limit + 1):
-            acc += counts[u]
-            sums[u] = acc
-        self._counts = counts
-        self._sums = sums
+        self._counts = counts = self.counter.scan(limit)
+        self._sums = list(itertools.accumulate(itertools.islice(counts, 1, limit + 1), initial=0))
 
     def count(self, u: int) -> int:
         return self._counts[u] if 0 <= u <= self.limit else self.counter.w(u)
@@ -199,17 +200,18 @@ def check_local_monotonicity(limit: int, sys: PQSystem,
     arr = counts if counts is not None else make_counter(sys).scan(limit + q)
     if len(arr) < limit + q + 1:
         raise ValueError(f"need counts through {limit + q}, got {len(arr) - 1}")
-    bad: list[str] = []
-    for u in range(0, limit // q + 1):
-        base = q * u
-        if not arr[base] >= arr[base + 1]:
-            bad.append(f"W({base}) < W({base + 1})")
-        if u >= 1 and not arr[base + 1] >= arr[base - 1]:
-            bad.append(f"W({base + 1}) < W({base - 1})")
-        for r in range(0, q - 1):
-            if not arr[base + r] >= arr[base + r + 1]:
-                bad.append(f"W({base + r}) < W({base + r + 1})")
-    return MonotonicityReport(limit, q, tuple(bad))
+    n = limit // q + 1
+    column = [arr[r:q * n:q] for r in range(q)]  # column[r][u] = W(qu + r) for u < n
+    # A check is (first u, its place among the checks of one u, W(qu + dx) and
+    # W(qu + dy) from that u on, dx, dy); it fails where W(qu + dx) < W(qu + dy).
+    checks = [(0, 0, column[0], column[1], 0, 1), (1, 1, column[1][1:], column[q - 1], 1, -1)]
+    checks += [(0, 2 + r, column[r], column[r + 1], r, r + 1) for r in range(q - 1)]
+    bad = sorted(
+        (u, place, q * u + dx, q * u + dy)
+        for first, place, at_x, at_y, dx, dy in checks
+        for u in itertools.compress(itertools.count(first), map(operator.lt, at_x, at_y))
+    )
+    return MonotonicityReport(limit, q, tuple(f"W({x}) < W({y})" for _, _, x, y in bad))
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,12 +245,8 @@ def max_count_jumps(limit: int, sys: PQSystem,
     arr = counts if counts is not None else make_counter(sys).scan(limit)
     records: list[JumpRecord] = []
     exceptions: list[int] = []
-    running = 1  # W(0) = 1
-    for u in range(1, limit + 1):
+    for u in _jumps(arr, 1, limit + 1, 1):  # above W(0) = 1
         w = arr[u]
-        if w <= running:
-            continue
-        running = w
         if u % q != 0:
             raise InvariantViolationError(f"running-max jump at {u} not divisible by {q}")
         k = u // q
@@ -262,6 +260,21 @@ def max_count_jumps(limit: int, sys: PQSystem,
             records.append(JumpRecord(u, w, False))
             exceptions.append(u)
     return JumpReport(limit, tuple(records), tuple(exceptions))
+
+
+def _jumps(arr: Sequence[int], start: int, stop: int, running: int) -> list[int]:
+    """The u in [start, stop) where arr[u] exceeds ``running`` and every earlier arr[v]."""
+    if len(arr) < stop:
+        raise ValueError(f"need counts through {stop - 1}, got {len(arr) - 1}")
+    found = []
+    for lo in range(start, stop, JUMP_SLICE):
+        part = arr[lo:min(lo + JUMP_SLICE, stop)]
+        if max(part) > running:
+            for u, w in enumerate(part, lo):
+                if w > running:
+                    running = w
+                    found.append(u)
+    return found
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,8 +295,7 @@ def classify_small_counts(limit: int, sys: PQSystem,
     if (sys.p, sys.q) != (2, 3):
         raise InvalidSystemError("the small-count characterization is for (2, 3)")
     arr = counts if counts is not None else make_counter(sys).scan(limit)
-    ones = {u for u in range(limit + 1) if arr[u] == 1}
-    twos = {u for u in range(limit + 1) if arr[u] == 2}
+    view = arr if len(arr) == limit + 1 else arr[:limit + 1]
 
     def geometric(seed: int) -> set[int]:
         out = set()
@@ -293,15 +305,14 @@ def classify_small_counts(limit: int, sys: PQSystem,
             x = 2 * (x + 1) - 1
         return out
 
-    predicted_ones = ({0, 1} | geometric(3)) & set(range(limit + 1))
-    predicted_twos = ({3, 4, 6, 7} | geometric(9) | geometric(15)) & set(range(limit + 1))
-    if ones != predicted_ones:
-        diff = sorted(ones ^ predicted_ones)
-        raise InvariantViolationError(f"{{W=1}} characterization fails at {diff[:5]}")
-    if twos != predicted_twos:
-        diff = sorted(twos ^ predicted_twos)
-        raise InvariantViolationError(f"{{W=2}} characterization fails at {diff[:5]}")
-    return SmallCountReport(limit, tuple(sorted(ones)), tuple(sorted(twos)))
+    ones = sorted(u for u in {0, 1} | geometric(3) if u <= limit)
+    twos = sorted(u for u in {3, 4, 6, 7} | geometric(9) | geometric(15) if u <= limit)
+    for w, members in ((1, ones), (2, twos)):
+        # equal sets: as many w in the scan as predicted members, and each of them a w
+        if view.count(w) != len(members) or any(view[u] != w for u in members):
+            diff = sorted({u for u, x in enumerate(view) if x == w} ^ set(members))
+            raise InvariantViolationError(f"{{W={w}}} characterization fails at {diff[:5]}")
+    return SmallCountReport(limit, tuple(ones), tuple(twos))
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,13 +367,11 @@ def check_growth_bound(limit: int, sys: PQSystem,
     """Verify W(U) <= U^beta on [1, limit] and report the largest ratio."""
     beta = solve_exponents(sys).beta
     arr = counts if counts is not None else make_counter(sys).scan(limit)
-    worst = 0.0
-    bad: list[int] = []
-    for u in range(1, limit + 1):
-        bound = u**beta
-        ratio = arr[u] / bound
-        if ratio > worst:
-            worst = ratio
-        if arr[u] > bound:
-            bad.append(u)
-    return BoundReport(limit, beta, worst, tuple(bad))
+    # u^beta increases with u, so the ratio at u is at most the ratio at the
+    # last running-maximum jump up to u, and any violation shows at a jump too.
+    jumps = [1, *_jumps(arr, 2, limit + 1, arr[1])] if limit >= 1 else []
+    worst = max((arr[u] / u**beta for u in jumps), default=0.0)
+    bad: tuple[int, ...] = ()
+    if any(arr[u] > u**beta for u in jumps):
+        bad = tuple(u for u in range(1, limit + 1) if arr[u] > u**beta)
+    return BoundReport(limit, beta, worst, bad)

@@ -2,20 +2,21 @@
 
 One executable with subcommands wired to the library modules.  Output is
 deterministic: identical argv (and seed) produce byte-identical stdout, all
-counts are decimal strings, and anything order-dependent is sorted.  Exit
-status is 0 on success, 1 on a domain or usage error, 2 when an invariant or
-acceptance check fails.
+counts are decimal strings, and anything order-dependent is sorted.  Commands
+that print a row per record format and write their rows a block at a time.
+Exit status is 0 on success, 1 on a domain or usage error, 2 when an invariant
+or acceptance check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys as _sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import acceptance, analytics, codec, core, counting, enumeration, graph23, shortest
 from .core import (
@@ -28,6 +29,8 @@ from .core import (
 )
 
 _SCAN_MODES = ("w", "maxw", "monotonicity", "theorem4", "smallw", "bound")
+#: Lines per stdout write of the row-per-record commands.
+_BLOCK_LINES = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,6 +40,25 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(_sys.stderr)
         print(f"error: {message}", file=_sys.stderr)
         raise SystemExit(1)
+
+
+def _integer(text: str) -> int:
+    """argparse type of the integer options; an over-long value is refused, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
+        too_long = limit and sum(ch.isdigit() for ch in text) > limit
+        raise argparse.ArgumentTypeError(f"more than {limit} digits (Python's int string limit)"
+                                         if too_long else f"invalid int value: {text!r}") from None
+
+
+def _print_rows(row: str, *columns: Sequence) -> None:
+    """Print ``row % (c[i] for c in columns)`` for each i; one ``%`` and one write per block."""
+    write = _sys.stdout.write  # looked up per call, so a swapped stdout is honoured
+    for lo in range(0, len(columns[0]), _BLOCK_LINES):
+        block = [column[lo:lo + _BLOCK_LINES] for column in columns]
+        write((row + "\n") * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -114,62 +136,36 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _monotonicity_worker(task: tuple[int, int]) -> tuple[int, int]:
-    q, limit = task
-    report = analytics.check_local_monotonicity(limit, make_system(2, q))
-    return q, len(report.violations)
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     sys_ = _system(args)
     mode = "monotonicity" if args.mode == "theorem4" else args.mode
     if mode == "w":
-        counter = counting.make_counter(sys_)
-        arr = counter.scan(args.limit)
+        arr = counting.make_counter(sys_).scan(args.limit)
         if args.emit == "csv":
             print("u,w")
-            for u, w in enumerate(arr):
-                print(f"{u},{w}")
-        else:
-            for u, w in enumerate(arr):
-                print(json.dumps({"u": u, "w": str(w)}, separators=(",", ":")))
+        _print_rows("%d,%d" if args.emit == "csv" else '{"u":%d,"w":"%d"}', range(len(arr)), arr)
         return 0
     if mode == "maxw":
-        report = analytics.max_count_jumps(args.limit, sys_)
+        records = analytics.max_count_jumps(args.limit, sys_).records
+        klass = ["q-odd" if r.odd_multiple else "2q2-exception" for r in records]
         if args.emit == "csv":
             print("u,maxw,class")
-            for rec in report.records:
-                klass = "q-odd" if rec.odd_multiple else "2q2-exception"
-                print(f"{rec.u},{rec.value},{klass}")
-        else:
-            for rec in report.records:
-                print(json.dumps(
-                    {"u": rec.u, "maxw": str(rec.value),
-                     "class": "q-odd" if rec.odd_multiple else "2q2-exception"},
-                    separators=(",", ":")))
+        _print_rows("%d,%d,%s" if args.emit == "csv" else '{"u":%d,"maxw":"%d","class":"%s"}',
+                    [r.u for r in records], [r.value for r in records], klass)
         return 0
     if mode == "monotonicity":
-        qs = args.scan_q or [sys_.q]
-        if args.threads > 1 and len(qs) > 1:
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(_monotonicity_worker,
-                                        [(q, args.limit) for q in qs]))
-        else:
-            results = [_monotonicity_worker((q, args.limit)) for q in qs]
-        bad = 0
-        for q, violations in results:
+        results = [(q, analytics.check_local_monotonicity(args.limit, make_system(2, q)))
+                   for q in args.scan_q or [sys_.q]]
+        for q, report in results:
             print(json.dumps({"q": q, "limit": args.limit,
-                              "violations": violations}, separators=(",", ":")))
-            bad += violations
-        return 0 if bad == 0 else 2
+                              "violations": len(report.violations)}, separators=(",", ":")))
+        return 0 if not any(report.violations for _, report in results) else 2
     if mode == "smallw":
         report = analytics.classify_small_counts(args.limit, sys_)
         if args.emit == "csv":
             print("u,w")
-            for u in report.ones:
-                print(f"{u},1")
-            for u in report.twos:
-                print(f"{u},2")
+            _print_rows("%d,1", report.ones)
+            _print_rows("%d,2", report.twos)
         else:
             print(json.dumps(
                 {"limit": report.limit, "ones": list(report.ones),
@@ -258,8 +254,7 @@ def _cmd_sigma_stats(args: argparse.Namespace) -> int:
     stats = shortest.ShortestTable(sys_).stats(args.limit)
     if args.emit == "csv":
         print("sigma,count")
-        for s, n in stats.histogram.items():
-            print(f"{s},{n}")
+        _print_rows("%d,%d", list(stats.histogram), list(stats.histogram.values()))
     else:
         print(json.dumps(
             {"limit": stats.limit, "mean_ratio": repr(stats.mean_ratio),
@@ -338,15 +333,12 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 def _cmd_sumfn(args: argparse.Namespace) -> int:
     sys_ = _system(args)
     estimate = analytics.estimate_growth_constant(sys_, args.xmax)
+    xs, sums, ratios = zip(*estimate.samples)  # xmax >= 10: never empty
     if args.emit == "csv":
         print("x,s,ratio,c_upper")
-        for x, s, ratio in estimate.samples:
-            print(f"{x},{s},{ratio!r},{estimate.upper_bound!r}")
-    else:
-        for x, s, ratio in estimate.samples:
-            print(json.dumps(
-                {"x": x, "s": str(s), "ratio": repr(ratio),
-                 "c_upper": repr(estimate.upper_bound)}, separators=(",", ":")))
+    _print_rows("%d,%d,%r,%r" if args.emit == "csv"
+                else '{"x":%d,"s":"%d","ratio":"%r","c_upper":"%r"}',
+                xs, sums, ratios, [estimate.upper_bound] * len(xs))
     return 0
 
 
@@ -364,21 +356,21 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     # options every subcommand takes; the others belong to the commands that read them
     base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--p", type=int, default=2, help="first base (default 2)")
-    base.add_argument("--q", type=int, default=3, help="second base (default 3)")
+    base.add_argument("--p", type=_integer, default=2, help="first base (default 2)")
+    base.add_argument("--q", type=_integer, default=3, help="second base (default 3)")
     base.add_argument("--config", default=None, help="key=value defaults file")
 
     sub = subs.add_parser("enumerate", parents=[base], help="list all partitions of a sum")
-    sub.add_argument("--u", type=int, required=True)
+    sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument(
         "--ceiling",
-        type=int,
+        type=_integer,
         default=None,
         help="largest sum to enumerate (default env CHAINPART_CEILING or 10^7)",
     )
     sub.add_argument(
         "--budget",
-        type=int,
+        type=_integer,
         default=enumeration.DEFAULT_PARTITION_BUDGET,
         help="max partitions held by enumeration memo tables",
     )
@@ -387,7 +379,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sub.set_defaults(fn=_cmd_enumerate)
 
     sub = subs.add_parser("count", parents=[base], help="W(u) by one or all engines")
-    sub.add_argument("--u", type=int, required=True)
+    sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument(
         "--method",
         choices=("auto", "cases", "halving", "direct", "all",
@@ -398,18 +390,16 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
 
     sub = subs.add_parser("scan", parents=[base], help="bulk scans and structure checks")
     sub.add_argument("mode", nargs="?", choices=_SCAN_MODES, default="w")
-    sub.add_argument("--limit", type=int, required=True)
+    sub.add_argument("--limit", type=_integer, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
-    sub.add_argument("--scan-q", type=int, action="append", default=None,
+    sub.add_argument("--scan-q", type=_integer, action="append", default=None,
                      help="extra q values for the monotonicity scan")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker processes for multi-q scans (default 1)")
     sub.set_defaults(fn=_cmd_scan)
 
     sub = subs.add_parser("sample", parents=[base], help="uniform random partitions of a sum")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    sub.add_argument("--u", type=int, required=True)
-    sub.add_argument("--n", type=int, default=1)
+    sub.add_argument("--seed", type=_integer, default=0, help="PRNG seed (default 0)")
+    sub.add_argument("--u", type=_integer, required=True)
+    sub.add_argument("--n", type=_integer, default=1)
     sub.set_defaults(fn=_cmd_sample)
 
     sub = subs.add_parser("encode", parents=[base], help="partitions on stdin -> words")
@@ -422,38 +412,38 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sub.set_defaults(fn=_cmd_decode)
 
     sub = subs.add_parser("sigma", parents=[base], help="least number of parts")
-    sub.add_argument("--u", type=int, required=True)
+    sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument("--witness", action="store_true")
     sub.set_defaults(fn=_cmd_sigma)
 
     sub = subs.add_parser("sigma-stats", parents=[base], help="shortest-length statistics")
-    sub.add_argument("--limit", type=int, required=True)
+    sub.add_argument("--limit", type=_integer, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
     sub.set_defaults(fn=_cmd_sigma_stats)
 
     sub = subs.add_parser("chainpow", parents=[base], help="modular power along a chain")
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--u", type=int, required=True)
-    sub.add_argument("--mod", type=int, required=True)
+    sub.add_argument("--g", type=_integer, required=True)
+    sub.add_argument("--u", type=_integer, required=True)
+    sub.add_argument("--mod", type=_integer, required=True)
     sub.add_argument("--cost", action="store_true")
     sub.set_defaults(fn=_cmd_chainpow)
 
     sub = subs.add_parser("graph", parents=[base], help="transition graph for (2,3)")
-    sub.add_argument("--u", type=int, required=True)
+    sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument("--dot", action="store_true")
     sub.set_defaults(fn=_cmd_graph)
 
     sub = subs.add_parser("walk", parents=[base], help="lazy random walk on the graph")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    sub.add_argument("--u", type=int, required=True)
-    sub.add_argument("--steps", type=int, required=True)
+    sub.add_argument("--seed", type=_integer, default=0, help="PRNG seed (default 0)")
+    sub.add_argument("--u", type=_integer, required=True)
+    sub.add_argument("--steps", type=_integer, required=True)
     sub.set_defaults(fn=_cmd_walk)
 
     sub = subs.add_parser("alpha", parents=[base], help="growth exponents and the C ceiling")
     sub.set_defaults(fn=_cmd_alpha)
 
     sub = subs.add_parser("sumfn", parents=[base], help="partial-sum ratios at dyadic points")
-    sub.add_argument("--xmax", type=int, required=True)
+    sub.add_argument("--xmax", type=_integer, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
     sub.set_defaults(fn=_cmd_sumfn)
 

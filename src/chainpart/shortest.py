@@ -18,8 +18,12 @@ step of the leading part and one multiplication per extra part.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Optional
 
 from .core import (
@@ -132,20 +136,17 @@ class ShortestTable:
         """
         if limit < 2:
             raise ValueError("limit must be >= 2")
-        arr = self.scan(limit)
-        histogram: dict[int, int] = {}
-        total = 0.0
-        for u in range(2, limit + 1):
-            s = arr[u]
-            if s == _INF:
-                continue
-            s = int(s)
-            histogram[s] = histogram.get(s, 0) + 1
-            total += 4.0 * s / math.log2(u)
-        n = sum(histogram.values())
-        if n == 0:
+        sigmas, us = self.scan(limit)[2:], range(2, limit + 1)
+        if _INF in sigmas:
+            reached = list(map(math.isfinite, sigmas))
+            sigmas, us = list(compress(sigmas, reached)), list(compress(us, reached))
+        if not sigmas:
             raise UnreachableSumError(f"no reachable sums in [2, {limit}] for {self.sys}")
-        return ShortestStats(limit, total / n, dict(sorted(histogram.items())))
+        # a plain left fold in u order; sum() compensates float rounding from Python 3.12 on
+        terms = map(operator.truediv, map(operator.mul, repeat(4.0), sigmas), map(math.log2, us))
+        total = functools.reduce(operator.add, terms, 0.0)
+        histogram = dict(sorted(Counter(sigmas).items()))
+        return ShortestStats(limit, total / len(sigmas), histogram)
 
 
 def sigma(u: int, sys: PQSystem, table: Optional[ShortestTable] = None) -> ShortestResult:

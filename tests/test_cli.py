@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -174,6 +175,21 @@ def test_options_belong_to_their_commands(capsys):
     code, _, err = run(capsys, "count", "--u", "5", "--threads", "2")
     assert code == 1
     assert "usage" in err and "--threads" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no limit on int string digits")
+def test_overlong_u_is_a_short_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--u", "1" + "0" * 5000)
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 300 and "Traceback" not in err
+    assert "--u" in err and str(sys.get_int_max_str_digits()) in err
+
+
+def test_bad_int_value_is_named(capsys):
+    code, _, err = run(capsys, "count", "--u", "12x")
+    assert code == 1
+    assert "argument --u: invalid int value: '12x'" in err
 
 
 def test_alpha_output(capsys):

@@ -2,8 +2,7 @@
 
 Each case must exit 0, 1 or 2 and never print a Python traceback.  Values
 stay small (``--u`` up to 10^6, ``--limit`` up to 2000, ``--n`` up to 3,
-``--steps`` up to 50, ``--threads`` up to 2) and reach a little past the valid
-range on purpose.  ``selftest`` is left out (it runs the acceptance suite) and
+``--steps`` up to 50) and reach a little past the valid range on purpose.  ``selftest`` is left out (it runs the acceptance suite) and
 so is ``--config`` (it names a file).  Hypothesis runs derandomized with a
 fixed number of examples, so every run draws the same command lines.
 """
@@ -26,7 +25,7 @@ COMMANDS = {
 }
 INTS = {
     "u": (-3, 10**6), "limit": (-3, 2000), "n": (-1, 3), "steps": (-1, 50),
-    "threads": (0, 2), "seed": (0, 2**32), "g": (-3, 10**6), "mod": (-3, 10**6),
+    "seed": (0, 2**32), "g": (-3, 10**6), "mod": (-3, 10**6),
     "xmax": (-3, 2000), "ceiling": (0, 10**6), "budget": (0, 10**5),
 }
 # Bases: mostly valid pairs, with 1, a repeat or a shared factor now and then.

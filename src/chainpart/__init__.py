@@ -18,14 +18,11 @@ from .core import (
     PartitionError,
     PQSystem,
     UnreachableSumError,
-    binary_amount,
     binary_partition,
     brute_force_enumerate,
     chain_census,
     from_json,
     make_system,
-    map_one,
-    map_one_strict,
     map_p,
     map_q,
     to_json,

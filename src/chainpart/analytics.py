@@ -191,6 +191,7 @@ def check_local_monotonicity(limit: int, sys: PQSystem,
                              counts: Optional[Sequence[int]] = None) -> MonotonicityReport:
     """Scan W(qU) >= W(qU+1) >= W(qU-1) and W(qU+r) >= W(qU+r+1) (p = 2).
 
+    The second chain runs over 0 < r < q - 1, since r = 0 is the first check.
     Checks every instance with arguments at most ``limit`` + q; returns the
     (expected empty) list of counterexamples.
     """
@@ -205,7 +206,7 @@ def check_local_monotonicity(limit: int, sys: PQSystem,
     # A check is (first u, its place among the checks of one u, W(qu + dx) and
     # W(qu + dy) from that u on, dx, dy); it fails where W(qu + dx) < W(qu + dy).
     checks = [(0, 0, column[0], column[1], 0, 1), (1, 1, column[1][1:], column[q - 1], 1, -1)]
-    checks += [(0, 2 + r, column[r], column[r + 1], r, r + 1) for r in range(q - 1)]
+    checks += [(0, 2 + r, column[r], column[r + 1], r, r + 1) for r in range(1, q - 1)]
     bad = sorted(
         (u, place, q * u + dx, q * u + dy)
         for first, place, at_x, at_y, dx, dy in checks

@@ -372,7 +372,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
         "--budget",
         type=_integer,
         default=enumeration.DEFAULT_PARTITION_BUDGET,
-        help="max partitions held by enumeration memo tables",
+        help="max partitions to list, checked against W(u) before any is built",
     )
     sub.add_argument("--format", choices=("json", "csv", "words", "tree"),
                      default="json")

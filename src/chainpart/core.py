@@ -1,5 +1,6 @@
 """Strictly chained two-base partitions: base systems, the partition type,
-elementary maps, and a brute-force enumeration oracle.
+the maps that scale by p or q or append the part 1, and a brute-force
+enumeration oracle.
 
 A (p,q)-part is an integer p^a * q^b for coprime bases p, q >= 2.  A strictly
 chained (p,q)-ary partition of U is a set of distinct parts summing to U in
@@ -81,11 +82,6 @@ class PQSystem:
     def pq(self) -> int:
         return self.p * self.q
 
-    @property
-    def has_binary_base(self) -> bool:
-        """True when one of the bases is 2 (the 'binary amount' is defined)."""
-        return self.p == 2 or self.q == 2
-
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
 
@@ -164,7 +160,6 @@ def _check_chain(desc_pairs: list[tuple[int, int]]) -> None:
 
 
 EMPTY_PARTITION = Partition()
-UNIT_PARTITION = Partition(((0, 0),))
 
 
 def part_value(pair: tuple[int, int], sys: PQSystem) -> int:
@@ -222,85 +217,6 @@ def map_p(pt: Partition) -> Partition:
 def map_q(pt: Partition) -> Partition:
     """Multiply every part by q (increment every second exponent)."""
     return Partition(tuple((a, b + 1) for a, b in pt.parts))
-
-
-def _binary_split(pt: Partition, sys: PQSystem) -> tuple[list[tuple[int, int]], int]:
-    """Split off the pure powers of 2; return (other parts, binary amount)."""
-    if not sys.has_binary_base:
-        raise InvalidSystemError("binary amount requires min(p, q) = 2")
-    rest = []
-    amount = 0
-    if sys.p == 2:
-        for a, b in pt.parts:
-            if b == 0:
-                amount += 1 << a
-            else:
-                rest.append((a, b))
-    else:  # q == 2
-        for a, b in pt.parts:
-            if a == 0:
-                amount += 1 << b
-            else:
-                rest.append((a, b))
-    return rest, amount
-
-
-def binary_amount(pt: Partition, sys: PQSystem) -> int:
-    """Sum of the parts that are powers of 2, or 0 if there are none."""
-    return _binary_split(pt, sys)[1]
-
-
-def _with_amount(rest: list[tuple[int, int]], amount: int, sys: PQSystem) -> Partition:
-    """Reassemble non-binary parts with the binary expansion of ``amount``.
-
-    The caller must ensure the result is chained; a ChainBreakError is raised
-    otherwise (the expansion's top power may outgrow the smallest other part).
-    """
-    pairs = list(rest)
-    if amount:
-        top = amount.bit_length() - 1
-        if pairs:
-            limit = pairs[-1][0] if sys.p == 2 else pairs[-1][1]
-            if top > limit:
-                raise ChainBreakError(
-                    f"binary block {amount} does not divide the smallest other part"
-                )
-        bits = [i for i in range(top, -1, -1) if amount >> i & 1]
-        if sys.p == 2:
-            pairs.extend((i, 0) for i in bits)
-        else:
-            pairs.extend((0, i) for i in bits)
-    return Partition(tuple(pairs))
-
-
-def map_one(pt: Partition, sys: PQSystem) -> tuple[int, ...]:
-    """The +1 map; returns raw part values because chaining may be lost.
-
-    With a binary base, the powers of 2 among the parts are replaced by the
-    binary expansion of their sum plus one.  Otherwise a part 1 is appended,
-    possibly duplicating an existing 1.  Values are returned in decreasing
-    order; feed them to ``validate`` to recover a Partition when legal.
-    """
-    if sys.has_binary_base:
-        rest, amount = _binary_split(pt, sys)
-        values = [part_value(pair, sys) for pair in rest]
-        amount += 1
-        values.extend(1 << i for i in range(amount.bit_length()) if amount >> i & 1)
-    else:
-        values = [part_value(pair, sys) for pair in pt.parts]
-        values.append(1)
-    values.sort(reverse=True)
-    return tuple(values)
-
-
-def map_one_strict(pt: Partition, sys: PQSystem) -> Partition:
-    """The +1 map in contexts where it is known to preserve chaining."""
-    if sys.has_binary_base:
-        rest, amount = _binary_split(pt, sys)
-        return _with_amount(rest, amount + 1, sys)
-    if pt.has_unit:
-        raise DuplicatePartError("cannot append a second part 1")
-    return Partition(pt.parts + ((0, 0),))
 
 
 def append_unit(pt: Partition) -> Partition:

@@ -4,22 +4,22 @@ Omega(U), for U >= 2, is the disjoint union of branch images: a branch
 ``(labels, mul, off, filtered)`` of the row of r = U mod ``modulus`` maps
 Omega(mul*v + off), v = U div ``modulus``, into Omega(U) by applying its
 labels, last label first.  A filtered branch keeps only the members whose
-smallest part is not divisible by p.  Counting, sigma, enumeration, sampling
-and tree words all fold these tables; sampling, the sigma witness and tree
-decoding take one path of it with ``Decomposition.descend``.
+smallest part is not divisible by p.  Counting, sigma and tree words fold
+these tables; enumeration and sampling (one path per member), the sigma
+witness and tree decoding take one path of it with ``Decomposition.descend``.
 
 The general table (any bases, modulus pq) splits on the part 1: a partition
 without it is p-scaled or q-scaled, and one with it is the part 1 (label
-``1``, ``append_unit``) plus such a partition of U - 1.  So a row has ``p``
-when p | r, ``q`` when q | r, ``1p`` when p | r - 1 and ``1q`` when q | r - 1.
+``1``) plus such a partition of U - 1.  So a row has ``p`` when p | r, ``q``
+when q | r, ``1p`` when p | r - 1 and ``1q`` when q | r - 1.
 For r in {0, 1} the q-scaled branch is filtered, since its members divisible
 by pq are already p-scaled; it holds W(pv) - W(v) members.  Its argument pv
 lies in a row whose first branch, the p-scaled Omega(v), holds exactly the
 members of Omega(pv) whose smallest part is divisible by p, so the filtered
 members are those of the other branches of that row.
 
-The binary table (p = 2, modulus 2q) applies the +1 map to the block of
-powers of 2 (``map_one_strict``), which keeps every branch disjoint and
+The binary table (p = 2, modulus 2q) reads the label ``1`` as adding 1 to
+the block of powers of 2, with carries, which keeps every branch disjoint and
 unfiltered.  Its rows are the classes r in {0, q}: ``q`` and ``1``; r = 1:
 ``1``; r = q + 1: ``2`` and ``1q``; other even r: ``2``; other odd r: ``12``.
 Its labels spell the tree words of ``codec``.
@@ -32,11 +32,10 @@ W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
 sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms whose
 residue is at most 1.  ``count_grid`` and ``sigma_grid`` apply it to the
 cells reachable from U, filling rows b descending, each a list indexed by a:
-a lone value keeps two rows, while the sampler and the sigma witness keep
-them all and descend the general table reading cells (a + 1, b), (a, b + 1)
-and (a + 1, b + 1).  ``count_fill`` and ``sigma_fill`` apply the same rule
-densely on 0..n.
-``residue_table`` serves ``ResidueEnumerator`` only.
+a lone value keeps two rows, while the unranking of members and the sigma
+witness keep them all and descend the general table reading cells (a + 1, b),
+(a, b + 1) and (a + 1, b + 1).  ``count_fill`` and ``sigma_fill`` apply the
+same rule densely on 0..n.
 """
 
 from __future__ import annotations
@@ -48,17 +47,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .core import (
-    InvalidSystemError,
-    Partition,
-    PQSystem,
-    append_unit,
-    map_one_strict,
-    map_p,
-    map_q,
-)
+from .core import InvalidSystemError, Partition, PQSystem
 
-Lift = Callable[[Partition], Partition]
 _INF = math.inf
 
 
@@ -73,11 +63,10 @@ class Branch(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Branch rows indexed by U mod ``modulus``; ``lifts`` maps labels to maps."""
+    """Branch rows indexed by U mod ``modulus``."""
 
     modulus: int
     rows: tuple[tuple[Branch, ...], ...]
-    lifts: dict[str, Lift]
 
     def descend(self, u: int, choose: Callable[[int, tuple[Branch, ...]], Branch]) -> Partition:
         """Walk from u to a leaf and lift the leaf back up along the path.
@@ -344,24 +333,6 @@ def cell_below(a: int, b: int, branch: Branch) -> tuple[int, int]:
     return (a + 1, b) if branch.labels[-1] == "p" else (a, b + 1)
 
 
-def admits(branch: Branch, pt: Partition) -> bool:
-    """True unless ``branch`` is filtered and the smallest part of ``pt`` is divisible by p."""
-    return not branch.filtered or pt.parts[-1][0] == 0
-
-
-def _decomposition(modulus: int, rows: list[tuple[Branch, ...]],
-                   maps: dict[str, Lift]) -> Decomposition:
-    lifts: dict[str, Lift] = {}
-    for branch in {b for row in rows for b in row}:
-        fns = [maps[ch] for ch in branch.labels]
-        lifts[branch.labels] = fns[0] if len(fns) == 1 else _compose(*fns)
-    return Decomposition(modulus, tuple(rows), lifts)
-
-
-def _compose(outer: Lift, inner: Lift) -> Lift:
-    return lambda pt: outer(inner(pt))
-
-
 @functools.lru_cache(maxsize=128)
 def general_table(sys: PQSystem) -> Decomposition:
     """The table of Omega(U) by U mod pq, for any bases."""
@@ -378,7 +349,7 @@ def general_table(sys: PQSystem) -> Decomposition:
         if (r - 1) % q == 0:
             row.append(Branch("1q", p, (r - 1) // q, (r - 1) % p == 0))
         rows.append(tuple(row))
-    return _decomposition(sys.pq, rows, {"p": map_p, "q": map_q, "1": append_unit})
+    return Decomposition(sys.pq, tuple(rows))
 
 
 @functools.lru_cache(maxsize=128)
@@ -399,10 +370,4 @@ def binary_table(sys: PQSystem) -> Decomposition:
             rows.append((Branch("2", q, r // 2, False),))
         else:
             rows.append((Branch("12", q, (r - 1) // 2, False),))
-    one = functools.partial(map_one_strict, sys=sys)
-    return _decomposition(2 * q, rows, {"2": map_p, "q": map_q, "1": one})
-
-
-def residue_table(sys: PQSystem) -> Decomposition:
-    """The table that ``ResidueEnumerator`` unions: binary when p = 2."""
-    return binary_table(sys) if sys.p == 2 else general_table(sys)
+    return Decomposition(2 * q, tuple(rows))

@@ -1,24 +1,24 @@
 """Exact generation of Omega(U) and count-guided uniform sampling.
 
-Two independent recursive engines produce the full set of strictly chained
-partitions of U:
+Two independent engines produce the full set of strictly chained partitions
+of U:
 
-* ``SplitEnumerator`` splits on the presence of a part 1,
+* ``SplitEnumerator`` recurses on the presence of a part 1,
       Omega(U)  = Omega*(U) + unit-extended Omega*(U-1),
       Omega*(U) = p-scaled Omega(U/p)  union  q-scaled Omega(U/q),
   deduplicating the (pq-scaled) overlap with a set union.
 
-* ``ResidueEnumerator`` takes the union of the mapped branch sets of the
-  residue table in ``decomposition``: the binary table when p = 2, where
-  every union is disjoint, and the general table otherwise, whose one
-  overlapping branch is cut down by a filter on the smallest part.
+* ``ResidueEnumerator`` unranks every rank in [0, W(U)) (the recursive
+  method of Nijenhuis and Wilf).  ``unrank`` maps a rank to its member in one
+  descent (``Decomposition.descend``) of the general table, at every base: it
+  takes the branch whose weight range holds the rank, with the weights read
+  from the rows of one ``count_grid`` sweep, and below a filtered branch it
+  leaves out the p-scaled branch that the filter removes.  It is a bijection
+  from [0, W(U)) onto Omega(U), and it uses no recursion.
 
-``sample_uniform`` unranks one uniform draw from [0, W(U)) in one descent
-(``Decomposition.descend``) of the general table, at every base: it takes
-the branch whose weight range holds the rank, with the weights read from the
-rows of one ``count_grid`` sweep, and below a filtered branch it leaves out
-the p-scaled branch that the filter removes.  Every member of Omega(U) is
-returned with probability exactly 1/W(U), and no draw is rejected.
+``sample_uniform`` unranks one uniform draw from [0, W(U)), so every member
+of Omega(U) is returned with probability exactly 1/W(U), and no draw is
+rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Iterator, Optional, Union
 
 from .core import (
     EMPTY_PARTITION,
-    UNIT_PARTITION,
     BudgetError,
     Partition,
     PQSystem,
@@ -41,9 +40,10 @@ from .core import (
     value,
 )
 from .counting import CountTable, make_counter
-from .decomposition import Branch, admits, cell_below, general_table, residue_table
+from .decomposition import Branch, cell_below, general_table
 
-#: Default cap on the total number of partitions held across memo tables.
+#: Default cap on the partitions an enumerator builds: the members of one
+#: Omega(U) for ``ResidueEnumerator``, all memo entries for ``SplitEnumerator``.
 DEFAULT_PARTITION_BUDGET = 2_000_000
 
 
@@ -70,24 +70,11 @@ class OmegaSet:
 
 
 class _BaseEnumerator:
-    """Shared memo handling and the partition budget guard."""
+    """The base system and the partition budget."""
 
     def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
         self.sys = sys
         self.budget = budget
-        self._stored = 0
-        self._memo: dict[int, frozenset[Partition]] = {}
-
-    def _store(self, memo: dict[int, frozenset[Partition]], u: int,
-               members: frozenset[Partition]) -> frozenset[Partition]:
-        """Put ``members`` in ``memo`` at u, counting them against the budget."""
-        self._stored += len(members)
-        if self._stored > self.budget:
-            raise BudgetError(
-                f"enumeration memo grew past {self.budget} partitions at u={u}"
-            )
-        memo[u] = members
-        return members
 
     def omega(self, u: int) -> frozenset[Partition]:
         raise NotImplementedError
@@ -101,7 +88,20 @@ class SplitEnumerator(_BaseEnumerator):
 
     def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
         super().__init__(sys, budget)
+        self._stored = 0
+        self._memo: dict[int, frozenset[Partition]] = {}
         self._star_memo: dict[int, frozenset[Partition]] = {}
+
+    def _store(self, memo: dict[int, frozenset[Partition]], u: int,
+               members: frozenset[Partition]) -> frozenset[Partition]:
+        """Put ``members`` in ``memo`` at u, counting them against the budget."""
+        self._stored += len(members)
+        if self._stored > self.budget:
+            raise BudgetError(
+                f"enumeration memo grew past {self.budget} partitions at u={u}"
+            )
+        memo[u] = members
+        return members
 
     def _star(self, u: int) -> frozenset[Partition]:
         """Omega*(u): members with no part 1, assembled from below."""
@@ -133,64 +133,40 @@ class SplitEnumerator(_BaseEnumerator):
 
 
 class ResidueEnumerator(_BaseEnumerator):
-    """Union of the mapped branch sets of the residue table."""
+    """Omega(u) as the members of ranks 0 .. W(u) - 1 of the general table."""
 
     def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
         super().__init__(sys, budget)
-        self._decomposition = residue_table(sys)
+        self._counter = make_counter(sys)
 
     def omega(self, u: int) -> frozenset[Partition]:
-        if u < 0:
-            return frozenset()
-        if u == 0:
-            return frozenset((EMPTY_PARTITION,))
-        if u == 1:
-            return frozenset((UNIT_PARTITION,))
-        hit = self._memo.get(u)
-        if hit is not None:
-            return hit
-        decomposition = self._decomposition
-        v, r = divmod(u, decomposition.modulus)
-        members: set[Partition] = set()
-        for branch in decomposition.rows[r]:
-            sub = self.omega(branch.mul * v + branch.off)
-            if branch.filtered:
-                sub = [w for w in sub if admits(branch, w)]
-            members.update(map(decomposition.lifts[branch.labels], sub))
-        return self._store(self._memo, u, frozenset(members))
+        rows = self._counter.grid(u)
+        w = rows[0][0]
+        if w > self.budget:
+            raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
+        return frozenset(unrank(u, self.sys, rows, rank) for rank in range(w))
 
 
 def enumerate_residue(u: int, sys: PQSystem,
                       budget: int = DEFAULT_PARTITION_BUDGET) -> OmegaSet:
-    """One-shot enumeration via the residue-class recursion."""
+    """One-shot enumeration by unranking every rank of the general table."""
     return ResidueEnumerator(sys, budget).omega_set(u)
 
 
-def sample_uniform(
-    u: int,
-    sys: PQSystem,
-    rng: Union[int, random.Random] = 0,
-    counter: Optional[CountTable] = None,
-) -> Partition:
-    """Draw one member of Omega(u) with probability exactly 1/W(u).
+def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
+    """The member of Omega(u) at ``rank`` in [0, W(u)); ``rows`` is ``CountTable.grid(u)``.
 
-    The sampler unranks one ``randrange(W(u))`` on the general table: it
-    descends from u to a leaf, and at a node with two or more branches it
-    takes the branch whose weight range holds the rank, less the weights of
-    the branches before it.  The weights are the W values of the counter's
-    ``grid`` at the cells (a, b) the descent tracks; a filtered branch into
+    One descent of the general table from u to a leaf: at a node with two or
+    more branches it takes the branch whose weight range holds the rank, less
+    the weights of the branches before it.  The weights are the W values of
+    ``rows`` at the cells (a, b) the descent tracks; a filtered branch into
     Omega(pv) weighs W(pv) - W(v), and the node below it drops its row's first
     branch, the p-scaled Omega(v): the other branches hold exactly the members
-    whose smallest part is not divisible by p.  Draws at one u share one sweep.
+    whose smallest part is not divisible by p.  Distinct ranks give distinct
+    members, so the ranks 0 .. W(u) - 1 give all of Omega(u).
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    if counter is None:
-        counter = make_counter(sys)
-    rows = counter.grid(u)
-    if not rows[0][0]:
-        raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
-    rank = rng.randrange(rows[0][0])
+    if not 0 <= rank < rows[0][0]:
+        raise ValueError(f"rank {rank} is outside [0, {rows[0][0]})")
     a = b = 0
     filtered = False  # whether the branch into the current node was filtered
 
@@ -210,6 +186,27 @@ def sample_uniform(
         filtered = pick.filtered
         return pick
 
-    pt = general_table(sys).descend(u, choose)
+    return general_table(sys).descend(u, choose)
+
+
+def sample_uniform(
+    u: int,
+    sys: PQSystem,
+    rng: Union[int, random.Random] = 0,
+    counter: Optional[CountTable] = None,
+) -> Partition:
+    """Draw one member of Omega(u) with probability exactly 1/W(u).
+
+    The sampler unranks one ``randrange(W(u))`` with ``unrank``, on the rows
+    of the counter's ``grid``, so draws at one u share one sweep.
+    """
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    if counter is None:
+        counter = make_counter(sys)
+    rows = counter.grid(u)
+    if not rows[0][0]:
+        raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
+    pt = unrank(u, sys, rows, rng.randrange(rows[0][0]))
     assert value(pt, sys) == u
     return pt

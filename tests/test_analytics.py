@@ -76,6 +76,15 @@ def test_monotonicity_scan(sys23):
         check_local_monotonicity(100, make_system(3, 5))
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_monotonicity_lists_a_failed_check_once(q):
+    sys_ = make_system(2, q)
+    arr = make_counter(sys_).scan(100 + q)
+    arr[q] = 0
+    report = check_local_monotonicity(100, sys_, arr)
+    assert report.violations == (f"W({q}) < W({q + 1})",)
+
+
 def test_monotonicity_scan_q5():
     report = check_local_monotonicity(20_000, make_system(2, 5))
     assert report.violations == ()

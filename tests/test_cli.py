@@ -64,6 +64,24 @@ def test_enumerate_deterministic(capsys):
     assert out1 == out2
 
 
+def test_enumerate_deep_single_member(capsys):
+    # W = 1 at 11^1500 on (11,13); the descent is 1,500 levels deep
+    u = 11**1500
+    code, out, err = run(capsys, "enumerate", "--p", "11", "--q", "13", "--u", str(u),
+                         "--ceiling", str(u))
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["parts"] for line in out.splitlines()] == [[[1500, 0]]]
+
+
+def test_enumerate_budget_counts_members(capsys):
+    # W(60) = 5 on (2,3): a budget of 4 is refused before any member is built
+    code, out, err = run(capsys, "enumerate", "--u", "60", "--budget", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "budget of 4" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "enumerate", "--u", "60", "--budget", "5")
+    assert code == 0 and len(out.splitlines()) == 5
+
+
 def test_encode_decode_roundtrip(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO('[[1,2],[0,0]]\n18 1\n'))
     code, out, _ = run(capsys, "encode", "--codec", "lattice")

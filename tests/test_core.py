@@ -1,7 +1,6 @@
 """Base systems, the partition type, the elementary maps, and the oracle."""
 
 import json
-import random
 
 import pytest
 
@@ -12,14 +11,11 @@ from chainpart.core import (
     InvalidSystemError,
     NonSmoothPartError,
     Partition,
-    binary_amount,
     brute_force_enumerate,
     chain_census,
     from_json,
     iter_chains,
     make_system,
-    map_one,
-    map_one_strict,
     map_p,
     map_q,
     to_json,
@@ -82,39 +78,6 @@ def test_scaling_maps(sys23):
     assert map_p(Partition()) == Partition()
     assert [value(map_p(validate([9, 3], sys23)), sys23)] == [24]
     assert map_p(validate([9, 3], sys23)).parts == ((1, 2), (1, 1))
-
-
-def test_binary_amount(sys23, sys35):
-    assert binary_amount(validate([12, 4, 2, 1], sys23), sys23) == 7
-    assert binary_amount(validate([9, 3], sys23), sys23) == 0
-    assert binary_amount(validate([16, 2, 1], sys23), sys23) == 19
-    with pytest.raises(InvalidSystemError):
-        binary_amount(validate([3, 1], sys35), sys35)
-
-
-def test_map_one_examples(sys23, sys35):
-    assert map_one(validate([6, 2, 1], sys23), sys23) == (6, 4)
-    with pytest.raises(ChainBreakError):
-        map_one_strict(validate([6, 2, 1], sys23), sys23)
-    assert map_one(validate([16], sys23), sys23) == (16, 1)
-    assert map_one(validate([3, 1], sys35), sys35) == (3, 1, 1)
-
-
-def test_map_one_with_base_two_second(sys23):
-    # q = 2 systems carry the binary block on the second exponent
-    sys32 = make_system(3, 2)
-    pt = validate([2, 1], sys32)
-    assert binary_amount(pt, sys32) == 3
-    assert map_one(pt, sys32) == (4,)
-    assert map_one_strict(pt, sys32).parts == ((0, 2),)
-    assert map_one(validate([9, 3], sys32), sys32) == (9, 3, 1)
-
-
-def test_map_one_value_increment(sys23):
-    rng = random.Random(3)
-    for u in rng.sample(range(1, 300), 60):
-        for pt in brute_force_enumerate(u, sys23):
-            assert sum(map_one(pt, sys23)) == u + 1
 
 
 def test_brute_force_spot_values(sys23, sys35):

@@ -23,6 +23,7 @@ from chainpart.enumeration import (
     SplitEnumerator,
     enumerate_residue,
     sample_uniform,
+    unrank,
 )
 
 
@@ -35,6 +36,24 @@ def test_engines_equal_oracle(p, q):
         expected = brute_force_enumerate(u, sys_)
         assert split.omega(u) == expected
         assert residue.omega(u) == expected
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 5), (3, 2), (4, 3), (3, 4)])
+def test_unrank_is_a_bijection_onto_the_oracle(p, q):
+    sys_ = make_system(p, q)
+    counter = make_counter(sys_)
+    for u in range(0, 600):
+        rows = counter.grid(u)
+        members = [unrank(u, sys_, rows, rank) for rank in range(rows[0][0])]
+        assert len(set(members)) == len(members), u
+        assert set(members) == brute_force_enumerate(u, sys_), u
+
+
+def test_unrank_refuses_a_rank_outside_the_count(sys23):
+    rows = make_counter(sys23).grid(60)
+    for rank in (-1, 5):
+        with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
+            unrank(60, sys23, rows, rank)
 
 
 def test_ground_values(sys23):
@@ -66,8 +85,10 @@ def test_members_sum_correctly(sys23):
 def test_budget_guard(sys23):
     with pytest.raises(BudgetError):
         SplitEnumerator(sys23, budget=10).omega(60)
+    # the budget caps |Omega(U)|, checked against W(U) before any member is built
     with pytest.raises(BudgetError):
-        ResidueEnumerator(sys23, budget=10).omega(60)
+        ResidueEnumerator(sys23, budget=4).omega(60)
+    assert len(ResidueEnumerator(sys23, budget=5).omega(60)) == 5
 
 
 def test_sorted_by_value_order(sys23):

@@ -1,8 +1,18 @@
 """Transition graph moves, connectivity, reductions, and walks."""
 
+import time
+
 import pytest
 
-from chainpart.core import InvalidSystemError, Partition, binary_partition, make_system, validate, value
+from chainpart.core import (
+    BudgetError,
+    InvalidSystemError,
+    Partition,
+    binary_partition,
+    make_system,
+    validate,
+    value,
+)
 from chainpart.enumeration import ResidueEnumerator
 from chainpart.graph23 import (
     build_graph,
@@ -28,6 +38,14 @@ def test_g27_shape(sys23):
     assert graph.is_connected()
     connected, diameter = connectivity_check(27, sys23)
     assert connected and diameter <= diameter_bound(27)
+
+
+def test_build_graph_checks_the_budget_before_building_members(sys23):
+    # W(10^30 + 7) is about 4.2e12: the budget check reads it from the sweep
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        build_graph(10**30 + 7, sys23, ResidueEnumerator(sys23, 1000))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_binary_vertex_has_neighbors(sys23):

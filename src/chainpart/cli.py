@@ -11,6 +11,7 @@ or acceptance check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -376,7 +377,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     )
     sub.add_argument("--format", choices=("json", "csv", "words", "tree"),
                      default="json")
-    sub.set_defaults(fn=_cmd_enumerate)
 
     sub = subs.add_parser("count", parents=[base], help="W(u) by one or all engines")
     sub.add_argument("--u", type=_integer, required=True)
@@ -386,7 +386,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
                  "general", "p2", "theorem2"),
         default="auto",
     )
-    sub.set_defaults(fn=_cmd_count)
 
     sub = subs.add_parser("scan", parents=[base], help="bulk scans and structure checks")
     sub.add_argument("mode", nargs="?", choices=_SCAN_MODES, default="w")
@@ -394,58 +393,47 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
     sub.add_argument("--scan-q", type=_integer, action="append", default=None,
                      help="extra q values for the monotonicity scan")
-    sub.set_defaults(fn=_cmd_scan)
 
     sub = subs.add_parser("sample", parents=[base], help="uniform random partitions of a sum")
     sub.add_argument("--seed", type=_integer, default=0, help="PRNG seed (default 0)")
     sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument("--n", type=_integer, default=1)
-    sub.set_defaults(fn=_cmd_sample)
 
     sub = subs.add_parser("encode", parents=[base], help="partitions on stdin -> words")
     sub.add_argument("--codec", choices=("lattice", "tree"), default="lattice")
-    sub.set_defaults(fn=_cmd_encode)
 
     sub = subs.add_parser("decode", parents=[base], help="words on stdin -> partitions")
     sub.add_argument("--codec", choices=("lattice", "tree"), default="lattice")
     sub.add_argument("--format", choices=("json", "values"), default="json")
-    sub.set_defaults(fn=_cmd_decode)
 
     sub = subs.add_parser("sigma", parents=[base], help="least number of parts")
     sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument("--witness", action="store_true")
-    sub.set_defaults(fn=_cmd_sigma)
 
     sub = subs.add_parser("sigma-stats", parents=[base], help="shortest-length statistics")
     sub.add_argument("--limit", type=_integer, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
-    sub.set_defaults(fn=_cmd_sigma_stats)
 
     sub = subs.add_parser("chainpow", parents=[base], help="modular power along a chain")
     sub.add_argument("--g", type=_integer, required=True)
     sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument("--mod", type=_integer, required=True)
     sub.add_argument("--cost", action="store_true")
-    sub.set_defaults(fn=_cmd_chainpow)
 
     sub = subs.add_parser("graph", parents=[base], help="transition graph for (2,3)")
     sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument("--dot", action="store_true")
-    sub.set_defaults(fn=_cmd_graph)
 
     sub = subs.add_parser("walk", parents=[base], help="lazy random walk on the graph")
     sub.add_argument("--seed", type=_integer, default=0, help="PRNG seed (default 0)")
     sub.add_argument("--u", type=_integer, required=True)
     sub.add_argument("--steps", type=_integer, required=True)
-    sub.set_defaults(fn=_cmd_walk)
 
-    sub = subs.add_parser("alpha", parents=[base], help="growth exponents and the C ceiling")
-    sub.set_defaults(fn=_cmd_alpha)
+    subs.add_parser("alpha", parents=[base], help="growth exponents and the C ceiling")
 
     sub = subs.add_parser("sumfn", parents=[base], help="partial-sum ratios at dyadic points")
     sub.add_argument("--xmax", type=_integer, required=True)
     sub.add_argument("--emit", choices=("json", "csv"), default="json")
-    sub.set_defaults(fn=_cmd_sumfn)
 
     sub = subs.add_parser("selftest", parents=[base], help="run the acceptance criteria")
     mode = sub.add_mutually_exclusive_group()
@@ -453,7 +441,6 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     mode.add_argument("--full", action="store_true", default=False)
     sub.add_argument("--inject-corruption", action="store_true",
                      help=argparse.SUPPRESS)
-    sub.set_defaults(fn=_cmd_selftest)
 
     if config:
         # config values become per-subcommand defaults; flags still override
@@ -461,6 +448,12 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
             dests = {action.dest for action in sub._actions}
             sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(config: tuple) -> argparse.ArgumentParser:
+    """``build_parser`` once per distinct config (sorted items) and process."""
+    return build_parser(dict(config))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -476,13 +469,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         for key, val in raw.items():
             config[key] = int(val) if val.lstrip("-").isdigit() else val
-    parser = build_parser(config)
     try:
-        args = parser.parse_args(argv)
+        args = _parser(tuple(sorted(config.items()))).parse_args(argv)
     except SystemExit as exc:  # raised by _Parser.error with code 1
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
+    try:  # by name at call time, so the cached parser holds no function
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=_sys.stderr)
         return 2

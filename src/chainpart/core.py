@@ -176,15 +176,18 @@ def factor_value(v: int, sys: PQSystem) -> Optional[tuple[int, int]]:
     """Factor v as p^a * q^b, or None if v has another prime factor."""
     if v < 1:
         return None
-    a = 0
-    while v % sys.p == 0:
-        v //= sys.p
-        a += 1
-    b = 0
-    while v % sys.q == 0:
-        v //= sys.q
-        b += 1
-    return (a, b) if v == 1 else None
+    exps = [0, 0]
+    for k, base in enumerate((sys.p, sys.q)):
+        # square up while base^(2^i) divides v, then divide from the top down:
+        # O(log a) big-integer divisions for the exponent a instead of a
+        powers = [base]
+        while v % powers[-1] == 0:
+            powers.append(powers[-1] * powers[-1])
+        for i in range(len(powers) - 2, -1, -1):
+            if v % powers[i] == 0:
+                v //= powers[i]
+                exps[k] += 1 << i
+    return (exps[0], exps[1]) if v == 1 else None
 
 
 def validate(values: Iterable[int], sys: PQSystem) -> Partition:

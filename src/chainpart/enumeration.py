@@ -3,10 +3,11 @@
 Two independent engines produce the full set of strictly chained partitions
 of U:
 
-* ``SplitEnumerator`` recurses on the presence of a part 1,
+* ``SplitEnumerator`` splits on the presence of a part 1,
       Omega(U)  = Omega*(U) + unit-extended Omega*(U-1),
       Omega*(U) = p-scaled Omega(U/p)  union  q-scaled Omega(U/q),
-  deduplicating the (pq-scaled) overlap with a set union.
+  deduplicating the (pq-scaled) overlap with a set union; an explicit stack
+  stands in for the recursion, so a deep U needs no Python frames.
 
 * ``ResidueEnumerator`` unranks every rank in [0, W(U)) (the recursive
   method of Nijenhuis and Wilf).  ``unrank`` maps a rank to its member in one
@@ -84,7 +85,7 @@ class _BaseEnumerator:
 
 
 class SplitEnumerator(_BaseEnumerator):
-    """Recursion on the pair (no part 1 / part 1 removed)."""
+    """Omega(u) from the pair (no part 1 / part 1 removed), on an explicit stack."""
 
     def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
         super().__init__(sys, budget)
@@ -103,33 +104,46 @@ class SplitEnumerator(_BaseEnumerator):
         memo[u] = members
         return members
 
-    def _star(self, u: int) -> frozenset[Partition]:
-        """Omega*(u): members with no part 1, assembled from below."""
+    def _known(self, star: bool, u: int) -> Optional[frozenset[Partition]]:
+        """Omega*(u) (``star``) or Omega(u) if it needs no work, else None."""
         if u < 0:
             return frozenset()
         if u == 0:
             return frozenset((EMPTY_PARTITION,))
-        hit = self._star_memo.get(u)
-        if hit is not None:
-            return hit
+        return (self._star_memo if star else self._memo).get(u)
+
+    def _assemble(self, star: bool, u: int) -> frozenset[Partition]:
+        """Build and store one set whose parts are all known."""
+        if not star:
+            members = set(self._known(True, u))
+            members.update(append_unit(w) for w in self._known(True, u - 1))
+            return self._store(self._memo, u, frozenset(members))
+        # Omega*(u): members with no part 1, assembled from below
         members = set()
         if u % self.sys.p == 0:
-            members.update(map_p(w) for w in self.omega(u // self.sys.p))
+            members.update(map_p(w) for w in self._known(False, u // self.sys.p))
         if u % self.sys.q == 0:
-            members.update(map_q(w) for w in self.omega(u // self.sys.q))
+            members.update(map_q(w) for w in self._known(False, u // self.sys.q))
         return self._store(self._star_memo, u, frozenset(members))
 
     def omega(self, u: int) -> frozenset[Partition]:
-        if u < 0:
-            return frozenset()
-        if u == 0:
-            return frozenset((EMPTY_PARTITION,))
-        hit = self._memo.get(u)
-        if hit is not None:
-            return hit
-        members = set(self._star(u))
-        members.update(append_unit(w) for w in self._star(u - 1))
-        return self._store(self._memo, u, frozenset(members))
+        # an explicit stack in the order of the recursion, so depth costs no frames
+        stack = [(False, u)]
+        while stack:
+            star, v = stack[-1]
+            if self._known(star, v) is not None:
+                stack.pop()
+                continue
+            # the sets Omega*(v) or Omega(v) is assembled from, in assembly order
+            parts = ([(False, v // base) for base in (self.sys.p, self.sys.q) if v % base == 0]
+                     if star else [(True, v), (True, v - 1)])
+            missing = [key for key in parts if self._known(*key) is None]
+            if missing:
+                stack.extend(reversed(missing))
+            else:
+                stack.pop()
+                self._assemble(star, v)
+        return self._known(False, u)
 
 
 class ResidueEnumerator(_BaseEnumerator):

@@ -189,15 +189,25 @@ class TransitionGraph:
         return len(self.bfs_layers(self.vertices[0])) == len(self.vertices)
 
     def diameter(self) -> int:
-        """Exact diameter by BFS from every vertex (graph must be connected)."""
+        """Exact diameter by BFS from every vertex, on vertex indices (graph must be connected)."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        nbrs = [[index[w] for w in self.adjacency[v]] for v in self.vertices]
         best = 0
-        for v in self.vertices:
-            layers = self.bfs_layers(v)
-            if len(layers) != len(self.vertices):
+        for start in range(len(nbrs)):
+            dist = [-1] * len(nbrs)
+            dist[start] = 0
+            queue = deque((start,))
+            while queue:
+                v = queue.popleft()
+                for w in nbrs[v]:
+                    if dist[w] < 0:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+            if min(dist) < 0:
                 raise InvariantViolationError(
                     f"transition graph of {self.u} is not connected"
                 )
-            best = max(best, max(layers.values(), default=0))
+            best = max(best, dist[v])  # the last vertex dequeued is the farthest
         return best
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -102,6 +103,27 @@ def test_tree_codec_cli(capsys, monkeypatch):
     code, out, _ = run(capsys, "encode", "--codec", "tree")
     assert code == 0
     assert out == "1332\n"
+
+
+def test_long_chain_tree_roundtrip(capsys, monkeypatch):
+    # a 3,000-part chain on (2,5): each part divides the next, one exponent up per step
+    rng = random.Random(9)
+    a = b = 0
+    values = []
+    for _ in range(3000):
+        values.append(2 ** a * 5 ** b)
+        if rng.random() < 0.5:
+            a += 1
+        else:
+            b += 1
+    line = " ".join(map(str, reversed(values)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, word, _ = run(capsys, "encode", "--p", "2", "--q", "5", "--codec", "tree")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(word))
+    code, out, _ = run(capsys, "decode", "--p", "2", "--q", "5", "--codec", "tree",
+                       "--format", "values")
+    assert (code, out) == (0, line + "\n")
 
 
 def test_decode_malformed_word_exit_code(capsys, monkeypatch):
@@ -291,3 +313,12 @@ def test_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "count", "--config", str(cfg), "--u", "10", "--q", "3")
     assert code == 0
     assert out == "3\n"  # explicit flag overrides the config value
+
+
+def test_config_does_not_leak_between_calls(capsys, tmp_path):
+    # the parser is cached per config, so a config run and a plain run each get their own
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text("q=5\n")
+    assert run(capsys, "count", "--config", str(cfg), "--u", "10")[:2] == (0, "2\n")
+    assert run(capsys, "count", "--u", "10")[:2] == (0, "3\n")
+    assert run(capsys, "count", "--config", str(cfg), "--u", "10")[:2] == (0, "2\n")

@@ -1,6 +1,7 @@
 """Base systems, the partition type, the elementary maps, and the oracle."""
 
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from chainpart.core import (
     Partition,
     brute_force_enumerate,
     chain_census,
+    factor_value,
     from_json,
     iter_chains,
     make_system,
@@ -161,3 +163,30 @@ def test_json_exact_format(sys23):
 def test_json_rejects_bad_sum(sys23):
     with pytest.raises(Exception):
         from_json('{"p":2,"q":3,"parts":[[1,2]],"sum":"19"}', sys23)
+
+
+def _factor_by_single_divisions(v, sys_):
+    """The exponents of v = p^a * q^b by one division per factor (the oracle)."""
+    if v < 1:
+        return None
+    a = b = 0
+    while v % sys_.p == 0:
+        v //= sys_.p
+        a += 1
+    while v % sys_.q == 0:
+        v //= sys_.q
+        b += 1
+    return (a, b) if v == 1 else None
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 2), (3, 4), (5, 7), (9, 10)])
+def test_factor_value_equals_single_divisions(p, q):
+    sys_ = make_system(p, q)
+    rng = random.Random(p * 100 + q)
+    for v in (-7, -1, 0, 1, p, q, p * q, p * q + 1):
+        assert factor_value(v, sys_) == _factor_by_single_divisions(v, sys_), v
+    for _ in range(60):
+        a, b = rng.randrange(3001), rng.randrange(3001)
+        v = p ** a * q ** b * rng.choice((1, 7, p * q + 1))
+        assert factor_value(v, sys_) == _factor_by_single_divisions(v, sys_), (a, b)
+    assert factor_value(p ** 3000 * q ** 2999, sys_) == (3000, 2999)

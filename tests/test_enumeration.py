@@ -38,6 +38,12 @@ def test_engines_equal_oracle(p, q):
         assert residue.omega(u) == expected
 
 
+def test_split_enumerator_deep_single_member():
+    # W(11^1500) = 1 on (11,13); the depth is 1,500 levels, past the recursion limit
+    members = SplitEnumerator(make_system(11, 13)).omega(11 ** 1500)
+    assert members == frozenset((Partition(((1500, 0),)),))
+
+
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 5), (3, 2), (4, 3), (3, 4)])
 def test_unrank_is_a_bijection_onto_the_oracle(p, q):
     sys_ = make_system(p, q)

@@ -7,6 +7,7 @@ import pytest
 from chainpart.core import (
     BudgetError,
     InvalidSystemError,
+    InvariantViolationError,
     Partition,
     binary_partition,
     make_system,
@@ -15,6 +16,7 @@ from chainpart.core import (
 )
 from chainpart.enumeration import ResidueEnumerator
 from chainpart.graph23 import (
+    TransitionGraph,
     build_graph,
     connectivity_check,
     diameter_bound,
@@ -79,6 +81,21 @@ def test_symmetry_closure_connectivity_small(sys23):
         graph = build_graph(u, sys23, en)
         assert graph.is_connected()
         assert graph.diameter() <= diameter_bound(u)
+
+
+def test_diameter_equals_largest_bfs_distance(sys23):
+    en = ResidueEnumerator(sys23)
+    for u in list(range(1, 1001)) + [99000]:
+        graph = build_graph(u, sys23, en)
+        farthest = max(max(graph.bfs_layers(v).values()) for v in graph.vertices)
+        assert graph.diameter() == farthest, u
+
+
+def test_diameter_refuses_a_disconnected_graph(sys23):
+    graph = build_graph(19, sys23)
+    cut = TransitionGraph(19, graph.vertices, {v: frozenset() for v in graph.vertices})
+    with pytest.raises(InvariantViolationError, match="not connected"):
+        cut.diameter()
 
 
 def test_reduce_to_binary_paths(sys23):

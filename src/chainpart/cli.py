@@ -301,7 +301,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     connected = graph.is_connected()
     print(json.dumps(
         {"u": args.u, "vertices": len(graph.vertices),
-         "edges": len(graph.edges), "connected": connected,
+         "edges": graph.edge_count, "connected": connected,
          "diameter": graph.diameter() if connected else -1},
         separators=(",", ":")))
     return 0
@@ -459,10 +459,12 @@ def _parser(config: tuple) -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     config: dict[str, object] = {}
-    # first pass only to honor --config before real parsing
-    if "--config" in argv:
+    # first pass only to honor --config PATH or --config=PATH before real parsing
+    at = next((i for i, arg in enumerate(argv)
+               if arg == "--config" or arg.startswith("--config=")), None)
+    if at is not None:
         try:
-            path = argv[argv.index("--config") + 1]
+            path = argv[at + 1] if argv[at] == "--config" else argv[at][len("--config="):]
             raw = _read_config(path)
         except (IndexError, OSError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=_sys.stderr)

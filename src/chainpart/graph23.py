@@ -11,11 +11,14 @@ Two move families connect partitions of the same sum:
   c = a-n-1 otherwise.  When c >= 0 and no part 2^(c+1)*3^d with d < b
   exists, multiply C by 3, remove 2^a*3^b and add 2^c*3^b and 2^c*3^(b+1).
 
-Every candidate result is checked against the chain invariant before it
-becomes an edge (a B-candidate can break the chain against lower levels, in
-which case it simply is not a move).  Neighbor sets include the inverses of
-both families, found by matching the post-move shape and verified by
-replaying the forward move, so the relation is symmetric by construction.
+Parts are kept in chain order, so each move rewrites a slice of the tuple
+and its chain check looks only at the parts next to that slice (a B-candidate
+can break the chain against a lower level, in which case it simply is not a
+move).  Neighbor sets add the inverses of both families, each checked on the
+parts next to it with no move replayed (see ``neighbors``), so the relation
+is symmetric.  Every forward move stays in Omega(U), so ``build_graph`` takes
+the forward moves and their reversals as its edges, and ``diameter`` is exact
+by iFUB.
 
 The graph is connected: repeatedly applying the downward inverse moves to the
 highest 3-level reaches the binary partition in at most
@@ -28,7 +31,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .core import (
     InvalidSystemError,
@@ -58,103 +61,85 @@ def diameter_bound(u: int) -> float:
     return math.log(u) ** 2 / (math.log(2) * math.log(3))
 
 
-def _is_chain(desc_pairs: tuple[tuple[int, int], ...]) -> bool:
-    for (a1, b1), (a2, b2) in zip(desc_pairs, desc_pairs[1:]):
-        if a2 > a1 or b2 > b1:
-            return False
-    return True
-
-
-def _sorted_partition(pairs: Iterable[tuple[int, int]]) -> Optional[Partition]:
-    """Assemble a candidate move result; None when it is not a valid chain."""
-    items = sorted(pairs, key=lambda ab: (ab[0] + ab[1], ab[0]), reverse=True)
-    for x, y in zip(items, items[1:]):
-        if x == y:
-            return None
-    desc = tuple(items)
-    return Partition(desc) if _is_chain(desc) else None
-
-
 def forward_moves(pt: Partition) -> set[Partition]:
-    """All valid family A and family B moves out of ``pt``."""
-    parts = set(pt.parts)
-    levels: dict[int, set[int]] = {}
-    for a, b in parts:
-        levels.setdefault(b, set()).add(a)
+    """All valid family A and family B moves out of ``pt``, in one pass.
+
+    The parts of one level are consecutive in chain order, and the first of
+    them is the top part (a, b).  A merge always leaves a chain.  A split
+    leaves one iff the part after the run has exponent of 2 at most c, which
+    also rules out every part 2^(c+1)*3^d with d < b.
+    """
+    parts = pt.parts
+    n = len(parts)
     out: set[Partition] = set()
-    for b, exps in levels.items():
-        a = max(exps)
-        if a - 1 in exps:
+    i = 0
+    while i < n:
+        a, b = parts[i]
+        j = i + 1
+        if j < n and parts[j] == (a - 1, b):
             # family A: merge 2^a*3^b + 2^(a-1)*3^b into 2^(a-1)*3^(b+1)
-            cand = parts - {(a, b), (a - 1, b)} | {(a - 1, b + 1)}
-            merged = _sorted_partition(cand)
-            if merged is not None:
-                out.add(merged)
-            continue
-        # family B: split 2^a*3^b, carrying the contiguous run below it
-        run = []
-        i = a - 2
-        while i in exps:
-            run.append(i)
-            i -= 1
-        c = a - 2 if not run else run[-1] - 1
-        if c < 0:
-            continue
-        if any(x == c + 1 and d < b for x, d in parts):
-            continue
-        cand = parts - {(a, b)} - {(x, b) for x in run}
-        cand |= {(x, b + 1) for x in run} | {(c, b), (c, b + 1)}
-        split = _sorted_partition(cand)
-        if split is not None:
-            out.add(split)
+            out.add(Partition(parts[:i] + ((a - 1, b + 1),) + parts[j + 1:]))
+        else:
+            # family B: split 2^a*3^b, carrying the run parts[i+1:j] below it
+            c = a - 2
+            while j < n and parts[j] == (c, b):
+                c -= 1
+                j += 1
+            if c >= 0 and (j == n or parts[j][0] <= c):
+                lifted = tuple((x, b + 1) for x in range(a - 2, c, -1))
+                out.add(Partition(parts[:i] + lifted + ((c, b + 1), (c, b)) + parts[j:]))
+        while j < n and parts[j][1] == b:
+            j += 1
+        i = j
     return out
 
 
-def _inverse_candidates(pt: Partition) -> set[Partition]:
-    """Partitions that could map to ``pt`` under a forward move.
-
-    Family A inverses split a part (alpha, beta), beta >= 1, back into
-    (alpha+1, beta-1) and (alpha, beta-1).  Family B inverses match the
-    added pair (c, b), (c, b+1): the run sitting directly above (c, b+1)
-    moves back down one level and the part (c + len(run) + 2, b) returns.
-    Candidates are verified by the caller, so over-generation is harmless.
-    """
-    parts = set(pt.parts)
-    cands: set[Partition] = set()
-    for alpha, beta in parts:
-        if beta >= 1:
-            pair = {(alpha + 1, beta - 1), (alpha, beta - 1)}
-            if not (pair & parts):
-                cand = _sorted_partition(parts - {(alpha, beta)} | pair)
-                if cand is not None:
-                    cands.add(cand)
-    for c, b in parts:
-        if (c, b + 1) not in parts:
-            continue
-        run = []
-        j = c + 1
-        while (j, b + 1) in parts:
-            run.append(j)
-            j += 1
-        a = c + len(run) + 2
-        removed = parts - {(c, b), (c, b + 1)} - {(x, b + 1) for x in run}
-        added = {(x, b) for x in run} | {(a, b)}
-        if added & removed:
-            continue
-        cand = _sorted_partition(removed | added)
-        if cand is not None:
-            cands.add(cand)
-    return cands
-
-
 def neighbors(pt: Partition) -> frozenset[Partition]:
-    """Neighbor set of ``pt`` in the transition graph of its sum."""
-    out = set(forward_moves(pt))
-    for cand in _inverse_candidates(pt):
-        if pt in forward_moves(cand):
-            out.add(cand)
-    out.discard(pt)
+    """Neighbor set of ``pt`` in the transition graph of its sum.
+
+    The forward moves plus the partitions that move to ``pt``.  An inverse
+    changes the number of parts, so only one forward move can undo it, and
+    on a chain that move always applies: an inverse is a neighbor iff it is
+    a chain, which only the parts next to the change can break.
+    """
+    parts = pt.parts
+    n = len(parts)
+    out = forward_moves(pt)
+    for i, (alpha, beta) in enumerate(parts):
+        after = parts[i + 1] if i + 1 < n else None
+        # inverse A: split (alpha, beta) into (alpha+1, beta-1) and (alpha, beta-1);
+        # a chain iff the part before has a larger a and the one after sits lower
+        if beta and (i == 0 or parts[i - 1][0] > alpha) and (
+                after is None or (after[1] < beta and after != (alpha, beta - 1))):
+            split = ((alpha + 1, beta - 1), (alpha, beta - 1))
+            out.add(Partition(parts[:i] + split + parts[i + 1:]))
+        # inverse B: (c, b+1), (c, b) with the run (c+1, b+1), ... before them
+        # return to (top, b) and the run at level b; a chain iff the part
+        # before the run has a >= top
+        if after == (alpha, beta - 1):
+            h = i
+            while h and parts[h - 1] == (alpha + i - h + 1, beta):
+                h -= 1
+            top = alpha + i - h + 2
+            if h == 0 or parts[h - 1][0] >= top:
+                lowered = ((top, beta - 1),) + tuple(
+                    (x, beta - 1) for x in range(top - 2, alpha, -1))
+                out.add(Partition(parts[:h] + lowered + parts[i + 2:]))
     return frozenset(out)
+
+
+def _bfs(nbrs: list[list[int]], start: int) -> tuple[list[int], list[int]]:
+    """(distance list, visiting order) of a BFS on vertex indices; -1 is unreached."""
+    dist = [-1] * len(nbrs)
+    dist[start] = 0
+    order = [start]
+    for v in order:  # the list grows while it is read: a queue without pops
+        d = dist[v] + 1
+        for w in nbrs[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return dist, order
 
 
 @dataclass(frozen=True)
@@ -171,6 +156,11 @@ class TransitionGraph:
         for v, nbrs in self.adjacency.items():
             out.update(frozenset((v, w)) for w in nbrs)
         return out
+
+    @property
+    def edge_count(self) -> int:
+        """``len(self.edges)`` without building it: half the degree sum."""
+        return sum(map(len, self.adjacency.values())) // 2
 
     def bfs_layers(self, start: Partition) -> dict[Partition, int]:
         dist = {start: 0}
@@ -189,26 +179,47 @@ class TransitionGraph:
         return len(self.bfs_layers(self.vertices[0])) == len(self.vertices)
 
     def diameter(self) -> int:
-        """Exact diameter by BFS from every vertex, on vertex indices (graph must be connected)."""
+        """Exact diameter by iFUB on vertex indices (graph must be connected).
+
+        iFUB (Crescenzi, Grossi, Habib, Lanzi & Marino, TCS 514, 2013): a
+        double sweep gives a lower bound and a central vertex, the midpoint of
+        a long shortest path.  Every pair within distance i-1 of the centre
+        is at most 2(i-1) apart, so its distance levels are searched from the
+        outside in, until the largest eccentricity found reaches the bound of
+        the levels left.
+        """
         index = {v: i for i, v in enumerate(self.vertices)}
         nbrs = [[index[w] for w in self.adjacency[v]] for v in self.vertices]
-        best = 0
-        for start in range(len(nbrs)):
-            dist = [-1] * len(nbrs)
-            dist[start] = 0
-            queue = deque((start,))
-            while queue:
-                v = queue.popleft()
-                for w in nbrs[v]:
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-            if min(dist) < 0:
-                raise InvariantViolationError(
-                    f"transition graph of {self.u} is not connected"
-                )
-            best = max(best, dist[v])  # the last vertex dequeued is the farthest
-        return best
+        if not nbrs:
+            return 0
+        ecc: dict[int, int] = {}
+
+        def sweep(start: int) -> tuple[list[int], list[int]]:
+            dist, order = _bfs(nbrs, start)
+            ecc[start] = dist[order[-1]]  # the last vertex reached is the farthest
+            return dist, order
+
+        _, order = sweep(0)
+        if len(order) < len(nbrs):
+            raise InvariantViolationError(f"transition graph of {self.u} is not connected")
+        a = order[-1]
+        dist_a, order = sweep(a)
+        mid = order[-1]  # walk back from the far end to halfway along a shortest path
+        while dist_a[mid] > ecc[a] // 2:
+            mid = next(w for w in nbrs[mid] if dist_a[w] == dist_a[mid] - 1)
+        dist_mid, order = sweep(mid)
+        fringe: list[list[int]] = [[] for _ in range(ecc[mid] + 1)]
+        for v in order:
+            fringe[dist_mid[v]].append(v)
+        lower = max(ecc.values())
+        for i in range(ecc[mid], 0, -1):
+            if lower >= 2 * i:
+                break
+            for v in fringe[i]:
+                if v not in ecc:
+                    sweep(v)
+                lower = max(lower, ecc[v])
+        return lower
 
 
 def build_graph(u: int, sys: PQSystem,
@@ -217,7 +228,14 @@ def build_graph(u: int, sys: PQSystem,
     enumerator = enumerator or ResidueEnumerator(sys)
     members = enumerator.omega(u)
     vertices = tuple(sorted(members, key=lambda pt: pt.parts))
-    adjacency = {v: neighbors(v) for v in vertices}
+    # every forward move stays in Omega(u), so the edges are the forward
+    # moves of each vertex together with their reversals
+    linked: dict[Partition, set[Partition]] = {v: set() for v in vertices}
+    for v in vertices:
+        for w in forward_moves(v):
+            linked[v].add(w)
+            linked[w].add(v)
+    adjacency = {v: frozenset(nbrs) for v, nbrs in linked.items()}
     return TransitionGraph(u, vertices, adjacency)
 
 
@@ -258,8 +276,7 @@ def reduce_to_binary(pt: Partition, sys: PQSystem) -> list[Partition]:
             top = a + len(run) + 2
             nxt = parts - {(a, b - 1), (a, b)} - {(x, b) for x in run}
             nxt |= {(x, b - 1) for x in run} | {(top, b - 1)}
-        stepped = _sorted_partition(nxt)
-        assert stepped is not None, "downward move produced a broken chain"
+        stepped = Partition.from_pairs(nxt)  # raises if the move broke the chain
         path.append(stepped)
         pt = stepped
         guard += 1

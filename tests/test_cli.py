@@ -322,3 +322,17 @@ def test_config_does_not_leak_between_calls(capsys, tmp_path):
     assert run(capsys, "count", "--config", str(cfg), "--u", "10")[:2] == (0, "2\n")
     assert run(capsys, "count", "--u", "10")[:2] == (0, "3\n")
     assert run(capsys, "count", "--config", str(cfg), "--u", "10")[:2] == (0, "2\n")
+
+
+def test_config_equals_spelling_is_read(capsys, tmp_path):
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text("q=5\n")
+    spaced = run(capsys, "count", "--config", str(cfg), "--u", "10")
+    joined = run(capsys, "count", f"--config={cfg}", "--u", "10")
+    assert joined == spaced == (0, "2\n", "")
+
+
+def test_config_equals_without_path_is_a_bad_config(capsys):
+    code, out, err = run(capsys, "count", "--config=", "--u", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad config")

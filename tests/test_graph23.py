@@ -1,5 +1,13 @@
-"""Transition graph moves, connectivity, reductions, and walks."""
+"""Transition graph moves, connectivity, reductions, and walks.
 
+``replay_neighbors`` is the rule ``neighbors`` had before it checked each
+inverse in O(1): generate every partition shaped like a move's preimage,
+re-sort it, and keep it when its own forward moves (recomputed by the
+set-based ``replay_forward_moves``) lead back.  It is kept here as the oracle
+for ``forward_moves``, ``neighbors`` and the forward-edge ``build_graph``.
+"""
+
+import random
 import time
 
 import pytest
@@ -25,6 +33,107 @@ from chainpart.graph23 import (
     random_walk,
     reduce_to_binary,
 )
+
+
+def _sorted_chain(pairs):
+    """The chain of these exponent pairs, or None when they form none."""
+    items = sorted(pairs, key=lambda ab: (ab[0] + ab[1], ab[0]), reverse=True)
+    for (a1, b1), (a2, b2) in zip(items, items[1:]):
+        if (a1, b1) == (a2, b2) or a2 > a1 or b2 > b1:
+            return None
+    return Partition(tuple(items))
+
+
+def replay_forward_moves(pt):
+    parts = set(pt.parts)
+    levels = {}
+    for a, b in parts:
+        levels.setdefault(b, set()).add(a)
+    out = set()
+    for b, exps in levels.items():
+        a = max(exps)
+        if a - 1 in exps:
+            merged = _sorted_chain(parts - {(a, b), (a - 1, b)} | {(a - 1, b + 1)})
+            if merged is not None:
+                out.add(merged)
+            continue
+        run = []
+        i = a - 2
+        while i in exps:
+            run.append(i)
+            i -= 1
+        c = a - 2 if not run else run[-1] - 1
+        if c < 0 or any(x == c + 1 and d < b for x, d in parts):
+            continue
+        cand = parts - {(a, b)} - {(x, b) for x in run}
+        cand |= {(x, b + 1) for x in run} | {(c, b), (c, b + 1)}
+        split = _sorted_chain(cand)
+        if split is not None:
+            out.add(split)
+    return out
+
+
+def replay_inverse_candidates(pt):
+    parts = set(pt.parts)
+    cands = set()
+    for alpha, beta in parts:
+        if beta >= 1:
+            pair = {(alpha + 1, beta - 1), (alpha, beta - 1)}
+            if not (pair & parts):
+                cand = _sorted_chain(parts - {(alpha, beta)} | pair)
+                if cand is not None:
+                    cands.add(cand)
+    for c, b in parts:
+        if (c, b + 1) not in parts:
+            continue
+        run = []
+        j = c + 1
+        while (j, b + 1) in parts:
+            run.append(j)
+            j += 1
+        rest = parts - {(c, b), (c, b + 1)} - {(x, b + 1) for x in run}
+        added = {(x, b) for x in run} | {(c + len(run) + 2, b)}
+        if added & rest:
+            continue
+        cand = _sorted_chain(rest | added)
+        if cand is not None:
+            cands.add(cand)
+    return cands
+
+
+def replay_neighbors(pt):
+    out = replay_forward_moves(pt)
+    for cand in replay_inverse_candidates(pt):
+        if pt in replay_forward_moves(cand):
+            out.add(cand)
+    out.discard(pt)
+    return frozenset(out)
+
+
+def test_moves_equal_replay_on_every_vertex_to_2000(sys23):
+    en = ResidueEnumerator(sys23)
+    for u in range(1, 2001):
+        for v in en.omega(u):
+            assert forward_moves(v) == replay_forward_moves(v), v
+            assert neighbors(v) == replay_neighbors(v), v
+
+
+def test_neighbors_equal_replay_on_seeded_walks_near_a_million(sys23):
+    for u, seed in ((10**6 + 7, 1), (999_999, 2), (1_048_577, 3)):
+        rng = random.Random(seed)
+        pt = binary_partition(u)
+        for _ in range(1000):
+            nbrs = neighbors(pt)
+            assert nbrs == replay_neighbors(pt), pt
+            pt = sorted(nbrs, key=lambda w: w.parts)[rng.randrange(len(nbrs))]
+
+
+def test_build_graph_adjacency_equals_neighbors_to_2000(sys23):
+    en = ResidueEnumerator(sys23)
+    for u in range(1, 2001):
+        graph = build_graph(u, sys23, en)
+        assert graph.adjacency == {v: neighbors(v) for v in graph.vertices}, u
+        assert graph.edge_count == len(graph.edges), u
 
 
 def test_merge_move_u3(sys23):
@@ -85,7 +194,7 @@ def test_symmetry_closure_connectivity_small(sys23):
 
 def test_diameter_equals_largest_bfs_distance(sys23):
     en = ResidueEnumerator(sys23)
-    for u in list(range(1, 1001)) + [99000]:
+    for u in list(range(1, 2001)) + [99000]:
         graph = build_graph(u, sys23, en)
         farthest = max(max(graph.bfs_layers(v).values()) for v in graph.vertices)
         assert graph.diameter() == farthest, u

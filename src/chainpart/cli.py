@@ -298,11 +298,15 @@ def _cmd_graph(args: argparse.Namespace) -> int:
                     print(f'  "{key[0]}" -- "{key[1]}";')
         print("}")
         return 0
-    connected = graph.is_connected()
+    # diameter()'s first BFS finds a disconnected graph, so it is the only one
+    try:
+        diameter = graph.diameter()
+    except InvariantViolationError:
+        diameter = -1
     print(json.dumps(
         {"u": args.u, "vertices": len(graph.vertices),
-         "edges": graph.edge_count, "connected": connected,
-         "diameter": graph.diameter() if connected else -1},
+         "edges": graph.edge_count, "connected": diameter >= 0,
+         "diameter": diameter},
         separators=(",", ":")))
     return 0
 

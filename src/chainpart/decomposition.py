@@ -5,8 +5,9 @@ Omega(U), for U >= 2, is the disjoint union of branch images: a branch
 Omega(mul*v + off), v = U div ``modulus``, into Omega(U) by applying its
 labels, last label first.  A filtered branch keeps only the members whose
 smallest part is not divisible by p.  Counting, sigma and tree words fold
-these tables; enumeration and sampling (one path per member), the sigma
-witness and tree decoding take one path of it with ``Decomposition.descend``.
+these tables; sampling (one path per draw), the sigma witness and tree
+decoding take one path of it with ``Decomposition.descend``, and
+enumeration walks all its paths in rank order.
 
 The general table (any bases, modulus pq) splits on the part 1: a partition
 without it is p-scaled or q-scaled, and one with it is the part 1 (label
@@ -32,16 +33,15 @@ W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
 sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms whose
 residue is at most 1.  ``count_grid`` and ``sigma_grid`` apply it to the
 cells reachable from U, filling rows b descending, each a list indexed by a:
-a lone value keeps two rows, while the unranking of members and the sigma
-witness keep them all and descend the general table reading cells (a + 1, b),
-(a, b + 1) and (a + 1, b + 1).  ``count_fill`` and ``sigma_fill`` apply the
-same rule densely on 0..n.
+a lone value keeps two rows, while the enumeration and sampling of members
+and the sigma witness keep them all and descend the general table reading
+cells (a + 1, b), (a, b + 1) and (a + 1, b + 1).  ``count_fill`` and
+``sigma_fill`` apply the same rule densely on 0..n.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -317,7 +317,7 @@ def sigma_fill(arr: list, sys: PQSystem) -> None:
 
     def column(r: int, at_p: list, at_q: list, at_pq: list) -> list:
         terms = [
-            at if d == 0 else list(map(operator.add, at, itertools.repeat(1)))
+            at if d == 0 else [x + 1 if x != _INF else _INF for x in at]
             for at, d in ((at_p, r % p), (at_q, r % q))
             if d < 2
         ]

@@ -9,13 +9,16 @@ of U:
   deduplicating the (pq-scaled) overlap with a set union; an explicit stack
   stands in for the recursion, so a deep U needs no Python frames.
 
-* ``ResidueEnumerator`` unranks every rank in [0, W(U)) (the recursive
-  method of Nijenhuis and Wilf).  ``unrank`` maps a rank to its member in one
-  descent (``Decomposition.descend``) of the general table, at every base: it
-  takes the branch whose weight range holds the rank, with the weights read
-  from the rows of one ``count_grid`` sweep, and below a filtered branch it
-  leaves out the p-scaled branch that the filter removes.  It is a bijection
-  from [0, W(U)) onto Omega(U), and it uses no recursion.
+* ``ResidueEnumerator`` lists the members of ranks 0 .. W(U) - 1 of the
+  general table (the recursive method of Nijenhuis and Wilf), at every base,
+  with the weights read from the rows of one ``count_grid`` sweep.
+  ``unrank`` maps one rank to its member in one descent
+  (``Decomposition.descend``): it takes the branch whose weight range holds
+  the rank, and below a filtered branch it leaves out the p-scaled branch
+  that the filter removes.  It is a bijection from [0, W(U)) onto Omega(U).
+  ``walk`` lists the same members in rank order in one depth-first walk of
+  the table, which shares each prefix between consecutive ranks; ``omega``
+  is the walk.  Neither uses recursion.
 
 ``sample_uniform`` unranks one uniform draw from [0, W(U)), so every member
 of Omega(U) is returned with probability exactly 1/W(U), and no draw is
@@ -24,6 +27,7 @@ rejected.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -63,9 +67,12 @@ class OmegaSet:
 
     def sorted_by_value(self, sys: PQSystem) -> list[Partition]:
         """Members ordered by decreasing part values (deterministic output)."""
+        # each distinct pair's value is computed once, not once per member
+        values = {pair: part_value(pair, sys)
+                  for pair in {pair for pt in self.members for pair in pt.parts}}
         return sorted(
             self.members,
-            key=lambda pt: tuple(part_value(pair, sys) for pair in pt.parts),
+            key=lambda pt: tuple(map(values.__getitem__, pt.parts)),
             reverse=True,
         )
 
@@ -147,7 +154,7 @@ class SplitEnumerator(_BaseEnumerator):
 
 
 class ResidueEnumerator(_BaseEnumerator):
-    """Omega(u) as the members of ranks 0 .. W(u) - 1 of the general table."""
+    """Omega(u) as the members of ranks 0 .. W(u) - 1 of the general table, by ``walk``."""
 
     def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
         super().__init__(sys, budget)
@@ -158,13 +165,26 @@ class ResidueEnumerator(_BaseEnumerator):
         w = rows[0][0]
         if w > self.budget:
             raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
-        return frozenset(unrank(u, self.sys, rows, rank) for rank in range(w))
+        return frozenset(walk(u, self.sys, rows))
 
 
 def enumerate_residue(u: int, sys: PQSystem,
                       budget: int = DEFAULT_PARTITION_BUDGET) -> OmegaSet:
-    """One-shot enumeration by unranking every rank of the general table."""
+    """One-shot enumeration by one rank-order walk of the general table."""
     return ResidueEnumerator(sys, budget).omega_set(u)
+
+
+def branch_weight(rows: list[list], a: int, b: int, branch: Branch) -> int:
+    """The members under a general-table branch from the cell (a, b).
+
+    That is W at the cell below, read from ``rows`` (``CountTable.grid(u)``);
+    a filtered branch into Omega(pv) weighs W(pv) - W(v), W(v) being the
+    p-scaled members that the node below drops.
+    """
+    ca, cb = cell_below(a, b, branch)
+    if branch.filtered:
+        return rows[cb][ca] - rows[b + 1][a + 1]
+    return rows[cb][ca]
 
 
 def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
@@ -172,11 +192,10 @@ def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
 
     One descent of the general table from u to a leaf: at a node with two or
     more branches it takes the branch whose weight range holds the rank, less
-    the weights of the branches before it.  The weights are the W values of
-    ``rows`` at the cells (a, b) the descent tracks; a filtered branch into
-    Omega(pv) weighs W(pv) - W(v), and the node below it drops its row's first
-    branch, the p-scaled Omega(v): the other branches hold exactly the members
-    whose smallest part is not divisible by p.  Distinct ranks give distinct
+    the weights (``branch_weight``) of the branches before it.  Below a
+    filtered branch into Omega(pv) the node drops its row's first branch, the
+    p-scaled Omega(v): the other branches hold exactly the members whose
+    smallest part is not divisible by p.  Distinct ranks give distinct
     members, so the ranks 0 .. W(u) - 1 give all of Omega(u).
     """
     if not 0 <= rank < rows[0][0]:
@@ -191,8 +210,7 @@ def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
         pick = row[0]
         if len(row) > 1:
             for pick in row:
-                ca, cb = cell_below(a, b, pick)
-                weight = rows[cb][ca] - (rows[b + 1][a + 1] if pick.filtered else 0)
+                weight = branch_weight(rows, a, b, pick)
                 if rank < weight:
                     break
                 rank -= weight
@@ -201,6 +219,70 @@ def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
         return pick
 
     return general_table(sys).descend(u, choose)
+
+
+def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
+    """The members of Omega(u) in rank order; ``rows`` is ``CountTable.grid(u)``.
+
+    The i-th member is ``unrank(u, sys, rows, i)``, but the walk shares each
+    prefix between consecutive ranks: one depth-first walk of the general
+    table, on an explicit stack, taking the branches of a node in row order
+    and skipping those of zero weight, so every node it enters holds a
+    member.  Going down, a label ``1`` at the cell (a, b) adds the part
+    p^a q^b, smallest first, and the leaf 1 adds the last, largest part; so
+    one parts list serves the whole walk, cut back to a node's depth when the
+    walk returns to it.
+    """
+    if not rows[0][0]:
+        return
+    modulus, plans = _walk_plans(sys)
+    parts: list[tuple[int, int]] = []  # the parts added on the way down
+    # each entry is a node x at the cell (a, b) with its weight, whether the
+    # branch into it was filtered, the length of ``parts`` above it, and the
+    # part its branch adds
+    stack: list[tuple] = [(u, 0, 0, rows[0][0], False, 0, None)]
+    while stack:
+        x, a, b, w, filtered, depth, part = stack.pop()
+        del parts[depth:]
+        if part:
+            parts.append(part)
+        while x > 1:
+            v, r = divmod(x, modulus)
+            row = plans[filtered][r]
+            branch, one, da = row[0]
+            if len(row) > 1:
+                # a row has at most two branches, one of p and 1p and one of
+                # q and 1q, so the node's weight w is their sum
+                first = branch_weight(rows, a, b, branch)
+                if not first:
+                    branch, one, da = row[1]
+                elif first < w:
+                    later, later_one, later_da = row[1]  # taken after the first's members
+                    stack.append((later.mul * v + later.off, a + later_da, b + 1 - later_da,
+                                  w - first, later.filtered, len(parts),
+                                  (a, b) if later_one else None))
+                    w = first
+            if one:
+                parts.append((a, b))
+            a, b = a + da, b + 1 - da
+            x, filtered = branch.mul * v + branch.off, branch.filtered
+        if x:
+            parts.append((a, b))
+        yield Partition(tuple(parts[::-1]))
+
+
+@functools.lru_cache(maxsize=128)
+def _walk_plans(sys: PQSystem) -> tuple[int, tuple[tuple, tuple]]:
+    """The modulus and the rows of the general table, as ``walk`` reads them.
+
+    The rows come as they are and with their first branch dropped (below a
+    filtered branch); each branch comes with whether it adds a part 1, and
+    with 1 if it steps to the cell (a + 1, b), else 0.
+    """
+    table = general_table(sys)
+    rows = tuple(tuple((branch, branch.labels[0] == "1", cell_below(0, 0, branch)[0])
+                       for branch in row) for row in table.rows)
+    return table.modulus, (rows, tuple(row[1:] for row in rows))
 
 
 def sample_uniform(

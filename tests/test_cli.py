@@ -191,6 +191,21 @@ def test_graph_summary_and_dot(capsys):
     assert '"2223";' in out
 
 
+def test_graph_summary_of_a_disconnected_graph(capsys, monkeypatch):
+    # the summary reads connectivity from the diameter's first BFS alone
+    from chainpart import graph23
+    from chainpart.core import Partition
+
+    lone = (Partition(((0, 1),)), Partition(((1, 0), (0, 0))))
+    graph = graph23.TransitionGraph(3, lone, {v: frozenset() for v in lone})
+    monkeypatch.setattr(graph23, "build_graph", lambda u, sys_: graph)
+    monkeypatch.setattr(graph23.TransitionGraph, "is_connected", None)
+    code, out, _ = run(capsys, "graph", "--u", "3")
+    assert code == 0
+    assert json.loads(out) == {"u": 3, "vertices": 2, "edges": 0,
+                               "connected": False, "diameter": -1}
+
+
 def test_walk_deterministic(capsys):
     _, out1, _ = run(capsys, "walk", "--u", "27", "--steps", "25", "--seed", "9")
     _, out2, _ = run(capsys, "walk", "--u", "27", "--steps", "25", "--seed", "9")

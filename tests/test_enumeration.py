@@ -17,13 +17,17 @@ from chainpart.core import (
     validate,
     value,
 )
+from chainpart import enumeration
 from chainpart.counting import make_counter
+from chainpart.decomposition import cell_below, general_table
 from chainpart.enumeration import (
     ResidueEnumerator,
     SplitEnumerator,
+    branch_weight,
     enumerate_residue,
     sample_uniform,
     unrank,
+    walk,
 )
 
 
@@ -60,6 +64,66 @@ def test_unrank_refuses_a_rank_outside_the_count(sys23):
     for rank in (-1, 5):
         with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
             unrank(60, sys23, rows, rank)
+
+
+def rank(u, sys_, rows, pt):
+    """The rank of ``pt`` in Omega(u): the inverse of ``unrank``.
+
+    One descent of the general table: at each node it takes the first branch
+    of the row that can hold what is left of ``pt`` (a label 1 iff the
+    smallest part left sits at the current cell, and every part after it
+    at or past the cell below) and adds up the weights of the branches
+    before it.
+    """
+    table = general_table(sys_)
+    left = list(pt.parts)  # largest first, so the smallest part is left[-1]
+    x, a, b, filtered, total = u, 0, 0, False, 0
+    while x > 1:
+        v, r = divmod(x, table.modulus)
+        row = table.rows[r][1:] if filtered else table.rows[r]
+        for branch in row:
+            one = branch.labels[0] == "1"
+            ca, cb = cell_below(a, b, branch)
+            rest = left[:-1] if one else left
+            if one == (left[-1] == (a, b)) and (not rest or (rest[-1][0] >= ca and rest[-1][1] >= cb)):
+                break
+            total += branch_weight(rows, a, b, branch)
+        else:
+            raise AssertionError(f"no branch at {x} holds {pt}")
+        left = rest
+        a, b, filtered = ca, cb, branch.filtered
+        x = branch.mul * v + branch.off
+    assert left == ([(a, b)] if x else [])
+    return total
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 5), (3, 2)])
+def test_walk_lists_the_members_in_rank_order(p, q):
+    sys_ = make_system(p, q)
+    counter = make_counter(sys_)
+    for u in range(0, 2000):
+        rows = counter.grid(u)
+        members = list(walk(u, sys_, rows))
+        assert len(members) == rows[0][0], u
+        for i, pt in enumerate(members):
+            assert pt == unrank(u, sys_, rows, i), (u, i)
+            assert rank(u, sys_, rows, pt) == i, (u, i)
+
+
+def test_walk_at_the_ground_values(sys23):
+    counter = make_counter(sys23)
+    assert list(walk(0, sys23, counter.grid(0))) == [Partition()]
+    assert list(walk(1, sys23, counter.grid(1))) == [Partition(((0, 0),))]
+    assert list(walk(7, make_system(3, 5), make_counter(make_system(3, 5)).grid(7))) == []
+
+
+def test_budget_is_checked_before_any_member_is_built(sys23, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a member was built past the budget")
+
+    monkeypatch.setattr(enumeration, "walk", no_walk)
+    with pytest.raises(BudgetError, match="past the budget of 4"):
+        ResidueEnumerator(sys23, budget=4).omega(60)
 
 
 def test_ground_values(sys23):

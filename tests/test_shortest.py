@@ -6,6 +6,7 @@ import random
 import pytest
 
 from chainpart.core import UnreachableSumError, chain_census, make_system, validate, value
+from chainpart.counting import make_counter
 from chainpart.shortest import ChainCost, ShortestTable, chain_cost, chain_pow, sigma
 
 
@@ -54,6 +55,15 @@ def test_witness_is_valid_and_shortest(sys23):
 def test_sigma_unreachable(sys35):
     with pytest.raises(UnreachableSumError):
         ShortestTable(sys35).sigma(7)
+
+
+def test_scan_shares_one_inf(sys35):
+    # an unreachable sum reached through a label 1 once stored a fresh inf float
+    arr = ShortestTable(sys35).scan(10**5)
+    unreachable = [u for u, w in enumerate(make_counter(sys35).scan(10**5)) if not w]
+    assert len(unreachable) > 50_000
+    assert all(arr[u] is math.inf for u in unreachable)
+    assert all(x is math.inf for x in arr if x == math.inf)
 
 
 def test_stats_small_exact(sys23):

@@ -181,22 +181,22 @@ def branch_weight(rows: list[list], a: int, b: int, branch: Branch) -> int:
     a filtered branch into Omega(pv) weighs W(pv) - W(v), W(v) being the
     p-scaled members that the node below drops.
     """
-    ca, cb = cell_below(a, b, branch)
-    if branch.filtered:
-        return rows[cb][ca] - rows[b + 1][a + 1]
-    return rows[cb][ca]
+    # W at ``cell_below(a, b, branch)``, read without the call
+    weight = rows[b][a + 1] if branch.labels[-1] == "p" else rows[b + 1][a]
+    return weight - rows[b + 1][a + 1] if branch.filtered else weight
 
 
 def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
     """The member of Omega(u) at ``rank`` in [0, W(u)); ``rows`` is ``CountTable.grid(u)``.
 
-    One descent of the general table from u to a leaf: at a node with two or
-    more branches it takes the branch whose weight range holds the rank, less
-    the weights (``branch_weight``) of the branches before it.  Below a
-    filtered branch into Omega(pv) the node drops its row's first branch, the
-    p-scaled Omega(v): the other branches hold exactly the members whose
-    smallest part is not divisible by p.  Distinct ranks give distinct
-    members, so the ranks 0 .. W(u) - 1 give all of Omega(u).
+    One descent of the general table from u to a leaf: at a node with two
+    branches (a row has at most two, one of p and 1p and one of q and 1q) it
+    takes the first if the rank is below its weight (``branch_weight``), else
+    the second, with the rank less that weight.  Below a filtered branch into
+    Omega(pv) the node drops its row's first branch, the p-scaled Omega(v):
+    the other branches hold exactly the members whose smallest part is not
+    divisible by p.  Distinct ranks give distinct members, so the ranks
+    0 .. W(u) - 1 give all of Omega(u).
     """
     if not 0 <= rank < rows[0][0]:
         raise ValueError(f"rank {rank} is outside [0, {rows[0][0]})")
@@ -209,11 +209,10 @@ def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
             row = row[1:]
         pick = row[0]
         if len(row) > 1:
-            for pick in row:
-                weight = branch_weight(rows, a, b, pick)
-                if rank < weight:
-                    break
+            weight = branch_weight(rows, a, b, pick)
+            if rank >= weight:
                 rank -= weight
+                pick = row[1]
         a, b = cell_below(a, b, pick)
         filtered = pick.filtered
         return pick
@@ -251,8 +250,7 @@ def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
             row = plans[filtered][r]
             branch, one, da = row[0]
             if len(row) > 1:
-                # a row has at most two branches, one of p and 1p and one of
-                # q and 1q, so the node's weight w is their sum
+                # the node's weight w is the sum of its two branches' weights
                 first = branch_weight(rows, a, b, branch)
                 if not first:
                     branch, one, da = row[1]

@@ -110,6 +110,28 @@ def test_walk_lists_the_members_in_rank_order(p, q):
             assert rank(u, sys_, rows, pt) == i, (u, i)
 
 
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (3, 2)])
+def test_branch_weights_add_up_to_the_node_weight(p, q):
+    # at every node the branch weights split the node's weight, which below
+    # a filtered branch is W(pv) less the dropped p-scaled W(v)
+    sys_ = make_system(p, q)
+    table = general_table(sys_)
+    counter = make_counter(sys_)
+    for u in range(2, 600):
+        rows = counter.grid(u)
+        stack = [(u, 0, 0, False)]
+        while stack:
+            x, a, b, filtered = stack.pop()
+            if x < 2:
+                continue
+            v, r = divmod(x, table.modulus)
+            row = table.rows[r][1:] if filtered else table.rows[r]
+            weights = [branch_weight(rows, a, b, branch) for branch in row]
+            assert sum(weights) == rows[b][a] - (rows[b][a + 1] if filtered else 0), (u, x)
+            stack.extend((branch.mul * v + branch.off, *cell_below(a, b, branch), branch.filtered)
+                         for branch, weight in zip(row, weights) if weight)
+
+
 def test_walk_at_the_ground_values(sys23):
     counter = make_counter(sys23)
     assert list(walk(0, sys23, counter.grid(0))) == [Partition()]

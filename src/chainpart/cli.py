@@ -298,7 +298,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
                     print(f'  "{key[0]}" -- "{key[1]}";')
         print("}")
         return 0
-    # diameter()'s first BFS finds a disconnected graph, so it is the only one
+    # diameter()'s first BFS finds a disconnected graph, so no other BFS runs
     try:
         diameter = graph.diameter()
     except InvariantViolationError:

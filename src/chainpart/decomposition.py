@@ -42,7 +42,6 @@ cells (a + 1, b), (a, b + 1) and (a + 1, b + 1).  ``count_fill`` and
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -315,16 +314,11 @@ def count_fill(arr: list[int], sys: PQSystem) -> None:
 def sigma_fill(arr: list, sys: PQSystem) -> None:
     """sigma on 0..len(arr) - 1 by the rule of ``sigma_grid``, given arr[0] = 0, arr[1] = 1."""
     p, q = sys.p, sys.q
-    if 2 in (p, q):  # every sum has a binary partition, so no entry is inf
-        def plus_one(at: list) -> list:
-            return list(map(operator.add, at, itertools.repeat(1)))
-    else:  # an unreachable sum keeps the one shared inf, not a fresh inf + 1
-        def plus_one(at: list) -> list:
-            return [x + 1 if x != _INF else _INF for x in at]
 
     def column(r: int, at_p: list, at_q: list, at_pq: list) -> list:
+        # an unreachable sum keeps the one shared inf, not a fresh inf + 1
         terms = [
-            at if d == 0 else plus_one(at)
+            at if d == 0 else [x + 1 if x != _INF else _INF for x in at]
             for at, d in ((at_p, r % p), (at_q, r % q))
             if d < 2
         ]

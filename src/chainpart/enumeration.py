@@ -181,9 +181,8 @@ def branch_weight(rows: list[list], a: int, b: int, branch: Branch) -> int:
     a filtered branch into Omega(pv) weighs W(pv) - W(v), W(v) being the
     p-scaled members that the node below drops.
     """
-    # W at ``cell_below(a, b, branch)``, read without the call
-    weight = rows[b][a + 1] if branch.labels[-1] == "p" else rows[b + 1][a]
-    return weight - rows[b + 1][a + 1] if branch.filtered else weight
+    ca, cb = cell_below(a, b, branch)
+    return rows[cb][ca] - rows[b + 1][a + 1] if branch.filtered else rows[cb][ca]
 
 
 def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
@@ -248,21 +247,21 @@ def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
         while x > 1:
             v, r = divmod(x, modulus)
             row = plans[filtered][r]
-            branch, one, da = row[0]
+            branch, one, (da, db) = row[0]
             if len(row) > 1:
                 # the node's weight w is the sum of its two branches' weights
                 first = branch_weight(rows, a, b, branch)
                 if not first:
-                    branch, one, da = row[1]
+                    branch, one, (da, db) = row[1]
                 elif first < w:
-                    later, later_one, later_da = row[1]  # taken after the first's members
-                    stack.append((later.mul * v + later.off, a + later_da, b + 1 - later_da,
+                    later, later_one, (later_da, later_db) = row[1]  # taken after the first's members
+                    stack.append((later.mul * v + later.off, a + later_da, b + later_db,
                                   w - first, later.filtered, len(parts),
                                   (a, b) if later_one else None))
                     w = first
             if one:
                 parts.append((a, b))
-            a, b = a + da, b + 1 - da
+            a, b = a + da, b + db
             x, filtered = branch.mul * v + branch.off, branch.filtered
         if x:
             parts.append((a, b))
@@ -275,10 +274,10 @@ def _walk_plans(sys: PQSystem) -> tuple[int, tuple[tuple, tuple]]:
 
     The rows come as they are and with their first branch dropped (below a
     filtered branch); each branch comes with whether it adds a part 1, and
-    with 1 if it steps to the cell (a + 1, b), else 0.
+    with its step (da, db) from a cell (a, b) to ``cell_below(a, b, branch)``.
     """
     table = general_table(sys)
-    rows = tuple(tuple((branch, branch.labels[0] == "1", cell_below(0, 0, branch)[0])
+    rows = tuple(tuple((branch, branch.labels[0] == "1", cell_below(0, 0, branch))
                        for branch in row) for row in table.rows)
     return table.modulus, (rows, tuple(row[1:] for row in rows))
 

@@ -27,7 +27,6 @@ rejected.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -233,7 +232,8 @@ def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
     """
     if not rows[0][0]:
         return
-    modulus, plans = _walk_plans(sys)
+    table = general_table(sys)
+    modulus, table_rows = table.modulus, table.rows
     parts: list[tuple[int, int]] = []  # the parts added on the way down
     # each entry is a node x at the cell (a, b) with its weight, whether the
     # branch into it was filtered, the length of ``parts`` above it, and the
@@ -246,40 +246,26 @@ def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
             parts.append(part)
         while x > 1:
             v, r = divmod(x, modulus)
-            row = plans[filtered][r]
-            branch, one, (da, db) = row[0]
+            row = table_rows[r][1:] if filtered else table_rows[r]
+            branch = row[0]
             if len(row) > 1:
                 # the node's weight w is the sum of its two branches' weights
                 first = branch_weight(rows, a, b, branch)
                 if not first:
-                    branch, one, (da, db) = row[1]
+                    branch = row[1]
                 elif first < w:
-                    later, later_one, (later_da, later_db) = row[1]  # taken after the first's members
-                    stack.append((later.mul * v + later.off, a + later_da, b + later_db,
+                    later = row[1]  # taken after the first's members
+                    stack.append((later.mul * v + later.off, *cell_below(a, b, later),
                                   w - first, later.filtered, len(parts),
-                                  (a, b) if later_one else None))
+                                  (a, b) if later.labels[0] == "1" else None))
                     w = first
-            if one:
+            if branch.labels[0] == "1":
                 parts.append((a, b))
-            a, b = a + da, b + db
+            a, b = cell_below(a, b, branch)
             x, filtered = branch.mul * v + branch.off, branch.filtered
         if x:
             parts.append((a, b))
         yield Partition(tuple(parts[::-1]))
-
-
-@functools.lru_cache(maxsize=128)
-def _walk_plans(sys: PQSystem) -> tuple[int, tuple[tuple, tuple]]:
-    """The modulus and the rows of the general table, as ``walk`` reads them.
-
-    The rows come as they are and with their first branch dropped (below a
-    filtered branch); each branch comes with whether it adds a part 1, and
-    with its step (da, db) from a cell (a, b) to ``cell_below(a, b, branch)``.
-    """
-    table = general_table(sys)
-    rows = tuple(tuple((branch, branch.labels[0] == "1", cell_below(0, 0, branch))
-                       for branch in row) for row in table.rows)
-    return table.modulus, (rows, tuple(row[1:] for row in rows))
 
 
 def sample_uniform(

@@ -50,11 +50,10 @@ from .enumeration import (
     OmegaSet,
     ResidueEnumerator,
     SplitEnumerator,
-    enumerate_residue,
     sample_uniform,
 )
-from .graph23 import build_graph, connectivity_check, neighbors, random_walk, reduce_to_binary
-from .shortest import ChainCost, ShortestTable, chain_cost, chain_pow, sigma
+from .graph23 import build_graph, neighbors, random_walk, reduce_to_binary
+from .shortest import ChainCost, ShortestTable, chain_cost, chain_pow
 from .analytics import (
     GrowthExponents,
     check_growth_bound,
@@ -65,7 +64,6 @@ from .analytics import (
     estimate_growth_constant,
     max_count_jumps,
     solve_exponents,
-    sum_s,
 )
 
 __version__ = "0.1.0"

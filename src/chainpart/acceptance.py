@@ -81,8 +81,10 @@ def criterion_02_omega27(profile: str) -> CriterionResult:
         members = enumeration.ResidueEnumerator(sys23).omega(27)
         words = {codec.lattice_encode(pt) for pt in members}
         _need(words == OMEGA27_LATTICE_WORDS, f"lattice words {sorted(words)}")
-        connected, diam = graph23.connectivity_check(27, sys23)
-        _need(connected, "graph on Omega(27) is disconnected")
+        try:  # diameter()'s first BFS finds a disconnected graph
+            diam = graph23.build_graph(27, sys23).diameter()
+        except core.InvariantViolationError:
+            raise _Failure("graph on Omega(27) is disconnected") from None
         elapsed = time.perf_counter() - t0
         _need(elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s")
         return f"7 words reproduced; graph connected, diameter {diam}"
@@ -291,18 +293,10 @@ def criterion_11_graph(profile: str) -> CriterionResult:
                 for w in nbrs:
                     _need(w in members, f"u={u}: neighbor leaves Omega")
                     _need(v in adjacency[w], f"u={u}: asymmetric edge")
-            start = core.binary_partition(u)
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for w in adjacency[v]:
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            _need(len(seen) == len(members), f"graph on Omega({u}) disconnected")
+            try:  # as in criterion 2
+                graph23.TransitionGraph(u, tuple(members), adjacency).diameter()
+            except core.InvariantViolationError:
+                raise _Failure(f"graph on Omega({u}) disconnected") from None
         n_paths = 1_000 if profile == "full" else 100
         u_max = 100_000 if profile == "full" else 10_000
         rng = random.Random(11)
@@ -382,7 +376,7 @@ def criterion_13_codec(profile: str) -> CriterionResult:
         code_limit = 10_000 if profile == "full" else 600
         language = codec.TreeLanguage(sys23)
         lattice_words: dict[int, list[str]] = defaultdict(list)
-        for total, pairs in core.iter_chains(code_limit, sys23):
+        for total, pairs in core.iter_chains(code_limit, sys23, least=1):
             lattice_words[total].append(codec.lattice_encode(core.Partition(pairs)))
         for u in range(1, code_limit + 1):
             words = language.words(u)

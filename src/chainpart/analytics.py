@@ -131,15 +131,6 @@ class PrefixSums:
         return lhs - rhs
 
 
-def sum_s(x: float, sys: PQSystem, counter: Optional[CountTable] = None) -> int:
-    """One-off S(x) by streaming accumulation."""
-    if x < 1:
-        return 0
-    counter = counter or make_counter(sys)
-    arr = counter.scan(math.floor(x))
-    return sum(arr[1:])
-
-
 @dataclass(frozen=True, slots=True)
 class GrowthEstimate:
     """Dyadic snapshots of S(x)/x^alpha against the closed-form ceiling."""
@@ -197,6 +188,8 @@ def check_local_monotonicity(limit: int, sys: PQSystem,
     """
     if sys.p != 2:
         raise InvalidSystemError("the monotonicity pattern requires p = 2")
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     q = sys.q
     arr = counts if counts is not None else make_counter(sys).scan(limit + q)
     if len(arr) < limit + q + 1:

@@ -204,7 +204,11 @@ def _parse_partition_line(line: str, sys_: PQSystem) -> Partition:
         pt, _ = core.from_json(line, sys_)
         return pt
     if line.startswith("["):
-        return Partition.from_pairs((int(a), int(b)) for a, b in json.loads(line))
+        pairs = json.loads(line)
+        try:
+            return Partition.from_pairs((int(a), int(b)) for a, b in pairs)
+        except (TypeError, OverflowError) as exc:
+            raise core.PartitionError(f"not a list of exponent pairs: {exc}") from None
     return core.validate((int(tok) for tok in line.split()), sys_)
 
 

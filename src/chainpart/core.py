@@ -1,6 +1,7 @@
 """Strictly chained two-base partitions: base systems, the partition type,
-the maps that scale by p or q or append the part 1, and a brute-force
-enumeration oracle.
+the maps that scale by p or q or append the part 1, the JSON form, and the
+brute-force oracle, one explicit-stack walk over every chain (``iter_chains``)
+that ``brute_force_enumerate`` and ``chain_census`` read.
 
 A (p,q)-part is an integer p^a * q^b for coprime bases p, q >= 2.  A strictly
 chained (p,q)-ary partition of U is a set of distinct parts summing to U in
@@ -241,116 +242,64 @@ def binary_partition(u: int) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _max_tail_cache(sys: PQSystem, bound: int) -> dict[tuple[int, int], int]:
-    """maxsum[(a,b)] = largest chain sum with all parts dividing p^a*q^b.
+def iter_chains(limit: int, sys: PQSystem,
+                least: int = 0) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Yield (sum, exponent pairs) for every chain with least <= sum <= limit.
 
-    Monotone in (a, b), so the best continuation below a part is always the
-    immediate division by p or by q; plain dynamic programming suffices.
+    One depth-first walk on an explicit stack, from the empty chain; each
+    chain lists its largest part first.  The next part is a proper divisor of
+    the last one that keeps the sum within ``limit``, and a branch is cut when
+    even the largest chain from that part on cannot lift the sum to ``least``.
+    The walk reads no count or decomposition table, so it is the oracle of
+    the engines that do.
     """
-    maxsum: dict[tuple[int, int], int] = {}
-    pairs = []
-    a = 0
-    va = 1
-    while va <= bound:
-        b = 0
-        v = va
-        while v <= bound:
-            pairs.append((a, b, v))
-            b += 1
-            v *= sys.q
-        a += 1
-        va *= sys.p
-    pairs.sort(key=lambda t: t[2])
-    for a, b, v in pairs:
-        best = 0
-        if a > 0:
-            best = maxsum[(a - 1, b)]
-        if b > 0:
-            best = max(best, maxsum[(a, b - 1)])
-        maxsum[(a, b)] = v + best
-    return maxsum
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    cells = []  # (p^a * q^b, (a, b)) for every part up to limit
+    va, a = 1, 0
+    while va <= limit:
+        v, b = va, 0
+        while v <= limit:
+            cells.append((v, (a, b)))
+            v, b = v * sys.q, b + 1
+        va, a = va * sys.p, a + 1
+    cells.sort()
+    # reach[a, b]: the largest chain sum with first part p^a * q^b; a best
+    # chain divides each part by p or by q to get the next
+    reach: dict[tuple[int, int], int] = {}
+    for v, (a, b) in cells:
+        reach[a, b] = v + max(reach.get((a - 1, b), 0), reach.get((a, b - 1), 0))
+    # below[cell]: (value, pair, reach) of the cell's proper divisors in
+    # increasing value, built when the walk first stands on the cell;
+    # below[None] holds every cell, the choices of a first part
+    below = {None: [(v, ab, reach[ab]) for v, ab in cells]}
+    stack = [(0, (), None)]
+    while stack:
+        total, pairs, cell = stack.pop()
+        if total >= least:
+            yield total, pairs
+        nexts = below.get(cell)
+        if nexts is None:
+            a, b = cell
+            nexts = below[cell] = [d for d in below[None]
+                                   if d[1][0] <= a and d[1][1] <= b and d[1] != cell]
+        budget, need = limit - total, least - total
+        for w, pair, most in nexts:
+            if w > budget:
+                break
+            if most >= need:
+                stack.append((total + w, pairs + (pair,), pair))
 
 
 def brute_force_enumerate(
     u: int, sys: PQSystem, ceiling: int = DEFAULT_ENUMERATION_CEILING
 ) -> frozenset[Partition]:
-    """All strictly chained partitions of u by depth-first search.
-
-    Candidates for the next part are the proper divisors of the current part;
-    branches whose remainder cannot be completed (remainder larger than the
-    best possible tail sum) are pruned.  Independent of the recursive
-    enumeration engines, so it serves as their oracle.
-    """
+    """All strictly chained partitions of u: the chains of ``iter_chains`` with sum u."""
     if u < 0:
         return frozenset()
     if u > ceiling:
         raise BudgetError(f"u={u} exceeds the enumeration ceiling {ceiling}")
-    if u == 0:
-        return frozenset((EMPTY_PARTITION,))
-    maxsum = _max_tail_cache(sys, u)
-    found: list[Partition] = []
-    chain: list[tuple[int, int]] = []
-
-    def extend(a: int, b: int, remaining: int) -> None:
-        if remaining == 0:
-            found.append(Partition(tuple(chain)))
-            return
-        for i in range(a, -1, -1):
-            for j in range(b, -1, -1):
-                if i == a and j == b:
-                    continue
-                v = sys.p**i * sys.q**j
-                if v <= remaining <= maxsum[(i, j)]:
-                    chain.append((i, j))
-                    extend(i, j, remaining - v)
-                    chain.pop()
-
-    for (a, b), total in maxsum.items():
-        v = sys.p**a * sys.q**b
-        if v <= u <= total:
-            chain.append((a, b))
-            extend(a, b, u - v)
-            chain.pop()
-    return frozenset(found)
-
-
-def iter_chains(limit: int, sys: PQSystem):
-    """Yield (sum, exponent pairs) for every chain with sum <= limit.
-
-    Streaming counterpart of ``chain_census``: the same depth-first sweep,
-    but handing out each chain (largest part first) instead of counting.
-    """
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    chain: list[tuple[int, int]] = []
-
-    def extend(a: int, b: int, v: int, total: int):
-        yield total, tuple(chain)
-        budget = limit - total
-        vi = v
-        for i in range(a, -1, -1):
-            w = vi
-            for j in range(b, -1, -1):
-                if (i < a or j < b) and w <= budget:
-                    chain.append((i, j))
-                    yield from extend(i, j, w, total + w)
-                    chain.pop()
-                w //= sys.q
-            vi //= sys.p
-
-    a = 0
-    va = 1
-    while va <= limit:
-        b = 0
-        v = va
-        while v <= limit:
-            chain.append((a, b))
-            yield from extend(a, b, v, v)
-            chain.pop()
-            b += 1
-            v *= sys.q
-        a += 1
-        va *= sys.p
+    return frozenset(Partition(pairs) for _, pairs in iter_chains(u, sys, least=u))
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,50 +313,19 @@ class CensusResult:
 
 def chain_census(limit: int, sys: PQSystem,
                  ceiling: int = DEFAULT_ENUMERATION_CEILING) -> CensusResult:
-    """Count every chained partition with sum <= limit in one DFS sweep.
+    """Count every chained partition with sum <= limit, and its least size.
 
-    Equivalent to running ``brute_force_enumerate`` for each u <= limit and
-    recording cardinalities and minimum part counts, but visits each chain
-    exactly once.
+    Equivalent to running ``brute_force_enumerate`` for each u <= limit, but
+    one ``iter_chains`` walk visits each chain exactly once.
     """
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
     if limit > ceiling:
         raise BudgetError(f"limit={limit} exceeds the enumeration ceiling {ceiling}")
     counts = [0] * (limit + 1)
     min_len: list[Optional[int]] = [None] * (limit + 1)
-    counts[0] = 1
-    min_len[0] = 0
-
-    def record(total: int, length: int) -> None:
+    for total, pairs in iter_chains(limit, sys):
         counts[total] += 1
-        if min_len[total] is None or length < min_len[total]:
-            min_len[total] = length
-
-    def extend(a: int, b: int, v: int, total: int, length: int) -> None:
-        record(total, length)
-        budget = limit - total
-        # proper divisors of p^a * q^b, largest exponent sweep
-        vi = v
-        for i in range(a, -1, -1):
-            w = vi
-            for j in range(b, -1, -1):
-                if (i < a or j < b) and w <= budget:
-                    extend(i, j, w, total + w, length + 1)
-                w //= sys.q
-            vi //= sys.p
-
-    a = 0
-    va = 1
-    while va <= limit:
-        b = 0
-        v = va
-        while v <= limit:
-            extend(a, b, v, v, 1)
-            b += 1
-            v *= sys.q
-        a += 1
-        va *= sys.p
+        if min_len[total] is None or len(pairs) < min_len[total]:
+            min_len[total] = len(pairs)
     return CensusResult(limit, counts, min_len)
 
 
@@ -434,13 +352,20 @@ def to_json(pt: Partition, sys: PQSystem, include_values: bool = False) -> str:
 
 
 def from_json(text: str, sys: Optional[PQSystem] = None) -> tuple[Partition, PQSystem]:
-    """Parse the JSON form, verifying the chain and the recorded sum."""
+    """Parse the JSON form, verifying the chain and the recorded sum.
+
+    A document of the wrong shape (a missing key, parts that are no list of
+    pairs, an exponent that is no finite number) raises PartitionError.
+    """
     doc = json.loads(text)
-    if sys is None:
-        sys = make_system(int(doc["p"]), int(doc["q"]))
-    elif (int(doc.get("p", sys.p)), int(doc.get("q", sys.q))) != (sys.p, sys.q):
-        raise PartitionError("document bases differ from the requested system")
-    pt = Partition.from_pairs((int(a), int(b)) for a, b in doc["parts"])
-    if "sum" in doc and int(doc["sum"]) != value(pt, sys):
-        raise PartitionError("recorded sum does not match the parts")
+    try:
+        if sys is None:
+            sys = make_system(int(doc["p"]), int(doc["q"]))
+        elif (int(doc.get("p", sys.p)), int(doc.get("q", sys.q))) != (sys.p, sys.q):
+            raise PartitionError("document bases differ from the requested system")
+        pt = Partition.from_pairs((int(a), int(b)) for a, b in doc["parts"])
+        if "sum" in doc and int(doc["sum"]) != value(pt, sys):
+            raise PartitionError("recorded sum does not match the parts")
+    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+        raise PartitionError(f"not a partition document: {type(exc).__name__}: {exc}") from None
     return pt, sys

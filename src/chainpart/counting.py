@@ -28,8 +28,6 @@ the recurrences this shows up as divisibility checks, never as rationals.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from .core import InvalidSystemError, PQSystem
 from .decomposition import count_fill, count_grid
 
@@ -284,24 +282,3 @@ def all_counters(sys: PQSystem) -> list[CountTable]:
     engines.append(DirectSumCounter(sys))
     return engines
 
-
-def cross_validate(sys: PQSystem, limit: int,
-                   oracle: Optional[Sequence[int]] = None) -> list[str]:
-    """Compare all engines (and optionally an oracle) on 0..limit.
-
-    Returns a list of human-readable disagreement descriptions; an empty list
-    means every method produced identical counts.
-    """
-    engines = all_counters(sys)
-    scans = [(type(e).__name__, e.scan(limit)) for e in engines]
-    if oracle is not None:
-        scans.append(("oracle", list(oracle[: limit + 1])))
-    name0, base = scans[0]
-    problems = []
-    for name, arr in scans[1:]:
-        if arr != base:
-            for u, (x, y) in enumerate(zip(base, arr)):
-                if x != y:
-                    problems.append(f"{sys}: {name0}({u})={x} but {name}({u})={y}")
-                    break
-    return problems

@@ -167,12 +167,6 @@ class ResidueEnumerator(_BaseEnumerator):
         return frozenset(walk(u, self.sys, rows))
 
 
-def enumerate_residue(u: int, sys: PQSystem,
-                      budget: int = DEFAULT_PARTITION_BUDGET) -> OmegaSet:
-    """One-shot enumeration by one rank-order walk of the general table."""
-    return ResidueEnumerator(sys, budget).omega_set(u)
-
-
 def branch_weight(rows: list[list], a: int, b: int, branch: Branch) -> int:
     """The members under a general-table branch from the cell (a, b).
 

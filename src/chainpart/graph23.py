@@ -18,7 +18,9 @@ move).  Neighbor sets add the inverses of both families, each checked on the
 parts next to it with no move replayed (see ``neighbors``), so the relation
 is symmetric.  Every forward move stays in Omega(U), so ``build_graph`` takes
 the forward moves and their reversals as its edges, and ``diameter`` is exact
-by iFUB.
+by iFUB.  Its breadth-first search on vertex indices is the only one: the
+first search raises InvariantViolationError on a disconnected graph, which is
+where the CLI and the acceptance criteria read connectivity.
 
 The graph is connected: repeatedly applying the downward inverse moves to the
 highest 3-level reaches the binary partition in at most
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -151,32 +152,9 @@ class TransitionGraph:
     adjacency: dict[Partition, frozenset[Partition]]
 
     @property
-    def edges(self) -> set[frozenset[Partition]]:
-        out: set[frozenset[Partition]] = set()
-        for v, nbrs in self.adjacency.items():
-            out.update(frozenset((v, w)) for w in nbrs)
-        return out
-
-    @property
     def edge_count(self) -> int:
-        """``len(self.edges)`` without building it: half the degree sum."""
+        """The number of edges: half the degree sum."""
         return sum(map(len, self.adjacency.values())) // 2
-
-    def bfs_layers(self, start: Partition) -> dict[Partition, int]:
-        dist = {start: 0}
-        queue = deque((start,))
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(self.bfs_layers(self.vertices[0])) == len(self.vertices)
 
     def diameter(self) -> int:
         """Exact diameter by iFUB on vertex indices (graph must be connected).
@@ -237,15 +215,6 @@ def build_graph(u: int, sys: PQSystem,
             linked[w].add(v)
     adjacency = {v: frozenset(nbrs) for v, nbrs in linked.items()}
     return TransitionGraph(u, vertices, adjacency)
-
-
-def connectivity_check(u: int, sys: PQSystem,
-                       enumerator: Optional[ResidueEnumerator] = None) -> tuple[bool, int]:
-    """(connected, exact diameter) for the graph on Omega(u)."""
-    graph = build_graph(u, sys, enumerator)
-    if not graph.is_connected():
-        return False, -1
-    return True, graph.diameter()
 
 
 def reduce_to_binary(pt: Partition, sys: PQSystem) -> list[Partition]:

@@ -149,12 +149,6 @@ class ShortestTable:
         return ShortestStats(limit, total / len(sigmas), histogram)
 
 
-def sigma(u: int, sys: PQSystem, table: Optional[ShortestTable] = None) -> ShortestResult:
-    """sigma(u) with a deterministic witness."""
-    table = table or ShortestTable(sys)
-    return table.witness(u)
-
-
 def chain_cost(pt: Partition) -> ChainCost:
     """Powering/multiplication counts of the Horner walk for ``pt``."""
     if not pt:

@@ -15,16 +15,16 @@ from chainpart.analytics import (
     estimate_growth_constant,
     max_count_jumps,
     solve_exponents,
-    sum_s,
 )
 from chainpart.core import InvalidSystemError, UnreachableSumError, make_system
 from chainpart.counting import make_counter
 
 
 def test_sum_s_spot(sys23):
-    assert sum_s(3, sys23) == 4
-    assert sum_s(0.5, sys23) == 0
-    assert sum_s(19.7, sys23) == sum_s(19, sys23)
+    prefix = PrefixSums(sys23, 20)
+    assert prefix.s(3) == 4
+    assert prefix.s(0.5) == 0
+    assert prefix.s(19.7) == prefix.s(19) == sum(make_counter(sys23).scan(19)[1:])
 
 
 def test_identity_exact(sys23):

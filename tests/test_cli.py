@@ -133,6 +133,16 @@ def test_decode_malformed_word_exit_code(capsys, monkeypatch):
     assert "lattice word" in err
 
 
+def test_encode_refuses_lines_of_the_wrong_shape(capsys, monkeypatch):
+    # a missing key, non-list parts or pairs, a null sum, an infinite exponent
+    for line in ('{}', '{"p":2}', '[1]', '{"p":2,"q":3,"parts":5}',
+                 '{"p":2,"q":3,"parts":[[1,0]],"sum":null}', '[[1e400,0]]'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code, out, err = run(capsys, "encode")
+        assert (code, out) == (1, ""), line
+        assert err.startswith("error: ") and "Traceback" not in err, line
+
+
 def test_scan_smallw_csv(capsys):
     code, out, _ = run(capsys, "scan", "smallw", "--limit", "12", "--emit", "csv")
     assert code == 0
@@ -174,6 +184,12 @@ def test_scan_monotonicity_alias(capsys):
     assert json.loads(out) == {"q": 3, "limit": 2000, "violations": 0}
 
 
+def test_scan_monotonicity_refuses_a_negative_limit(capsys):
+    for mode in ("monotonicity", "theorem4", "w"):
+        code, out, err = run(capsys, "scan", mode, "--limit", "-1")
+        assert (code, out, err) == (1, "", "error: limit must be >= 0\n"), mode
+
+
 def test_scan_bound(capsys):
     code, out, _ = run(capsys, "scan", "bound", "--limit", "2000")
     assert code == 0
@@ -199,7 +215,6 @@ def test_graph_summary_of_a_disconnected_graph(capsys, monkeypatch):
     lone = (Partition(((0, 1),)), Partition(((1, 0), (0, 0))))
     graph = graph23.TransitionGraph(3, lone, {v: frozenset() for v in lone})
     monkeypatch.setattr(graph23, "build_graph", lambda u, sys_: graph)
-    monkeypatch.setattr(graph23.TransitionGraph, "is_connected", None)
     code, out, _ = run(capsys, "graph", "--u", "3")
     assert code == 0
     assert json.loads(out) == {"u": 3, "vertices": 2, "edges": 0,

@@ -10,6 +10,7 @@ fixed number of examples, so every run draws the same command lines.
 import argparse
 import contextlib
 import io
+import json
 import sys
 
 from hypothesis import given, settings
@@ -30,6 +31,16 @@ INTS = {
 }
 # Bases: mostly valid pairs, with 1, a repeat or a shared factor now and then.
 BASES = st.sampled_from(["2", "3", "5", "7", "4", "9", "1"])
+# JSON documents of the wrong shape: keys missing, parts no list of pairs,
+# exponents that are no integers (null, text, fractions, infinities).
+JSON_SCALARS = st.one_of(st.none(), st.integers(-2, 5), st.floats(), st.text("ab1", max_size=2))
+JSON_PAIRS = st.lists(st.lists(st.one_of(st.integers(0, 4), JSON_SCALARS), max_size=3), max_size=3)
+BAD_DOCS = st.one_of(
+    st.dictionaries(st.sampled_from(["p", "q", "parts", "sum"]),
+                    st.one_of(JSON_SCALARS, JSON_PAIRS), max_size=4),
+    JSON_PAIRS,
+    st.lists(JSON_SCALARS, max_size=2),
+).map(json.dumps)
 STDIN = st.lists(
     st.one_of(
         st.text("0123456789 ", max_size=12),
@@ -37,6 +48,7 @@ STDIN = st.lists(
         st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3)
         .map(lambda pairs: str([list(pair) for pair in pairs])),
         st.just('{"parts": [[1, 0]]}'),
+        BAD_DOCS,
     ),
     max_size=3,
 ).map("\n".join)
@@ -77,6 +89,17 @@ def command_lines(draw):
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
 @given(command_lines(), STDIN)
 def test_fuzzed_argv_exits_cleanly(argv, stdin):
+    _exits_cleanly(argv, stdin)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(["lattice", "tree"]), st.lists(BAD_DOCS, min_size=1, max_size=3))
+def test_encode_of_fuzzed_documents_exits_cleanly(codec, lines):
+    # the argv fuzz reaches ``encode`` with a document only now and then
+    _exits_cleanly(["encode", "--codec", codec], "\n".join(lines))
+
+
+def _exits_cleanly(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)

@@ -136,11 +136,17 @@ def test_census_matches_per_u_brute_force(sys23, sys35):
 def test_iter_chains_agrees_with_census(sys23):
     census = chain_census(200, sys23)
     counts = [0] * 201
-    counts[0] = 1
     for total, pairs in iter_chains(200, sys23):
         assert value(Partition(pairs), sys23) == total
         counts[total] += 1
     assert counts == census.counts
+    # the least cut drops only chains below least: brute_force_enumerate(u),
+    # the walk with least = u, lists exactly the uncut walk's chains of sum u
+    for p, q in ((2, 3), (3, 5), (2, 9), (3, 2)):
+        sys_ = make_system(p, q)
+        for u in range(301):
+            uncut = {Partition(pairs) for total, pairs in iter_chains(u, sys_) if total == u}
+            assert brute_force_enumerate(u, sys_) == uncut, (p, q, u)
 
 
 def test_empty_residues_for_min_greater_two(sys35):

@@ -24,7 +24,6 @@ from chainpart.enumeration import (
     ResidueEnumerator,
     SplitEnumerator,
     branch_weight,
-    enumerate_residue,
     sample_uniform,
     unrank,
     walk,
@@ -149,12 +148,12 @@ def test_budget_is_checked_before_any_member_is_built(sys23, monkeypatch):
 
 
 def test_ground_values(sys23):
-    assert enumerate_residue(0, sys23).members == frozenset((Partition(),))
-    assert enumerate_residue(1, sys23).members == frozenset((Partition(((0, 0),)),))
+    assert ResidueEnumerator(sys23).omega_set(0).members == frozenset((Partition(),))
+    assert ResidueEnumerator(sys23).omega_set(1).members == frozenset((Partition(((0, 0),)),))
 
 
 def test_unreachable_sum_is_empty(sys35):
-    assert enumerate_residue(7, sys35).members == frozenset()
+    assert ResidueEnumerator(sys35).omega_set(7).members == frozenset()
 
 
 def test_binary_partition_always_present(sys23, sys25):
@@ -184,7 +183,7 @@ def test_budget_guard(sys23):
 
 
 def test_sorted_by_value_order(sys23):
-    om = enumerate_residue(19, sys23)
+    om = ResidueEnumerator(sys23).omega_set(19)
     ordered = om.sorted_by_value(sys23)
     firsts = [pt.parts[0] for pt in ordered]
     assert firsts == [(1, 2), (4, 0), (2, 1), (2, 1)]
@@ -208,7 +207,7 @@ def test_sampler_two_members_split(sys23):
 def test_sampler_support_and_balance_27(sys23):
     rng = random.Random(9)
     counter = make_counter(sys23)
-    members = enumerate_residue(27, sys23).members
+    members = ResidueEnumerator(sys23).omega_set(27).members
     tally = Counter(sample_uniform(27, sys23, rng, counter) for _ in range(3500))
     assert set(tally) == members
     assert min(tally.values()) > 350
@@ -218,14 +217,15 @@ def test_sampler_general_path_with_rejection(sys35):
     # u = 30 = (3*5)*2 exercises the filtered branch of the decomposition
     rng = random.Random(4)
     counter = make_counter(sys35)
-    members = enumerate_residue(30, sys35).members
+    members = ResidueEnumerator(sys35).omega_set(30).members
     assert len(members) == 2
     tally = Counter(sample_uniform(30, sys35, rng, counter) for _ in range(800))
     assert set(tally) == members
     assert min(tally.values()) > 300
+    residue = ResidueEnumerator(sys35)
     for u in range(1, 200):
         if counter.w(u):
-            assert sample_uniform(u, sys35, rng, counter) in enumerate_residue(u, sys35).members
+            assert sample_uniform(u, sys35, rng, counter) in residue.omega_set(u).members
 
 
 def test_sampler_deterministic_under_seed(sys23):
@@ -238,7 +238,7 @@ def test_sampler_uniform_on_larger_support(sys23):
     # 19 outcomes at u = 171; chi-square against the 0.99 quantile, 18 dof
     rng = random.Random(6)
     counter = make_counter(sys23)
-    members = enumerate_residue(171, sys23).members
+    members = ResidueEnumerator(sys23).omega_set(171).members
     assert len(members) == 19
     draws = 9500
     tally = Counter(sample_uniform(171, sys23, rng, counter) for _ in range(draws))
@@ -253,7 +253,7 @@ def test_sampler_rejection_branch_is_exactly_uniform(sys35):
     # branch whose weight is W(3v) - W(v); frequencies must still be flat
     rng = random.Random(17)
     counter = make_counter(sys35)
-    members = enumerate_residue(2280, sys35).members
+    members = ResidueEnumerator(sys35).omega_set(2280).members
     assert len(members) == 3
     tally = Counter(sample_uniform(2280, sys35, rng, counter) for _ in range(3000))
     assert set(tally) == members

@@ -5,10 +5,13 @@ inverse in O(1): generate every partition shaped like a move's preimage,
 re-sort it, and keep it when its own forward moves (recomputed by the
 set-based ``replay_forward_moves``) lead back.  It is kept here as the oracle
 for ``forward_moves``, ``neighbors`` and the forward-edge ``build_graph``.
+``bfs_layers`` and ``edges`` are the plain breadth-first search and edge set
+that ``diameter`` and ``edge_count`` are checked against.
 """
 
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -26,7 +29,6 @@ from chainpart.enumeration import ResidueEnumerator
 from chainpart.graph23 import (
     TransitionGraph,
     build_graph,
-    connectivity_check,
     diameter_bound,
     forward_moves,
     neighbors,
@@ -101,6 +103,24 @@ def replay_inverse_candidates(pt):
     return cands
 
 
+def bfs_layers(graph, start):
+    """The BFS distance of every vertex reachable from ``start``."""
+    dist = {start: 0}
+    queue = deque((start,))
+    while queue:
+        v = queue.popleft()
+        for w in graph.adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def edges(graph):
+    """The edge set, each edge an unordered pair of vertices."""
+    return {frozenset((v, w)) for v, nbrs in graph.adjacency.items() for w in nbrs}
+
+
 def replay_neighbors(pt):
     out = replay_forward_moves(pt)
     for cand in replay_inverse_candidates(pt):
@@ -133,7 +153,7 @@ def test_build_graph_adjacency_equals_neighbors_to_2000(sys23):
     for u in range(1, 2001):
         graph = build_graph(u, sys23, en)
         assert graph.adjacency == {v: neighbors(v) for v in graph.vertices}, u
-        assert graph.edge_count == len(graph.edges), u
+        assert graph.edge_count == len(edges(graph)), u
 
 
 def test_merge_move_u3(sys23):
@@ -146,9 +166,8 @@ def test_merge_move_u3(sys23):
 def test_g27_shape(sys23):
     graph = build_graph(27, sys23)
     assert len(graph.vertices) == 7
-    assert graph.is_connected()
-    connected, diameter = connectivity_check(27, sys23)
-    assert connected and diameter <= diameter_bound(27)
+    assert len(bfs_layers(graph, graph.vertices[0])) == 7
+    assert graph.diameter() <= diameter_bound(27)
 
 
 def test_build_graph_checks_the_budget_before_building_members(sys23):
@@ -188,7 +207,7 @@ def test_symmetry_closure_connectivity_small(sys23):
                 assert w in members
                 assert v in adjacency[w]
         graph = build_graph(u, sys23, en)
-        assert graph.is_connected()
+        assert len(bfs_layers(graph, graph.vertices[0])) == len(members)
         assert graph.diameter() <= diameter_bound(u)
 
 
@@ -196,7 +215,7 @@ def test_diameter_equals_largest_bfs_distance(sys23):
     en = ResidueEnumerator(sys23)
     for u in list(range(1, 2001)) + [99000]:
         graph = build_graph(u, sys23, en)
-        farthest = max(max(graph.bfs_layers(v).values()) for v in graph.vertices)
+        farthest = max(max(bfs_layers(graph, v).values()) for v in graph.vertices)
         assert graph.diameter() == farthest, u
 
 

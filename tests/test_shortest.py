@@ -7,11 +7,11 @@ import pytest
 
 from chainpart.core import UnreachableSumError, chain_census, make_system, validate, value
 from chainpart.counting import make_counter
-from chainpart.shortest import ChainCost, ShortestTable, chain_cost, chain_pow, sigma
+from chainpart.shortest import ChainCost, ShortestTable, chain_cost, chain_pow
 
 
 def test_sigma_19(sys23):
-    res = sigma(19, sys23)
+    res = ShortestTable(sys23).witness(19)
     assert res.sigma == 2
     assert res.witness == validate([18, 1], sys23)
 

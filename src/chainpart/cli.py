@@ -17,7 +17,7 @@ import json
 import os
 import random
 import sys as _sys
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import acceptance, analytics, codec, core, counting, enumeration, graph23, shortest
 from .core import (
@@ -88,16 +88,29 @@ def _system(args: argparse.Namespace) -> PQSystem:
     return make_system(args.p, args.q)
 
 
-def _emit_partition(pt: Partition, sys_: PQSystem, fmt: str) -> str:
-    if fmt == "json":
-        return core.to_json(pt, sys_, include_values=True)
-    if fmt == "csv":
-        values = " ".join(str(core.part_value(pair, sys_)) for pair in pt.parts)
-        return f"{core.value(pt, sys_)},{values}"
+def _member_line(members: Iterable[Partition], sys_: PQSystem, u: int,
+                 fmt: str) -> Callable[[Partition], str]:
+    """The line of one member of Omega(u) in ``fmt``, without the newline.
+
+    The json and csv lines are put together from the text of each distinct
+    pair and its value, made once per call, and the sum is u for every
+    member; a json line is ``core.to_json(pt, sys_, include_values=True)``.
+    """
     if fmt == "words":
-        return codec.lattice_encode(pt)
+        return codec.lattice_encode
     if fmt == "tree":
-        return codec.tree_encode(pt, sys_).render(sys_)
+        return lambda pt: codec.tree_encode(pt, sys_).render(sys_)
+    values = {(a, b): str(sys_.p**a * sys_.q**b)
+              for a, b in {pair for pt in members for pair in pt.parts}}
+    if fmt == "csv":
+        head, text = f"{u},", values.__getitem__
+        return lambda pt: head + " ".join(map(text, pt.parts))
+    if fmt == "json":
+        pairs = {(a, b): f"[{a},{b}]" for a, b in values}
+        quoted = {pair: f'"{v}"' for pair, v in values.items()}
+        head, mid = f'{{"p":{sys_.p},"q":{sys_.q},"parts":[', f'],"sum":"{u}","values":['
+        return lambda pt: (head + ",".join(map(pairs.__getitem__, pt.parts)) + mid
+                           + ",".join(map(quoted.__getitem__, pt.parts)) + "]}")
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -107,10 +120,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.u > ceiling:
         raise core.BudgetError(f"u={args.u} exceeds the enumeration ceiling {ceiling}")
     members = enumeration.ResidueEnumerator(sys_, args.budget).omega_set(args.u)
+    line = _member_line(members, sys_, args.u, args.format)
     if args.format == "csv":
         print("u,values")
-    for pt in members.sorted_by_value(sys_):
-        print(_emit_partition(pt, sys_, args.format))
+    ordered = members.sorted_by_value(sys_)
+    write = _sys.stdout.write
+    for lo in range(0, len(ordered), _BLOCK_LINES):
+        write("".join([line(pt) + "\n" for pt in ordered[lo:lo + _BLOCK_LINES]]))
     return 0
 
 
@@ -204,12 +220,11 @@ def _parse_partition_line(line: str, sys_: PQSystem) -> Partition:
         pt, _ = core.from_json(line, sys_)
         return pt
     if line.startswith("["):
-        pairs = json.loads(line)
         try:
-            return Partition.from_pairs((int(a), int(b)) for a, b in pairs)
-        except (TypeError, OverflowError) as exc:
+            return Partition.from_pairs(core.json_pairs(json.loads(line)))
+        except TypeError as exc:
             raise core.PartitionError(f"not a list of exponent pairs: {exc}") from None
-    return core.validate((int(tok) for tok in line.split()), sys_)
+    return core.validate(line.split(), sys_)
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:

@@ -24,6 +24,7 @@ contain neither 02 nor 12 as a factor; for fixed U they form an infix code
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -36,6 +37,7 @@ from .core import (
 from .decomposition import Branch, binary_table
 
 TREE_LETTERS = ("1", "2", "q")
+_TREE_LETTER_SET = frozenset(TREE_LETTERS)
 LATTICE_ALPHABET = "0123"
 
 
@@ -51,9 +53,9 @@ class TreeWord:
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for ch in self.letters:
-            if ch not in TREE_LETTERS:
-                raise MalformedWordError(f"invalid tree letter {ch!r}")
+        if not _TREE_LETTER_SET.issuperset(self.letters):
+            ch = next(ch for ch in self.letters if ch not in _TREE_LETTER_SET)
+            raise MalformedWordError(f"invalid tree letter {ch!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -63,8 +65,8 @@ class TreeWord:
 
         For q >= 10 letters are separated by '.' so the text stays parseable.
         """
-        tokens = [str(sys.q) if ch == "q" else ch for ch in self.letters]
-        return ".".join(tokens) if sys.q >= 10 else "".join(tokens)
+        text = ".".join(self.letters) if sys.q >= 10 else "".join(self.letters)
+        return text.replace("q", str(sys.q))
 
     @classmethod
     def parse(cls, text: str, sys: PQSystem) -> "TreeWord":
@@ -88,32 +90,30 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
 
     At each node the word takes the first branch whose leading label can be
     undone, judged by the smallest part (a, b): 2 needs a > 0, q needs b > 0,
-    and 1 needs b = 0 (a positive binary amount).  The partition being undone
-    is held as exponent offsets, a pointer into its parts with b > 0 and its
-    binary amount, so each letter costs O(1) amortized, not a new tuple.
+    and 1 needs b = 0 (a positive binary amount).  That choice is read from a
+    table built once per system (``_tree_branches``) by the residue and the
+    state of the smallest part.  The partition being undone is held as
+    exponent offsets, a pointer into its parts with b > 0 and its binary
+    amount, so each letter costs O(1) amortized, not a new tuple.
     """
     _require_p2(sys)
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no tree word")
-    decomposition = binary_table(sys)
+    modulus, branches = _tree_branches(sys)
     u = value(pt, sys)
     # The current partition is the pairs (a - da, b - db) of rest[i:] plus the
     # powers of 2 that sum to ``amount``.
     rest = [(a, b) for a, b in reversed(pt.parts) if b > 0]  # smallest first
     amount = sum(1 << a for a, b in pt.parts if b == 0)
     da = db = i = 0
-    letters: list[str] = []
+    labels: list[str] = []
     while u > 1:
-        v, r = divmod(u, decomposition.modulus)
-        if amount:
-            a, b = (amount & -amount).bit_length() - 1, 0
+        v, r = divmod(u, modulus)
+        if amount:  # the smallest part is 2^a with b = 0; a > 0 when amount is even
+            branch = branches[r][0 if amount & 1 else 1]
         else:
-            a, b = rest[i][0] - da, rest[i][1] - db
-        undoable = {"2": a > 0, "q": b > 0, "1": b == 0}
-        for branch in decomposition.rows[r]:
-            if undoable[branch.labels[0]]:
-                break
-        else:
+            branch = branches[r][3 if rest[i][0] > da else 2]
+        if branch is None:
             raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
         for letter in branch.labels:
             if letter == "1":
@@ -126,11 +126,30 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
                 while i < len(rest) and rest[i][1] == db:
                     amount += 1 << (rest[i][0] - da)
                     i += 1
-        letters.extend(branch.labels)
+        labels.append(branch.labels)
         u = branch.mul * v + branch.off
     if amount != 1 or i < len(rest):
         raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
-    return TreeWord(tuple(letters))
+    return TreeWord(tuple("".join(labels)))
+
+
+@functools.lru_cache(maxsize=128)
+def _tree_branches(sys: PQSystem) -> tuple[int, tuple[tuple[Optional[Branch], ...], ...]]:
+    """The modulus, and per residue the branch ``tree_encode`` takes in each state.
+
+    The states of the smallest part (a, b) are 0: b = 0, a = 0; 1: b = 0,
+    a > 0; 2: b > 0, a = 0; 3: b > 0, a > 0.  The branch is the row's first
+    whose leading label can be undone, or None when there is none.
+    """
+    decomposition = binary_table(sys)
+    rows = []
+    for row in decomposition.rows:
+        by_state = []
+        for a_pos, b_pos in ((False, False), (True, False), (False, True), (True, True)):
+            undoable = {"2": a_pos, "q": b_pos, "1": not b_pos}
+            by_state.append(next((br for br in row if undoable[br.labels[0]]), None))
+        rows.append(tuple(by_state))
+    return decomposition.modulus, tuple(rows)
 
 
 def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
@@ -193,57 +212,56 @@ class TreeLanguage:
 
 
 def lattice_encode(pt: Partition) -> str:
-    """The canonical lattice word of a nonempty partition."""
+    """The canonical lattice word of a nonempty partition.
+
+    The path goes North before East, so it is one run of letters per step of
+    the chain: 2s then 0s up to the smallest part (a0, b0), then for each
+    next part, da and db further on, 3 and db - 1 2s and da 0s when db > 0,
+    else 1 and da - 1 0s, and a final 3 at the largest part.
+    """
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no lattice word")
-    chain = list(reversed(pt.parts))  # ascending: smallest part first
-    top = chain[-1]
-    members = set(chain)
-    out: list[str] = []
-    cur = (0, 0)
-    idx = 0
-    while True:
-        in_chain = cur in members
-        if cur == top:
-            out.append("3")
-            break
-        while chain[idx] == cur or (chain[idx][0] <= cur[0] and chain[idx][1] <= cur[1]):
-            idx += 1
-        target = chain[idx]
-        if cur[1] < target[1]:  # North before East: minimal abscissas
-            out.append("3" if in_chain else "2")
-            cur = (cur[0], cur[1] + 1)
+    parts = pt.parts
+    a, b = parts[-1]
+    runs = ["2" * b, "0" * a]
+    for k in range(len(parts) - 2, -1, -1):
+        a1, b1 = parts[k]
+        if b1 > b:
+            runs.append("3" + "2" * (b1 - b - 1) + "0" * (a1 - a))
         else:
-            out.append("1" if in_chain else "0")
-            cur = (cur[0] + 1, cur[1])
-    return "".join(out)
+            runs.append("1" + "0" * (a1 - a - 1))
+        a, b = a1, b1
+    runs.append("3")
+    return "".join(runs)
 
 
 def is_valid_lattice_word(word: str) -> bool:
     """Syntactic membership test: ends in 3, no factor 02 or 12."""
-    if not word or any(ch not in LATTICE_ALPHABET for ch in word):
-        return False
-    if word[-1] != "3":
-        return False
-    return "02" not in word and "12" not in word
+    return (word[-1:] == "3" and not word.strip(LATTICE_ALPHABET)
+            and "02" not in word and "12" not in word)
 
 
 def lattice_decode(word: str) -> Partition:
-    """Rebuild the chain encoded by a canonical lattice word."""
+    """Rebuild the chain encoded by a canonical lattice word.
+
+    The path's point (a, b) is counted up letter by letter: 0 and 1 step
+    East, 2 and 3 North, and 1 and 3 put the point they stand on in C.
+    """
     if not is_valid_lattice_word(word):
         raise MalformedWordError(f"{word!r} is not a lattice word")
-    cur = (0, 0)
     chain: list[tuple[int, int]] = []
-    last = len(word) - 1
-    for i, ch in enumerate(word):
-        if ch in "13":
-            chain.append(cur)
-        if i == last:
-            break
-        if ch in "01":
-            cur = (cur[0] + 1, cur[1])
+    a = b = 0
+    for ch in word:
+        if ch == "0":
+            a += 1
+        elif ch == "2":
+            b += 1
         else:
-            cur = (cur[0], cur[1] + 1)
+            chain.append((a, b))
+            if ch == "1":
+                a += 1
+            else:
+                b += 1
     return Partition(tuple(reversed(chain)))
 
 

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 #: Largest U accepted by the brute-force enumerator unless overridden.
 DEFAULT_ENUMERATION_CEILING = 10**7
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class ChainPartError(Exception):
@@ -196,7 +199,18 @@ def validate(values: Iterable[int], sys: PQSystem) -> Partition:
 
     Raises NonSmoothPartError, DuplicatePartError or ChainBreakError with the
     offending parts named; accepts the empty multiset (partition of 0).
+
+    The values are valid exactly when the smallest is p^a * q^b and each
+    value over the next smaller one is an integer p^i * q^j > 1, so only the
+    smallest value and those small ratios are factored, and the exponent
+    pairs are their running sums.  When a step fails, each value is factored
+    on its own in input order, so the first non-smooth value in the input is
+    the one named.
     """
+    values = list(values)
+    pairs = _chain_by_ratios(values, sys)
+    if pairs is not None:
+        return Partition(pairs)
     decorated = []
     for v in values:
         v = int(v)
@@ -211,6 +225,34 @@ def validate(values: Iterable[int], sys: PQSystem) -> Partition:
         if v1 % v2 != 0:
             raise ChainBreakError(f"{v2} does not divide {v1}")
     return Partition(tuple(pair for _, pair in decorated))
+
+
+def _chain_by_ratios(values: list, sys: PQSystem) -> Optional[tuple[tuple[int, int], ...]]:
+    """The exponent pairs of a valid multiset of values, largest first, else None."""
+    try:
+        desc = sorted(map(int, values), reverse=True)
+    except (TypeError, ValueError, OverflowError):  # the per-value loop raises it in place
+        return None
+    if not desc:
+        return ()
+    pair = factor_value(desc[-1], sys)
+    if pair is None:
+        return None
+    a, b = pair
+    pairs = [pair]
+    steps: dict[int, Optional[tuple[int, int]]] = {}  # ratio -> its factors
+    for i in range(len(desc) - 2, -1, -1):
+        k, rem = divmod(desc[i], desc[i + 1])
+        if rem or k < 2:
+            return None
+        if k not in steps:
+            steps[k] = factor_value(k, sys)
+        step = steps[k]
+        if step is None:
+            return None
+        a, b = a + step[0], b + step[1]
+        pairs.append((a, b))
+    return tuple(reversed(pairs))
 
 
 def map_p(pt: Partition) -> Partition:
@@ -338,34 +380,53 @@ def to_json(pt: Partition, sys: PQSystem, include_values: bool = False) -> str:
     """Serialize as ``{"p":2,"q":3,"parts":[[a,b],...],"sum":"19"}``.
 
     The sum (and the optional per-part values) are decimal strings so that
-    arbitrary-precision entries survive lossy JSON readers.
+    arbitrary-precision entries survive lossy JSON readers.  The text is the
+    compact ``json.dumps`` of that document, formatted in one pass that
+    computes each part value once and takes the sum from those values.
     """
-    doc: dict = {
-        "p": sys.p,
-        "q": sys.q,
-        "parts": [[a, b] for a, b in pt.parts],
-        "sum": str(value(pt, sys)),
-    }
+    p, q = sys.p, sys.q
+    values = [p**a * q**b for a, b in pt.parts]
+    pairs = ",".join([f"[{a},{b}]" for a, b in pt.parts])
+    text = f'{{"p":{p},"q":{q},"parts":[{pairs}],"sum":"{sum(values)}"'
     if include_values:
-        doc["values"] = [str(part_value(pair, sys)) for pair in pt.parts]
-    return json.dumps(doc, separators=(",", ":"))
+        return text + ',"values":[' + ",".join([f'"{v}"' for v in values]) + "]}"
+    return text + "}"
 
 
 def from_json(text: str, sys: Optional[PQSystem] = None) -> tuple[Partition, PQSystem]:
     """Parse the JSON form, verifying the chain and the recorded sum.
 
-    A document of the wrong shape (a missing key, parts that are no list of
-    pairs, an exponent that is no finite number) raises PartitionError.
+    The bases and exponents must be JSON integers and the sum an integer or
+    a decimal string.  A document of the wrong shape (a missing key, parts
+    that are no list of pairs, a fraction, a boolean or text where an integer
+    belongs) raises PartitionError.
     """
     doc = json.loads(text)
     try:
         if sys is None:
-            sys = make_system(int(doc["p"]), int(doc["q"]))
-        elif (int(doc.get("p", sys.p)), int(doc.get("q", sys.q))) != (sys.p, sys.q):
+            sys = make_system(_json_int(doc["p"], "p"), _json_int(doc["q"], "q"))
+        elif (_json_int(doc.get("p", sys.p), "p"),
+              _json_int(doc.get("q", sys.q), "q")) != (sys.p, sys.q):
             raise PartitionError("document bases differ from the requested system")
-        pt = Partition.from_pairs((int(a), int(b)) for a, b in doc["parts"])
-        if "sum" in doc and int(doc["sum"]) != value(pt, sys):
+        pt = Partition.from_pairs(json_pairs(doc["parts"]))
+        if "sum" in doc and _json_sum(doc["sum"]) != value(pt, sys):
             raise PartitionError("recorded sum does not match the parts")
-    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise PartitionError(f"not a partition document: {type(exc).__name__}: {exc}") from None
     return pt, sys
+
+
+def json_pairs(items: Iterable) -> list[tuple[int, int]]:
+    """The exponent pairs of a JSON list of ``[a, b]`` lists; each must be an integer."""
+    return [(_json_int(a, "exponent"), _json_int(b, "exponent")) for a, b in items]
+
+
+def _json_int(x: object, what: str) -> int:
+    # bool is a subclass of int, so the exact type keeps true and false out
+    if type(x) is not int:
+        raise PartitionError(f"{what} must be an integer, not {type(x).__name__}")
+    return x
+
+
+def _json_sum(x: object) -> int:
+    return int(x) if isinstance(x, str) and _DECIMAL.fullmatch(x) else _json_int(x, "sum")

@@ -143,6 +143,22 @@ def test_encode_refuses_lines_of_the_wrong_shape(capsys, monkeypatch):
         assert err.startswith("error: ") and "Traceback" not in err, line
 
 
+def test_encode_refuses_fractions_and_booleans(capsys, monkeypatch):
+    # each of these once printed the word 03 of the partition 2 and exited 0
+    for line in ('[[1.5,0]]', '{"p":2.9,"q":3,"parts":[[1.9,0]],"sum":2.5}',
+                 '[[true,false]]', '{"p":2,"q":3,"parts":[[1,0]],"sum":2.0}',
+                 '{"p":"2","q":3,"parts":[[1,0]]}', '{"p":2,"q":3,"parts":[[1,0]],"sum":"2.0"}'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        code, out, err = run(capsys, "encode")
+        assert (code, out) == (1, ""), line
+        assert err.startswith("error: ") and "Traceback" not in err, line
+    # a sum is an integer or a decimal string
+    for line in ('{"p":2,"q":3,"parts":[[1,0]],"sum":2}', '{"p":2,"q":3,"parts":[[1,0]],"sum":"2"}',
+                 '[[1,0]]'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        assert run(capsys, "encode")[:2] == (0, "03\n"), line
+
+
 def test_scan_smallw_csv(capsys):
     code, out, _ = run(capsys, "scan", "smallw", "--limit", "12", "--emit", "csv")
     assert code == 0

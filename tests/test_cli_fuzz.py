@@ -35,6 +35,9 @@ BASES = st.sampled_from(["2", "3", "5", "7", "4", "9", "1"])
 # exponents that are no integers (null, text, fractions, infinities).
 JSON_SCALARS = st.one_of(st.none(), st.integers(-2, 5), st.floats(), st.text("ab1", max_size=2))
 JSON_PAIRS = st.lists(st.lists(st.one_of(st.integers(0, 4), JSON_SCALARS), max_size=3), max_size=3)
+# Pair lists for ``encode``: integer exponents, and fractions and booleans,
+# which it refuses.
+EXPONENTS = st.one_of(st.integers(0, 4), st.floats(0, 4), st.booleans())
 BAD_DOCS = st.one_of(
     st.dictionaries(st.sampled_from(["p", "q", "parts", "sum"]),
                     st.one_of(JSON_SCALARS, JSON_PAIRS), max_size=4),
@@ -45,8 +48,8 @@ STDIN = st.lists(
     st.one_of(
         st.text("0123456789 ", max_size=12),
         st.text("12q", max_size=8),
-        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3)
-        .map(lambda pairs: str([list(pair) for pair in pairs])),
+        st.lists(st.tuples(EXPONENTS, EXPONENTS), max_size=3)
+        .map(lambda pairs: json.dumps([list(pair) for pair in pairs])),
         st.just('{"parts": [[1, 0]]}'),
         BAD_DOCS,
     ),

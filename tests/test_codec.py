@@ -132,6 +132,40 @@ def test_code_properties_small(sys23):
         assert check_infix_code([lattice_encode(pt) for pt in en.omega(u)]) is None
 
 
+def _lattice_encode_per_letter(pt):
+    """``lattice_encode`` as it was: one letter per loop pass along the path."""
+    chain = list(reversed(pt.parts))  # ascending: smallest part first
+    top = chain[-1]
+    members = set(chain)
+    out = []
+    cur = (0, 0)
+    idx = 0
+    while True:
+        in_chain = cur in members
+        if cur == top:
+            out.append("3")
+            break
+        while chain[idx] == cur or (chain[idx][0] <= cur[0] and chain[idx][1] <= cur[1]):
+            idx += 1
+        target = chain[idx]
+        if cur[1] < target[1]:  # North before East: minimal abscissas
+            out.append("3" if in_chain else "2")
+            cur = (cur[0], cur[1] + 1)
+        else:
+            out.append("1" if in_chain else "0")
+            cur = (cur[0] + 1, cur[1])
+    return "".join(out)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (5, 7)])
+def test_lattice_encode_equals_per_letter_oracle(p, q):
+    sys_ = make_system(p, q)
+    en = ResidueEnumerator(sys_)
+    for u in range(1, 3001):
+        for pt in en.omega(u):
+            assert lattice_encode(pt) == _lattice_encode_per_letter(pt), pt
+
+
 def test_grammar_bijection_short_words():
     seen = set()
     for word in lattice_language(8):

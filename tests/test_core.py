@@ -196,3 +196,73 @@ def test_factor_value_equals_single_divisions(p, q):
         v = p ** a * q ** b * rng.choice((1, 7, p * q + 1))
         assert factor_value(v, sys_) == _factor_by_single_divisions(v, sys_), (a, b)
     assert factor_value(p ** 3000 * q ** 2999, sys_) == (3000, 2999)
+
+
+def _validate_per_value(values, sys_):
+    """``validate`` as it was: factor every value on its own, in input order."""
+    decorated = []
+    for v in values:
+        v = int(v)
+        pair = factor_value(v, sys_)
+        if pair is None:
+            raise NonSmoothPartError(f"{v} is not of the form {sys_.p}^a*{sys_.q}^b")
+        decorated.append((v, pair))
+    decorated.sort(reverse=True)
+    for (v1, _), (v2, _) in zip(decorated, decorated[1:]):
+        if v1 == v2:
+            raise DuplicatePartError(f"part {v1} occurs more than once")
+        if v1 % v2 != 0:
+            raise ChainBreakError(f"{v2} does not divide {v1}")
+    return Partition(tuple(pair for _, pair in decorated))
+
+
+def _outcome(check, values, sys_):
+    try:
+        return check(list(values), sys_)
+    except Exception as exc:  # the class and the message are compared
+        return type(exc), str(exc)
+
+
+def _chain_values(rng, sys_, parts):
+    """Part values of a random chain, with steps of up to p^2 q^2 between parts."""
+    a, b = rng.randrange(3), rng.randrange(3)
+    chain = [(a, b)]
+    for _ in range(parts - 1):
+        da, db = rng.choice([(1, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)])
+        a, b = a + da, b + db
+        chain.append((a, b))
+    return [sys_.p**a * sys_.q**b for a, b in chain]
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 2), (3, 4), (5, 7), (9, 10)])
+def test_validate_equals_per_value_oracle(p, q):
+    sys_ = make_system(p, q)
+    rng = random.Random(1000 * p + q)
+    stranger = p * q + 1  # coprime to p and q
+    for parts in (1, 2, 3, 8, 40, 300, 1500):
+        values = _chain_values(rng, sys_, parts)
+        rng.shuffle(values)
+        i, j = rng.randrange(parts), rng.randrange(parts)
+        a, b = factor_value(values[i], sys_)
+        cases = [
+            values,
+            values + [values[i]],  # a duplicate
+            values[:i] + [values[i] * stranger] + values[i + 1:],  # not smooth
+            values[:i] + [0] + values[i + 1:],
+            values[:i] + [-values[i]] + values[i + 1:],
+            # smooth, but no chain: (a + 1, b - 1) or (a - 1, b + 1) against (a, b)
+            values + [p**(a + 1) * q**(b - 1) if b else p**(a - 1) * q**(b + 1) if a
+                      else p * q],
+            values + [values[j] * p * q],  # one more chain step, or a break
+        ]
+        if parts > 1:
+            # two non-smooth values: the first in input order is the one named
+            twice = list(values)
+            twice[i] *= stranger
+            twice[j] = twice[j] * stranger + (i == j)
+            cases.append(twice)
+            cases.append(values[:j] + [values[j] * (p**3 if rng.random() < 0.5 else q**3)]
+                         + values[j + 1:])  # a gap that may still be a chain
+        for case in cases:
+            assert _outcome(validate, case, sys_) == _outcome(_validate_per_value, case, sys_), \
+                (parts, case[:4])

@@ -88,30 +88,75 @@ def _system(args: argparse.Namespace) -> PQSystem:
     return make_system(args.p, args.q)
 
 
-def _member_line(members: Iterable[Partition], sys_: PQSystem, u: int,
-                 fmt: str) -> Callable[[Partition], str]:
+class _TextOf(dict):
+    """``make(key)`` for each key, made on its first lookup and kept."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+def _pair_texts(sys_: PQSystem) -> tuple[_TextOf, Callable[[tuple, object], str]]:
+    """The decimal value of each exponent pair, and the json line of a partition.
+
+    ``json_line(parts, total)`` is ``core.to_json(pt, sys_, include_values=True)``
+    for a nonempty partition with sum ``total``, put together from the text of
+    each distinct pair and its value, made once per call of this function.
+    """
+    p, q = sys_.p, sys_.q
+    values = _TextOf(lambda pair: str(p**pair[0] * q**pair[1]))
+    pairs = _TextOf(lambda pair: f"{pair[0]},{pair[1]}")
+    head = f'{{"p":{p},"q":{q},"parts":[['
+
+    def json_line(parts: tuple, total: object) -> str:
+        return (head + "],[".join(map(pairs.__getitem__, parts)) + f']],"sum":"{total}","values":["'
+                + '","'.join(map(values.__getitem__, parts)) + '"]}')
+
+    return values, json_line
+
+
+def _member_line(sys_: PQSystem, u: int, fmt: str) -> Callable[[Partition], str]:
     """The line of one member of Omega(u) in ``fmt``, without the newline.
 
-    The json and csv lines are put together from the text of each distinct
-    pair and its value, made once per call, and the sum is u for every
-    member; a json line is ``core.to_json(pt, sys_, include_values=True)``.
+    The sum is u for every member; the json and csv lines read the text of
+    each pair and its value from ``_pair_texts``.
     """
     if fmt == "words":
         return codec.lattice_encode
     if fmt == "tree":
         return lambda pt: codec.tree_encode(pt, sys_).render(sys_)
-    values = {(a, b): str(sys_.p**a * sys_.q**b)
-              for a, b in {pair for pt in members for pair in pt.parts}}
+    values, json_line = _pair_texts(sys_)
     if fmt == "csv":
         head, text = f"{u},", values.__getitem__
         return lambda pt: head + " ".join(map(text, pt.parts))
     if fmt == "json":
-        pairs = {(a, b): f"[{a},{b}]" for a, b in values}
-        quoted = {pair: f'"{v}"' for pair, v in values.items()}
-        head, mid = f'{{"p":{sys_.p},"q":{sys_.q},"parts":[', f'],"sum":"{u}","values":['
-        return lambda pt: (head + ",".join(map(pairs.__getitem__, pt.parts)) + mid
-                           + ",".join(map(quoted.__getitem__, pt.parts)) + "]}")
+        total = str(u)
+        return lambda pt: json_line(pt.parts, total)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline, ``_BLOCK_LINES`` lines per write.
+
+    When ``lines`` raises, the lines finished before it are written first.
+    """
+    write = _sys.stdout.write  # looked up per call, so a swapped stdout is honoured
+    block: list[str] = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == _BLOCK_LINES:
+                block.append("")  # the last newline, without a second copy of the block
+                write("\n".join(block))
+                block = []
+    finally:
+        if block:
+            block.append("")
+            write("\n".join(block))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -120,13 +165,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.u > ceiling:
         raise core.BudgetError(f"u={args.u} exceeds the enumeration ceiling {ceiling}")
     members = enumeration.ResidueEnumerator(sys_, args.budget).omega_set(args.u)
-    line = _member_line(members, sys_, args.u, args.format)
+    line = _member_line(sys_, args.u, args.format)
     if args.format == "csv":
         print("u,values")
-    ordered = members.sorted_by_value(sys_)
-    write = _sys.stdout.write
-    for lo in range(0, len(ordered), _BLOCK_LINES):
-        write("".join([line(pt) + "\n" for pt in ordered[lo:lo + _BLOCK_LINES]]))
+    _write_lines(map(line, members.sorted_by_value(sys_)))
     return 0
 
 
@@ -200,6 +242,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     sys_ = _system(args)
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
     rng = random.Random(args.seed)
     counter = counting.make_counter(sys_)
     for _ in range(args.n):
@@ -229,26 +273,31 @@ def _parse_partition_line(line: str, sys_: PQSystem) -> Partition:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     sys_ = _system(args)
-    for line in _iter_stdin():
-        pt = _parse_partition_line(line, sys_)
-        if args.codec == "tree":
-            print(codec.tree_encode(pt, sys_).render(sys_))
-        else:
-            print(codec.lattice_encode(pt))
+    pts = (_parse_partition_line(line, sys_) for line in _iter_stdin())
+    if args.codec == "tree":
+        _write_lines(codec.tree_encode(pt, sys_).render(sys_) for pt in pts)
+    else:
+        _write_lines(map(codec.lattice_encode, pts))
     return 0
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     sys_ = _system(args)
-    for line in _iter_stdin():
-        if args.codec == "tree":
-            _, pt = codec.tree_decode(codec.TreeWord.parse(line, sys_), sys_)
-        else:
-            pt = codec.lattice_decode(line)
-        if args.format == "values":
-            print(" ".join(str(core.part_value(pair, sys_)) for pair in pt.parts))
-        else:
-            print(core.to_json(pt, sys_, include_values=True))
+    values, json_line = _pair_texts(sys_)
+    tree = args.codec == "tree"
+
+    def decoded() -> Iterable[tuple[int, Partition]]:
+        for line in _iter_stdin():
+            if tree:
+                yield codec.tree_decode(codec.TreeWord.parse(line, sys_), sys_)
+            else:
+                pt = codec.lattice_decode(line)
+                yield core.value(pt, sys_), pt
+
+    if args.format == "values":
+        _write_lines(" ".join(map(values.__getitem__, pt.parts)) for _, pt in decoded())
+    else:
+        _write_lines(json_line(pt.parts, total) for total, pt in decoded())
     return 0
 
 

@@ -28,13 +28,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (
-    MalformedWordError,
-    Partition,
-    PQSystem,
-    value,
-)
-from .decomposition import Branch, binary_table
+from .core import MalformedWordError, Partition, PQSystem
+from .decomposition import binary_table
 
 TREE_LETTERS = ("1", "2", "q")
 _TREE_LETTER_SET = frozenset(TREE_LETTERS)
@@ -70,15 +65,24 @@ class TreeWord:
 
     @classmethod
     def parse(cls, text: str, sys: PQSystem) -> "TreeWord":
+        """The word of a rendered text; MalformedWordError names the first bad token.
+
+        Undotted text for q < 10 is checked with one ``strip`` of the three
+        letter digits and mapped with one ``replace``; dotted text, and any
+        text for q >= 10, is read token by token.
+        """
         text = text.strip()
         if not text:
             return cls(())
+        q = str(sys.q)
+        if sys.q < 10 and "." not in text and not text.strip("12" + q):
+            return cls(tuple(text.replace(q, "q")))
         tokens = text.split(".") if "." in text or sys.q >= 10 else list(text)
         letters = []
         for tok in tokens:
             if tok == "1" or tok == "2":
                 letters.append(tok)
-            elif tok == str(sys.q):
+            elif tok == q:
                 letters.append("q")
             else:
                 raise MalformedWordError(f"token {tok!r} is not a letter for {sys}")
@@ -88,97 +92,153 @@ class TreeWord:
 def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
     """The root-to-leaf label word of ``pt`` in the binary table.
 
-    At each node the word takes the first branch whose leading label can be
-    undone, judged by the smallest part (a, b): 2 needs a > 0, q needs b > 0,
-    and 1 needs b = 0 (a positive binary amount).  That choice is read from a
-    table built once per system (``_tree_branches``) by the residue and the
-    state of the smallest part.  The partition being undone is held as
-    exponent offsets, a pointer into its parts with b > 0 and its binary
-    amount, so each letter costs O(1) amortized, not a new tuple.
+    The walk undoes one label at a time, so that what is left is always a
+    node of the table, held as exponent offsets da and db, its parts with
+    b > 0 (a pointer into them, smallest first) and its binary amount, the
+    sum of its parts with b = 0.  It needs neither the sum nor big-integer
+    division, only the node's residue mod 2q:
+    - With no binary amount, every part is a multiple of q, and the label is
+      q (the rows 0 and q of the table start with it).
+    - Otherwise the node is the amount plus q times a number that is odd
+      exactly when an odd number of the parts with b > 0 have a = da.  An
+      odd amount (the part 1) undoes the row's label that starts with 1, and
+      an even one the row's first label that starts with 2 or 1
+      (``_undo_labels``); of 1q only the 1 is undone, which empties the
+      amount, so the next label is its q.
+    Each letter costs O(1) amortized, not a new tuple.
     """
     _require_p2(sys)
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no tree word")
-    modulus, branches = _tree_branches(sys)
-    u = value(pt, sys)
-    # The current partition is the pairs (a - da, b - db) of rest[i:] plus the
-    # powers of 2 that sum to ``amount``.
-    rest = [(a, b) for a, b in reversed(pt.parts) if b > 0]  # smallest first
-    amount = sum(1 << a for a, b in pt.parts if b == 0)
-    da = db = i = 0
+    q = sys.q
+    modulus = 2 * q
+    odd, even = _undo_labels(sys)
+    # the parts with b = 0 end the chain: they make the amount, and the
+    # others, smallest first, are rest
+    parts = pt.parts
+    n_rest, amount = len(parts), 0
+    while n_rest and not parts[n_rest - 1][1]:
+        n_rest -= 1
+        amount += 1 << parts[n_rest][0]
+    rest = parts[n_rest - 1::-1] if n_rest else ()
+    # the node is the amount and the parts (a - da, b - db) of rest[i:], of
+    # which rest[i:k] have a = da
+    da = db = i = k = 0
+    while k < n_rest and rest[k][0] == 0:
+        k += 1
     labels: list[str] = []
-    while u > 1:
-        v, r = divmod(u, modulus)
-        if amount:  # the smallest part is 2^a with b = 0; a > 0 when amount is even
-            branch = branches[r][0 if amount & 1 else 1]
+    append = labels.append
+    while True:
+        if not amount:
+            db += 1
+            while i < n_rest and rest[i][1] == db:
+                amount += 1 << (rest[i][0] - da)
+                i += 1
+            if i < n_rest and rest[i][1] <= db:
+                raise MalformedWordError("partition does not reduce to the leaf")  # not a chain
+            if k < i:
+                k = i
+            append("q")
+            continue
+        if amount & 1:
+            if amount == 1 and i == n_rest:
+                break
+            label = odd[(amount + (q if k - i & 1 else 0)) % modulus]
         else:
-            branch = branches[r][3 if rest[i][0] > da else 2]
-        if branch is None:
+            label = even[amount % modulus]
+        if label == "1":
+            amount -= 1
+        elif label is None:
             raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
-        for letter in branch.labels:
-            if letter == "1":
-                amount -= 1
-            elif letter == "2":
-                da += 1
-                amount >>= 1
-            else:
-                db += 1
-                while i < len(rest) and rest[i][1] == db:
-                    amount += 1 << (rest[i][0] - da)
-                    i += 1
-        labels.append(branch.labels)
-        u = branch.mul * v + branch.off
-    if amount != 1 or i < len(rest):
-        raise MalformedWordError("partition does not reduce to the leaf")  # unreachable
+        else:  # 2 or 12: an odd amount drops the part 1, then halves
+            amount >>= 1
+            da += 1
+            while k < n_rest and rest[k][0] == da:
+                k += 1
+        append(label)
     return TreeWord(tuple("".join(labels)))
 
 
 @functools.lru_cache(maxsize=128)
-def _tree_branches(sys: PQSystem) -> tuple[int, tuple[tuple[Optional[Branch], ...], ...]]:
-    """The modulus, and per residue the branch ``tree_encode`` takes in each state.
+def _undo_labels(sys: PQSystem) -> tuple[tuple[Optional[str], ...], tuple[Optional[str], ...]]:
+    """Per residue mod 2q, the label ``tree_encode`` undoes from an odd and an even amount.
 
-    The states of the smallest part (a, b) are 0: b = 0, a = 0; 1: b = 0,
-    a > 0; 2: b > 0, a = 0; 3: b > 0, a > 0.  The branch is the row's first
-    whose leading label can be undone, or None when there is none.
+    The first is the row's label that starts with 1, the second the row's
+    first that starts with 2 or 1; 1q is cut to 1.  None when there is none.
     """
-    decomposition = binary_table(sys)
-    rows = []
-    for row in decomposition.rows:
-        by_state = []
-        for a_pos, b_pos in ((False, False), (True, False), (False, True), (True, True)):
-            undoable = {"2": a_pos, "q": b_pos, "1": not b_pos}
-            by_state.append(next((br for br in row if undoable[br.labels[0]]), None))
-        rows.append(tuple(by_state))
-    return decomposition.modulus, tuple(rows)
+    def first(row, leads):
+        labels = next((br.labels for br in row if br.labels[0] in leads), None)
+        return "1" if labels == "1q" else labels
+
+    rows = binary_table(sys).rows
+    return tuple(first(row, "1") for row in rows), tuple(first(row, "21") for row in rows)
 
 
 def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
-    """Replay a word from the leaf; returns (U, partition).
+    """Replay a word from the leaf and check that it is canonical; returns (U, partition).
 
-    A word is canonical when it spells a path of the binary table from its
-    value U down to the leaf 1.  The descent from U takes at each node the
-    branch whose labels come next in the word and rebuilds the partition on
-    the way back; MalformedWordError on a mismatch or on unused letters.
+    A word is canonical when it spells the path of the binary table from its
+    value U down to the leaf 1.  One pass over the reversed letters replays
+    them from the leaf: it computes U, and lifts the partition with its
+    binary amount as one integer (1 adds 1, 2 doubles it, q freezes it as the
+    parts of its bits, scaled by the letters still to come).  The same pass
+    checks the path: each branch argument is the inverse of its labels, so
+    the descent from U visits exactly the replayed values, and the word is
+    canonical when, read from U, each label start matches the row of its
+    node's residue mod 2q.  A q start always does (the node is q times the
+    next), a 2 start needs a residue other than 0, and a 1 start is the
+    label 1 at the residues 0, 1 and q, 1q at q + 1, 12 at the other odd
+    residues, and nothing at the other even ones.  Since the labels split the
+    word from its first letter on, the pass keeps, for the next two
+    positions, whether the rest of the word reads as labels from there.
+    Any word that is not canonical raises MalformedWordError, all with one
+    message.
     """
     _require_p2(sys)
     letters = "".join(word.letters)
-    u = 1
+    q = sys.q
+    modulus = 2 * q
+    u = amount = 1  # the leaf: the part 1, in the binary amount
+    frozen = []  # (amount, 2s and qs replayed before it) at each q
+    da = db = 0
+    # ok1, ok2: the word from the next position / the one after splits into
+    # matching labels (the position after the end does, one past it not)
+    ok1, ok2, after = True, False, ""
     for letter in reversed(letters):
-        u = u + 1 if letter == "1" else u * (2 if letter == "2" else sys.q)
-    i = 0
-
-    def match(v: int, row: tuple[Branch, ...]) -> Branch:
-        nonlocal i
-        for branch in row:
-            if letters.startswith(branch.labels, i):
-                i += len(branch.labels)
-                return branch
+        if letter == "2":
+            u += u
+            amount += amount
+            da += 1
+            ok1, ok2 = ok1 and u % modulus != 0, ok1
+        elif letter == "1":
+            u += 1
+            amount += 1
+            r = u % modulus
+            if r <= 1 or r == q:
+                ok2 = ok1
+            elif r == q + 1:
+                ok1, ok2 = ok2 and after == "q", ok1
+            elif r & 1:
+                ok1, ok2 = ok2 and after == "2", ok1
+            else:
+                ok1, ok2 = False, ok1
+        else:
+            u *= q
+            frozen.append((amount, da, db))
+            amount = 0
+            db += 1
+            ok2 = ok1
+        after = letter
+    if not ok1:
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")
-
-    pt = binary_table(sys).descend(u, match)
-    if i < len(letters):
-        raise MalformedWordError(f"{word.letters} is not a canonical tree word")
-    return u, pt
+    parts: list[tuple[int, int]] = []
+    for bits, da_at, db_at in frozen + [(amount, da, db)]:
+        a0, b = da - da_at, db - db_at
+        while bits:
+            top = bits.bit_length() - 1
+            parts.append((top + a0, b))
+            bits ^= 1 << top
+    return u, Partition(tuple(parts))
 
 
 class TreeLanguage:
@@ -290,12 +350,31 @@ def subsequence(short: str, long: str) -> bool:
 
 
 def check_hypercode(words: Iterable[str]) -> Optional[tuple[str, str]]:
-    """Return a violating pair (shorter-is-subsequence-of-longer), if any."""
+    """Return a violating pair (shorter-is-subsequence-of-longer), if any.
+
+    The pairs are tried in the order of a stable sort by length, and the
+    first violating one is returned.  A pair is tested only when each
+    letter occurs in the shorter word at most as often as in the longer one
+    (their Parikh vectors), which every subsequence satisfies.  The letter
+    counts of a word are packed into one integer, a field per letter with a
+    guard bit on top, so the test is one subtraction: a field of the longer
+    word's counts, guard set, minus the shorter's keeps its guard exactly
+    when the count does not drop.
+    """
     by_len = sorted(words, key=len)
-    for i, w in enumerate(by_len):
-        for v in by_len[i + 1 :]:
-            # equal-length distinct words are never subsequences of each other
-            if len(w) < len(v) and subsequence(w, v):
+    if not by_len:
+        return None
+    alphabet = sorted(set().union(*by_len))
+    width = len(by_len[-1]).bit_length() + 1
+    guards = sum(1 << (width * k + width - 1) for k in range(len(alphabet)))
+    counts = [sum(w.count(ch) << (width * k) for k, ch in enumerate(alphabet)) for w in by_len]
+    longer = 0  # the first index of a word longer than w
+    # equal-length distinct words are never subsequences of each other
+    for w, cw in zip(by_len, counts):
+        while longer < len(by_len) and len(by_len[longer]) <= len(w):
+            longer += 1
+        for v, cv in zip(by_len[longer:], counts[longer:]):
+            if (cv | guards) - cw & guards == guards and subsequence(w, v):
                 return (w, v)
     return None
 

@@ -15,6 +15,7 @@ order; the empty tuple is the unique partition of 0.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -172,8 +173,26 @@ def part_value(pair: tuple[int, int], sys: PQSystem) -> int:
 
 
 def value(pt: Partition, sys: PQSystem) -> int:
-    """Sum of the part values; the empty partition sums to 0."""
-    return sum(sys.p**a * sys.q**b for a, b in pt.parts)
+    """Sum of the part values; the empty partition sums to 0.
+
+    By Horner's rule along the chain: from the largest part down, each part
+    over the next is p^da * q^db with small exponents, so the sum of the parts
+    over the smallest is ``total = total * p^da * q^db + 1``, one small
+    multiplication per part, and the smallest part is multiplied in once.
+    Pairs that do not descend (not a chain) are summed one power at a time.
+    """
+    parts = pt.parts
+    if not parts:
+        return 0
+    p, q = sys.p, sys.q
+    total = 1
+    a, b = parts[0]
+    for a1, b1 in itertools.islice(parts, 1, None):
+        if a1 > a or b1 > b:
+            return sum(p**a * q**b for a, b in parts)
+        total = total * (p ** (a - a1) * q ** (b - b1)) + 1
+        a, b = a1, b1
+    return total * p**a * q**b
 
 
 def factor_value(v: int, sys: PQSystem) -> Optional[tuple[int, int]]:

@@ -5,9 +5,9 @@ Omega(U), for U >= 2, is the disjoint union of branch images: a branch
 Omega(mul*v + off), v = U div ``modulus``, into Omega(U) by applying its
 labels, last label first.  A filtered branch keeps only the members whose
 smallest part is not divisible by p.  Counting, sigma and tree words fold
-these tables; sampling (one path per draw), the sigma witness and tree
-decoding take one path of it with ``Decomposition.descend``, and
-enumeration walks all its paths in rank order.
+these tables; sampling (one path per draw) and the sigma witness take one
+path of it with ``Decomposition.descend``, tree decoding replays one path
+from the leaf, and enumeration walks all its paths in rank order.
 
 The general table (any bases, modulus pq) splits on the part 1: a partition
 without it is p-scaled or q-scaled, and one with it is the part 1 (label

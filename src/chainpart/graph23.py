@@ -268,6 +268,8 @@ def random_walk(
     unless told otherwise.
     """
     _require_23(sys)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if isinstance(rng, int):
         rng = random.Random(rng)
     pt = start if start is not None else binary_partition(u)

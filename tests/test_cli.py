@@ -206,6 +206,17 @@ def test_scan_monotonicity_refuses_a_negative_limit(capsys):
         assert (code, out, err) == (1, "", "error: limit must be >= 0\n"), mode
 
 
+def test_negative_counts_are_refused(capsys):
+    for argv, name in ((("walk", "--u", "10", "--steps", "-3"), "steps"),
+                       (("sample", "--u", "10", "--n", "-1"), "n")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {name} must be >= 0\n"), argv
+    # zero is still a count
+    assert run(capsys, "sample", "--u", "10", "--n", "0") == (0, "", "")
+    code, out, _ = run(capsys, "walk", "--u", "10", "--steps", "0")
+    assert code == 0 and json.loads(out)["steps"] == 0
+
+
 def test_scan_bound(capsys):
     code, out, _ = run(capsys, "scan", "bound", "--limit", "2000")
     assert code == 0

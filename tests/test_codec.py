@@ -1,5 +1,7 @@
 """Tree-word and lattice-word codecs."""
 
+import random
+
 import pytest
 
 from chainpart.codec import (
@@ -16,6 +18,7 @@ from chainpart.codec import (
     tree_encode,
 )
 from chainpart.core import MalformedWordError, Partition, make_system, validate
+from chainpart.decomposition import binary_table
 from chainpart.enumeration import ResidueEnumerator
 
 
@@ -187,3 +190,123 @@ def test_tree_language_deep_value(sys23):
     words = TreeLanguage(sys23).words(3 * 2**1200 - 1)
     assert len(words) == 1
     assert len(words[0]) == 2401
+
+
+def _tree_decode_by_descent(word, sys_):
+    """``tree_decode`` as it was: the descent from U takes at each node the
+    branch whose labels come next in the word, then lifts the partition."""
+    letters = "".join(word.letters)
+    u = 1
+    for letter in reversed(letters):
+        u = u + 1 if letter == "1" else u * (2 if letter == "2" else sys_.q)
+    i = 0
+
+    def match(v, row):
+        nonlocal i
+        for branch in row:
+            if letters.startswith(branch.labels, i):
+                i += len(branch.labels)
+                return branch
+        raise MalformedWordError(f"{word.letters} is not a canonical tree word")
+
+    pt = binary_table(sys_).descend(u, match)
+    if i < len(letters):
+        raise MalformedWordError(f"{word.letters} is not a canonical tree word")
+    return u, pt
+
+
+def _outcome(decode, word, sys_):
+    try:
+        return decode(word, sys_)
+    except MalformedWordError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_tree_codec_equals_descent_oracle(q):
+    """Every word of every u <= 3000 decodes as by the descent, and each
+    member encodes to the one word that the descent decodes to it."""
+    sys_ = make_system(2, q)
+    lang = TreeLanguage(sys_)
+    en = ResidueEnumerator(sys_)
+    for u in range(1, 3001):
+        word_of = {}
+        for text in lang.words(u):
+            word = TreeWord(tuple(text))
+            expected = _tree_decode_by_descent(word, sys_)
+            assert tree_decode(word, sys_) == expected == (u, expected[1]), text
+            word_of[expected[1]] = word
+        members = en.omega(u)
+        assert len(members) == len(word_of)
+        for pt in members:
+            assert tree_encode(pt, sys_) == word_of[pt], pt
+
+
+def test_tree_decode_equals_descent_oracle_on_random_strings():
+    rng = random.Random(14)
+    outcomes = set()
+    for q in (3, 5, 7, 11):
+        sys_ = make_system(2, q)
+        for _ in range(500):
+            word = TreeWord(tuple(rng.choice("12q") for _ in range(rng.randint(0, 40))))
+            expected = _outcome(_tree_decode_by_descent, word, sys_)
+            assert _outcome(tree_decode, word, sys_) == expected, word
+            outcomes.add(expected[0] is MalformedWordError)
+    assert outcomes == {True, False}  # both canonical and non-canonical words were drawn
+
+
+def test_tree_decode_messages(sys23):
+    for text in ("21", "11213", "1", "23", "31"):
+        message = f"{tw(text, sys23).letters} is not a canonical tree word"
+        for decode in (tree_decode, _tree_decode_by_descent):
+            with pytest.raises(MalformedWordError) as info:
+                decode(tw(text, sys23), sys23)
+            assert str(info.value) == message
+
+
+def test_tree_word_parse_paths():
+    sys23, sys25, sys2_11 = make_system(2, 3), make_system(2, 5), make_system(2, 11)
+    assert TreeWord.parse(" 1332\n", sys23).letters == ("1", "q", "q", "2")
+    assert TreeWord.parse("1.3.3.2", sys23).letters == ("1", "q", "q", "2")
+    assert TreeWord.parse("125", sys25).letters == ("1", "2", "q")
+    assert TreeWord.parse("1.11.2", sys2_11).letters == ("1", "q", "2")
+    assert TreeWord.parse("", sys23).letters == ()
+    for text, sys_, token in (("1q", sys23, "q"), ("1 3", sys23, " "), ("135", sys23, "5"),
+                              ("1..3", sys23, ""), ("1.3x", sys23, "3x"), ("111", sys2_11, "111")):
+        with pytest.raises(MalformedWordError) as info:
+            TreeWord.parse(text, sys_)
+        assert str(info.value) == f"token {token!r} is not a letter for {sys_}", text
+
+
+def _check_hypercode_pairwise(words):
+    """``check_hypercode`` as it was: every pair, shortest first."""
+    by_len = sorted(words, key=len)
+    for i, w in enumerate(by_len):
+        for v in by_len[i + 1:]:
+            if len(w) < len(v) and subsequence(w, v):
+                return (w, v)
+    return None
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_check_hypercode_equals_pairwise_oracle(q):
+    lang = TreeLanguage(make_system(2, q))
+    for u in range(1, 2001):
+        words = lang.words(u)
+        assert check_hypercode(words) is None is _check_hypercode_pairwise(words)
+        # plant a subsequence of a word: the first pair found must agree
+        longest = max(words, key=len)
+        if len(longest) >= 2:
+            planted = list(words) + [longest[1:]]
+            bad = check_hypercode(planted)
+            assert bad is not None and bad == _check_hypercode_pairwise(planted)
+
+
+def test_check_hypercode_planted_pairs():
+    assert check_hypercode([]) is None
+    assert check_hypercode(["1q2", "q21", "2q1"]) is None  # equal lengths never violate
+    assert check_hypercode(["12", "2q", "q1q2"]) == ("12", "q1q2")
+    # same letter counts, not a subsequence: the filter passes, the test refuses
+    assert check_hypercode(["21", "1q2"]) is None
+    words = ["qq", "1212", "2q2q", "q2", "11qq2"]
+    assert check_hypercode(words) == _check_hypercode_pairwise(words) == ("qq", "2q2q")

@@ -7,7 +7,10 @@ pass, so a change to a word, a decoded partition or its JSON line shows here.
 The `encode` inputs are seeded chains of 10 to 1,500 parts, each written in
 the three line styles the CLI reads: part values, a JSON object and a JSON
 list of exponent pairs.  The `decode` inputs are the words that `enumerate`
-prints for U = 1,266,273 on (2,3) (1,550 members).
+prints for U = 1,266,273 on (2,3) (1,550 members); the tree words are also
+pinned for U = 8,533,325 on (2,5) (396 members) and U = 67,643,032,034,754 on
+(2,11) (323 members, dot-separated), and in one stream with a non-canonical
+word in the middle, where stdout holds the lines before it and the exit is 1.
 """
 
 import contextlib
@@ -53,13 +56,13 @@ def _lines(seed, p, q, style):
     return "\n".join(out) + "\n"
 
 
-def _run(argv, stdin=""):
+def _run(argv, stdin="", code=0):
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out):
-            assert cli.main(list(argv)) == 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(list(argv)) == code
     finally:
         sys.stdin = saved
     return out.getvalue()
@@ -122,3 +125,45 @@ def test_decode_output_identity(case):
                   "--format", "words" if codec == "lattice" else "tree"])
     text = _run(["decode", "--codec", codec, "--format", fmt], words)
     assert hashlib.sha256(text.encode()).hexdigest() == DECODE[case]
+
+
+# (p, q, u, format): sha256 of `decode --codec tree` stdout on the words of
+# `enumerate --format tree` for u; (2,11) words are dot-separated
+TREE_DECODE = {
+    (2, 5, 8533325, "json"):
+        "4b1e7d7982892033ccec5a9afdbd41dd53d5fd89ff4f2655ba131d5dfa9dc42c",
+    (2, 5, 8533325, "values"):
+        "462cd2c4acb7fc109372477c6b0f11dab61c452d51006f0be793edfd634aa642",
+    (2, 11, 67643032034754, "json"):
+        "02563c14d97c4471c374063dd66175013c071a09508d5c0b26b017b6789855d9",
+    (2, 11, 67643032034754, "values"):
+        "f12358d9130536ed07a6d8a3464ca291bf2defd1ff1615725847ae5243336b06",
+}
+
+
+@pytest.mark.parametrize("case", list(TREE_DECODE), ids=lambda c: "-".join(map(str, c)))
+def test_tree_decode_output_identity(case):
+    p, q, u, fmt = case
+    base = ["--p", str(p), "--q", str(q)]
+    words = _run(["enumerate", "--u", str(u), "--format", "tree", "--ceiling", str(u)] + base)
+    text = _run(["decode", "--codec", "tree", "--format", fmt] + base, words)
+    assert hashlib.sha256(text.encode()).hexdigest() == TREE_DECODE[case]
+
+
+# format: sha256 of `decode --codec tree` stdout when the 776th of the 1,551
+# words is "21", which replays to {4} but is not its canonical word
+TREE_DECODE_MALFORMED = {
+    "json":
+        "2d3d9b61841191addbf301d84ec45d0a5040df85a5a26cf5368195f9ec324c6d",
+    "values":
+        "d79e24ca07134e5e1d47a6334afc9ef6384ba231e22a1a1d25d5fc338f4f6cfd",
+}
+
+
+@pytest.mark.parametrize("fmt", list(TREE_DECODE_MALFORMED))
+def test_tree_decode_output_identity_at_a_malformed_word(fmt):
+    words = _run(["enumerate", "--u", "1266273", "--format", "tree"]).splitlines(keepends=True)
+    stream = "".join(words[:775] + ["21\n"] + words[775:])
+    text = _run(["decode", "--codec", "tree", "--format", fmt], stream, code=1)
+    assert text.count("\n") == 775
+    assert hashlib.sha256(text.encode()).hexdigest() == TREE_DECODE_MALFORMED[fmt]

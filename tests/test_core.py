@@ -266,3 +266,19 @@ def test_validate_equals_per_value_oracle(p, q):
         for case in cases:
             assert _outcome(validate, case, sys_) == _outcome(_validate_per_value, case, sys_), \
                 (parts, case[:4])
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 2), (3, 4), (5, 7), (9, 10)])
+def test_value_equals_sum_of_powers(p, q):
+    sys_ = make_system(p, q)
+    rng = random.Random(10 * p + q)
+    assert value(Partition(), sys_) == 0
+    for parts in (1, 2, 3, 8, 40, 300, 1500):
+        pairs = []
+        for v in sorted(_chain_values(rng, sys_, parts), reverse=True):
+            pairs.append(factor_value(v, sys_))
+        pt = Partition(tuple(pairs))
+        assert value(pt, sys_) == sum(p**a * q**b for a, b in pairs), parts
+    # pairs that do not descend are still summed exactly
+    for pairs in (((0, 0), (1, 0)), ((2, 0), (0, 1)), ((0, 3), (3, 0), (1, 1))):
+        assert value(Partition(pairs), sys_) == sum(p**a * q**b for a, b in pairs)

@@ -104,17 +104,18 @@ def _pair_texts(sys_: PQSystem) -> tuple[_TextOf, Callable[[tuple, object], str]
     """The decimal value of each exponent pair, and the json line of a partition.
 
     ``json_line(parts, total)`` is ``core.to_json(pt, sys_, include_values=True)``
-    for a nonempty partition with sum ``total``, put together from the text of
-    each distinct pair and its value, made once per call of this function.
+    for a partition with sum ``total``, put together from the text of each
+    distinct pair and its value, made once per call of this function.
     """
     p, q = sys_.p, sys_.q
     values = _TextOf(lambda pair: str(p**pair[0] * q**pair[1]))
-    pairs = _TextOf(lambda pair: f"{pair[0]},{pair[1]}")
-    head = f'{{"p":{p},"q":{q},"parts":[['
+    quoted = _TextOf(lambda pair: f'"{values[pair]}"')
+    pairs = _TextOf(lambda pair: f"[{pair[0]},{pair[1]}]")
+    head = f'{{"p":{p},"q":{q},"parts":['
 
     def json_line(parts: tuple, total: object) -> str:
-        return (head + "],[".join(map(pairs.__getitem__, parts)) + f']],"sum":"{total}","values":["'
-                + '","'.join(map(values.__getitem__, parts)) + '"]}')
+        return (head + ",".join(map(pairs.__getitem__, parts)) + f'],"sum":"{total}","values":['
+                + ",".join(map(quoted.__getitem__, parts)) + "]}")
 
     return values, json_line
 
@@ -142,17 +143,20 @@ def _member_line(sys_: PQSystem, u: int, fmt: str) -> Callable[[Partition], str]
 def _write_lines(lines: Iterable[str]) -> None:
     """Write each line and a newline, ``_BLOCK_LINES`` lines per write.
 
-    When ``lines`` raises, the lines finished before it are written first.
+    On a terminal each line is written as soon as it is made, as ``print``
+    would.  When ``lines`` raises, the lines finished before it are written
+    first; a write that raises is not repeated.
     """
-    write = _sys.stdout.write  # looked up per call, so a swapped stdout is honoured
+    out = _sys.stdout  # looked up per call, so a swapped stdout is honoured
+    write, size = out.write, 1 if out.isatty() else _BLOCK_LINES
     block: list[str] = []
     try:
         for line in lines:
             block.append(line)
-            if len(block) == _BLOCK_LINES:
-                block.append("")  # the last newline, without a second copy of the block
-                write("\n".join(block))
-                block = []
+            if len(block) == size:
+                done, block = block, []
+                done.append("")  # the last newline, without a second copy of the block
+                write("\n".join(done))
     finally:
         if block:
             block.append("")
@@ -273,31 +277,28 @@ def _parse_partition_line(line: str, sys_: PQSystem) -> Partition:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     sys_ = _system(args)
-    pts = (_parse_partition_line(line, sys_) for line in _iter_stdin())
-    if args.codec == "tree":
-        _write_lines(codec.tree_encode(pt, sys_).render(sys_) for pt in pts)
-    else:
-        _write_lines(map(codec.lattice_encode, pts))
+    for line in _iter_stdin():
+        pt = _parse_partition_line(line, sys_)
+        if args.codec == "tree":
+            print(codec.tree_encode(pt, sys_).render(sys_))
+        else:
+            print(codec.lattice_encode(pt))
     return 0
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     sys_ = _system(args)
     values, json_line = _pair_texts(sys_)
-    tree = args.codec == "tree"
-
-    def decoded() -> Iterable[tuple[int, Partition]]:
-        for line in _iter_stdin():
-            if tree:
-                yield codec.tree_decode(codec.TreeWord.parse(line, sys_), sys_)
-            else:
-                pt = codec.lattice_decode(line)
-                yield core.value(pt, sys_), pt
-
+    words = _iter_stdin()
+    if args.codec == "tree":  # (U, partition); U is the json sum
+        decoded = (codec.tree_decode(codec.TreeWord.parse(w, sys_), sys_) for w in words)
+    else:  # (None, partition); the json line sums the partition itself
+        decoded = ((None, codec.lattice_decode(w)) for w in words)
     if args.format == "values":
-        _write_lines(" ".join(map(values.__getitem__, pt.parts)) for _, pt in decoded())
+        _write_lines(" ".join(map(values.__getitem__, pt.parts)) for _, pt in decoded)
     else:
-        _write_lines(json_line(pt.parts, total) for total, pt in decoded())
+        _write_lines(json_line(pt.parts, core.value(pt, sys_) if total is None else total)
+                     for total, pt in decoded)
     return 0
 
 

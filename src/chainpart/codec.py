@@ -174,6 +174,26 @@ def _undo_labels(sys: PQSystem) -> tuple[tuple[Optional[str], ...], tuple[Option
     return tuple(first(row, "1") for row in rows), tuple(first(row, "21") for row in rows)
 
 
+@functools.lru_cache(maxsize=128)
+def _replay_steps(sys: PQSystem) -> dict[str, tuple[tuple[int, Optional[str]], ...]]:
+    """Per letter and residue r mod 2q, the residue after replaying the letter and the label.
+
+    Replaying 1 adds 1, 2 doubles and q multiplies by q.  The label is the
+    one of the binary table's row at the new residue that starts with the
+    letter, as its other letters, or None when the row has no such label;
+    the labels of a row start with distinct letters, and none has more than
+    two.
+    """
+    q = sys.q
+    modulus = 2 * q
+    rests = [{br.labels[0]: br.labels[1:] for br in row} for row in binary_table(sys).rows]
+    steps = {}
+    for letter, mul, add in (("1", 1, 1), ("2", 2, 0), ("q", q, 0)):
+        after = [(mul * r + add) % modulus for r in range(modulus)]
+        steps[letter] = tuple((s, rests[s].get(letter)) for s in after)
+    return steps
+
+
 def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     """Replay a word from the leaf and check that it is canonical; returns (U, partition).
 
@@ -184,21 +204,21 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     parts of its bits, scaled by the letters still to come).  The same pass
     checks the path: each branch argument is the inverse of its labels, so
     the descent from U visits exactly the replayed values, and the word is
-    canonical when, read from U, each label start matches the row of its
-    node's residue mod 2q.  A q start always does (the node is q times the
-    next), a 2 start needs a residue other than 0, and a 1 start is the
-    label 1 at the residues 0, 1 and q, 1q at q + 1, 12 at the other odd
-    residues, and nothing at the other even ones.  Since the labels split the
-    word from its first letter on, the pass keeps, for the next two
-    positions, whether the rest of the word reads as labels from there.
-    Any word that is not canonical raises MalformedWordError, all with one
-    message.
+    canonical when, read from U, each letter that starts a label starts one
+    of the table row of its node's residue mod 2q, and the label's other
+    letter, if any, follows it.  The residue is kept alongside U, one table
+    lookup per letter (``_replay_steps``) with no big-integer division.
+    Since the labels split the word from its first letter on, the pass
+    keeps, for the next two positions, whether the rest of the word reads as
+    labels from there.  Any word that is not canonical raises
+    MalformedWordError, all with one message.
     """
     _require_p2(sys)
     letters = "".join(word.letters)
     q = sys.q
-    modulus = 2 * q
-    u = amount = 1  # the leaf: the part 1, in the binary amount
+    steps = _replay_steps(sys)
+    on1, on2, onq = steps["1"], steps["2"], steps["q"]
+    u = amount = r = 1  # the leaf: the part 1, in the binary amount; r = u mod 2q
     frozen = []  # (amount, 2s and qs replayed before it) at each q
     da = db = 0
     # ok1, ok2: the word from the next position / the one after splits into
@@ -209,25 +229,23 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
             u += u
             amount += amount
             da += 1
-            ok1, ok2 = ok1 and u % modulus != 0, ok1
+            r, rest = on2[r]
         elif letter == "1":
             u += 1
             amount += 1
-            r = u % modulus
-            if r <= 1 or r == q:
-                ok2 = ok1
-            elif r == q + 1:
-                ok1, ok2 = ok2 and after == "q", ok1
-            elif r & 1:
-                ok1, ok2 = ok2 and after == "2", ok1
-            else:
-                ok1, ok2 = False, ok1
+            r, rest = on1[r]
         else:
             u *= q
             frozen.append((amount, da, db))
             amount = 0
             db += 1
+            r, rest = onq[r]
+        if rest == "":
             ok2 = ok1
+        elif rest is None:
+            ok1, ok2 = False, ok1
+        else:
+            ok1, ok2 = ok2 and after == rest, ok1
         after = letter
     if not ok1:
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from chainpart import cli
+from chainpart import cli, core
+from chainpart.core import Partition, make_system
 
 
 def run(capsys, *argv):
@@ -74,6 +75,12 @@ def test_enumerate_deep_single_member(capsys):
     assert [json.loads(line)["parts"] for line in out.splitlines()] == [[[1500, 0]]]
 
 
+def test_enumerate_zero_is_the_empty_partition(capsys):
+    # Omega(0) holds only the empty partition, whose json line lists no part
+    expected = core.to_json(Partition(), make_system(2, 3), include_values=True)
+    assert run(capsys, "enumerate", "--u", "0", "--format", "json") == (0, expected + "\n", "")
+
+
 def test_enumerate_budget_counts_members(capsys):
     # W(60) = 5 on (2,3): a budget of 4 is refused before any member is built
     code, out, err = run(capsys, "enumerate", "--u", "60", "--budget", "4")
@@ -124,6 +131,41 @@ def test_long_chain_tree_roundtrip(capsys, monkeypatch):
     code, out, _ = run(capsys, "decode", "--p", "2", "--q", "5", "--codec", "tree",
                        "--format", "values")
     assert (code, out) == (0, line + "\n")
+
+
+class _Stdout(io.StringIO):
+    """A stdout that keeps each write and may say it is a terminal or fail."""
+
+    def __init__(self, tty=False, fail=False):
+        super().__init__()
+        self.tty, self.fail, self.writes = tty, fail, []
+
+    def isatty(self):
+        return self.tty
+
+    def write(self, text):
+        self.writes.append(text)
+        if self.fail:
+            raise BrokenPipeError
+        return super().write(text)
+
+
+def test_decode_writes_each_line_at_once_on_a_terminal(monkeypatch):
+    out = _Stdout(tty=True)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1332\n1332\n"))
+    monkeypatch.setattr("sys.stdout", out)
+    assert cli.main(["decode", "--codec", "tree", "--format", "values"]) == 0
+    assert out.writes == ["18 1\n", "18 1\n"]
+
+
+def test_decode_does_not_repeat_a_failed_write(monkeypatch):
+    out = _Stdout(fail=True)
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1332\n1332\n"))
+    monkeypatch.setattr("sys.stdout", out)
+    with pytest.raises(BrokenPipeError):
+        cli.main(["decode", "--codec", "tree", "--format", "values"])
+    assert out.writes == ["18 1\n"]
 
 
 def test_decode_malformed_word_exit_code(capsys, monkeypatch):

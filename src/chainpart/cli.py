@@ -148,19 +148,24 @@ def _write_lines(lines: Iterable[str]) -> None:
     first; a write that raises is not repeated.
     """
     out = _sys.stdout  # looked up per call, so a swapped stdout is honoured
-    write, size = out.write, 1 if out.isatty() else _BLOCK_LINES
+    size = 1 if out.isatty() else _BLOCK_LINES
     block: list[str] = []
+
+    def flush() -> None:
+        # the block is emptied before the write, and neither it nor the text outlives it
+        block.append("")  # the last newline, without a second copy of the block
+        text = "\n".join(block)
+        block.clear()
+        out.write(text)
+
     try:
         for line in lines:
             block.append(line)
             if len(block) == size:
-                done, block = block, []
-                done.append("")  # the last newline, without a second copy of the block
-                write("\n".join(done))
+                flush()
     finally:
         if block:
-            block.append("")
-            write("\n".join(block))
+            flush()
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

@@ -3,7 +3,8 @@
 One executable with subcommands wired to the library modules.  Output is
 deterministic: identical argv (and seed) produce byte-identical stdout, all
 counts are decimal strings, and anything order-dependent is sorted.  Commands
-that print a row per record format and write their rows a block at a time.
+that print a row per record format and write their rows a block at a time;
+``scan w`` puts its rows together from text made once per distinct value.
 Exit status is 0 on success, 1 on a domain or usage error, 2 when an invariant
 or acceptance check fails.
 """
@@ -30,7 +31,7 @@ from .core import (
 )
 
 _SCAN_MODES = ("w", "maxw", "monotonicity", "theorem4", "smallw", "bound")
-#: Lines per stdout write of the row-per-record commands.
+#: Lines per stdout write of the row-per-record commands other than ``scan w``.
 _BLOCK_LINES = 4096
 
 
@@ -60,6 +61,27 @@ def _print_rows(row: str, *columns: Sequence) -> None:
     for lo in range(0, len(columns[0]), _BLOCK_LINES):
         block = [column[lo:lo + _BLOCK_LINES] for column in columns]
         write((row + "\n") * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+
+
+#: The three low digits "000" .. "999" of the row numbers from 1000 on.
+_LOW_DIGITS = tuple(f"{i:03d}" for i in range(1000))
+
+
+def _print_numbered(head: str, mid: str, tail: str, values: Sequence[int]) -> None:
+    """Print ``head + str(u) + mid + str(values[u]) + tail`` for each u, 1,000 rows per write.
+
+    The text of each distinct value, with ``mid`` and ``tail``, is made once
+    per call; in a block of rows from 1000 on, u div 1000 is made once and the
+    low digits are read from ``_LOW_DIGITS``.
+    """
+    write = _sys.stdout.write  # looked up per call, so a swapped stdout is honoured
+    text = _TextOf(lambda w: f"{mid}{w}{tail}")
+    for lo in range(0, len(values), 1000):
+        block = values[lo:lo + 1000]
+        line = [f"{head}{lo // 1000 or ''}"] * (3 * len(block))
+        line[1::3] = _LOW_DIGITS[:len(block)] if lo else map(str, range(len(block)))
+        line[2::3] = map(text.__getitem__, block)
+        write("".join(line))
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -211,7 +233,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         arr = counting.make_counter(sys_).scan(args.limit)
         if args.emit == "csv":
             print("u,w")
-        _print_rows("%d,%d" if args.emit == "csv" else '{"u":%d,"w":"%d"}', range(len(arr)), arr)
+            _print_numbered("", ",", "\n", arr)
+        else:
+            _print_numbered('{"u":', ',"w":"', '"}\n', arr)
         return 0
     if mode == "maxw":
         records = analytics.max_count_jumps(args.limit, sys_).records

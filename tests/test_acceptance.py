@@ -9,7 +9,7 @@ fails; the failure message carries the measurement.
 
 import pytest
 
-from chainpart import acceptance
+from chainpart import acceptance, core, graph23
 
 
 def _run(fn, **kwargs):
@@ -67,6 +67,20 @@ def test_criterion_10_partial_sum_identity():
 
 def test_criterion_11_graph_properties():
     _run(acceptance.criterion_11_graph)
+
+
+def test_criterion_11_detects_a_disconnected_graph(monkeypatch):
+    # Cut the binary partition off: the adjacency stays symmetric and closed,
+    # so only the connectivity check can fail, first at Omega(3) = {3, 1+2}.
+    real, sys23 = graph23.neighbors, core.make_system(2, 3)
+
+    def cut(pt):
+        binary = core.binary_partition(core.value(pt, sys23))
+        return frozenset() if pt == binary else real(pt) - {binary}
+
+    monkeypatch.setattr(graph23, "neighbors", cut)
+    result = acceptance.criterion_11_graph("quick")
+    assert (result.passed, result.detail) == (False, "graph on Omega(3) disconnected")
 
 
 def test_criterion_12_sampler_uniformity():

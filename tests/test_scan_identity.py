@@ -1,14 +1,18 @@
 """The dense-scan commands against the per-row and per-u loops they replace.
 
-The CLI writes row-per-record output in blocks of ``cli._BLOCK_LINES`` lines,
-and the analytics reports read their scan in slice passes.  The old loops are
-kept here as the reference: output must match them byte for byte on both
-sides of every block boundary, and each report must match field for field,
-including the order of the violations when counts are corrupted on purpose.
+``scan w`` writes its rows 1,000 per write from cached text (``cli._print_numbered``);
+the other row-per-record output goes out in blocks of ``cli._BLOCK_LINES``
+lines, and the analytics reports read their scan in slice passes.  The old
+loops are kept here as the reference: output must match them byte for byte on
+both sides of every block boundary, and each report must match field for
+field, including the order of the violations when counts are corrupted on
+purpose.  The ``%``-block writer that ``scan w`` used before is kept as a
+faster reference for a million rows.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -93,12 +97,34 @@ def test_scan_maxw_rows_match_the_per_row_loop(monkeypatch, p, q, emit, block):
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (7, 8)])
-def test_scan_w_rows_cross_small_blocks(monkeypatch, p, q):
-    monkeypatch.setattr(cli, "_BLOCK_LINES", 7)
-    for limit, emit in ((5, "csv"), (6, "json"), (7 * 3 + 2, "csv"), (7 * 3 + 2, "json")):
-        argv = ["scan", "w", "--limit", str(limit), "--emit", emit,
-                "--p", str(p), "--q", str(q)]
-        assert stdout_of(argv) == (0, old_scan_w(limit, make_system(p, q), emit))
+def test_scan_w_rows_cross_thousand_blocks(p, q):
+    # the first block, whose row numbers are plain text, and the blocks where
+    # the text of u div 1000 gains a digit
+    for limit in (0, 1, 2, 998, 999, 1000, 1001, 1999, 9999, 10000, 10001, 100001):
+        for emit in ("csv", "json"):
+            argv = ["scan", "w", "--limit", str(limit), "--emit", emit,
+                    "--p", str(p), "--q", str(q)]
+            assert stdout_of(argv) == (0, old_scan_w(limit, make_system(p, q), emit))
+
+
+def percent_block_scan_w(limit: int, sys_, emit: str) -> str:
+    """``scan w`` as one ``%`` over each block of 4,096 rows."""
+    arr = counting.make_counter(sys_).scan(limit)
+    row = "%d,%d\n" if emit == "csv" else '{"u":%d,"w":"%d"}\n'
+    out = ["u,w\n"] if emit == "csv" else []
+    for lo in range(0, len(arr), 4096):
+        block = arr[lo:lo + 4096]
+        pairs = itertools.chain.from_iterable(zip(range(lo, lo + len(block)), block))
+        out.append(row * len(block) % tuple(pairs))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("emit", ["csv", "json"])
+@pytest.mark.parametrize("p,q", [(2, 3), (5, 11)])
+def test_scan_w_rows_match_the_percent_blocks_to_a_million(p, q, emit):
+    # row numbers of 5, 6 and 7 digits, and every distinct W below 10^6
+    argv = ["scan", "w", "--limit", "1000000", "--emit", emit, "--p", str(p), "--q", str(q)]
+    assert stdout_of(argv) == (0, percent_block_scan_w(10**6, make_system(p, q), emit))
 
 
 def test_print_rows_looks_up_stdout_per_call(monkeypatch):
@@ -109,6 +135,16 @@ def test_print_rows_looks_up_stdout_per_call(monkeypatch):
     cli._print_rows("%d!", (7,))
     cli._print_rows("%d", [])
     assert (first.getvalue(), second.getvalue()) == ("0,a\n1,b\n", "7!\n")
+
+
+def test_print_numbered_looks_up_stdout_per_call(monkeypatch):
+    first, second = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", first)
+    cli._print_numbered("<", ":", ">\n", [5, 6])
+    monkeypatch.setattr(sys, "stdout", second)
+    cli._print_numbered("", "!", "\n", [7])
+    cli._print_numbered("", ",", "\n", [])
+    assert (first.getvalue(), second.getvalue()) == ("<0:5>\n<1:6>\n", "0!7\n")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .counting import (
     HalvingCounter,
     digits_zero_one,
     make_counter,
-    summand_indicator,
 )
 from .codec import (
     TreeWord,

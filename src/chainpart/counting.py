@@ -51,16 +51,6 @@ def digits_zero_one(n: int, base: int) -> bool:
     return True
 
 
-def summand_indicator(c: int, u: int, sys: PQSystem) -> int:
-    """The 0/1 coefficient selecting surviving summands in the direct sum."""
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    pc = sys.p**c
-    if (u // pc) % sys.q != 1:
-        return 0
-    return 1 if digits_zero_one(u % pc, sys.p) else 0
-
-
 def indicator_gap(sys: PQSystem) -> int:
     """Least guaranteed gap between surviving summands (0 when p > q).
 

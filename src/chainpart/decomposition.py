@@ -5,9 +5,9 @@ Omega(U), for U >= 2, is the disjoint union of branch images: a branch
 Omega(mul*v + off), v = U div ``modulus``, into Omega(U) by applying its
 labels, last label first.  A filtered branch keeps only the members whose
 smallest part is not divisible by p.  Counting, sigma and tree words fold
-these tables; sampling (one path per draw) and the sigma witness take one
-path of it with ``Decomposition.descend``, tree decoding replays one path
-from the leaf, and enumeration walks all its paths in rank order.
+these tables; sampling, the sigma witness (one path) and enumeration (all
+paths) build members down the general table with ``descend``, and tree
+decoding replays one path of the binary table from the leaf.
 
 The general table (any bases, modulus pq) splits on the part 1: a partition
 without it is p-scaled or q-scaled, and one with it is the part 1 (label
@@ -34,8 +34,8 @@ sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms whose
 residue is at most 1.  ``count_grid`` and ``sigma_grid`` apply it to the
 cells reachable from U, filling rows b descending, each a list indexed by a:
 a lone value keeps two rows, while the enumeration and sampling of members
-and the sigma witness keep them all and descend the general table reading
-cells (a + 1, b), (a, b + 1) and (a + 1, b + 1).  ``count_fill`` and
+and the sigma witness keep them all, and their ``descend`` picks read cells
+(a + 1, b), (a, b + 1) and (a + 1, b + 1).  ``count_fill`` and
 ``sigma_fill`` apply the same rule densely on 0..n.
 """
 
@@ -47,7 +47,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .core import InvalidSystemError, Partition, PQSystem
+from .core import InvalidSystemError, PQSystem
 
 _INF = math.inf
 
@@ -68,36 +68,28 @@ class Decomposition:
     modulus: int
     rows: tuple[tuple[Branch, ...], ...]
 
-    def descend(self, u: int, choose: Callable[[int, tuple[Branch, ...]], Branch]) -> Partition:
-        """Walk from u to a leaf and lift the leaf back up along the path.
 
-        At each node x > 1, ``choose(x div modulus, row of x)`` returns the
-        branch to take.  The walk is a loop, not a recursion; the lift replays
-        the labels on exponent offsets, so a letter costs O(1) amortized.
-        """
-        path: list[str] = []
-        x = u
-        while x > 1:
-            v, r = divmod(x, self.modulus)
-            branch = choose(v, self.rows[r])
-            path.append(branch.labels)
-            x = branch.mul * v + branch.off
-        stored: list[tuple[int, int]] = []  # the parts (a - da, b - db) with b > 0
-        block, da, db = [0] * x, 0, 0  # block: a - da of the parts (a, 0), largest first
-        for letter in reversed("".join(path)):
-            if letter == "1":  # the part 1; it carries only in the binary table
-                a = -da
-                while block and block[-1] == a:
-                    block.pop()
-                    a += 1
-                block.append(a)
-            elif letter == "q":
-                stored += [(a, -db) for a in block]
-                block, db = [], db + 1
-            else:
-                da += 1
-        parts = [(a + da, b + db) for a, b in stored] + [(a + da, 0) for a in block]
-        return Partition(tuple(parts))
+def descend(table: Decomposition, x: int, a: int, b: int, filtered: bool,
+            parts: list[tuple[int, int]], pick: Callable[..., Branch]) -> list[tuple[int, int]]:
+    """Go down the general ``table`` from node x at the cell (a, b) to a leaf.
+
+    ``filtered`` says whether the branch into x was filtered.  At each node
+    x > 1, ``pick(x div modulus, a, b, row of x, filtered)`` returns the
+    branch to take.  A branch whose first label is ``1`` appends the part
+    (a, b) to ``parts``, and the leaf 1 appends the last part; returns
+    ``parts``, smallest first.  The descent is a loop, not a recursion.
+    """
+    modulus, rows = table.modulus, table.rows
+    while x > 1:
+        v, r = divmod(x, modulus)
+        labels, mul, off, filtered = pick(v, a, b, rows[r], filtered)
+        if labels[0] == "1":
+            parts.append((a, b))
+        a, b = (a + 1, b) if labels[-1] == "p" else (a, b + 1)  # as ``cell_below``
+        x = mul * v + off
+    if x:
+        parts.append((a, b))
+    return parts
 
 
 # Cell codes of the grid sweep; a cell the table does not reach from u is 0.

@@ -11,14 +11,14 @@ of U:
 
 * ``ResidueEnumerator`` lists the members of ranks 0 .. W(U) - 1 of the
   general table (the recursive method of Nijenhuis and Wilf), at every base,
-  with the weights read from the rows of one ``count_grid`` sweep.
-  ``unrank`` maps one rank to its member in one descent
-  (``Decomposition.descend``): it takes the branch whose weight range holds
-  the rank, and below a filtered branch it leaves out the p-scaled branch
-  that the filter removes.  It is a bijection from [0, W(U)) onto Omega(U).
-  ``walk`` lists the same members in rank order in one depth-first walk of
-  the table, which shares each prefix between consecutive ranks; ``omega``
-  is the walk.  Neither uses recursion.
+  with the weights read from the rows of one ``count_grid`` sweep.  Each
+  member is one ``decomposition.descend``.  ``unrank`` maps one rank to its
+  member: its descent takes the branch whose weight range holds the rank,
+  and below a filtered branch it leaves out the p-scaled branch that the
+  filter removes.  It is a bijection from [0, W(U)) onto Omega(U).  ``walk``
+  lists the same members in rank order, stacking each second branch to
+  resume the descent there, which shares each prefix between consecutive
+  ranks; ``omega`` is the walk.
 
 ``sample_uniform`` unranks one uniform draw from [0, W(U)), so every member
 of Omega(U) is returned with probability exactly 1/W(U), and no draw is
@@ -44,7 +44,7 @@ from .core import (
     value,
 )
 from .counting import CountTable, make_counter
-from .decomposition import Branch, cell_below, general_table
+from .decomposition import Branch, cell_below, descend, general_table
 
 #: Default cap on the partitions an enumerator builds: the members of one
 #: Omega(U) for ``ResidueEnumerator``, all memo entries for ``SplitEnumerator``.
@@ -192,24 +192,19 @@ def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
     """
     if not 0 <= rank < rows[0][0]:
         raise ValueError(f"rank {rank} is outside [0, {rows[0][0]})")
-    a = b = 0
-    filtered = False  # whether the branch into the current node was filtered
 
-    def choose(v: int, row: tuple[Branch, ...]) -> Branch:
-        nonlocal rank, a, b, filtered
+    def pick(v: int, a: int, b: int, row: tuple[Branch, ...], filtered: bool) -> Branch:
+        nonlocal rank
         if filtered:
             row = row[1:]
-        pick = row[0]
         if len(row) > 1:
-            weight = branch_weight(rows, a, b, pick)
+            weight = branch_weight(rows, a, b, row[0])
             if rank >= weight:
                 rank -= weight
-                pick = row[1]
-        a, b = cell_below(a, b, pick)
-        filtered = pick.filtered
-        return pick
+                return row[1]
+        return row[0]
 
-    return general_table(sys).descend(u, choose)
+    return Partition(tuple(descend(general_table(sys), u, 0, 0, False, [], pick)[::-1]))
 
 
 def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
@@ -219,46 +214,44 @@ def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
     prefix between consecutive ranks: one depth-first walk of the general
     table, on an explicit stack, taking the branches of a node in row order
     and skipping those of zero weight, so every node it enters holds a
-    member.  Going down, a label ``1`` at the cell (a, b) adds the part
-    p^a q^b, smallest first, and the leaf 1 adds the last, largest part; so
-    one parts list serves the whole walk, cut back to a node's depth when the
-    walk returns to it.
+    member.  Each member is one ``descend``, whose ``pick`` takes the first
+    branch and stacks the second; one parts list serves the whole walk, cut
+    back to a node's depth when the walk resumes below it.
     """
-    if not rows[0][0]:
+    w = rows[0][0]  # the weight of the node being descended
+    if not w:
         return
     table = general_table(sys)
-    modulus, table_rows = table.modulus, table.rows
     parts: list[tuple[int, int]] = []  # the parts added on the way down
-    # each entry is a node x at the cell (a, b) with its weight, whether the
-    # branch into it was filtered, the length of ``parts`` above it, and the
+    # each entry is a node x at the cell (a, b), whether the branch into it
+    # was filtered, its weight, the length of ``parts`` above it, and the
     # part its branch adds
-    stack: list[tuple] = [(u, 0, 0, rows[0][0], False, 0, None)]
+    stack: list[tuple] = [(u, 0, 0, False, w, 0, None)]
+
+    def pick(v: int, a: int, b: int, row: tuple[Branch, ...], filtered: bool) -> Branch:
+        nonlocal w
+        if filtered:
+            row = row[1:]
+        branch = row[0]
+        if len(row) > 1:
+            # the node's weight w is the sum of its two branches' weights
+            first = branch_weight(rows, a, b, branch)
+            if not first:
+                return row[1]
+            if first < w:
+                later = row[1]  # taken after the first's members
+                stack.append((later.mul * v + later.off, *cell_below(a, b, later),
+                              later.filtered, w - first, len(parts),
+                              (a, b) if later.labels[0] == "1" else None))
+                w = first
+        return branch
+
     while stack:
-        x, a, b, w, filtered, depth, part = stack.pop()
+        x, a, b, filtered, w, depth, part = stack.pop()
         del parts[depth:]
         if part:
             parts.append(part)
-        while x > 1:
-            v, r = divmod(x, modulus)
-            row = table_rows[r][1:] if filtered else table_rows[r]
-            branch = row[0]
-            if len(row) > 1:
-                # the node's weight w is the sum of its two branches' weights
-                first = branch_weight(rows, a, b, branch)
-                if not first:
-                    branch = row[1]
-                elif first < w:
-                    later = row[1]  # taken after the first's members
-                    stack.append((later.mul * v + later.off, *cell_below(a, b, later),
-                                  w - first, later.filtered, len(parts),
-                                  (a, b) if later.labels[0] == "1" else None))
-                    w = first
-            if branch.labels[0] == "1":
-                parts.append((a, b))
-            a, b = cell_below(a, b, branch)
-            x, filtered = branch.mul * v + branch.off, branch.filtered
-        if x:
-            parts.append((a, b))
+        descend(table, x, a, b, filtered, parts, pick)
         yield Partition(tuple(parts[::-1]))
 
 

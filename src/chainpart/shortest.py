@@ -7,9 +7,9 @@ edge is free).  The filter of the one overlapping branch can be ignored here,
 because the union of the branch images is the same.  A sparse sigma(U) is
 one two-row ``sigma_grid`` sweep over the reachable quotients
 U div (p^a q^b), and a dense scan is ``sigma_fill``.  A witness is one
-descent of the table along the argmin branches, reading the rows of one
-kept sweep; ties go to the first-listed branch of the row (the p-scaled
-one), which makes witnesses deterministic.
+``decomposition.descend`` of the table along the argmin branches, reading
+the rows of one kept sweep; ties go to the first-listed branch of the row
+(the p-scaled one), which makes witnesses deterministic.
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
 by a Horner walk along the chain, with one p-th or q-th powering per exponent
@@ -32,7 +32,7 @@ from .core import (
     UnreachableSumError,
     value,
 )
-from .decomposition import Branch, cell_below, general_table, sigma_fill, sigma_grid
+from .decomposition import Branch, cell_below, descend, general_table, sigma_fill, sigma_grid
 
 _INF = math.inf
 
@@ -91,10 +91,10 @@ class ShortestTable:
         return int(best)
 
     def witness(self, u: int) -> ShortestResult:
-        """One shortest partition, rebuilt by descending the argmin branches.
+        """One shortest partition, built by descending the argmin branches.
 
-        One sweep keeps sigma on every row; the descent tracks its cell (a, b)
-        and reads the cells of the branch arguments there.
+        One sweep keeps sigma on every row; at each cell (a, b) of the descent
+        a branch scores its ``1`` labels plus sigma at the cell below it.
         """
         if u < 2:
             rows = [[self.sigma_or_inf(u)]]
@@ -102,19 +102,15 @@ class ShortestTable:
             rows = sigma_grid(u, self.sys, keep=True)
             self.table[u] = rows[0][0]
         best = self.sigma(u)
-        a = b = 0
 
-        def score(branch: Branch) -> float:
-            ca, cb = cell_below(a, b, branch)
-            return branch.labels.count("1") + rows[cb][ca]
+        def argmin(v: int, a: int, b: int, row: tuple[Branch, ...], filtered: bool) -> Branch:
+            def score(branch: Branch) -> float:
+                ca, cb = cell_below(a, b, branch)
+                return branch.labels.count("1") + rows[cb][ca]
 
-        def argmin(v: int, row: tuple[Branch, ...]) -> Branch:
-            nonlocal a, b
-            pick = min(row, key=score)
-            a, b = cell_below(a, b, pick)
-            return pick
+            return min(row, key=score)
 
-        pt = self._decomposition.descend(u, argmin)
+        pt = Partition(tuple(descend(self._decomposition, u, 0, 0, False, [], argmin)[::-1]))
         assert value(pt, self.sys) == u and len(pt) == best
         return ShortestResult(u, best, pt)
 

@@ -1,5 +1,6 @@
 """Tree-word and lattice-word codecs."""
 
+import functools
 import random
 
 import pytest
@@ -192,7 +193,7 @@ def test_tree_language_deep_value(sys23):
     assert len(words[0]) == 2401
 
 
-def _tree_decode_by_descent(word, sys_):
+def _tree_decode_by_descent(word, sys_, descend_and_lift):
     """``tree_decode`` as it was: the descent from U takes at each node the
     branch whose labels come next in the word, then lifts the partition."""
     letters = "".join(word.letters)
@@ -209,7 +210,7 @@ def _tree_decode_by_descent(word, sys_):
                 return branch
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")
 
-    pt = binary_table(sys_).descend(u, match)
+    pt = descend_and_lift(binary_table(sys_), u, match)
     if i < len(letters):
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")
     return u, pt
@@ -223,7 +224,7 @@ def _outcome(decode, word, sys_):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
-def test_tree_codec_equals_descent_oracle(q):
+def test_tree_codec_equals_descent_oracle(q, descend_and_lift):
     """Every word of every u <= 3000 decodes as by the descent, and each
     member encodes to the one word that the descent decodes to it."""
     sys_ = make_system(2, q)
@@ -233,7 +234,7 @@ def test_tree_codec_equals_descent_oracle(q):
         word_of = {}
         for text in lang.words(u):
             word = TreeWord(tuple(text))
-            expected = _tree_decode_by_descent(word, sys_)
+            expected = _tree_decode_by_descent(word, sys_, descend_and_lift)
             assert tree_decode(word, sys_) == expected == (u, expected[1]), text
             word_of[expected[1]] = word
         members = en.omega(u)
@@ -242,23 +243,25 @@ def test_tree_codec_equals_descent_oracle(q):
             assert tree_encode(pt, sys_) == word_of[pt], pt
 
 
-def test_tree_decode_equals_descent_oracle_on_random_strings():
+def test_tree_decode_equals_descent_oracle_on_random_strings(descend_and_lift):
+    by_descent = functools.partial(_tree_decode_by_descent, descend_and_lift=descend_and_lift)
     rng = random.Random(14)
     outcomes = set()
     for q in (3, 5, 7, 11):
         sys_ = make_system(2, q)
         for _ in range(500):
             word = TreeWord(tuple(rng.choice("12q") for _ in range(rng.randint(0, 40))))
-            expected = _outcome(_tree_decode_by_descent, word, sys_)
+            expected = _outcome(by_descent, word, sys_)
             assert _outcome(tree_decode, word, sys_) == expected, word
             outcomes.add(expected[0] is MalformedWordError)
     assert outcomes == {True, False}  # both canonical and non-canonical words were drawn
 
 
-def test_tree_decode_messages(sys23):
+def test_tree_decode_messages(sys23, descend_and_lift):
+    by_descent = functools.partial(_tree_decode_by_descent, descend_and_lift=descend_and_lift)
     for text in ("21", "11213", "1", "23", "31"):
         message = f"{tw(text, sys23).letters} is not a canonical tree word"
-        for decode in (tree_decode, _tree_decode_by_descent):
+        for decode in (tree_decode, by_descent):
             with pytest.raises(MalformedWordError) as info:
                 decode(tw(text, sys23), sys23)
             assert str(info.value) == message

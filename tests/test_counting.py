@@ -13,8 +13,16 @@ from chainpart.counting import (
     digits_zero_one,
     indicator_gap,
     make_counter,
-    summand_indicator,
 )
+
+
+def summand_indicator(c, u, sys_):
+    """delta(c, u) of the direct sum, evaluated as written: 1 iff
+    floor(u / p^c) = 1 mod q and u mod p^c has only digits 0 and 1 in base p.
+    ``DirectSumCounter`` evaluates the same indicator inline, digit by digit,
+    so this is its oracle."""
+    pc = sys_.p**c
+    return int((u // pc) % sys_.q == 1 and digits_zero_one(u % pc, sys_.p))
 
 
 @pytest.mark.parametrize("method", ["cases", "halving", "direct", "general", "p2", "theorem2"])

@@ -1,5 +1,6 @@
 """Recursive enumeration engines and the exact uniform sampler."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -56,6 +57,53 @@ def test_unrank_is_a_bijection_onto_the_oracle(p, q):
         members = [unrank(u, sys_, rows, rank) for rank in range(rows[0][0])]
         assert len(set(members)) == len(members), u
         assert set(members) == brute_force_enumerate(u, sys_), u
+
+
+def _chain_sum_of_300_digits(sys_, seed):
+    """The sum of a seeded random chain whose largest part has 300 digits."""
+    rng = random.Random(seed)
+    a = int(rng.random() * 300 * math.log(10) / math.log(sys_.p))
+    b = max(0, int((300 * math.log(10) - a * math.log(sys_.p)) / math.log(sys_.q)))
+    total = 0
+    while a >= 0 and b >= 0:
+        total += sys_.p**a * sys_.q**b
+        da, db = rng.randint(0, 3), rng.randint(0, 3)
+        a, b = a - (da or (0 if db else 1)), b - db
+    return total
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5)])
+def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift):
+    """``unrank`` at 200 seeded ranks of a U near 10^300 is the partition that
+    the old rank-guided descent lifted back up from the leaf.  U is 10^300 on
+    (2,3); on (3,5), where 10^300 has no partition, it is a chain sum of 300
+    digits with 61,440 members."""
+    sys_ = make_system(p, q)
+    u = 10**300 if p == 2 else _chain_sum_of_300_digits(sys_, 9)
+    rows = make_counter(sys_).grid(u)
+    assert rows[0][0] > 60_000
+    decomposition = general_table(sys_)
+    rng = random.Random(300)
+    for _ in range(200):
+        target = rank0 = rng.randrange(rows[0][0])
+        a = b = 0
+        filtered = False
+
+        def choose(v, row):
+            nonlocal target, a, b, filtered
+            if filtered:
+                row = row[1:]
+            pick = row[0]
+            if len(row) > 1:
+                weight = branch_weight(rows, a, b, pick)
+                if target >= weight:
+                    target -= weight
+                    pick = row[1]
+            a, b = cell_below(a, b, pick)
+            filtered = pick.filtered
+            return pick
+
+        assert unrank(u, sys_, rows, rank0) == descend_and_lift(decomposition, u, choose), rank0
 
 
 def test_unrank_refuses_a_rank_outside_the_count(sys23):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import random
@@ -53,14 +52,6 @@ def _integer(text: str) -> int:
         too_long = limit and sum(ch.isdigit() for ch in text) > limit
         raise argparse.ArgumentTypeError(f"more than {limit} digits (Python's int string limit)"
                                          if too_long else f"invalid int value: {text!r}") from None
-
-
-def _print_rows(row: str, *columns: Sequence) -> None:
-    """Print ``row % (c[i] for c in columns)`` for each i; one ``%`` and one write per block."""
-    write = _sys.stdout.write  # looked up per call, so a swapped stdout is honoured
-    for lo in range(0, len(columns[0]), _BLOCK_LINES):
-        block = [column[lo:lo + _BLOCK_LINES] for column in columns]
-        write((row + "\n") * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 #: The three low digits "000" .. "999" of the row numbers from 1000 on.
@@ -242,8 +233,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         klass = ["q-odd" if r.odd_multiple else "2q2-exception" for r in records]
         if args.emit == "csv":
             print("u,maxw,class")
-        _print_rows("%d,%d,%s" if args.emit == "csv" else '{"u":%d,"maxw":"%d","class":"%s"}',
-                    [r.u for r in records], [r.value for r in records], klass)
+        row = "%d,%d,%s" if args.emit == "csv" else '{"u":%d,"maxw":"%d","class":"%s"}'
+        _write_lines(row % (r.u, r.value, k) for r, k in zip(records, klass))
         return 0
     if mode == "monotonicity":
         results = [(q, analytics.check_local_monotonicity(args.limit, make_system(2, q)))
@@ -256,8 +247,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         report = analytics.classify_small_counts(args.limit, sys_)
         if args.emit == "csv":
             print("u,w")
-            _print_rows("%d,1", report.ones)
-            _print_rows("%d,2", report.twos)
+            _write_lines(map("%d,1".__mod__, report.ones))
+            _write_lines(map("%d,2".__mod__, report.twos))
         else:
             print(json.dumps(
                 {"limit": report.limit, "ones": list(report.ones),
@@ -353,7 +344,7 @@ def _cmd_sigma_stats(args: argparse.Namespace) -> int:
     stats = shortest.ShortestTable(sys_).stats(args.limit)
     if args.emit == "csv":
         print("sigma,count")
-        _print_rows("%d,%d", list(stats.histogram), list(stats.histogram.values()))
+        _write_lines(map("%d,%d".__mod__, stats.histogram.items()))
     else:
         print(json.dumps(
             {"limit": stats.limit, "mean_ratio": repr(stats.mean_ratio),
@@ -436,12 +427,11 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 def _cmd_sumfn(args: argparse.Namespace) -> int:
     sys_ = _system(args)
     estimate = analytics.estimate_growth_constant(sys_, args.xmax)
-    xs, sums, ratios = zip(*estimate.samples)  # xmax >= 10: never empty
     if args.emit == "csv":
         print("x,s,ratio,c_upper")
-    _print_rows("%d,%d,%r,%r" if args.emit == "csv"
-                else '{"x":%d,"s":"%d","ratio":"%r","c_upper":"%r"}',
-                xs, sums, ratios, [estimate.upper_bound] * len(xs))
+    row = ("%d,%d,%r,%r" if args.emit == "csv"
+           else '{"x":%d,"s":"%d","ratio":"%r","c_upper":"%r"}')
+    _write_lines(row % (*sample, estimate.upper_bound) for sample in estimate.samples)
     return 0
 
 
@@ -572,7 +562,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: bad config: {exc}", file=_sys.stderr)
             return 1
         for key, val in raw.items():
-            config[key] = int(val) if val.lstrip("-").isdigit() else val
+            digits = val[1:] if val.startswith("-") else val
+            try:  # only an ASCII decimal; argparse converts, or refuses, the rest
+                config[key] = int(val) if digits.isascii() and digits.isdigit() else val
+            except ValueError:  # past Python's int string limit
+                config[key] = val
     try:
         args = _parser(tuple(sorted(config.items()))).parse_args(argv)
     except SystemExit as exc:  # raised by _Parser.error with code 1

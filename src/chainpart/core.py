@@ -74,7 +74,7 @@ class PQSystem:
 
     k0 = p^(-1) mod q and l0 = q^(-1) mod p.  The pair (k0, p - l0) is the
     unique solution of k*p - l*q = 1 with 0 < k < q and 0 < l < p; besides
-    r in {0, 1}, the general table in ``decomposition`` has two branches
+    r in {0, 1}, the case split in ``decomposition`` has two branches
     exactly at the residues r = p*k0 and r = q*l0.
     """
 

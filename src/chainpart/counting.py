@@ -4,7 +4,7 @@ Three independent engines compute the same function so that they can
 cross-validate each other and the brute-force oracle:
 
 * ``CaseTableCounter`` -- the ``auto`` engine at every base: the cell rule
-  of the general table in ``decomposition``, W(U) = the sum of W over the
+  of the case split in ``decomposition``, W(U) = the sum of W over the
   branch arguments of U mod pq, minus W(U div pq) for the one filtered
   branch.  A sparse W(U) is one ``count_grid`` row sweep over the reachable
   quotients U div (p^a q^b); a dense scan is ``count_fill``.
@@ -29,7 +29,7 @@ the recurrences this shows up as divisibility checks, never as rationals.
 from __future__ import annotations
 
 from .core import InvalidSystemError, PQSystem
-from .decomposition import count_fill, count_grid
+from .decomposition import Grid, count_fill, count_grid
 
 Expansion = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -80,7 +80,7 @@ class CountTable:
         self.sys = sys
         self.table: dict[int, int] = {0: 1, 1: 1}
         self.star: dict[int, int] = {0: 1}
-        self._grid: tuple[int, list[list]] = (-1, [])
+        self._grid: tuple[int, Grid] = (-1, ([], []))
 
     def _expand(self, u: int) -> Expansion:
         """Return (constant, ((coeff, dep), ...)) with all deps < u."""
@@ -115,14 +115,14 @@ class CountTable:
             stack.pop()
         return table[u]
 
-    def grid(self, u: int) -> list[list]:
-        """W at every cell below u: ``rows[b][a]`` is W(u div (p^a q^b)).
+    def grid(self, u: int) -> Grid:
+        """W at every cell below u, and the cells: ``rows[b][a]`` is W(u div (p^a q^b)).
 
-        Cells the general table does not reach from u hold None.  The rows of
-        the last u are kept, so that repeated draws at one u share one sweep.
+        Cells not reached from u hold None.  The grid of the last u is kept,
+        so that repeated draws at one u share one sweep.
         """
-        if u < 2:
-            return [[self.w(u)]]
+        if u < 1:
+            return [[self.w(u)]], []
         if self._grid[0] != u:
             self._grid = (u, count_grid(u, self.sys, keep=True))
         return self._grid[1]
@@ -171,7 +171,7 @@ class CountTable:
 
 
 class CaseTableCounter(CountTable):
-    """General engine: the one cell rule of the general table.
+    """General engine: the one cell rule of the case split on U mod pq.
 
     W(U) = [U mod p <= 1] W(U div p) + [U mod q <= 1] W(U div q)
     - [U mod pq <= 1] W(U div pq): the branch arguments of U mod pq, minus
@@ -253,7 +253,7 @@ METHOD_ALIASES = {
 
 
 def make_counter(sys: PQSystem, method: str = "auto") -> CountTable:
-    """Build a counting engine; ``auto`` is the general table at every base."""
+    """Build a counting engine; ``auto`` is the cell rule at every base."""
     name = "cases" if method == "auto" else METHOD_ALIASES.get(method)
     if name is None:
         raise ValueError(f"unknown counting method {method!r}")

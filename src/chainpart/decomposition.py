@@ -1,42 +1,42 @@
-"""The residue decomposition of Omega(U), as tables built once per base system.
+"""The case split of Omega(U) on U mod pq, as one rule per grid cell.
 
-Omega(U), for U >= 2, is the disjoint union of branch images: a branch
-``(labels, mul, off, filtered)`` of the row of r = U mod ``modulus`` maps
-Omega(mul*v + off), v = U div ``modulus``, into Omega(U) by applying its
-labels, last label first.  A filtered branch keeps only the members whose
-smallest part is not divisible by p.  Counting, sigma and tree words fold
-these tables; sampling, the sigma witness (one path) and enumeration (all
-paths) build members down the general table with ``descend``, and tree
-decoding replays one path of the binary table from the leaf.
+Omega(U), for U >= 2, splits on the part 1: a member without it is p-scaled
+(every part times p) or q-scaled, and one with it is the part 1 plus such a
+member of U - 1.  So U has up to four branches, in this order: ``p`` into
+Omega(U/p) when p | U, ``q`` into Omega(U/q) when q | U, ``1p`` (the part 1
+plus Omega((U - 1)/p)) when p | U - 1, and ``1q`` likewise.  When
+U mod pq <= 1 the q-side branch into Omega(pv) is filtered, since its members
+divisible by pq are already p-scaled: it keeps those whose smallest part is
+not divisible by p, which are the members of the branches of pv other than
+its first, the p-scaled Omega(v).  So it holds W(pv) - W(v) members, and a
+descent below it drops that first branch.
 
-The general table (any bases, modulus pq) splits on the part 1: a partition
-without it is p-scaled or q-scaled, and one with it is the part 1 (label
-``1``) plus such a partition of U - 1.  So a row has ``p`` when p | r, ``q``
-when q | r, ``1p`` when p | r - 1 and ``1q`` when q | r - 1.
-For r in {0, 1} the q-scaled branch is filtered, since its members divisible
-by pq are already p-scaled; it holds W(pv) - W(v) members.  Its argument pv
-lies in a row whose first branch, the p-scaled Omega(v), holds exactly the
-members of Omega(pv) whose smallest part is divisible by p, so the filtered
-members are those of the other branches of that row.
+Every branch argument of N is N div p or N div q, so every node below U is a
+grid quotient N(a, b) = U div (p^a q^b), and its branches depend only on
+N mod p and N mod q.  ``grid_cells`` gives each cell reachable from U one
+code byte: REACHED, plus STEP_P when N mod p <= 1 (and ONE_P when it is 1),
+STEP_Q and ONE_Q likewise for q, and FILTERED when N mod pq <= 1.  Everything
+else reads the codes:
+
+* ``count_grid`` folds them, rows b descending, by
+  W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
+  - [N mod pq <= 1] W(N div pq), and ``sigma_grid`` by sigma(N) = the least
+  of sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms
+  whose residue is at most 1.  A lone value keeps two rows; the descents
+  keep every row, and the codes.
+* ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
+  above, and ``descend`` follows one of them per cell to the leaf N = 1: to
+  build a member of a given rank for sampling and enumeration, or the sigma
+  witness.
+* ``count_fill`` and ``sigma_fill`` apply the same rule densely on 0..n.
 
 The binary table (p = 2, modulus 2q) reads the label ``1`` as adding 1 to
 the block of powers of 2, with carries, which keeps every branch disjoint and
 unfiltered.  Its rows are the classes r in {0, q}: ``q`` and ``1``; r = 1:
 ``1``; r = q + 1: ``2`` and ``1q``; other even r: ``2``; other odd r: ``12``.
-Its labels spell the tree words of ``codec``.
-
-Every branch argument of x in the general table is x div p or x div q, and the
-filtered correction is x div pq, so every node below U is a grid quotient
-N(a, b) = U div (p^a q^b), and the general table folds to one rule per cell:
-W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
-- [N mod pq <= 1] W(N div pq), and sigma(N) is the least of
-sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms whose
-residue is at most 1.  ``count_grid`` and ``sigma_grid`` apply it to the
-cells reachable from U, filling rows b descending, each a list indexed by a:
-a lone value keeps two rows, while the enumeration and sampling of members
-and the sigma witness keep them all, and their ``descend`` picks read cells
-(a + 1, b), (a, b + 1) and (a + 1, b + 1).  ``count_fill`` and
-``sigma_fill`` apply the same rule densely on 0..n.
+A branch ``(labels, mul, off)`` maps Omega(mul*v + off), v = U div 2q, into
+Omega(U) by applying its labels, last label first; they spell the tree words
+of ``codec``.
 """
 
 from __future__ import annotations
@@ -53,12 +53,11 @@ _INF = math.inf
 
 
 class Branch(NamedTuple):
-    """Labels applied to Omega(mul*v + off), with the smallest-part filter."""
+    """Labels applied to Omega(mul*v + off), a branch of the binary table."""
 
     labels: str
     mul: int
     off: int
-    filtered: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,31 +68,56 @@ class Decomposition:
     rows: tuple[tuple[Branch, ...], ...]
 
 
-def descend(table: Decomposition, x: int, a: int, b: int, filtered: bool,
-            parts: list[tuple[int, int]], pick: Callable[..., Branch]) -> list[tuple[int, int]]:
-    """Go down the general ``table`` from node x at the cell (a, b) to a leaf.
-
-    ``filtered`` says whether the branch into x was filtered.  At each node
-    x > 1, ``pick(x div modulus, a, b, row of x, filtered)`` returns the
-    branch to take.  A branch whose first label is ``1`` appends the part
-    (a, b) to ``parts``, and the leaf 1 appends the last part; returns
-    ``parts``, smallest first.  The descent is a loop, not a recursion.
-    """
-    modulus, rows = table.modulus, table.rows
-    while x > 1:
-        v, r = divmod(x, modulus)
-        labels, mul, off, filtered = pick(v, a, b, rows[r], filtered)
-        if labels[0] == "1":
-            parts.append((a, b))
-        a, b = (a + 1, b) if labels[-1] == "p" else (a, b + 1)  # as ``cell_below``
-        x = mul * v + off
-    if x:
-        parts.append((a, b))
-    return parts
-
-
-# Cell codes of the grid sweep; a cell the table does not reach from u is 0.
+# Cell codes of the grid sweep; a cell not reached from u is 0.
 REACHED, STEP_P, ONE_P, STEP_Q, ONE_Q, FILTERED = 32, 1, 2, 4, 8, 16
+
+
+class CellBranch(NamedTuple):
+    """A branch of the cell (a, b): into the cell (a + da, b + db), adding the
+    part (a, b) when ``unit``; a ``filtered`` one drops the p-scaled members."""
+
+    da: int
+    db: int
+    unit: bool
+    filtered: bool
+
+
+def _branches_of(code: int, filtered: bool) -> tuple[CellBranch, ...]:
+    """The branches of a cell with ``code``, entered by a filtered branch or not."""
+    p_side = (CellBranch(1, 0, bool(code & ONE_P), False),) if code & STEP_P and not filtered else ()
+    q_side = (CellBranch(0, 1, bool(code & ONE_Q), bool(code & FILTERED)),) if code & STEP_Q else ()
+    # the order p, q, 1p, 1q puts q before 1p
+    return q_side + p_side if code & ONE_P and q_side and not code & ONE_Q else p_side + q_side
+
+
+#: ``CELL_BRANCHES[filtered][code]``: the branches of a cell, in the order
+#: p, q, 1p, 1q; below a filtered branch the p-scaled one is dropped.
+CELL_BRANCHES = tuple(tuple(_branches_of(code, filtered) for code in range(64))
+                      for filtered in (False, True))
+
+
+def descend(cells: list[bytes], a: int, b: int, filtered: bool, parts: list[tuple[int, int]],
+            pick: Callable[[int, int, tuple[CellBranch, ...]], CellBranch]) -> list[tuple[int, int]]:
+    """Go down the ``cells`` of ``grid_cells`` from the cell (a, b) to the leaf.
+
+    ``filtered`` says whether the branch into (a, b) was filtered.  At each
+    cell, ``pick(a, b, branches)`` returns the branch to take.  A unit branch
+    appends the part (a, b) to ``parts``, and the leaf N = 1, the last cell of
+    its row when it has STEP_P, appends the last part; returns ``parts``,
+    smallest first.  No cells (U = 0) add nothing.
+    """
+    while cells:
+        codes = cells[b]
+        code = codes[a]
+        if code & STEP_P and a == len(codes) - 1:
+            parts.append((a, b))
+            break
+        da, db, unit, filtered = pick(a, b, CELL_BRANCHES[filtered][code])
+        if unit:
+            parts.append((a, b))
+        a += da
+        b += db
+    return parts
 
 
 def _digits(n: int, base: int) -> Sequence[int]:
@@ -144,15 +168,18 @@ def _codes_of(sys: PQSystem, k: int, s: int, c: int) -> tuple[bytes, int]:
     return bytes(codes), s
 
 
+#: The rows of a kept sweep, b ascending, and the ``grid_cells`` they fold.
+Grid = tuple[list[list], list[bytes]]
+
 _P_FF = bytes(0xFF if c & STEP_P else 0 for c in range(256))
 _Q_01 = bytes(1 if c & STEP_Q else 0 for c in range(256))
 
 
 def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
-    """Codes of the cells of the general table reachable from u >= 1, row by row.
+    """Codes of the grid cells reachable from u >= 1, row by row.
 
-    ``cells[b][a]`` describes N = u div (p^a q^b): 0 when the table does not
-    reach it from u, else REACHED plus STEP_P when N mod p <= 1 (ONE_P when it
+    ``cells[b][a]`` describes N = u div (p^a q^b): 0 when no branch path
+    reaches it from u, else REACHED plus STEP_P when N mod p <= 1 (ONE_P when it
     is 1), STEP_Q and ONE_Q likewise for q, and FILTERED when N mod pq <= 1.
     The codes of a row come k digits at a time from u div q^b in base p^k.
     Reachability is bytewise integer arithmetic, one byte per cell: a run of
@@ -190,29 +217,32 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
 
 
 def _sweep(u: int, sys: PQSystem, keep: bool, at_zero: object,
-           fold_row: Callable[[bytes, list], list]) -> list[list]:
+           fold_row: Callable[[bytes, list], list]) -> list[list] | Grid:
     """Fold the rows of ``grid_cells`` b descending with ``fold_row(codes, below)``.
 
-    Returns the rows b ascending, or row 0 alone unless ``keep``.  A row holds
-    one value per cell a, None where unreached, and then the value at N = 0;
-    the row below is padded with that value past its end.
+    Returns row 0 alone in a list, or with ``keep`` every row, b ascending,
+    and the cells.  A row holds one value per cell a, None where unreached,
+    and then the value at N = 0; the row below is padded with that value
+    past its end.
     """
+    cells = grid_cells(u, sys)
     kept: list[list] = []
     below: list = []
-    for codes in reversed(grid_cells(u, sys)):
+    for codes in reversed(cells):
         below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
         if keep:
             kept.append(below)
-    return kept[::-1] if keep else [below]
+    return (kept[::-1], cells) if keep else [below]
 
 
-def count_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list]:
+def count_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list] | Grid:
     """W on the reachable cells below u >= 1, rows b ascending; W(u) is [0][0].
 
     Rows are filled b descending, a descending, by the one rule of the table:
     W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
     - [N mod pq <= 1] W(N div pq), with W(0) = 1.  Only row 0 is returned
-    unless ``keep``; unreached cells hold None.
+    unless ``keep``, which returns every row and the ``grid_cells`` they
+    fold; unreached cells hold None.
     """
     return _sweep(u, sys, keep, 1, _count_row)
 
@@ -233,7 +263,7 @@ def _count_row(codes: bytes, below: list) -> list:
     return row
 
 
-def sigma_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list]:
+def sigma_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list] | Grid:
     """sigma on the reachable cells below u >= 1, rows b ascending, as ``count_grid``.
 
     sigma(N) = min(sigma(N div p) + N mod p, sigma(N div q) + N mod q) over
@@ -321,30 +351,6 @@ def sigma_fill(arr: list, sys: PQSystem) -> None:
     _fill_columns(arr, sys, column)
 
 
-def cell_below(a: int, b: int, branch: Branch) -> tuple[int, int]:
-    """The cell of a general-table branch argument taken from the cell (a, b)."""
-    return (a + 1, b) if branch.labels[-1] == "p" else (a, b + 1)
-
-
-@functools.lru_cache(maxsize=128)
-def general_table(sys: PQSystem) -> Decomposition:
-    """The table of Omega(U) by U mod pq, for any bases."""
-    p, q = sys.p, sys.q
-    rows = []
-    for r in range(sys.pq):
-        row = []
-        if r % p == 0:
-            row.append(Branch("p", q, r // p, False))
-        if r % q == 0:
-            row.append(Branch("q", p, r // q, r % p == 0))
-        if (r - 1) % p == 0:
-            row.append(Branch("1p", q, (r - 1) // p, False))
-        if (r - 1) % q == 0:
-            row.append(Branch("1q", p, (r - 1) // q, (r - 1) % p == 0))
-        rows.append(tuple(row))
-    return Decomposition(sys.pq, tuple(rows))
-
-
 @functools.lru_cache(maxsize=128)
 def binary_table(sys: PQSystem) -> Decomposition:
     """The disjoint table of Omega(U) by U mod 2q, for p = 2."""
@@ -354,13 +360,13 @@ def binary_table(sys: PQSystem) -> Decomposition:
     rows = []
     for r in range(2 * q):
         if r % q == 0:
-            rows.append((Branch("q", 2, r // q, False), Branch("1", 2 * q, r - 1, False)))
+            rows.append((Branch("q", 2, r // q), Branch("1", 2 * q, r - 1)))
         elif r == 1:
-            rows.append((Branch("1", 2 * q, 0, False),))
+            rows.append((Branch("1", 2 * q, 0),))
         elif r == q + 1:
-            rows.append((Branch("2", q, r // 2, False), Branch("1q", 2, 1, False)))
+            rows.append((Branch("2", q, r // 2), Branch("1q", 2, 1)))
         elif r % 2 == 0:
-            rows.append((Branch("2", q, r // 2, False),))
+            rows.append((Branch("2", q, r // 2),))
         else:
-            rows.append((Branch("12", q, (r - 1) // 2, False),))
+            rows.append((Branch("12", q, (r - 1) // 2),))
     return Decomposition(2 * q, tuple(rows))

@@ -9,16 +9,15 @@ of U:
   deduplicating the (pq-scaled) overlap with a set union; an explicit stack
   stands in for the recursion, so a deep U needs no Python frames.
 
-* ``ResidueEnumerator`` lists the members of ranks 0 .. W(U) - 1 of the
-  general table (the recursive method of Nijenhuis and Wilf), at every base,
-  with the weights read from the rows of one ``count_grid`` sweep.  Each
-  member is one ``decomposition.descend``.  ``unrank`` maps one rank to its
-  member: its descent takes the branch whose weight range holds the rank,
-  and below a filtered branch it leaves out the p-scaled branch that the
-  filter removes.  It is a bijection from [0, W(U)) onto Omega(U).  ``walk``
-  lists the same members in rank order, stacking each second branch to
-  resume the descent there, which shares each prefix between consecutive
-  ranks; ``omega`` is the walk.
+* ``ResidueEnumerator`` lists the members of ranks 0 .. W(U) - 1 (the
+  recursive method of Nijenhuis and Wilf), at every base, from one kept
+  ``count_grid`` sweep: its rows give the weights, its cell codes the
+  branches (``decomposition.CELL_BRANCHES``).  ``unrank`` maps one rank to
+  its member by one ``decomposition.descend``, taking at each cell the
+  branch whose weight range holds the rank; it is a bijection from
+  [0, W(U)) onto Omega(U).  ``walk`` lists the same members in rank order,
+  stacking each second branch to resume the descent there, which shares
+  each prefix between consecutive ranks; ``omega`` is the walk.
 
 ``sample_uniform`` unranks one uniform draw from [0, W(U)), so every member
 of Omega(U) is returned with probability exactly 1/W(U), and no draw is
@@ -44,7 +43,7 @@ from .core import (
     value,
 )
 from .counting import CountTable, make_counter
-from .decomposition import Branch, cell_below, descend, general_table
+from .decomposition import CellBranch, Grid, descend
 
 #: Default cap on the partitions an enumerator builds: the members of one
 #: Omega(U) for ``ResidueEnumerator``, all memo entries for ``SplitEnumerator``.
@@ -153,105 +152,99 @@ class SplitEnumerator(_BaseEnumerator):
 
 
 class ResidueEnumerator(_BaseEnumerator):
-    """Omega(u) as the members of ranks 0 .. W(u) - 1 of the general table, by ``walk``."""
+    """Omega(u) as the members of ranks 0 .. W(u) - 1, by ``walk``."""
 
     def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
         super().__init__(sys, budget)
         self._counter = make_counter(sys)
 
     def omega(self, u: int) -> frozenset[Partition]:
-        rows = self._counter.grid(u)
-        w = rows[0][0]
+        grid = self._counter.grid(u)
+        w = grid[0][0][0]  # W(u), the first cell of the first row
         if w > self.budget:
             raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
-        return frozenset(walk(u, self.sys, rows))
+        return frozenset(walk(grid))
 
 
-def branch_weight(rows: list[list], a: int, b: int, branch: Branch) -> int:
-    """The members under a general-table branch from the cell (a, b).
+def branch_weight(rows: list[list], a: int, b: int, branch: CellBranch) -> int:
+    """The members under a branch of the cell (a, b); ``rows`` as ``CountTable.grid``.
 
-    That is W at the cell below, read from ``rows`` (``CountTable.grid(u)``);
-    a filtered branch into Omega(pv) weighs W(pv) - W(v), W(v) being the
-    p-scaled members that the node below drops.
+    That is W at the cell below; a filtered branch into Omega(pv) weighs
+    W(pv) - W(v), W(v) being the p-scaled members that the cell below drops.
     """
-    ca, cb = cell_below(a, b, branch)
-    return rows[cb][ca] - rows[b + 1][a + 1] if branch.filtered else rows[cb][ca]
+    da, db, _, filtered = branch
+    weight = rows[b + db][a + da]
+    return weight - rows[b + 1][a + 1] if filtered else weight
 
 
-def unrank(u: int, sys: PQSystem, rows: list[list], rank: int) -> Partition:
-    """The member of Omega(u) at ``rank`` in [0, W(u)); ``rows`` is ``CountTable.grid(u)``.
+def unrank(grid: Grid, rank: int) -> Partition:
+    """The member of Omega(u) at ``rank`` in [0, W(u)); ``grid`` is ``CountTable.grid(u)``.
 
-    One descent of the general table from u to a leaf: at a node with two
-    branches (a row has at most two, one of p and 1p and one of q and 1q) it
-    takes the first if the rank is below its weight (``branch_weight``), else
-    the second, with the rank less that weight.  Below a filtered branch into
-    Omega(pv) the node drops its row's first branch, the p-scaled Omega(v):
-    the other branches hold exactly the members whose smallest part is not
-    divisible by p.  Distinct ranks give distinct members, so the ranks
-    0 .. W(u) - 1 give all of Omega(u).
+    One ``descend`` of the cells from u to the leaf: at a cell with two
+    branches (one of p and 1p, one of q and 1q) it takes the first if the
+    rank is below its weight (``branch_weight``), else the second, with the
+    rank less that weight.  Below a filtered branch into Omega(pv) the cell
+    has no p-scaled branch: the others hold exactly the members whose
+    smallest part is not divisible by p.  Distinct ranks give distinct
+    members, so the ranks 0 .. W(u) - 1 give all of Omega(u).
     """
+    rows, cells = grid
     if not 0 <= rank < rows[0][0]:
         raise ValueError(f"rank {rank} is outside [0, {rows[0][0]})")
 
-    def pick(v: int, a: int, b: int, row: tuple[Branch, ...], filtered: bool) -> Branch:
+    def pick(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:
         nonlocal rank
-        if filtered:
-            row = row[1:]
-        if len(row) > 1:
-            weight = branch_weight(rows, a, b, row[0])
+        if len(branches) > 1:
+            weight = branch_weight(rows, a, b, branches[0])
             if rank >= weight:
                 rank -= weight
-                return row[1]
-        return row[0]
+                return branches[1]
+        return branches[0]
 
-    return Partition(tuple(descend(general_table(sys), u, 0, 0, False, [], pick)[::-1]))
+    return Partition(tuple(descend(cells, 0, 0, False, [], pick)[::-1]))
 
 
-def walk(u: int, sys: PQSystem, rows: list[list]) -> Iterator[Partition]:
-    """The members of Omega(u) in rank order; ``rows`` is ``CountTable.grid(u)``.
+def walk(grid: Grid) -> Iterator[Partition]:
+    """The members of Omega(u) in rank order; ``grid`` is ``CountTable.grid(u)``.
 
-    The i-th member is ``unrank(u, sys, rows, i)``, but the walk shares each
-    prefix between consecutive ranks: one depth-first walk of the general
-    table, on an explicit stack, taking the branches of a node in row order
-    and skipping those of zero weight, so every node it enters holds a
-    member.  Each member is one ``descend``, whose ``pick`` takes the first
-    branch and stacks the second; one parts list serves the whole walk, cut
-    back to a node's depth when the walk resumes below it.
+    The i-th member is ``unrank(grid, i)``, but the walk shares each prefix
+    between consecutive ranks: one depth-first walk of the cells, on an
+    explicit stack, taking the branches of a cell in order and skipping
+    those of zero weight, so every cell it enters holds a member.  Each
+    member is one ``descend``, whose ``pick`` takes the first branch and
+    stacks the second; one parts list serves the whole walk, cut back to a
+    cell's depth when the walk resumes below it.
     """
-    w = rows[0][0]  # the weight of the node being descended
+    rows, cells = grid
+    w = rows[0][0]  # the weight of the cell being descended
     if not w:
         return
-    table = general_table(sys)
     parts: list[tuple[int, int]] = []  # the parts added on the way down
-    # each entry is a node x at the cell (a, b), whether the branch into it
-    # was filtered, its weight, the length of ``parts`` above it, and the
-    # part its branch adds
-    stack: list[tuple] = [(u, 0, 0, False, w, 0, None)]
+    # each entry is a cell (a, b), whether the branch into it was filtered,
+    # its weight, the length of ``parts`` above it, and the part its branch adds
+    stack: list[tuple] = [(0, 0, False, w, 0, None)]
 
-    def pick(v: int, a: int, b: int, row: tuple[Branch, ...], filtered: bool) -> Branch:
+    def pick(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:
         nonlocal w
-        if filtered:
-            row = row[1:]
-        branch = row[0]
-        if len(row) > 1:
-            # the node's weight w is the sum of its two branches' weights
+        branch = branches[0]
+        if len(branches) > 1:
+            # the cell's weight w is the sum of its two branches' weights
             first = branch_weight(rows, a, b, branch)
             if not first:
-                return row[1]
+                return branches[1]
             if first < w:
-                later = row[1]  # taken after the first's members
-                stack.append((later.mul * v + later.off, *cell_below(a, b, later),
-                              later.filtered, w - first, len(parts),
-                              (a, b) if later.labels[0] == "1" else None))
+                da, db, unit, filtered = branches[1]  # taken after the first's members
+                stack.append((a + da, b + db, filtered, w - first, len(parts),
+                              (a, b) if unit else None))
                 w = first
         return branch
 
     while stack:
-        x, a, b, filtered, w, depth, part = stack.pop()
+        a, b, filtered, w, depth, part = stack.pop()
         del parts[depth:]
         if part:
             parts.append(part)
-        descend(table, x, a, b, filtered, parts, pick)
+        descend(cells, a, b, filtered, parts, pick)
         yield Partition(tuple(parts[::-1]))
 
 
@@ -270,9 +263,10 @@ def sample_uniform(
         rng = random.Random(rng)
     if counter is None:
         counter = make_counter(sys)
-    rows = counter.grid(u)
-    if not rows[0][0]:
+    grid = counter.grid(u)
+    w = grid[0][0][0]
+    if not w:
         raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
-    pt = unrank(u, sys, rows, rng.randrange(rows[0][0]))
+    pt = unrank(grid, rng.randrange(w))
     assert value(pt, sys) == u
     return pt

@@ -1,15 +1,17 @@
 """Shortest strictly chained partitions and the exponentiation cost model.
 
-The least number of parts sigma(U) is the min-plus fold of the general table
-in ``decomposition``: the minimum over the branches of U of sigma(argument)
-plus the number of ``1`` labels (a +1 edge costs one extra part, a scaling
-edge is free).  The filter of the one overlapping branch can be ignored here,
-because the union of the branch images is the same.  A sparse sigma(U) is
-one two-row ``sigma_grid`` sweep over the reachable quotients
-U div (p^a q^b), and a dense scan is ``sigma_fill``.  A witness is one
-``decomposition.descend`` of the table along the argmin branches, reading
-the rows of one kept sweep; ties go to the first-listed branch of the row
-(the p-scaled one), which makes witnesses deterministic.
+The least number of parts sigma(U) is the min-plus fold of the case split in
+``decomposition``: the minimum over the branches of U of sigma(argument)
+plus 1 for a branch that adds the part 1 (a scaling branch is free).  The
+filter of the one overlapping branch can be ignored here, because the union
+of the branch images is the same.  A sparse sigma(U) is one two-row
+``sigma_grid`` sweep over the reachable quotients U div (p^a q^b), and a
+dense scan is ``sigma_fill``.  A witness is one ``decomposition.descend`` of
+the cells of one kept sweep along the argmin branches; ties go to the first
+branch of a cell in the order p, q, 1p, 1q, which makes witnesses
+deterministic.  Below a filtered branch into Omega(pv) the descent drops the
+p-scaled branch, which is never the argmin there: the descent enters pv only
+when sigma(pv) < sigma(v).
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
 by a Horner walk along the chain, with one p-th or q-th powering per exponent
@@ -32,7 +34,7 @@ from .core import (
     UnreachableSumError,
     value,
 )
-from .decomposition import Branch, cell_below, descend, general_table, sigma_fill, sigma_grid
+from .decomposition import CellBranch, descend, sigma_fill, sigma_grid
 
 _INF = math.inf
 
@@ -71,7 +73,6 @@ class ShortestTable:
     def __init__(self, sys: PQSystem) -> None:
         self.sys = sys
         self.table: dict[int, float] = {0: 0, 1: 1}
-        self._decomposition = general_table(sys)
 
     def sigma_or_inf(self, u: int) -> float:
         """sigma(u), or infinity when Omega(u) is empty."""
@@ -94,23 +95,19 @@ class ShortestTable:
         """One shortest partition, built by descending the argmin branches.
 
         One sweep keeps sigma on every row; at each cell (a, b) of the descent
-        a branch scores its ``1`` labels plus sigma at the cell below it.
+        a branch scores 1 if it adds a part, plus sigma at the cell below it.
         """
-        if u < 2:
-            rows = [[self.sigma_or_inf(u)]]
+        if u < 1:
+            rows, cells = [[self.sigma_or_inf(u)]], []
         else:
-            rows = sigma_grid(u, self.sys, keep=True)
+            rows, cells = sigma_grid(u, self.sys, keep=True)
             self.table[u] = rows[0][0]
         best = self.sigma(u)
 
-        def argmin(v: int, a: int, b: int, row: tuple[Branch, ...], filtered: bool) -> Branch:
-            def score(branch: Branch) -> float:
-                ca, cb = cell_below(a, b, branch)
-                return branch.labels.count("1") + rows[cb][ca]
+        def argmin(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:
+            return min(branches, key=lambda br: br.unit + rows[b + br.db][a + br.da])
 
-            return min(row, key=score)
-
-        pt = Partition(tuple(descend(self._decomposition, u, 0, 0, False, [], argmin)[::-1]))
+        pt = Partition(tuple(descend(cells, 0, 0, False, [], argmin)[::-1]))
         assert value(pt, self.sys) == u and len(pt) == best
         return ShortestResult(u, best, pt)
 

@@ -1,6 +1,10 @@
+import functools
+from typing import NamedTuple
+
 import pytest
 
 from chainpart.core import Partition, make_system
+from chainpart.decomposition import Decomposition
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +58,51 @@ def _descend_and_lift(table, u, choose):
 @pytest.fixture(scope="session")
 def descend_and_lift():
     return _descend_and_lift
+
+
+class Branch(NamedTuple):
+    """A branch of the general table: labels applied to Omega(mul*v + off),
+    with the smallest-part filter."""
+
+    labels: str
+    mul: int
+    off: int
+    filtered: bool
+
+    def below(self, a, b):
+        """The grid cell of the branch argument taken from the cell (a, b)."""
+        return (a + 1, b) if self.labels[-1] == "p" else (a, b + 1)
+
+    def weight(self, rows, a, b):
+        """The members under the branch from the cell (a, b), W read from
+        ``rows``; a filtered branch into Omega(pv) weighs W(pv) - W(v)."""
+        ca, cb = self.below(a, b)
+        return rows[cb][ca] - rows[b + 1][a + 1] if self.filtered else rows[cb][ca]
+
+
+@functools.lru_cache(maxsize=None)
+def _general_table(sys_):
+    """The table of Omega(U) by U mod pq, for any bases, written out row by
+    row: ``p`` when p | r, ``q`` when q | r, ``1p`` when p | r - 1 and ``1q``
+    when q | r - 1, the q-side branch filtered when r mod pq <= 1.  The
+    library reads the same split from the cell codes of ``grid_cells``; this
+    table, which divides each node, is the oracle of those codes."""
+    p, q = sys_.p, sys_.q
+    rows = []
+    for r in range(sys_.pq):
+        row = []
+        if r % p == 0:
+            row.append(Branch("p", q, r // p, False))
+        if r % q == 0:
+            row.append(Branch("q", p, r // q, r % p == 0))
+        if (r - 1) % p == 0:
+            row.append(Branch("1p", q, (r - 1) // p, False))
+        if (r - 1) % q == 0:
+            row.append(Branch("1q", p, (r - 1) // q, (r - 1) % p == 0))
+        rows.append(tuple(row))
+    return Decomposition(sys_.pq, tuple(rows))
+
+
+@pytest.fixture(scope="session")
+def general_table():
+    return _general_table

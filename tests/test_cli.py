@@ -431,6 +431,19 @@ def test_config_equals_spelling_is_read(capsys, tmp_path):
     assert joined == spaced == (0, "2\n", "")
 
 
+@pytest.mark.parametrize("line", ["seed=--5", "q=\u00b2", "seed=" + "7" * 5000],
+                         ids=["doubled-sign", "superscript-digit", "past-the-digit-limit"])
+def test_config_value_that_is_no_int_is_refused_by_argparse(capsys, tmp_path, line):
+    # each once raised out of main with a traceback, before argparse saw it
+    if len(line) > 100 and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int string limit")
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "sample", "--config", str(cfg), "--u", "10")
+    assert (code, out) == (1, "")
+    assert f"error: argument --{line.split('=')[0]}: " in err and "Traceback" not in err
+
+
 def test_config_equals_without_path_is_a_bad_config(capsys):
     code, out, err = run(capsys, "count", "--config=", "--u", "10")
     assert (code, out) == (1, "")

@@ -20,7 +20,7 @@ from chainpart.core import (
 )
 from chainpart import enumeration
 from chainpart.counting import make_counter
-from chainpart.decomposition import cell_below, general_table
+from chainpart.decomposition import CELL_BRANCHES
 from chainpart.enumeration import (
     ResidueEnumerator,
     SplitEnumerator,
@@ -53,8 +53,8 @@ def test_unrank_is_a_bijection_onto_the_oracle(p, q):
     sys_ = make_system(p, q)
     counter = make_counter(sys_)
     for u in range(0, 600):
-        rows = counter.grid(u)
-        members = [unrank(u, sys_, rows, rank) for rank in range(rows[0][0])]
+        grid = counter.grid(u)
+        members = [unrank(grid, rank) for rank in range(grid[0][0][0])]
         assert len(set(members)) == len(members), u
         assert set(members) == brute_force_enumerate(u, sys_), u
 
@@ -73,14 +73,15 @@ def _chain_sum_of_300_digits(sys_, seed):
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 5)])
-def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift):
+def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift, general_table):
     """``unrank`` at 200 seeded ranks of a U near 10^300 is the partition that
-    the old rank-guided descent lifted back up from the leaf.  U is 10^300 on
-    (2,3); on (3,5), where 10^300 has no partition, it is a chain sum of 300
-    digits with 61,440 members."""
+    the old rank-guided descent of the general table lifted back up from the
+    leaf.  U is 10^300 on (2,3); on (3,5), where 10^300 has no partition, it
+    is a chain sum of 300 digits with 61,440 members."""
     sys_ = make_system(p, q)
     u = 10**300 if p == 2 else _chain_sum_of_300_digits(sys_, 9)
-    rows = make_counter(sys_).grid(u)
+    grid = make_counter(sys_).grid(u)
+    rows = grid[0]
     assert rows[0][0] > 60_000
     decomposition = general_table(sys_)
     rng = random.Random(300)
@@ -95,34 +96,33 @@ def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift):
                 row = row[1:]
             pick = row[0]
             if len(row) > 1:
-                weight = branch_weight(rows, a, b, pick)
+                weight = pick.weight(rows, a, b)
                 if target >= weight:
                     target -= weight
                     pick = row[1]
-            a, b = cell_below(a, b, pick)
+            a, b = pick.below(a, b)
             filtered = pick.filtered
             return pick
 
-        assert unrank(u, sys_, rows, rank0) == descend_and_lift(decomposition, u, choose), rank0
+        assert unrank(grid, rank0) == descend_and_lift(decomposition, u, choose), rank0
 
 
 def test_unrank_refuses_a_rank_outside_the_count(sys23):
-    rows = make_counter(sys23).grid(60)
+    grid = make_counter(sys23).grid(60)
     for rank in (-1, 5):
         with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
-            unrank(60, sys23, rows, rank)
+            unrank(grid, rank)
 
 
-def rank(u, sys_, rows, pt):
+def rank(u, table, rows, pt):
     """The rank of ``pt`` in Omega(u): the inverse of ``unrank``.
 
-    One descent of the general table: at each node it takes the first branch
-    of the row that can hold what is left of ``pt`` (a label 1 iff the
+    One descent of the general ``table``: at each node it takes the first
+    branch of the row that can hold what is left of ``pt`` (a label 1 iff the
     smallest part left sits at the current cell, and every part after it
     at or past the cell below) and adds up the weights of the branches
     before it.
     """
-    table = general_table(sys_)
     left = list(pt.parts)  # largest first, so the smallest part is left[-1]
     x, a, b, filtered, total = u, 0, 0, False, 0
     while x > 1:
@@ -130,11 +130,11 @@ def rank(u, sys_, rows, pt):
         row = table.rows[r][1:] if filtered else table.rows[r]
         for branch in row:
             one = branch.labels[0] == "1"
-            ca, cb = cell_below(a, b, branch)
+            ca, cb = branch.below(a, b)
             rest = left[:-1] if one else left
             if one == (left[-1] == (a, b)) and (not rest or (rest[-1][0] >= ca and rest[-1][1] >= cb)):
                 break
-            total += branch_weight(rows, a, b, branch)
+            total += branch.weight(rows, a, b)
         else:
             raise AssertionError(f"no branch at {x} holds {pt}")
         left = rest
@@ -145,27 +145,30 @@ def rank(u, sys_, rows, pt):
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 5), (3, 2)])
-def test_walk_lists_the_members_in_rank_order(p, q):
+def test_walk_lists_the_members_in_rank_order(p, q, general_table):
     sys_ = make_system(p, q)
+    table = general_table(sys_)
     counter = make_counter(sys_)
     for u in range(0, 2000):
-        rows = counter.grid(u)
-        members = list(walk(u, sys_, rows))
+        grid = counter.grid(u)
+        rows = grid[0]
+        members = list(walk(grid))
         assert len(members) == rows[0][0], u
         for i, pt in enumerate(members):
-            assert pt == unrank(u, sys_, rows, i), (u, i)
-            assert rank(u, sys_, rows, pt) == i, (u, i)
+            assert pt == unrank(grid, i), (u, i)
+            assert rank(u, table, rows, pt) == i, (u, i)
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (3, 2)])
-def test_branch_weights_add_up_to_the_node_weight(p, q):
-    # at every node the branch weights split the node's weight, which below
-    # a filtered branch is W(pv) less the dropped p-scaled W(v)
+def test_branch_weights_add_up_to_the_node_weight(p, q, general_table):
+    # at every node the weights of the cell's branches split the node's
+    # weight, which below a filtered branch is W(pv) less the dropped
+    # p-scaled W(v); the cell's branches are the general table's row
     sys_ = make_system(p, q)
     table = general_table(sys_)
     counter = make_counter(sys_)
     for u in range(2, 600):
-        rows = counter.grid(u)
+        rows, cells = counter.grid(u)
         stack = [(u, 0, 0, False)]
         while stack:
             x, a, b, filtered = stack.pop()
@@ -173,17 +176,20 @@ def test_branch_weights_add_up_to_the_node_weight(p, q):
                 continue
             v, r = divmod(x, table.modulus)
             row = table.rows[r][1:] if filtered else table.rows[r]
-            weights = [branch_weight(rows, a, b, branch) for branch in row]
+            branches = CELL_BRANCHES[filtered][cells[b][a]]
+            assert [br.below(a, b) for br in row] == [(a + br.da, b + br.db) for br in branches]
+            weights = [branch_weight(rows, a, b, branch) for branch in branches]
+            assert weights == [br.weight(rows, a, b) for br in row], (u, x)
             assert sum(weights) == rows[b][a] - (rows[b][a + 1] if filtered else 0), (u, x)
-            stack.extend((branch.mul * v + branch.off, *cell_below(a, b, branch), branch.filtered)
+            stack.extend((branch.mul * v + branch.off, *branch.below(a, b), branch.filtered)
                          for branch, weight in zip(row, weights) if weight)
 
 
 def test_walk_at_the_ground_values(sys23):
     counter = make_counter(sys23)
-    assert list(walk(0, sys23, counter.grid(0))) == [Partition()]
-    assert list(walk(1, sys23, counter.grid(1))) == [Partition(((0, 0),))]
-    assert list(walk(7, make_system(3, 5), make_counter(make_system(3, 5)).grid(7))) == []
+    assert list(walk(counter.grid(0))) == [Partition()]
+    assert list(walk(counter.grid(1))) == [Partition(((0, 0),))]
+    assert list(walk(make_counter(make_system(3, 5)).grid(7))) == []
 
 
 def test_budget_is_checked_before_any_member_is_built(sys23, monkeypatch):

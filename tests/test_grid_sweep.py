@@ -1,8 +1,10 @@
-"""The grid sweep behind the sparse W and sigma of the general table.
+"""The grid sweep behind the sparse W and sigma, and the branches of its cells.
 
 Every node below U is a grid quotient U div (p^a q^b); the sweep must visit
-exactly the nodes the table reaches from U, agree with the independent
-engines, and give the same values warm as fresh.
+exactly the nodes the general table reaches from U, agree with the
+independent engines, and give the same values warm as fresh.  The branches
+that ``CELL_BRANCHES`` reads from a cell's code must be the general table's
+row, in the same order.
 """
 
 import random
@@ -11,7 +13,7 @@ import pytest
 
 from chainpart.core import make_system
 from chainpart.counting import CaseTableCounter, DirectSumCounter, HalvingCounter
-from chainpart.decomposition import count_grid, general_table, grid_cells, sigma_grid
+from chainpart.decomposition import CELL_BRANCHES, count_grid, grid_cells, sigma_grid
 from chainpart.shortest import ShortestTable
 
 SYSTEMS = [(2, 3), (3, 4), (5, 7), (3, 2), (2, 5), (7, 2)]
@@ -29,9 +31,8 @@ def grid_quotients(u, p, q):
     return nodes
 
 
-def reachable(u, sys_):
-    """The nodes x >= 2 that the general table reaches from u (a plain search)."""
-    table = general_table(sys_)
+def reachable(u, table):
+    """The nodes x >= 2 that the general ``table`` reaches from u (a plain search)."""
     seen, todo = set(), [u]
     while todo:
         x = todo.pop()
@@ -44,7 +45,7 @@ def reachable(u, sys_):
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (3, 4), (5, 7)])
-def test_sweep_visits_exactly_the_reachable_grid_quotients(pq):
+def test_sweep_visits_exactly_the_reachable_grid_quotients(pq, general_table):
     sys_ = make_system(*pq)
     p, q = pq
     u = random.Random(150).randrange(10**149, 10**150)
@@ -52,12 +53,29 @@ def test_sweep_visits_exactly_the_reachable_grid_quotients(pq):
     visited = {(a, b) for b, codes in enumerate(cells) for a, code in enumerate(codes) if code}
     values = {u // (p**a * q**b) for a, b in visited}
     assert values <= grid_quotients(u, p, q)
-    assert {x for x in values if x >= 2} == reachable(u, sys_)
-    for rows in (count_grid(u, sys_, keep=True), sigma_grid(u, sys_, keep=True)):
+    assert {x for x in values if x >= 2} == reachable(u, general_table(sys_))
+    for rows, kept_cells in (count_grid(u, sys_, keep=True), sigma_grid(u, sys_, keep=True)):
+        assert kept_cells == cells
         assert len(rows) == len(cells)
         filled = {(a, b) for b, (row, codes) in enumerate(zip(rows, cells))
                   for a, x in enumerate(row[: len(codes)]) if x is not None}
         assert filled == visited
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3),
+                                (3, 5), (5, 7), (7, 5), (2, 9)])
+def test_cell_branches_are_the_general_table_rows(pq, general_table):
+    # a filtered branch only enters a node divisible by p, whose first branch,
+    # the p-scaled one, it drops
+    sys_ = make_system(*pq)
+    table = general_table(sys_)
+    for r, row in enumerate(table.rows):
+        code = grid_cells(sys_.pq + r, sys_)[0][0]
+        states = [(False, row)] + ([(True, row[1:])] if r % sys_.p == 0 else [])
+        for filtered, branches in states:
+            expected = [(*branch.below(0, 0), branch.labels[0] == "1", branch.filtered)
+                        for branch in branches]
+            assert [tuple(b) for b in CELL_BRANCHES[filtered][code]] == expected, (r, filtered)
 
 
 def test_tables_hold_only_the_queried_sums():

@@ -127,16 +127,6 @@ def test_scan_w_rows_match_the_percent_blocks_to_a_million(p, q, emit):
     assert stdout_of(argv) == (0, percent_block_scan_w(10**6, make_system(p, q), emit))
 
 
-def test_print_rows_looks_up_stdout_per_call(monkeypatch):
-    first, second = io.StringIO(), io.StringIO()
-    monkeypatch.setattr(sys, "stdout", first)
-    cli._print_rows("%d,%s", range(2), ["a", "b"])
-    monkeypatch.setattr(sys, "stdout", second)
-    cli._print_rows("%d!", (7,))
-    cli._print_rows("%d", [])
-    assert (first.getvalue(), second.getvalue()) == ("0,a\n1,b\n", "7!\n")
-
-
 def test_print_numbered_looks_up_stdout_per_call(monkeypatch):
     first, second = io.StringIO(), io.StringIO()
     monkeypatch.setattr(sys, "stdout", first)

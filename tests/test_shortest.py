@@ -7,7 +7,7 @@ import pytest
 
 from chainpart.core import UnreachableSumError, chain_census, make_system, validate, value
 from chainpart.counting import make_counter
-from chainpart.decomposition import cell_below, general_table, sigma_grid
+from chainpart.decomposition import sigma_grid
 from chainpart.shortest import ChainCost, ShortestTable, chain_cost, chain_pow
 
 
@@ -54,26 +54,28 @@ def test_witness_is_valid_and_shortest(sys23):
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (5, 7), (3, 2)])
-def test_witness_equals_the_argmin_lift(p, q, descend_and_lift):
-    """Each witness is the partition that the old argmin descent lifted back
-    up from the leaf, ties going to the first branch of the row."""
+def test_witness_equals_the_argmin_lift(p, q, descend_and_lift, general_table):
+    """Each witness is the partition that the old argmin descent of the
+    general table lifted back up from the leaf, ties going to the first
+    branch of the row.  That descent kept the p-scaled branch below a
+    filtered one, where the descent of the cells drops it."""
     sys_ = make_system(p, q)
     table = ShortestTable(sys_)
     decomposition = general_table(sys_)
     for u in range(0, 3000):
         if table.sigma_or_inf(u) == math.inf:
             continue
-        rows = sigma_grid(u, sys_, keep=True) if u >= 2 else [[table.sigma_or_inf(u)]]
+        rows = sigma_grid(u, sys_, keep=True)[0] if u >= 2 else [[table.sigma_or_inf(u)]]
         a = b = 0
 
         def score(branch):
-            ca, cb = cell_below(a, b, branch)
+            ca, cb = branch.below(a, b)
             return branch.labels.count("1") + rows[cb][ca]
 
         def argmin(v, row):
             nonlocal a, b
             pick = min(row, key=score)
-            a, b = cell_below(a, b, pick)
+            a, b = pick.below(a, b)
             return pick
 
         assert table.witness(u).witness == descend_and_lift(decomposition, u, argmin), u

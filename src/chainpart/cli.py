@@ -76,7 +76,7 @@ def _print_numbered(head: str, mid: str, tail: str, values: Sequence[int]) -> No
 
 
 def _read_config(path: str) -> dict[str, str]:
-    """Simple key=value file; blank lines and # comments ignored."""
+    """Simple key=value file, keys spelled as options; blank lines and # comments ignored."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
@@ -86,7 +86,7 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            values[key.strip().replace("_", "-")] = val.strip()
     return values
 
 
@@ -440,7 +440,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return acceptance.run_selftest(profile, corrupt=args.inject_corruption)
 
 
-def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chainpart",
         description="Generate, encode, count, sample and analyze strictly "
@@ -451,7 +451,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--p", type=_integer, default=2, help="first base (default 2)")
     base.add_argument("--q", type=_integer, default=3, help="second base (default 3)")
-    base.add_argument("--config", default=None, help="key=value defaults file")
+    base.add_argument("--config", default=None, help="key=value file of options")
 
     sub = subs.add_parser("enumerate", parents=[base], help="list all partitions of a sum")
     sub.add_argument("--u", type=_integer, required=True)
@@ -533,42 +533,36 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     mode.add_argument("--full", action="store_true", default=False)
     sub.add_argument("--inject-corruption", action="store_true",
                      help=argparse.SUPPRESS)
-
-    if config:
-        # config values become per-subcommand defaults; flags still override
-        for sub in subs.choices.values():
-            dests = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser(config: tuple) -> argparse.ArgumentParser:
-    """``build_parser`` once per distinct config (sorted items) and process."""
-    return build_parser(dict(config))
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser`` once per process."""
+    return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
-    config: dict[str, object] = {}
+    parser = _parser()
     # first pass only to honor --config PATH or --config=PATH before real parsing
     at = next((i for i, arg in enumerate(argv)
                if arg == "--config" or arg.startswith("--config=")), None)
     if at is not None:
         try:
             path = argv[at + 1] if argv[at] == "--config" else argv[at][len("--config="):]
-            raw = _read_config(path)
+            config = _read_config(path)
         except (IndexError, OSError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=_sys.stderr)
             return 1
-        for key, val in raw.items():
-            digits = val[1:] if val.startswith("-") else val
-            try:  # only an ASCII decimal; argparse converts, or refuses, the rest
-                config[key] = int(val) if digits.isascii() and digits.isdigit() else val
-            except ValueError:  # past Python's int string limit
-                config[key] = val
+        # each key the command has as an option goes in as --key=value after
+        # the command name, so argparse reads it and later flags override it
+        commands = next(action.choices for action in parser._actions if action.dest == "command")
+        command = commands.get(argv[0])
+        options = command._option_string_actions if command else {}
+        argv[1:1] = [f"--{key}={val}" for key, val in config.items() if f"--{key}" in options]
     try:
-        args = _parser(tuple(sorted(config.items()))).parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # raised by _Parser.error with code 1
         return int(exc.code or 0)
     try:  # by name at call time, so the cached parser holds no function

@@ -167,10 +167,10 @@ def _undo_labels(sys: PQSystem) -> tuple[tuple[Optional[str], ...], tuple[Option
     first that starts with 2 or 1; 1q is cut to 1.  None when there is none.
     """
     def first(row, leads):
-        labels = next((br.labels for br in row if br.labels[0] in leads), None)
+        labels = next((labels for labels in row if labels[0] in leads), None)
         return "1" if labels == "1q" else labels
 
-    rows = binary_table(sys).rows
+    rows = binary_table(sys)
     return tuple(first(row, "1") for row in rows), tuple(first(row, "21") for row in rows)
 
 
@@ -186,7 +186,7 @@ def _replay_steps(sys: PQSystem) -> dict[str, tuple[tuple[int, Optional[str]], .
     """
     q = sys.q
     modulus = 2 * q
-    rests = [{br.labels[0]: br.labels[1:] for br in row} for row in binary_table(sys).rows]
+    rests = [{labels[0]: labels[1:] for labels in row} for row in binary_table(sys)]
     steps = {}
     for letter, mul, add in (("1", 1, 1), ("2", 2, 0), ("q", q, 0)):
         after = [(mul * r + add) % modulus for r in range(modulus)]
@@ -265,21 +265,25 @@ class TreeLanguage:
     def __init__(self, sys: PQSystem) -> None:
         _require_p2(sys)
         self.sys = sys
-        self._decomposition = binary_table(sys)
+        self._rows = binary_table(sys)
         self._memo: dict[int, tuple[str, ...]] = {0: (), 1: ("",)}
 
     def words(self, v: int) -> tuple[str, ...]:
         """All symbolic words ('1', '2', 'q' letters concatenated) for v."""
         memo = self._memo
-        decomposition = self._decomposition
+        rows, q = self._rows, self.sys.q
         stack = [v]
         while stack:
             x = stack[-1]
             if x in memo:
                 stack.pop()
                 continue
-            y, r = divmod(x, decomposition.modulus)
-            branches = [(b.labels, b.mul * y + b.off) for b in decomposition.rows[r]]
+            branches = []
+            for labels in rows[x % len(rows)]:
+                arg = x  # x with the labels undone, first label first
+                for letter in labels:
+                    arg = arg - 1 if letter == "1" else arg // (2 if letter == "2" else q)
+                branches.append((labels, arg))
             missing = [arg for _, arg in branches if arg not in memo]
             if missing:
                 stack.extend(missing)

@@ -28,15 +28,15 @@ else reads the codes:
   above, and ``descend`` follows one of them per cell to the leaf N = 1: to
   build a member of a given rank for sampling and enumeration, or the sigma
   witness.
-* ``count_fill`` and ``sigma_fill`` apply the same rule densely on 0..n.
+* ``count_fill`` and ``sigma_fill`` fold the code of each class mod pq on 0..n.
 
 The binary table (p = 2, modulus 2q) reads the label ``1`` as adding 1 to
 the block of powers of 2, with carries, which keeps every branch disjoint and
-unfiltered.  Its rows are the classes r in {0, q}: ``q`` and ``1``; r = 1:
+unfiltered; that split defines the tree words of ``codec``, so it is a table
+of its own.  Its rows hold labels: r in {0, q}: ``q`` and ``1``; r = 1:
 ``1``; r = q + 1: ``2`` and ``1q``; other even r: ``2``; other odd r: ``12``.
-A branch ``(labels, mul, off)`` maps Omega(mul*v + off), v = U div 2q, into
-Omega(U) by applying its labels, last label first; they spell the tree words
-of ``codec``.
+A branch's argument is U with its labels undone, first label first: ``1``
+subtracts 1, ``2`` halves and ``q`` divides by q.
 """
 
 from __future__ import annotations
@@ -44,28 +44,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .core import InvalidSystemError, PQSystem
 
 _INF = math.inf
-
-
-class Branch(NamedTuple):
-    """Labels applied to Omega(mul*v + off), a branch of the binary table."""
-
-    labels: str
-    mul: int
-    off: int
-
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Branch rows indexed by U mod ``modulus``."""
-
-    modulus: int
-    rows: tuple[tuple[Branch, ...], ...]
 
 
 # Cell codes of the grid sweep; a cell not reached from u is 0.
@@ -153,8 +136,7 @@ def _chunk_codes(sys: PQSystem) -> tuple[int, dict[int, tuple[bytes, int]]]:
 
 
 def _codes_of(sys: PQSystem, k: int, s: int, c: int) -> tuple[bytes, int]:
-    p, q = sys.p, sys.q
-    p_inv = pow(p, -1, q)
+    p, q, p_inv = sys.p, sys.q, sys.k0
     codes = bytearray()
     for _ in range(k):
         c, d = divmod(c, p)
@@ -294,22 +276,23 @@ def _fill_columns(arr: list, sys: PQSystem,
                   column: Callable[[int, list, list, list], list]) -> None:
     """Fill arr[2:] in place, given arr[0] and arr[1], one residue class at a time.
 
-    For u = pq k + r, ``column(r, P, Q, V)`` gets the values at u div p,
-    u div q and u div pq for a run of k, each as a list, and returns the
-    values at those u.  A run of k from k0 to min(p, q) k0 has every
-    argument below pq k0, so it reads only finished entries, as strided slices.
+    For u = pq k + r, ``column(code, P, Q, V)`` gets the ``_codes_of`` code of
+    r, and the values at u div p, u div q and u div pq for a run of k, each as a
+    list, and returns the values at those u.  A run of k from k0 to min(p, q) k0
+    has every argument below pq k0, so it reads only finished entries, as slices.
     """
     p, q, pq = sys.p, sys.q, sys.pq
+    codes = [_codes_of(sys, 1, r % q, r % p)[0][0] for r in range(pq)]
     n = len(arr)
     for u in range(2, min(pq, n)):
-        arr[u] = column(u, [arr[u // p]], [arr[u // q]], [arr[0]])[0]
+        arr[u] = column(codes[u], [arr[u // p]], [arr[u // q]], [arr[0]])[0]
     k0, end = 1, -(-n // pq)
     arr += [None] * (pq * end - n)
     while k0 < end:
         k1 = min(k0 * min(p, q), end)
         for r in range(pq):
             arr[pq * k0 + r : pq * k1 : pq] = column(
-                r,
+                codes[r],
                 arr[q * k0 + r // p : q * k1 : q],
                 arr[p * k0 + r // q : p * k1 : p],
                 arr[k0:k1],
@@ -320,29 +303,27 @@ def _fill_columns(arr: list, sys: PQSystem,
 
 def count_fill(arr: list[int], sys: PQSystem) -> None:
     """W on 0..len(arr) - 1 by the rule of ``count_grid``, given arr[0] = arr[1] = 1."""
-    p, q = sys.p, sys.q
 
-    def column(r: int, at_p: list, at_q: list, at_pq: list) -> list:
-        if r % p > 1:
-            return at_q if r % q < 2 else [0] * len(at_pq)
-        if r % q > 1:
-            return at_p
+    def column(code: int, at_p: list, at_q: list, at_pq: list) -> list:
+        if not code & STEP_Q:
+            return at_p if code & STEP_P else [0] * len(at_pq)
+        if not code & STEP_P:
+            return at_q
         total = list(map(operator.add, at_p, at_q))
-        return list(map(operator.sub, total, at_pq)) if r < 2 else total
+        return list(map(operator.sub, total, at_pq)) if code & FILTERED else total
 
     _fill_columns(arr, sys, column)
 
 
 def sigma_fill(arr: list, sys: PQSystem) -> None:
     """sigma on 0..len(arr) - 1 by the rule of ``sigma_grid``, given arr[0] = 0, arr[1] = 1."""
-    p, q = sys.p, sys.q
 
-    def column(r: int, at_p: list, at_q: list, at_pq: list) -> list:
+    def column(code: int, at_p: list, at_q: list, at_pq: list) -> list:
         # an unreachable sum keeps the one shared inf, not a fresh inf + 1
         terms = [
-            at if d == 0 else [x + 1 if x != _INF else _INF for x in at]
-            for at, d in ((at_p, r % p), (at_q, r % q))
-            if d < 2
+            [x + 1 if x != _INF else _INF for x in at] if code & one else at
+            for at, step, one in ((at_p, STEP_P, ONE_P), (at_q, STEP_Q, ONE_Q))
+            if code & step
         ]
         if len(terms) == 2:
             return list(map(min, *terms))
@@ -352,21 +333,21 @@ def sigma_fill(arr: list, sys: PQSystem) -> None:
 
 
 @functools.lru_cache(maxsize=128)
-def binary_table(sys: PQSystem) -> Decomposition:
-    """The disjoint table of Omega(U) by U mod 2q, for p = 2."""
+def binary_table(sys: PQSystem) -> tuple[tuple[str, ...], ...]:
+    """The disjoint table of Omega(U) for p = 2: the labels of each branch, by U mod 2q."""
     if sys.p != 2:
         raise InvalidSystemError("the binary decomposition requires p = 2")
     q = sys.q
     rows = []
     for r in range(2 * q):
         if r % q == 0:
-            rows.append((Branch("q", 2, r // q), Branch("1", 2 * q, r - 1)))
+            rows.append(("q", "1"))
         elif r == 1:
-            rows.append((Branch("1", 2 * q, 0),))
+            rows.append(("1",))
         elif r == q + 1:
-            rows.append((Branch("2", q, r // 2), Branch("1q", 2, 1)))
+            rows.append(("2", "1q"))
         elif r % 2 == 0:
-            rows.append((Branch("2", q, r // 2),))
+            rows.append(("2",))
         else:
-            rows.append((Branch("12", q, (r - 1) // 2),))
-    return Decomposition(2 * q, tuple(rows))
+            rows.append(("12",))
+    return tuple(rows)

@@ -1,10 +1,10 @@
 import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import pytest
 
 from chainpart.core import Partition, make_system
-from chainpart.decomposition import Decomposition
 
 
 @pytest.fixture(scope="session")
@@ -60,9 +60,17 @@ def descend_and_lift():
     return _descend_and_lift
 
 
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """Branch rows indexed by U mod ``modulus``."""
+
+    modulus: int
+    rows: tuple
+
+
 class Branch(NamedTuple):
-    """A branch of the general table: labels applied to Omega(mul*v + off),
-    with the smallest-part filter."""
+    """A branch of a table: labels applied to Omega(mul*v + off), v = U div
+    modulus, with the smallest-part filter of the general table."""
 
     labels: str
     mul: int
@@ -106,3 +114,30 @@ def _general_table(sys_):
 @pytest.fixture(scope="session")
 def general_table():
     return _general_table
+
+
+@functools.lru_cache(maxsize=None)
+def _binary_table(sys_):
+    """The binary table of the tree words (p = 2, modulus 2q) with each
+    branch's argument written out: the oracle of the label rows of
+    ``decomposition.binary_table``, whose arguments are U with the labels
+    undone."""
+    q = sys_.q
+    rows = []
+    for r in range(2 * q):
+        if r % q == 0:
+            rows.append((Branch("q", 2, r // q, False), Branch("1", 2 * q, r - 1, False)))
+        elif r == 1:
+            rows.append((Branch("1", 2 * q, 0, False),))
+        elif r == q + 1:
+            rows.append((Branch("2", q, r // 2, False), Branch("1q", 2, 1, False)))
+        elif r % 2 == 0:
+            rows.append((Branch("2", q, r // 2, False),))
+        else:
+            rows.append((Branch("12", q, (r - 1) // 2, False),))
+    return Decomposition(2 * q, tuple(rows))
+
+
+@pytest.fixture(scope="session")
+def binary_oracle():
+    return _binary_table

@@ -415,7 +415,7 @@ def test_config_file(capsys, tmp_path):
 
 
 def test_config_does_not_leak_between_calls(capsys, tmp_path):
-    # the parser is cached per config, so a config run and a plain run each get their own
+    # the parser is cached once per process; a config's values go into argv only
     cfg = tmp_path / "chainpart.cfg"
     cfg.write_text("q=5\n")
     assert run(capsys, "count", "--config", str(cfg), "--u", "10")[:2] == (0, "2\n")
@@ -448,3 +448,30 @@ def test_config_equals_without_path_is_a_bad_config(capsys):
     code, out, err = run(capsys, "count", "--config=", "--u", "10")
     assert (code, out) == (1, "")
     assert err.startswith("error: bad config")
+
+
+def test_config_value_satisfies_a_required_option(capsys, tmp_path):
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text("u=10\n")
+    assert run(capsys, "count", "--config", str(cfg)) == (0, "3\n", "")
+
+
+def test_config_value_goes_through_the_append_action(capsys, tmp_path):
+    # the value once reached the scan as a bare int (TypeError), and with
+    # --scan-q on the command line as a str to append to (AttributeError)
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text("scan_q=5\n")
+    argv = ("scan", "monotonicity", "--limit", "10", "--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert (code, [json.loads(line)["q"] for line in out.splitlines()], err) == (0, [5], "")
+    code, out, err = run(capsys, *argv, "--scan-q", "7")
+    assert (code, [json.loads(line)["q"] for line in out.splitlines()], err) == (0, [5, 7], "")
+
+
+def test_config_cannot_set_a_flag(capsys, tmp_path):
+    # "false" once turned --dot on, as did any value but 0 or an empty one
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text("dot=false\n")
+    code, out, err = run(capsys, "graph", "--u", "5", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "error: argument --dot: " in err and "Traceback" not in err

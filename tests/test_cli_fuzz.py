@@ -1,10 +1,14 @@
-"""Fuzzed command lines: every subcommand and option comes from the real parser.
+"""Fuzzed command lines and config files: every subcommand and option comes
+from the real parser.
 
 Each case must exit 0, 1 or 2 and never print a Python traceback.  Values
 stay small (``--u`` up to 10^6, ``--limit`` up to 2000, ``--n`` up to 3,
-``--steps`` up to 50) and reach a little past the valid range on purpose.  ``selftest`` is left out (it runs the acceptance suite) and
-so is ``--config`` (it names a file).  Hypothesis runs derandomized with a
-fixed number of examples, so every run draws the same command lines.
+``--steps`` up to 50) and reach a little past the valid range on purpose.
+``selftest`` is left out (it runs the acceptance suite).  A ``--config``
+file holds keys drawn from the command's option dests, flags included, and
+one key that is no option; its values are the command-line values or free
+text.  Hypothesis runs derandomized with a fixed number of examples, so
+every run draws the same command lines and files.
 """
 
 import argparse
@@ -12,7 +16,10 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,10 +96,40 @@ def command_lines(draw):
     return argv
 
 
+# Free text for a config value: no surrogates, which a file cannot hold.
+FREE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def config_files(draw, name):
+    """The text of a config file for the command ``name``."""
+    lines = [f"colour={draw(FREE_TEXT)}"]  # no command has this option
+    for action in COMMANDS[name]._actions:
+        if not action.option_strings or action.dest in ("help", "config"):
+            continue
+        if not action.required and not draw(st.booleans()):
+            continue
+        takes_value = action.choices or action.dest in INTS or action.dest in ("p", "q", "scan_q")
+        # free text now and then where a command-line value fits
+        value = draw(_value(action) if takes_value and draw(st.integers(0, 3)) < 3 else FREE_TEXT)
+        lines.append(f"{action.dest}={value}")
+    return "\n".join(lines) + "\n"
+
+
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
 @given(command_lines(), STDIN)
 def test_fuzzed_argv_exits_cleanly(argv, stdin):
     _exits_cleanly(argv, stdin)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))  # each command as often
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(st.data(), STDIN)
+def test_fuzzed_config_file_exits_cleanly(name, data, stdin):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "chainpart.cfg"
+        path.write_text(data.draw(config_files(name)), encoding="utf-8")
+        _exits_cleanly([name, "--config", str(path)], stdin)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

@@ -193,7 +193,7 @@ def test_tree_language_deep_value(sys23):
     assert len(words[0]) == 2401
 
 
-def _tree_decode_by_descent(word, sys_, descend_and_lift):
+def _tree_decode_by_descent(word, sys_, descend_and_lift, binary_oracle):
     """``tree_decode`` as it was: the descent from U takes at each node the
     branch whose labels come next in the word, then lifts the partition."""
     letters = "".join(word.letters)
@@ -210,10 +210,33 @@ def _tree_decode_by_descent(word, sys_, descend_and_lift):
                 return branch
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")
 
-    pt = descend_and_lift(binary_table(sys_), u, match)
+    pt = descend_and_lift(binary_oracle(sys_), u, match)
     if i < len(letters):
         raise MalformedWordError(f"{word.letters} is not a canonical tree word")
     return u, pt
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_binary_table_labels_undo_to_the_oracle_arguments(q, binary_oracle):
+    """Undoing each label row from x = 2q v + r, first label first (1
+    subtracts 1, 2 halves, q divides by q), gives the oracle's mul v + off."""
+    sys_ = make_system(2, q)
+    rows, oracle = binary_table(sys_), binary_oracle(sys_)
+    assert oracle.modulus == len(rows) == 2 * q
+    for r, (labels_row, branches) in enumerate(zip(rows, oracle.rows)):
+        assert labels_row == tuple(branch.labels for branch in branches), r
+        for v in range(50):
+            for branch in branches:
+                x = 2 * q * v + r
+                for letter in branch.labels:
+                    x = x - 1 if letter == "1" else x // (2 if letter == "2" else q)
+                assert x == branch.mul * v + branch.off, (r, v, branch)
+
+
+@pytest.fixture
+def by_descent(descend_and_lift, binary_oracle):
+    return functools.partial(_tree_decode_by_descent, descend_and_lift=descend_and_lift,
+                             binary_oracle=binary_oracle)
 
 
 def _outcome(decode, word, sys_):
@@ -224,7 +247,7 @@ def _outcome(decode, word, sys_):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
-def test_tree_codec_equals_descent_oracle(q, descend_and_lift):
+def test_tree_codec_equals_descent_oracle(q, by_descent):
     """Every word of every u <= 3000 decodes as by the descent, and each
     member encodes to the one word that the descent decodes to it."""
     sys_ = make_system(2, q)
@@ -234,7 +257,7 @@ def test_tree_codec_equals_descent_oracle(q, descend_and_lift):
         word_of = {}
         for text in lang.words(u):
             word = TreeWord(tuple(text))
-            expected = _tree_decode_by_descent(word, sys_, descend_and_lift)
+            expected = by_descent(word, sys_)
             assert tree_decode(word, sys_) == expected == (u, expected[1]), text
             word_of[expected[1]] = word
         members = en.omega(u)
@@ -243,8 +266,7 @@ def test_tree_codec_equals_descent_oracle(q, descend_and_lift):
             assert tree_encode(pt, sys_) == word_of[pt], pt
 
 
-def test_tree_decode_equals_descent_oracle_on_random_strings(descend_and_lift):
-    by_descent = functools.partial(_tree_decode_by_descent, descend_and_lift=descend_and_lift)
+def test_tree_decode_equals_descent_oracle_on_random_strings(by_descent):
     rng = random.Random(14)
     outcomes = set()
     for q in (3, 5, 7, 11):
@@ -257,8 +279,7 @@ def test_tree_decode_equals_descent_oracle_on_random_strings(descend_and_lift):
     assert outcomes == {True, False}  # both canonical and non-canonical words were drawn
 
 
-def test_tree_decode_messages(sys23, descend_and_lift):
-    by_descent = functools.partial(_tree_decode_by_descent, descend_and_lift=descend_and_lift)
+def test_tree_decode_messages(sys23, by_descent):
     for text in ("21", "11213", "1", "23", "31"):
         message = f"{tw(text, sys23).letters} is not a canonical tree word"
         for decode in (tree_decode, by_descent):

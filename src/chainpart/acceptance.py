@@ -107,7 +107,7 @@ def criterion_03_counting(profile: str,
             for eng, scan in zip(engines, scans):
                 head = scan[: oracle_limit + 1]
                 _need(
-                    head == census.counts,
+                    head.tolist() == census.counts,
                     f"{type(eng).__name__} disagrees with the oracle for {sys_}",
                 )
             for other in scans[1:]:

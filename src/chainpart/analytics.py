@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -100,7 +101,10 @@ def constant_upper_bound(sys: PQSystem, alpha: Optional[float] = None) -> float:
 
 
 class PrefixSums:
-    """S(x) for real x up to a limit, backed by one bottom-up count scan."""
+    """S(x) for real x up to a limit, backed by one bottom-up count scan.
+
+    The scan and its prefix sums are each an ``array('Q')``.
+    """
 
     def __init__(self, sys: PQSystem, limit: int,
                  counter: Optional[CountTable] = None) -> None:
@@ -108,7 +112,9 @@ class PrefixSums:
         self.limit = limit
         self.counter = counter or make_counter(sys)
         self._counts = counts = self.counter.scan(limit)
-        self._sums = list(itertools.accumulate(itertools.islice(counts, 1, limit + 1), initial=0))
+        # S(n) <= n^(1 + beta) < 2^64 for every n below 2^35, past any scan in memory
+        self._sums = array("Q", itertools.accumulate(itertools.islice(counts, 1, limit + 1),
+                                                      initial=0))
 
     def count(self, u: int) -> int:
         return self._counts[u] if 0 <= u <= self.limit else self.counter.w(u)

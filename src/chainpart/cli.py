@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -536,6 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _names_config(name: str, options: dict) -> bool:
+    """Whether argparse reads the option ``name`` as ``--config``, given the
+    command's ``options``: it is ``--config``, or a prefix that no other option has."""
+    if name == "--config":
+        return True
+    return (name.startswith("--") and name not in options
+            and [opt for opt in options if opt.startswith(name)] == ["--config"])
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """``build_parser`` once per process."""
@@ -545,21 +555,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(_sys.argv[1:] if argv is None else argv)
     parser = _parser()
-    # first pass only to honor --config PATH or --config=PATH before real parsing
-    at = next((i for i, arg in enumerate(argv)
-               if arg == "--config" or arg.startswith("--config=")), None)
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    command = commands.get(argv[0]) if argv else None
+    options = command._option_string_actions if command else {}
+    # first pass only to honor --config PATH or --config=PATH before real parsing,
+    # in every spelling that argparse reads as --config
+    at = next((i for i, arg in enumerate(itertools.takewhile("--".__ne__, argv))
+               if _names_config(arg.partition("=")[0], options)), None)
     if at is not None:
         try:
-            path = argv[at + 1] if argv[at] == "--config" else argv[at][len("--config="):]
-            config = _read_config(path)
+            _, eq, path = argv[at].partition("=")
+            config = _read_config(path if eq else argv[at + 1])
         except (IndexError, OSError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=_sys.stderr)
             return 1
         # each key the command has as an option goes in as --key=value after
         # the command name, so argparse reads it and later flags override it
-        commands = next(action.choices for action in parser._actions if action.dest == "command")
-        command = commands.get(argv[0])
-        options = command._option_string_actions if command else {}
         argv[1:1] = [f"--{key}={val}" for key, val in config.items() if f"--{key}" in options]
     try:
         args = parser.parse_args(argv)

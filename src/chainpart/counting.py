@@ -7,7 +7,8 @@ cross-validate each other and the brute-force oracle:
   of the case split in ``decomposition``, W(U) = the sum of W over the
   branch arguments of U mod pq, minus W(U div pq) for the one filtered
   branch.  A sparse W(U) is one ``count_grid`` row sweep over the reachable
-  quotients U div (p^a q^b); a dense scan is ``count_fill``.
+  quotients U div (p^a q^b); a dense scan is ``count_fill``, on 64-bit
+  lanes (see ``scan``).
 
 * ``HalvingCounter`` -- the p = 2 specialization, kept as a cross-check,
       W(qU)   = W(U) + W(qU-1)
@@ -27,6 +28,8 @@ the recurrences this shows up as divisibility checks, never as rationals.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .core import InvalidSystemError, PQSystem
 from .decomposition import Grid, count_fill, count_grid
@@ -144,18 +147,22 @@ class CountTable:
         self.star[u] = total
         return total
 
-    def scan(self, limit: int) -> list[int]:
-        """W on 0..limit, bottom-up; independent of the sparse memo."""
+    def scan(self, limit: int) -> array:
+        """W on 0..limit, bottom-up, as an ``array('Q')``; independent of the sparse memo.
+
+        One unsigned 64-bit lane per u holds every W a scan can reach:
+        W(u) <= u^beta with beta <= 0.79, so W < 2^63 for every u below 2^79.
+        """
         if limit < 0:
             raise ValueError("limit must be >= 0")
-        arr = [0] * (limit + 1)
+        arr = array("Q", bytes(8 * (limit + 1)))
         arr[0] = 1
         if limit >= 1:
             arr[1] = 1
         self._fill(arr)
         return arr
 
-    def _fill(self, arr: list[int]) -> None:
+    def _fill(self, arr: array) -> None:
         """Fill arr[2:] given arr[0] = arr[1] = 1, in increasing order.
 
         Subclasses may override this with a faster dense loop.
@@ -184,7 +191,7 @@ class CaseTableCounter(CountTable):
         w = self.table[u] = count_grid(u, self.sys)[0][0]
         return w
 
-    def _fill(self, arr: list[int]) -> None:
+    def _fill(self, arr: array) -> None:
         count_fill(arr, self.sys)
 
 

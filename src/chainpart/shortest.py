@@ -6,9 +6,12 @@ plus 1 for a branch that adds the part 1 (a scaling branch is free).  The
 filter of the one overlapping branch can be ignored here, because the union
 of the branch images is the same.  A sparse sigma(U) is one two-row
 ``sigma_grid`` sweep over the reachable quotients U div (p^a q^b), and a
-dense scan is ``sigma_fill``.  A witness is one ``decomposition.descend`` of
-the cells of one kept sweep along the argmin branches; ties go to the first
-branch of a cell in the order p, q, 1p, 1q, which makes witnesses
+dense scan is ``sigma_fill`` on a ``bytearray``, one byte per sum and
+``NO_SIGMA`` (0x7F) where Omega is empty; sigma(U) <= log2(U) + 1 keeps every
+value below 0x7E.  ``stats`` reads those bytes directly, and ``scan`` lists
+them, with math.inf for NO_SIGMA.  A witness is one ``decomposition.descend``
+of the cells of one kept sweep along the argmin branches; ties go to the
+first branch of a cell in the order p, q, 1p, 1q, which makes witnesses
 deterministic.  Below a filtered branch into Omega(pv) the descent drops the
 p-scaled branch, which is never the argmin there: the descent enters pv only
 when sigma(pv) < sigma(v).
@@ -23,9 +26,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import Optional
 
 from .core import (
@@ -34,9 +36,15 @@ from .core import (
     UnreachableSumError,
     value,
 )
-from .decomposition import CellBranch, descend, sigma_fill, sigma_grid
+from .decomposition import NO_SIGMA, CellBranch, descend, sigma_fill, sigma_grid
 
 _INF = math.inf
+#: A dense sigma byte as ``scan`` lists it, and 4.0 times it as ``stats`` sums it.
+_SIGMA_OF = (*range(NO_SIGMA), _INF)
+_FOUR_SIGMA = tuple(4.0 * s for s in range(NO_SIGMA))
+#: 1 at a reachable sum, 0 at NO_SIGMA, as a ``translate`` table.
+_REACHED = bytes(int(x != NO_SIGMA) for x in range(256))
+
 
 @dataclass(frozen=True, slots=True)
 class ShortestResult:
@@ -111,15 +119,19 @@ class ShortestTable:
         assert value(pt, self.sys) == u and len(pt) == best
         return ShortestResult(u, best, pt)
 
-    def scan(self, limit: int) -> list[float]:
-        """sigma on 0..limit bottom-up (math.inf where Omega is empty)."""
+    def _dense(self, limit: int) -> bytearray:
+        """sigma on 0..limit bottom-up, one byte each (NO_SIGMA where Omega is empty)."""
         if limit < 0:
             raise ValueError("limit must be >= 0")
-        arr: list[float] = [0] * (limit + 1)
+        arr = bytearray(limit + 1)
         if limit >= 1:
             arr[1] = 1
         sigma_fill(arr, self.sys)
         return arr
+
+    def scan(self, limit: int) -> list[float]:
+        """sigma on 0..limit bottom-up (math.inf where Omega is empty)."""
+        return list(map(_SIGMA_OF.__getitem__, self._dense(limit)))
 
     def stats(self, limit: int) -> ShortestStats:
         """Histogram of sigma over [2, limit] and the mean of 4*sigma/log2(U).
@@ -129,16 +141,22 @@ class ShortestTable:
         """
         if limit < 2:
             raise ValueError("limit must be >= 2")
-        sigmas, us = self.scan(limit)[2:], range(2, limit + 1)
-        if _INF in sigmas:
-            reached = list(map(math.isfinite, sigmas))
-            sigmas, us = list(compress(sigmas, reached)), list(compress(us, reached))
+        sigmas, us = self._dense(limit), range(2, limit + 1)
+        del sigmas[:2]
+        if NO_SIGMA in sigmas:
+            us = compress(us, sigmas.translate(_REACHED))
+            sigmas = sigmas.replace(bytes((NO_SIGMA,)), b"")
         if not sigmas:
             raise UnreachableSumError(f"no reachable sums in [2, {limit}] for {self.sys}")
         # a plain left fold in u order; sum() compensates float rounding from Python 3.12 on
-        terms = map(operator.truediv, map(operator.mul, repeat(4.0), sigmas), map(math.log2, us))
+        terms = map(operator.truediv, map(_FOUR_SIGMA.__getitem__, sigmas), map(math.log2, us))
         total = functools.reduce(operator.add, terms, 0.0)
-        histogram = dict(sorted(Counter(sigmas).items()))
+        histogram, left, s = {}, len(sigmas), 0
+        while left:  # one count per value, up to the largest sigma
+            if count := sigmas.count(s):
+                histogram[s] = count
+                left -= count
+            s += 1
         return ShortestStats(limit, total / len(sigmas), histogram)
 
 

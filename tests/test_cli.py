@@ -431,6 +431,25 @@ def test_config_equals_spelling_is_read(capsys, tmp_path):
     assert joined == spaced == (0, "2\n", "")
 
 
+@pytest.mark.parametrize("spelling", [("--conf", "{}"), ("--confi={}",), ("--c", "{}")],
+                         ids=["conf", "confi-equals", "c"])
+def test_config_abbreviation_is_read(capsys, tmp_path, spelling):
+    # argparse takes these for --config; the file was once ignored, printing 3
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text("q=5\n")
+    argv = [arg.format(cfg) for arg in spelling]
+    assert run(capsys, "count", *argv, "--u", "10") == (0, "2\n", "")
+
+
+def test_ambiguous_config_abbreviation_is_a_usage_error(capsys, tmp_path):
+    # encode has --codec too, so --c names no one option
+    cfg = tmp_path / "chainpart.cfg"
+    cfg.write_text("q=5\n")
+    code, out, err = run(capsys, "encode", "--c", str(cfg))
+    assert (code, out) == (1, "")
+    assert "ambiguous option: --c" in err
+
+
 @pytest.mark.parametrize("line", ["seed=--5", "q=\u00b2", "seed=" + "7" * 5000],
                          ids=["doubled-sign", "superscript-digit", "past-the-digit-limit"])
 def test_config_value_that_is_no_int_is_refused_by_argparse(capsys, tmp_path, line):

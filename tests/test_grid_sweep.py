@@ -100,7 +100,7 @@ def test_sweep_agrees_with_the_other_engines(pq):
             assert counter.w(u) == direct.w(u), u
         if halving:
             assert counter.w(u) == halving.w(u), u
-    assert [counter.w(u) for u in range(3001)] == counter.scan(3000)
+    assert [counter.w(u) for u in range(3001)] == list(counter.scan(3000))
 
 
 @pytest.mark.parametrize("pq", SYSTEMS)

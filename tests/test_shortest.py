@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -107,6 +108,18 @@ def test_stats_skip_unreachable_sums(sys35):
     census = chain_census(20, sys35)
     reachable = sum(1 for u in range(2, 21) if census.counts[u] > 0)
     assert sum(stats.histogram.values()) == reachable
+
+
+def test_stats_to_a_million_trace_under_4_mb(sys23):
+    # one byte per sum; a list of sigma values once traced 16 MB here
+    tracemalloc.start()
+    try:
+        stats = ShortestTable(sys23).stats(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(stats.histogram.values()) == 10**6 - 1
+    assert peak < 4 * 2**20, peak
 
 
 def test_chain_cost(sys23):

@@ -299,10 +299,9 @@ def criterion_11_graph(profile: str) -> CriterionResult:
         n_paths = 1_000 if profile == "full" else 100
         u_max = 100_000 if profile == "full" else 10_000
         rng = random.Random(11)
-        counter = counting.make_counter(sys23)
         for _ in range(n_paths):
             u = rng.randrange(2, u_max + 1)
-            pt = enumeration.sample_uniform(u, sys23, rng, counter)
+            [pt] = enumeration.sample_uniform(u, sys23, rng)
             path = graph23.reduce_to_binary(pt, sys23)
             bound = graph23.diameter_bound(u)
             _need(
@@ -335,11 +334,9 @@ def criterion_12_sampler(profile: str) -> CriterionResult:
             key=lambda pt: pt.parts,
         )
         _need(len(members) == 7, f"|Omega(27)| = {len(members)}")
-        rng = random.Random(0)
-        counter = counting.make_counter(sys23)
         tally = defaultdict(int)
-        for _ in range(draws):
-            tally[enumeration.sample_uniform(27, sys23, rng, counter)] += 1
+        for pt in enumeration.sample_uniform(27, sys23, random.Random(0), draws):
+            tally[pt] += 1
         _need(set(tally) <= set(members), "sampler left Omega(27)")
         expected = draws / len(members)
         stat = sum((tally[pt] - expected) ** 2 / expected for pt in members)

@@ -267,12 +267,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     sys_ = _system(args)
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
-    rng = random.Random(args.seed)
-    counter = counting.make_counter(sys_)
-    for _ in range(args.n):
-        pt = enumeration.sample_uniform(args.u, sys_, rng, counter)
+    for pt in enumeration.sample_uniform(args.u, sys_, random.Random(args.seed), args.n):
         print(core.to_json(pt, sys_))
     return 0
 

@@ -30,6 +30,7 @@ the recurrences this shows up as divisibility checks, never as rationals.
 from __future__ import annotations
 
 from array import array
+from typing import Optional
 
 from .core import InvalidSystemError, PQSystem
 from .decomposition import Grid, count_fill, count_grid
@@ -83,7 +84,6 @@ class CountTable:
         self.sys = sys
         self.table: dict[int, int] = {0: 1, 1: 1}
         self.star: dict[int, int] = {0: 1}
-        self._grid: tuple[int, Grid] = (-1, ([], []))
 
     def _expand(self, u: int) -> Expansion:
         """Return (constant, ((coeff, dep), ...)) with all deps < u."""
@@ -118,17 +118,17 @@ class CountTable:
             stack.pop()
         return table[u]
 
-    def grid(self, u: int) -> Grid:
-        """W at every cell below u, and the cells: ``rows[b][a]`` is W(u div (p^a q^b)).
+    def grid(self, u: int, every: Optional[int] = 1) -> Grid:
+        """W at every ``every``-th row of cells below u, and the cells:
+        ``rows[j][a]`` is W(u div (p^a q^(j every))).
 
-        Cells not reached from u hold None.  The grid of the last u is kept,
-        so that repeated draws at one u share one sweep.
+        ``every`` = 1 keeps every row, as ``walk`` reads them; None keeps
+        ceil(sqrt(rows)) checkpoint rows, whose segments ``refold`` recomputes
+        for ``unrank``.  Cells not reached from u hold None.
         """
         if u < 1:
-            return [[self.w(u)]], []
-        if self._grid[0] != u:
-            self._grid = (u, count_grid(u, self.sys, keep=True))
-        return self._grid[1]
+            return Grid([[self.w(u)]], [], 1)
+        return count_grid(u, self.sys, keep=True, every=every)
 
     def w_star(self, u: int) -> int:
         """W*(u): partitions of u with no part 1; W*(0) = 1 by convention."""

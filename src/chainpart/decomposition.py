@@ -22,12 +22,18 @@ else reads the codes:
   W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
   - [N mod pq <= 1] W(N div pq), and ``sigma_grid`` by sigma(N) = the least
   of sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms
-  whose residue is at most 1.  A lone value keeps two rows; the descents
-  keep every row, and the codes.
+  whose residue is at most 1.  Both folds read one kind byte per cell, the
+  ``translate`` of its code.  A lone value keeps two rows.  A kept sweep
+  (a ``Grid``) keeps the codes and every k-th row: the sigma witness and
+  ``walk`` every row (k = 1), the sampler k = ceil(sqrt(rows)) checkpoints,
+  from which ``refold`` recomputes the rows of one segment (Griewank's
+  checkpointing).
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
-  above, and ``descend`` follows one of them per cell to the leaf N = 1: to
-  build a member of a given rank for sampling and enumeration, or the sigma
-  witness.
+  above, and ``descend`` follows one of them per cell to the leaf N = 1, or
+  to the end of a segment: to build a member of a given rank for sampling
+  and enumeration, or the sigma witness.  A descent never moves to a smaller
+  a or b, so it enters each segment once, at its top row, and reads no
+  column left of where it entered.
 * ``count_fill`` and ``sigma_fill`` fold the code of each class mod pq on
   0..n, a column of one class at a time, on typed buffers: W in an
   ``array('Q')`` of 64-bit lanes, each column one big-integer add or subtract
@@ -51,7 +57,7 @@ import functools
 import math
 import sys as _sys
 from array import array
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .core import InvalidSystemError, PQSystem
 
@@ -87,27 +93,31 @@ CELL_BRANCHES = tuple(tuple(_branches_of(code, filtered) for code in range(64))
 
 
 def descend(cells: list[bytes], a: int, b: int, filtered: bool, parts: list[tuple[int, int]],
-            pick: Callable[[int, int, tuple[CellBranch, ...]], CellBranch]) -> list[tuple[int, int]]:
+            pick: Callable[[int, int, tuple[CellBranch, ...]], CellBranch],
+            end: Optional[int] = None) -> Optional[tuple[int, int, bool]]:
     """Go down the ``cells`` of ``grid_cells`` from the cell (a, b) to the leaf.
 
     ``filtered`` says whether the branch into (a, b) was filtered.  At each
     cell, ``pick(a, b, branches)`` returns the branch to take.  A unit branch
     appends the part (a, b) to ``parts``, and the leaf N = 1, the last cell of
-    its row when it has STEP_P, appends the last part; returns ``parts``,
-    smallest first.  No cells (U = 0) add nothing.
+    its row when it has STEP_P, appends the last part, smallest first.
+    Returns None at the leaf, or with no cells (U = 0, no parts); with a row
+    bound ``end``, a descent that reaches row ``end`` first stops there and
+    returns its cell and ``filtered``, to resume from.
     """
-    while cells:
+    stop = len(cells) if end is None else min(end, len(cells))
+    while b < stop:
         codes = cells[b]
         code = codes[a]
         if code & STEP_P and a == len(codes) - 1:
             parts.append((a, b))
-            break
+            return None
         da, db, unit, filtered = pick(a, b, CELL_BRANCHES[filtered][code])
         if unit:
             parts.append((a, b))
         a += da
         b += db
-    return parts
+    return (a, b, filtered) if b < len(cells) else None
 
 
 def _digits(n: int, base: int) -> Sequence[int]:
@@ -157,8 +167,14 @@ def _codes_of(sys: PQSystem, k: int, s: int, c: int) -> tuple[bytes, int]:
     return bytes(codes), s
 
 
-#: The rows of a kept sweep, b ascending, and the ``grid_cells`` they fold.
-Grid = tuple[list[list], list[bytes]]
+class Grid(NamedTuple):
+    """A kept sweep: ``rows[j]`` is row j * ``every``, rows b ascending, and the
+    ``grid_cells`` they fold; ``every`` = 1 keeps every row."""
+
+    rows: list[list]
+    cells: list[bytes]
+    every: int
+
 
 _P_FF = bytes(0xFF if c & STEP_P else 0 for c in range(256))
 _Q_01 = bytes(1 if c & STEP_Q else 0 for c in range(256))
@@ -205,48 +221,102 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
     return cells
 
 
-def _sweep(u: int, sys: PQSystem, keep: bool, at_zero: object,
-           fold_row: Callable[[bytes, list], list]) -> list[list] | Grid:
+def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytes, list], list],
+           keep: bool, every: Optional[int]) -> list[list] | Grid:
     """Fold the rows of ``grid_cells`` b descending with ``fold_row(codes, below)``.
 
-    Returns row 0 alone in a list, or with ``keep`` every row, b ascending,
-    and the cells.  A row holds one value per cell a, None where unreached,
-    and then the value at N = 0; the row below is padded with that value
-    past its end.
+    Returns row 0 alone in a list, or with ``keep`` a ``Grid`` of every
+    ``every``-th row, b ascending (every ceil(sqrt(rows))-th when ``every`` is
+    None), and the cells.  A row holds one value per cell a, None where
+    unreached, and then the value at N = 0; the row below is padded with that
+    value past its end.
     """
     cells = grid_cells(u, sys)
+    if every is None:
+        every = math.isqrt(len(cells) - 1) + 1  # u >= 1 has a row
     kept: list[list] = []
     below: list = []
-    for codes in reversed(cells):
+    for b in range(len(cells) - 1, -1, -1):
+        codes = cells[b]
         below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
-        if keep:
+        if keep and not b % every:
             kept.append(below)
-    return (kept[::-1], cells) if keep else [below]
+    return Grid(kept[::-1], cells, every) if keep else [below]
 
 
-def count_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list] | Grid:
+def count_grid(u: int, sys: PQSystem, keep: bool = False,
+               every: Optional[int] = None) -> list[list] | Grid:
     """W on the reachable cells below u >= 1, rows b ascending; W(u) is [0][0].
 
     Rows are filled b descending, a descending, by the one rule of the table:
     W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
     - [N mod pq <= 1] W(N div pq), with W(0) = 1.  Only row 0 is returned
-    unless ``keep``, which returns every row and the ``grid_cells`` they
-    fold; unreached cells hold None.
+    unless ``keep``, which returns a ``Grid`` of every ``every``-th row, by
+    default ceil(sqrt(rows)) checkpoints, for ``refold``; unreached cells hold
+    None.
     """
-    return _sweep(u, sys, keep, 1, _count_row)
+    return _sweep(u, sys, 1, _count_row, keep, every)
+
+
+def refold(grid: Grid, top: int, lo: int) -> list[list]:
+    """Rows top .. top + every of a ``count_grid`` Grid, where top is a kept row.
+
+    The first is the kept row itself and the last the next kept row (empty
+    past the last row of the grid); the rows between are folded again from
+    it, on the columns a >= ``lo`` only, None to their left.  A descent that
+    enters the segment at a column >= ``lo`` reads no other cell.
+    """
+    rows, cells, every = grid
+    j = top // every
+    below = rows[j + 1] if j + 1 < len(rows) else []
+    segment = [below]
+    for b in range(min(top + every, len(cells)) - 1, top, -1):
+        codes = cells[b]
+        cut = min(lo, len(codes))
+        tail = below[cut:]
+        tail += [1] * (len(codes) + 1 - cut - len(tail))
+        below = [None] * cut + _count_row(codes[cut:], tail)
+        segment.append(below)
+    segment.append(rows[j])
+    return segment[::-1]
+
+
+def _count_kind(code: int) -> int:
+    """The kind of a cell in the count fold, from its code.
+
+    With w = W at (a + 1, b), which a STEP_P cell steps into, W at the cell
+    is: 0 unreached (no value), 1 w + W below, 2 that less the filtered term,
+    3 w, 4 W below, 5 that less the filtered term, 6 zero.
+    """
+    if not code:
+        return 0
+    if code & STEP_Q:
+        return (2 if code & FILTERED else 1) + (0 if code & STEP_P else 3)
+    return 3 if code & STEP_P else 6
+
+
+_COUNT_KINDS = bytes(_count_kind(code) for code in range(256))
 
 
 def _count_row(codes: bytes, below: list) -> list:
     row: list = [None] * len(codes) + [1]
-    w = 1  # W at (a + 1, b) whenever c has STEP_P
-    for a, c in zip(range(len(codes) - 1, -1, -1), reversed(codes)):
-        if not c:
+    w = 1
+    # one kind byte per cell, the kinds in the order of their frequency on
+    # p = 2; literals keep the loop free of name lookups
+    for a, kind in zip(range(len(codes) - 1, -1, -1), reversed(codes.translate(_COUNT_KINDS))):
+        if kind == 1:
+            w += below[a]
+        elif kind == 2:
+            w += below[a] - below[a + 1]
+        elif kind == 3:
+            pass
+        elif not kind:
             continue
-        if c & STEP_Q:
-            w = (w if c & STEP_P else 0) + below[a]
-            if c & FILTERED:
-                w -= below[a + 1]
-        elif not c & STEP_P:
+        elif kind == 4:
+            w = below[a]
+        elif kind == 5:
+            w = below[a] - below[a + 1]
+        else:
             w = 0
         row[a] = w
     return row
@@ -257,24 +327,54 @@ def sigma_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list] | Grid:
 
     sigma(N) = min(sigma(N div p) + N mod p, sigma(N div q) + N mod q) over
     the terms whose residue is at most 1, with sigma(0) = 0 (inf if none).
+    ``keep`` keeps every row.
     """
-    return _sweep(u, sys, keep, 0, _sigma_row)
+    return _sweep(u, sys, 0, _sigma_row, keep, 1)
+
+
+def _sigma_kind(code: int) -> int:
+    """The kind of a cell in the sigma fold, from its code: 0 unreached, else
+    1 + 3 * (its p term) + (its q term), a term being 0 when absent, 1 when
+    it adds 0 (N mod base = 0) and 2 when it adds 1."""
+    if not code:
+        return 0
+    p_term = (2 if code & ONE_P else 1) if code & STEP_P else 0
+    q_term = (2 if code & ONE_Q else 1) if code & STEP_Q else 0
+    return 1 + 3 * p_term + q_term
+
+
+_SIGMA_KINDS = bytes(_sigma_kind(code) for code in range(256))
 
 
 def _sigma_row(codes: bytes, below: list) -> list:
     row: list = [None] * len(codes) + [0]
-    best = 0  # sigma at (a + 1, b) whenever c has STEP_P
-    for a, c in zip(range(len(codes) - 1, -1, -1), reversed(codes)):
-        if not c:
-            continue
-        if not c & STEP_P:
-            best = _INF
-        elif c & ONE_P:
+    best = 0  # sigma at (a + 1, b) whenever the cell has STEP_P
+    # one kind byte per cell, as in ``_count_row``: 7-9 and 4-6 are the
+    # p terms + 1 and + 0, with no q term, + 0 or + 1
+    for a, kind in zip(range(len(codes) - 1, -1, -1), reversed(codes.translate(_SIGMA_KINDS))):
+        if kind >= 7:
             best += 1
-        if c & STEP_Q:
-            score = below[a] + 1 if c & ONE_Q else below[a]
-            if score < best:
-                best = score
+            if kind == 8:
+                if below[a] < best:
+                    best = below[a]
+            elif kind == 9:
+                if below[a] + 1 < best:
+                    best = below[a] + 1
+        elif kind >= 4:
+            if kind == 5:
+                if below[a] < best:
+                    best = below[a]
+            elif kind == 6:
+                if below[a] + 1 < best:
+                    best = below[a] + 1
+        elif not kind:
+            continue
+        elif kind == 2:
+            best = below[a]
+        elif kind == 3:
+            best = below[a] + 1
+        else:
+            best = _INF
         row[a] = best
     return row
 

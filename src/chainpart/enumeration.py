@@ -12,23 +12,28 @@ of U:
 * ``ResidueEnumerator`` lists the members of ranks 0 .. W(U) - 1 (the
   recursive method of Nijenhuis and Wilf), at every base, from one kept
   ``count_grid`` sweep: its rows give the weights, its cell codes the
-  branches (``decomposition.CELL_BRANCHES``).  ``unrank`` maps one rank to
-  its member by one ``decomposition.descend``, taking at each cell the
-  branch whose weight range holds the rank; it is a bijection from
-  [0, W(U)) onto Omega(U).  ``walk`` lists the same members in rank order,
-  stacking each second branch to resume the descent there, which shares
-  each prefix between consecutive ranks; ``omega`` is the walk.
+  branches (``decomposition.CELL_BRANCHES``).  ``unrank`` maps a list of
+  ranks to their members, taking them down together one segment of the grid
+  at a time: each rank's ``decomposition.descend`` takes at each cell the
+  branch whose weight range holds the rank, and stops at the segment's end.
+  It is a bijection from [0, W(U)) onto Omega(U), on a grid of any
+  checkpoint spacing.  ``walk`` lists the same members in rank order from a
+  grid of every row, stacking each second branch to resume the descent
+  there, which shares each prefix between consecutive ranks; ``omega`` is
+  the walk.
 
-``sample_uniform`` unranks one uniform draw from [0, W(U)), so every member
-of Omega(U) is returned with probability exactly 1/W(U), and no draw is
-rejected.
+``sample_uniform`` unranks uniform draws from [0, W(U)), so every member of
+Omega(U) is returned with probability exactly 1/W(U), and no draw is
+rejected.  One sweep keeps ceil(sqrt(rows)) checkpoint rows, and the draws
+are unranked in blocks of at most the number of segments, so the rows live
+at once stay O(sqrt(rows)) whatever the number of draws.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
     EMPTY_PARTITION,
@@ -42,8 +47,8 @@ from .core import (
     part_value,
     value,
 )
-from .counting import CountTable, make_counter
-from .decomposition import CellBranch, Grid, descend
+from .counting import make_counter
+from .decomposition import CellBranch, Grid, descend, refold
 
 #: Default cap on the partitions an enumerator builds: the members of one
 #: Omega(U) for ``ResidueEnumerator``, all memo entries for ``SplitEnumerator``.
@@ -160,14 +165,14 @@ class ResidueEnumerator(_BaseEnumerator):
 
     def omega(self, u: int) -> frozenset[Partition]:
         grid = self._counter.grid(u)
-        w = grid[0][0][0]  # W(u), the first cell of the first row
+        w = grid.rows[0][0]  # W(u), the first cell of the first row
         if w > self.budget:
             raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
         return frozenset(walk(grid))
 
 
 def branch_weight(rows: list[list], a: int, b: int, branch: CellBranch) -> int:
-    """The members under a branch of the cell (a, b); ``rows`` as ``CountTable.grid``.
+    """The members under a branch of the cell (a, b); ``rows[b]`` is W on row b.
 
     That is W at the cell below; a filtered branch into Omega(pv) weighs
     W(pv) - W(v), W(v) being the p-scaled members that the cell below drops.
@@ -177,37 +182,57 @@ def branch_weight(rows: list[list], a: int, b: int, branch: CellBranch) -> int:
     return weight - rows[b + 1][a + 1] if filtered else weight
 
 
-def unrank(grid: Grid, rank: int) -> Partition:
-    """The member of Omega(u) at ``rank`` in [0, W(u)); ``grid`` is ``CountTable.grid(u)``.
+def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
+    """The members of Omega(u) at ``ranks`` in [0, W(u)); ``grid`` is ``CountTable.grid(u)``.
 
-    One ``descend`` of the cells from u to the leaf: at a cell with two
-    branches (one of p and 1p, one of q and 1q) it takes the first if the
-    rank is below its weight (``branch_weight``), else the second, with the
-    rank less that weight.  Below a filtered branch into Omega(pv) the cell
-    has no p-scaled branch: the others hold exactly the members whose
-    smallest part is not divisible by p.  Distinct ranks give distinct
-    members, so the ranks 0 .. W(u) - 1 give all of Omega(u).
+    Each member is one ``descend`` of the cells from u to the leaf: at a cell
+    with two branches (one of p and 1p, one of q and 1q) it takes the first
+    if the rank is below its weight (``branch_weight``), else the second,
+    with the rank less that weight.  Below a filtered branch into Omega(pv)
+    the cell has no p-scaled branch: the others hold exactly the members
+    whose smallest part is not divisible by p.  Distinct ranks give distinct
+    members, so the ranks 0 .. W(u) - 1 give all of Omega(u).  The ranks go
+    down together, one segment of the grid at a time: ``refold`` gives its
+    rows right of the least column at which a descent enters it, and each
+    descent stops at the segment's end.
     """
-    rows, cells = grid
-    if not 0 <= rank < rows[0][0]:
-        raise ValueError(f"rank {rank} is outside [0, {rows[0][0]})")
+    rows, cells, every = grid
+    for rank in ranks:
+        if not 0 <= rank < rows[0][0]:
+            raise ValueError(f"rank {rank} is outside [0, {rows[0][0]})")
+    # per rank: the cell and filtered flag its descent resumes from, None
+    # once at the leaf, and the parts it added
+    at: list[Optional[tuple[int, int, bool]]] = [(0, 0, False)] * len(ranks)
+    left = list(ranks)
+    parts: list[list[tuple[int, int]]] = [[] for _ in ranks]
+    rank = 0
 
     def pick(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:
         nonlocal rank
         if len(branches) > 1:
-            weight = branch_weight(rows, a, b, branches[0])
+            weight = branch_weight(segment, a, b - top, branches[0])
             if rank >= weight:
                 rank -= weight
                 return branches[1]
         return branches[0]
 
-    return Partition(tuple(descend(cells, 0, 0, False, [], pick)[::-1]))
+    for top in range(0, len(cells), every):
+        live = [i for i, cell in enumerate(at) if cell]
+        if not live:
+            break
+        segment = refold(grid, top, min(at[i][0] for i in live))
+        for i in live:
+            rank = left[i]
+            at[i] = descend(cells, *at[i], parts[i], pick, top + every)
+            left[i] = rank
+        segment = []  # so that two segments are never held at once
+    return [Partition(tuple(member[::-1])) for member in parts]
 
 
 def walk(grid: Grid) -> Iterator[Partition]:
-    """The members of Omega(u) in rank order; ``grid`` is ``CountTable.grid(u)``.
+    """The members of Omega(u) in rank order; ``grid`` keeps every row, as ``CountTable.grid(u)``.
 
-    The i-th member is ``unrank(grid, i)``, but the walk shares each prefix
+    The i-th member is ``unrank(grid, [i])``, but the walk shares each prefix
     between consecutive ranks: one depth-first walk of the cells, on an
     explicit stack, taking the branches of a cell in order and skipping
     those of zero weight, so every cell it enters holds a member.  Each
@@ -215,7 +240,7 @@ def walk(grid: Grid) -> Iterator[Partition]:
     stacks the second; one parts list serves the whole walk, cut back to a
     cell's depth when the walk resumes below it.
     """
-    rows, cells = grid
+    rows, cells, _ = grid
     w = rows[0][0]  # the weight of the cell being descended
     if not w:
         return
@@ -248,25 +273,30 @@ def walk(grid: Grid) -> Iterator[Partition]:
         yield Partition(tuple(parts[::-1]))
 
 
-def sample_uniform(
-    u: int,
-    sys: PQSystem,
-    rng: Union[int, random.Random] = 0,
-    counter: Optional[CountTable] = None,
-) -> Partition:
-    """Draw one member of Omega(u) with probability exactly 1/W(u).
+def sample_uniform(u: int, sys: PQSystem, rng: Union[int, random.Random] = 0,
+                   n: int = 1) -> Iterator[Partition]:
+    """Draw n members of Omega(u), each with probability exactly 1/W(u).
 
-    The sampler unranks one ``randrange(W(u))`` with ``unrank``, on the rows
-    of the counter's ``grid``, so draws at one u share one sweep.
+    Unless n = 0, one sweep keeps the checkpoint rows of
+    ``CountTable.grid(u, None)``.  The ranks, one ``rng.randrange(W(u))``
+    each, are drawn in blocks of at most the number of segments; each block
+    is unranked together by ``unrank`` and yielded before the next is drawn.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    if counter is None:
-        counter = make_counter(sys)
-    grid = counter.grid(u)
-    w = grid[0][0][0]
-    if not w:
+    if not n:
+        return iter(())
+    grid = make_counter(sys).grid(u, None)
+    if not grid.rows[0][0]:
         raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
-    pt = unrank(grid, rng.randrange(w))
-    assert value(pt, sys) == u
-    return pt
+    return _draws(u, sys, grid, rng, n)
+
+
+def _draws(u: int, sys: PQSystem, grid: Grid, rng: random.Random, n: int) -> Iterator[Partition]:
+    w, block = grid.rows[0][0], len(grid.rows)
+    for start in range(0, n, block):
+        for pt in unrank(grid, [rng.randrange(w) for _ in range(min(block, n - start))]):
+            assert value(pt, sys) == u
+            yield pt

@@ -108,14 +108,16 @@ class ShortestTable:
         if u < 1:
             rows, cells = [[self.sigma_or_inf(u)]], []
         else:
-            rows, cells = sigma_grid(u, self.sys, keep=True)
+            rows, cells, _ = sigma_grid(u, self.sys, keep=True)
             self.table[u] = rows[0][0]
         best = self.sigma(u)
 
         def argmin(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:
             return min(branches, key=lambda br: br.unit + rows[b + br.db][a + br.da])
 
-        pt = Partition(tuple(descend(cells, 0, 0, False, [], argmin)[::-1]))
+        parts: list[tuple[int, int]] = []
+        descend(cells, 0, 0, False, parts, argmin)
+        pt = Partition(tuple(parts[::-1]))
         assert value(pt, self.sys) == u and len(pt) == best
         return ShortestResult(u, best, pt)
 

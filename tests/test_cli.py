@@ -303,6 +303,20 @@ def test_sample_deterministic(capsys):
     assert len(out1.splitlines()) == 5
 
 
+def test_sample_of_an_empty_omega(capsys, monkeypatch):
+    # Omega(7) is empty for (3,5): no draw is no error and needs no sweep
+    from chainpart import decomposition
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep for no draw")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decomposition, "_sweep", no_sweep)
+        assert run(capsys, "sample", "--u", "7", "--p", "3", "--q", "5", "--n", "0") == (0, "", "")
+    assert run(capsys, "sample", "--u", "7", "--p", "3", "--q", "5", "--n", "1") == (
+        1, "", "error: no strictly chained partition of 7 for (3,5)\n")
+
+
 def test_sample_deep_exponent(capsys):
     u = 2**1200 + 12345
     code, out, err = run(capsys, "sample", "--u", str(u))

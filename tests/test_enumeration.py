@@ -20,7 +20,7 @@ from chainpart.core import (
 )
 from chainpart import enumeration
 from chainpart.counting import make_counter
-from chainpart.decomposition import CELL_BRANCHES
+from chainpart.decomposition import CELL_BRANCHES, count_grid
 from chainpart.enumeration import (
     ResidueEnumerator,
     SplitEnumerator,
@@ -53,10 +53,49 @@ def test_unrank_is_a_bijection_onto_the_oracle(p, q):
     sys_ = make_system(p, q)
     counter = make_counter(sys_)
     for u in range(0, 600):
-        grid = counter.grid(u)
-        members = [unrank(grid, rank) for rank in range(grid[0][0][0])]
+        grid = counter.grid(u, None)
+        members = unrank(grid, range(grid.rows[0][0]))
         assert len(set(members)) == len(members), u
         assert set(members) == brute_force_enumerate(u, sys_), u
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 2), (3, 4), (5, 7), (2, 5), (4, 3)])
+def test_checkpointed_unrank_equals_the_every_row_unrank(p, q):
+    # the checkpoints of ceil(sqrt(rows)) and a spacing of 2 split the rows
+    # into segments whose ends every descent crosses; every row is k = 1
+    sys_ = make_system(p, q)
+    counter = make_counter(sys_)
+    for u in range(0, 2000):
+        ranks = range(counter.w(u))
+        expected = unrank(counter.grid(u), ranks)
+        assert unrank(counter.grid(u, None), ranks) == expected, u
+        assert unrank(counter.grid(u, 2), ranks) == expected, u
+
+
+def test_checkpointed_unrank_at_10_600(sys23):
+    u = 10**600
+    checkpoints = count_grid(u, sys23, keep=True)
+    every_row = count_grid(u, sys23, keep=True, every=1)
+    assert len(checkpoints.cells) == 898 and checkpoints.every == len(checkpoints.rows) == 30
+    rng = random.Random(600)
+    ranks = [rng.randrange(every_row.rows[0][0]) for _ in range(200)]
+    members = unrank(checkpoints, ranks)
+    assert members == unrank(every_row, ranks)
+    assert all(value(pt, sys23) == u for pt in members)
+
+
+def test_unrank_takes_repeated_and_unsorted_ranks(sys35):
+    u = _chain_sum_of_300_digits(sys35, 9)
+    counter = make_counter(sys35)
+    w = counter.w(u)
+    assert w == 61_440
+    ranks = [w - 1, 3, 0, 3, w - 1, 7, 0, w // 2, 3]
+    grid = counter.grid(u, None)
+    members = unrank(grid, ranks)
+    assert members == [unrank(counter.grid(u), [rank])[0] for rank in ranks]
+    assert members[1] == members[3] == members[8] and members[0] == members[4]
+    assert len(set(members)) == len(set(ranks))
+    assert unrank(grid, []) == []
 
 
 def _chain_sum_of_300_digits(sys_, seed):
@@ -80,11 +119,12 @@ def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift, gene
     is a chain sum of 300 digits with 61,440 members."""
     sys_ = make_system(p, q)
     u = 10**300 if p == 2 else _chain_sum_of_300_digits(sys_, 9)
-    grid = make_counter(sys_).grid(u)
-    rows = grid[0]
+    counter = make_counter(sys_)
+    rows = counter.grid(u).rows
     assert rows[0][0] > 60_000
     decomposition = general_table(sys_)
     rng = random.Random(300)
+    ranks, lifted = [], []
     for _ in range(200):
         target = rank0 = rng.randrange(rows[0][0])
         a = b = 0
@@ -104,14 +144,16 @@ def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift, gene
             filtered = pick.filtered
             return pick
 
-        assert unrank(grid, rank0) == descend_and_lift(decomposition, u, choose), rank0
+        ranks.append(rank0)
+        lifted.append(descend_and_lift(decomposition, u, choose))
+    assert unrank(counter.grid(u, None), ranks) == lifted
 
 
 def test_unrank_refuses_a_rank_outside_the_count(sys23):
-    grid = make_counter(sys23).grid(60)
+    grid = make_counter(sys23).grid(60, None)
     for rank in (-1, 5):
         with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
-            unrank(grid, rank)
+            unrank(grid, [0, rank])
 
 
 def rank(u, table, rows, pt):
@@ -151,12 +193,11 @@ def test_walk_lists_the_members_in_rank_order(p, q, general_table):
     counter = make_counter(sys_)
     for u in range(0, 2000):
         grid = counter.grid(u)
-        rows = grid[0]
         members = list(walk(grid))
-        assert len(members) == rows[0][0], u
+        assert len(members) == grid.rows[0][0], u
+        assert members == unrank(grid, range(len(members))), u
         for i, pt in enumerate(members):
-            assert pt == unrank(grid, i), (u, i)
-            assert rank(u, table, rows, pt) == i, (u, i)
+            assert rank(u, table, grid.rows, pt) == i, (u, i)
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (3, 2)])
@@ -168,7 +209,7 @@ def test_branch_weights_add_up_to_the_node_weight(p, q, general_table):
     table = general_table(sys_)
     counter = make_counter(sys_)
     for u in range(2, 600):
-        rows, cells = counter.grid(u)
+        rows, cells, _ = counter.grid(u)
         stack = [(u, 0, 0, False)]
         while stack:
             x, a, b, filtered = stack.pop()
@@ -244,25 +285,25 @@ def test_sorted_by_value_order(sys23):
 
 
 def test_sampler_single_member(sys23):
-    pt = sample_uniform(5, sys23, 7)
+    [pt] = sample_uniform(5, sys23, 7)
     assert pt.parts == ((2, 0), (0, 0))
     with pytest.raises(UnreachableSumError):
         sample_uniform(7, make_system(3, 5), 0)
+    # no draw, no sweep: an empty Omega(u) is no error
+    assert list(sample_uniform(7, make_system(3, 5), 0, 0)) == []
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        sample_uniform(5, sys23, 0, -1)
 
 
 def test_sampler_two_members_split(sys23):
-    rng = random.Random(123)
-    counter = make_counter(sys23)
-    tally = Counter(sample_uniform(3, sys23, rng, counter).parts for _ in range(1000))
+    tally = Counter(pt.parts for pt in sample_uniform(3, sys23, random.Random(123), 1000))
     assert set(tally) == {((0, 1),), ((1, 0), (0, 0))}
     assert min(tally.values()) > 400
 
 
 def test_sampler_support_and_balance_27(sys23):
-    rng = random.Random(9)
-    counter = make_counter(sys23)
     members = ResidueEnumerator(sys23).omega_set(27).members
-    tally = Counter(sample_uniform(27, sys23, rng, counter) for _ in range(3500))
+    tally = Counter(sample_uniform(27, sys23, random.Random(9), 3500))
     assert set(tally) == members
     assert min(tally.values()) > 350
 
@@ -273,29 +314,45 @@ def test_sampler_general_path_with_rejection(sys35):
     counter = make_counter(sys35)
     members = ResidueEnumerator(sys35).omega_set(30).members
     assert len(members) == 2
-    tally = Counter(sample_uniform(30, sys35, rng, counter) for _ in range(800))
+    tally = Counter(sample_uniform(30, sys35, rng, 800))
     assert set(tally) == members
     assert min(tally.values()) > 300
     residue = ResidueEnumerator(sys35)
     for u in range(1, 200):
         if counter.w(u):
-            assert sample_uniform(u, sys35, rng, counter) in residue.omega_set(u).members
+            [pt] = sample_uniform(u, sys35, rng)
+            assert pt in residue.omega_set(u).members
 
 
 def test_sampler_deterministic_under_seed(sys23):
-    a = [sample_uniform(1000, sys23, 42).parts for _ in range(5)]
-    b = [sample_uniform(1000, sys23, 42).parts for _ in range(5)]
+    a = [pt.parts for pt in sample_uniform(1000, sys23, 42, 5)]
+    b = [pt.parts for pt in sample_uniform(1000, sys23, 42, 5)]
     assert a == b
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5)])
+def test_sampler_blocks_draw_the_ranks_of_single_draws(p, q):
+    # more draws than segments, so the ranks come in several blocks; the
+    # members are those of one draw at a time from the same PRNG, in order
+    sys_ = make_system(p, q)
+    u = 10**100 if p == 2 else _chain_sum_of_300_digits(sys_, 9)
+    counter = make_counter(sys_)
+    segments = len(counter.grid(u, None).rows)
+    n = 3 * segments + 1
+    batched = list(sample_uniform(u, sys_, 5, n))
+    rng = random.Random(5)
+    assert batched == [pt for _ in range(n) for pt in sample_uniform(u, sys_, rng)]
+    rng = random.Random(5)
+    ranks = [rng.randrange(counter.w(u)) for _ in range(n)]
+    assert batched == unrank(counter.grid(u), ranks)
 
 
 def test_sampler_uniform_on_larger_support(sys23):
     # 19 outcomes at u = 171; chi-square against the 0.99 quantile, 18 dof
-    rng = random.Random(6)
-    counter = make_counter(sys23)
     members = ResidueEnumerator(sys23).omega_set(171).members
     assert len(members) == 19
     draws = 9500
-    tally = Counter(sample_uniform(171, sys23, rng, counter) for _ in range(draws))
+    tally = Counter(sample_uniform(171, sys23, random.Random(6), draws))
     assert set(tally) == members
     expected = draws / 19
     stat = sum((tally[pt] - expected) ** 2 / expected for pt in members)
@@ -305,11 +362,9 @@ def test_sampler_uniform_on_larger_support(sys23):
 def test_sampler_rejection_branch_is_exactly_uniform(sys35):
     # u = 2280 = 15*152: three members, two of them behind the filtered
     # branch whose weight is W(3v) - W(v); frequencies must still be flat
-    rng = random.Random(17)
-    counter = make_counter(sys35)
     members = ResidueEnumerator(sys35).omega_set(2280).members
     assert len(members) == 3
-    tally = Counter(sample_uniform(2280, sys35, rng, counter) for _ in range(3000))
+    tally = Counter(sample_uniform(2280, sys35, random.Random(17), 3000))
     assert set(tally) == members
     assert all(880 <= n <= 1120 for n in tally.values()), dict(tally)
 
@@ -317,7 +372,7 @@ def test_sampler_rejection_branch_is_exactly_uniform(sys35):
 def test_sampler_deep_binary_descent(sys23):
     # about 2,400 levels of the binary table below the root
     u = 2**1200 + 12345
-    pt = sample_uniform(u, sys23, 1)
+    [pt] = sample_uniform(u, sys23, 1)
     assert value(validate([part_value(pair, sys23) for pair in pt], sys23), sys23) == u
 
 
@@ -327,7 +382,7 @@ def test_sampler_deep_filtered_descent(sys35):
     counter = make_counter(sys35)
     assert counter.w(u) == 2
     for seed in range(4):
-        pt = sample_uniform(u, sys35, seed, counter)
+        [pt] = sample_uniform(u, sys35, seed)
         assert value(validate([part_value(pair, sys35) for pair in pt], sys35), sys35) == u
 
 
@@ -351,7 +406,7 @@ def test_sampler_makes_at_most_one_draw_per_level():
     sys32 = make_system(3, 2)
     u = 224947739702172812439
     rng = CountingRandom(0, cap=u.bit_length())
-    pt = sample_uniform(u, sys32, rng)
+    [pt] = sample_uniform(u, sys32, rng)
     assert value(validate([part_value(pair, sys32) for pair in pt], sys32), sys32) == u
 
 
@@ -408,7 +463,7 @@ def test_sampler_law_is_exactly_uniform(p, q, limit):
         rng = Odometer(cap=u.bit_length())
         law: dict[Partition, Fraction] = {}
         while True:
-            pt = sample_uniform(u, sys_, rng, counter)
+            [pt] = sample_uniform(u, sys_, rng)
             law[pt] = law.get(pt, 0) + rng.probability()
             if not rng.advance():
                 break

@@ -7,13 +7,27 @@ that ``CELL_BRANCHES`` reads from a cell's code must be the general table's
 row, in the same order.
 """
 
+import math
 import random
 
 import pytest
 
 from chainpart.core import make_system
 from chainpart.counting import CaseTableCounter, DirectSumCounter, HalvingCounter
-from chainpart.decomposition import CELL_BRANCHES, count_grid, grid_cells, sigma_grid
+from chainpart.decomposition import (
+    CELL_BRANCHES,
+    FILTERED,
+    ONE_P,
+    ONE_Q,
+    STEP_P,
+    STEP_Q,
+    _count_row,
+    _sigma_row,
+    count_grid,
+    grid_cells,
+    refold,
+    sigma_grid,
+)
 from chainpart.shortest import ShortestTable
 
 SYSTEMS = [(2, 3), (3, 4), (5, 7), (3, 2), (2, 5), (7, 2)]
@@ -54,12 +68,81 @@ def test_sweep_visits_exactly_the_reachable_grid_quotients(pq, general_table):
     values = {u // (p**a * q**b) for a, b in visited}
     assert values <= grid_quotients(u, p, q)
     assert {x for x in values if x >= 2} == reachable(u, general_table(sys_))
-    for rows, kept_cells in (count_grid(u, sys_, keep=True), sigma_grid(u, sys_, keep=True)):
+    for rows, kept_cells, every in (count_grid(u, sys_, keep=True, every=1),
+                                    sigma_grid(u, sys_, keep=True)):
         assert kept_cells == cells
-        assert len(rows) == len(cells)
+        assert every == 1 and len(rows) == len(cells)
         filled = {(a, b) for b, (row, codes) in enumerate(zip(rows, cells))
                   for a, x in enumerate(row[: len(codes)]) if x is not None}
         assert filled == visited
+
+
+def count_row_by_bits(codes, below):
+    """The count fold of one row by bit tests on each code, before kind bytes."""
+    row = [None] * len(codes) + [1]
+    w = 1
+    for a, c in zip(range(len(codes) - 1, -1, -1), reversed(codes)):
+        if not c:
+            continue
+        if c & STEP_Q:
+            w = (w if c & STEP_P else 0) + below[a]
+            if c & FILTERED:
+                w -= below[a + 1]
+        elif not c & STEP_P:
+            w = 0
+        row[a] = w
+    return row
+
+
+def sigma_row_by_bits(codes, below):
+    """The sigma fold of one row by bit tests on each code, before kind bytes."""
+    row = [None] * len(codes) + [0]
+    best = 0
+    for a, c in zip(range(len(codes) - 1, -1, -1), reversed(codes)):
+        if not c:
+            continue
+        if not c & STEP_P:
+            best = math.inf
+        elif c & ONE_P:
+            best += 1
+        if c & STEP_Q:
+            score = below[a] + 1 if c & ONE_Q else below[a]
+            if score < best:
+                best = score
+        row[a] = best
+    return row
+
+
+def test_kind_byte_folds_equal_the_bit_folds():
+    # every code of six bits, at every place of a row and after each other code
+    rng = random.Random(64)
+    codes = list(range(64))
+    rows = [bytes([c]) for c in codes] + [bytes([c, d]) for c in codes for d in codes]
+    for _ in range(200):
+        rng.shuffle(codes)
+        rows.append(bytes(codes))
+    for row in rows:
+        below = [rng.randrange(-10**30, 10**30) for _ in range(len(row) + 1)]
+        assert _count_row(row, below) == count_row_by_bits(row, below), row
+        below = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(row) + 1)]
+        assert _sigma_row(row, below) == sigma_row_by_bits(row, below), row
+
+
+@pytest.mark.parametrize("pq", SYSTEMS)
+def test_refold_gives_the_rows_right_of_its_column(pq):
+    sys_ = make_system(*pq)
+    u = random.Random(sum(pq)).randrange(10**99, 10**100)
+    rows, cells, _ = count_grid(u, sys_, keep=True, every=1)
+    for every in (1, 2, 5, None):
+        grid = count_grid(u, sys_, keep=True, every=every)
+        assert grid.rows == rows[::grid.every]
+        for top in range(0, len(cells), grid.every):
+            for lo in (0, 1, len(cells[top]) // 2, len(cells[top]) - 1):
+                segment = refold(grid, top, lo)
+                assert len(segment) == min(grid.every, len(cells) - top) + 1
+                for b, row in enumerate(segment, top):
+                    full = rows[b] if b < len(rows) else []
+                    assert len(row) == len(full) and row[lo:] == full[lo:], (every, top, lo, b)
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3),

@@ -9,6 +9,7 @@ import pytest
 from chainpart.core import UnreachableSumError, chain_census, make_system, validate, value
 from chainpart.counting import make_counter
 from chainpart.decomposition import sigma_grid
+from chainpart.enumeration import sample_uniform
 from chainpart.shortest import ChainCost, ShortestTable, chain_cost, chain_pow
 
 
@@ -120,6 +121,19 @@ def test_stats_to_a_million_trace_under_4_mb(sys23):
         tracemalloc.stop()
     assert sum(stats.histogram.values()) == 10**6 - 1
     assert peak < 4 * 2**20, peak
+
+
+def test_sample_at_10_600_traces_under_16_mb(sys23):
+    # the sampler keeps ceil(sqrt(rows)) checkpoint rows and one segment;
+    # keeping every row of W once traced 47 MB here
+    tracemalloc.start()
+    try:
+        members = list(sample_uniform(10**600, sys23, 4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
+    assert peak < 16 * 2**20, peak
 
 
 def test_chain_cost(sys23):

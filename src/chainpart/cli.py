@@ -238,7 +238,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         _write_lines(row % (r.u, r.value, k) for r, k in zip(records, klass))
         return 0
     if mode == "monotonicity":
-        results = [(q, analytics.check_local_monotonicity(args.limit, make_system(2, q)))
+        results = [(q, analytics.check_local_monotonicity(args.limit, make_system(sys_.p, q)))
                    for q in args.scan_q or [sys_.q]]
         for q, report in results:
             print(json.dumps({"q": q, "limit": args.limit,

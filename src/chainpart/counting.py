@@ -3,12 +3,11 @@
 Three independent engines compute the same function so that they can
 cross-validate each other and the brute-force oracle:
 
-* ``CaseTableCounter`` -- the ``auto`` engine at every base: the cell rule
-  of the case split in ``decomposition``, W(U) = the sum of W over the
-  branch arguments of U mod pq, minus W(U div pq) for the one filtered
-  branch.  A sparse W(U) is one ``count_grid`` row sweep over the reachable
-  quotients U div (p^a q^b); a dense scan is ``count_fill``, on 64-bit
-  lanes (see ``scan``).
+* ``CaseTableCounter`` -- the ``auto`` engine at every base: the W rule of
+  the case split on U mod pq, as the ``decomposition`` module docstring
+  writes it out.  A sparse W(U) is one ``count_grid`` row sweep over the
+  reachable quotients U div (p^a q^b); a dense scan is ``count_fill``, on
+  64-bit lanes (see ``scan``).
 
 * ``HalvingCounter`` -- the p = 2 specialization, kept as a cross-check,
       W(qU)   = W(U) + W(qU-1)
@@ -30,10 +29,9 @@ the recurrences this shows up as divisibility checks, never as rationals.
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
 from .core import InvalidSystemError, PQSystem
-from .decomposition import Grid, count_fill, count_grid
+from .decomposition import count_fill, count_grid
 
 Expansion = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -118,18 +116,6 @@ class CountTable:
             stack.pop()
         return table[u]
 
-    def grid(self, u: int, every: Optional[int] = 1) -> Grid:
-        """W at every ``every``-th row of cells below u, and the cells:
-        ``rows[j][a]`` is W(u div (p^a q^(j every))).
-
-        ``every`` = 1 keeps every row, as ``walk`` reads them; None keeps
-        ceil(sqrt(rows)) checkpoint rows, whose segments ``refold`` recomputes
-        for ``unrank``.  Cells not reached from u hold None.
-        """
-        if u < 1:
-            return Grid([[self.w(u)]], [], 1)
-        return count_grid(u, self.sys, keep=True, every=every)
-
     def w_star(self, u: int) -> int:
         """W*(u): partitions of u with no part 1; W*(0) = 1 by convention."""
         if u < 0:
@@ -178,17 +164,12 @@ class CountTable:
 
 
 class CaseTableCounter(CountTable):
-    """General engine: the one cell rule of the case split on U mod pq.
-
-    W(U) = [U mod p <= 1] W(U div p) + [U mod q <= 1] W(U div q)
-    - [U mod pq <= 1] W(U div pq): the branch arguments of U mod pq, minus
-    W(U div pq) for the filtered branch, whose members divisible by pq are
-    counted twice.
-    """
+    """General engine: the W rule of the case split on U mod pq, as the
+    ``decomposition`` module docstring writes it out."""
 
     def _sparse(self, u: int) -> int:
         """One two-row sweep; ``table`` keeps u alone, not the cells below it."""
-        w = self.table[u] = count_grid(u, self.sys)[0][0]
+        w = self.table[u] = count_grid(u, self.sys).rows[0][0]
         return w
 
     def _fill(self, arr: array) -> None:

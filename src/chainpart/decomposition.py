@@ -23,11 +23,11 @@ else reads the codes:
   - [N mod pq <= 1] W(N div pq), and ``sigma_grid`` by sigma(N) = the least
   of sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms
   whose residue is at most 1.  Both folds read one kind byte per cell, the
-  ``translate`` of its code.  A lone value keeps two rows.  A kept sweep
-  (a ``Grid``) keeps the codes and every k-th row: the sigma witness and
-  ``walk`` every row (k = 1), the sampler k = ceil(sqrt(rows)) checkpoints,
-  from which ``refold`` recomputes the rows of one segment (Griewank's
-  checkpointing).
+  ``translate`` of its code, and return a ``Grid`` of the codes and every
+  k-th row: a lone value row 0 alone (k = 0, two rows live at a time), the
+  sigma witness and ``walk`` every row (k = 1), the sampler
+  k = ceil(sqrt(rows)) checkpoints, from which ``refold`` recomputes the
+  rows of one segment by the same row loop (Griewank's checkpointing).
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
   above, and ``descend`` follows one of them per cell to the leaf N = 1, or
   to the end of a segment: to build a member of a given rank for sampling
@@ -168,8 +168,9 @@ def _codes_of(sys: PQSystem, k: int, s: int, c: int) -> tuple[bytes, int]:
 
 
 class Grid(NamedTuple):
-    """A kept sweep: ``rows[j]`` is row j * ``every``, rows b ascending, and the
-    ``grid_cells`` they fold; ``every`` = 1 keeps every row."""
+    """A sweep: ``rows[j]`` is row j * ``every``, rows b ascending, and the
+    ``grid_cells`` they fold; ``every`` = 1 keeps every row, and row 0 alone
+    has ``every`` = len(cells), one segment."""
 
     rows: list[list]
     cells: list[bytes]
@@ -221,41 +222,50 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
     return cells
 
 
-def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytes, list], list],
-           keep: bool, every: Optional[int]) -> list[list] | Grid:
-    """Fold the rows of ``grid_cells`` b descending with ``fold_row(codes, below)``.
+def _fold_rows(cells: list[bytes], bs: range, below: list, at_zero: object,
+               fold_row: Callable[[bytes, list], list], every: int) -> list[list]:
+    """Fold the rows b of ``bs``, a descending range, by ``fold_row(codes, below)``,
+    from ``below``, the row under the first; keep those with b % ``every`` = 0.
 
-    Returns row 0 alone in a list, or with ``keep`` a ``Grid`` of every
-    ``every``-th row, b ascending (every ceil(sqrt(rows))-th when ``every`` is
-    None), and the cells.  A row holds one value per cell a, None where
-    unreached, and then the value at N = 0; the row below is padded with that
-    value past its end.
+    A row holds one value per cell a, None where unreached, and then the value
+    at N = 0; the row below is padded with that value past its end.
+    """
+    kept = []
+    for b in bs:
+        codes = cells[b]
+        below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
+        if not b % every:
+            kept.append(below)
+    return kept
+
+
+def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytes, list], list],
+           every: Optional[int]) -> Grid:
+    """Fold every row of ``grid_cells`` by ``_fold_rows``; the one sweep of a fold.
+
+    Returns a ``Grid`` of every ``every``-th row, b ascending: every
+    ceil(sqrt(rows))-th when ``every`` is None, and row 0 alone, one segment,
+    when it is 0.
     """
     cells = grid_cells(u, sys)
     if every is None:
         every = math.isqrt(len(cells) - 1) + 1  # u >= 1 has a row
-    kept: list[list] = []
-    below: list = []
-    for b in range(len(cells) - 1, -1, -1):
-        codes = cells[b]
-        below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
-        if keep and not b % every:
-            kept.append(below)
-    return Grid(kept[::-1], cells, every) if keep else [below]
+    every = every or len(cells)
+    kept = _fold_rows(cells, range(len(cells) - 1, -1, -1), [], at_zero, fold_row, every)
+    return Grid(kept[::-1], cells, every)
 
 
-def count_grid(u: int, sys: PQSystem, keep: bool = False,
-               every: Optional[int] = None) -> list[list] | Grid:
-    """W on the reachable cells below u >= 1, rows b ascending; W(u) is [0][0].
+def count_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
+    """W on the reachable cells below u, as a ``Grid``; W(u) is rows[0][0].
 
-    Rows are filled b descending, a descending, by the one rule of the table:
-    W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
-    - [N mod pq <= 1] W(N div pq), with W(0) = 1.  Only row 0 is returned
-    unless ``keep``, which returns a ``Grid`` of every ``every``-th row, by
-    default ceil(sqrt(rows)) checkpoints, for ``refold``; unreached cells hold
-    None.
+    ``every`` picks the rows kept, as in ``_sweep``: 0 row 0 alone, None the
+    checkpoints of ``refold``, k every k-th row.  The rows fold by the W rule
+    of the module docstring, with W(0) = 1; unreached cells hold None.  For
+    u < 1 there are no cells: W(0) = 1 and W(u) = 0 below.
     """
-    return _sweep(u, sys, 1, _count_row, keep, every)
+    if u < 1:
+        return Grid([[int(not u)]], [], 1)
+    return _sweep(u, sys, 1, _count_row, every)
 
 
 def refold(grid: Grid, top: int, lo: int) -> list[list]:
@@ -263,22 +273,16 @@ def refold(grid: Grid, top: int, lo: int) -> list[list]:
 
     The first is the kept row itself and the last the next kept row (empty
     past the last row of the grid); the rows between are folded again from
-    it, on the columns a >= ``lo`` only, None to their left.  A descent that
-    enters the segment at a column >= ``lo`` reads no other cell.
+    it by ``_fold_rows``, on the columns a >= ``lo`` only, None to their left.
+    A descent that enters the segment at a column >= ``lo`` reads no other
+    cell.
     """
     rows, cells, every = grid
     j = top // every
     below = rows[j + 1] if j + 1 < len(rows) else []
-    segment = [below]
-    for b in range(min(top + every, len(cells)) - 1, top, -1):
-        codes = cells[b]
-        cut = min(lo, len(codes))
-        tail = below[cut:]
-        tail += [1] * (len(codes) + 1 - cut - len(tail))
-        below = [None] * cut + _count_row(codes[cut:], tail)
-        segment.append(below)
-    segment.append(rows[j])
-    return segment[::-1]
+    bs = range(min(top + every, len(cells)) - 1, top, -1)
+    fold_row = functools.partial(_count_row, lo=lo)
+    return [below, *_fold_rows(cells, bs, below, 1, fold_row, 1), rows[j]][::-1]
 
 
 def _count_kind(code: int) -> int:
@@ -298,12 +302,13 @@ def _count_kind(code: int) -> int:
 _COUNT_KINDS = bytes(_count_kind(code) for code in range(256))
 
 
-def _count_row(codes: bytes, below: list) -> list:
+def _count_row(codes: bytes, below: list, lo: int = 0) -> list:
     row: list = [None] * len(codes) + [1]
     w = 1
-    # one kind byte per cell, the kinds in the order of their frequency on
-    # p = 2; literals keep the loop free of name lookups
-    for a, kind in zip(range(len(codes) - 1, -1, -1), reversed(codes.translate(_COUNT_KINDS))):
+    # one kind byte per cell a >= lo, the kinds in the order of their
+    # frequency on p = 2; literals keep the loop free of name lookups
+    for a, kind in zip(range(len(codes) - 1, lo - 1, -1),
+                       reversed(codes[lo:].translate(_COUNT_KINDS))):
         if kind == 1:
             w += below[a]
         elif kind == 2:
@@ -322,14 +327,16 @@ def _count_row(codes: bytes, below: list) -> list:
     return row
 
 
-def sigma_grid(u: int, sys: PQSystem, keep: bool = False) -> list[list] | Grid:
-    """sigma on the reachable cells below u >= 1, rows b ascending, as ``count_grid``.
+def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
+    """sigma on the reachable cells below u, as ``count_grid``.
 
-    sigma(N) = min(sigma(N div p) + N mod p, sigma(N div q) + N mod q) over
-    the terms whose residue is at most 1, with sigma(0) = 0 (inf if none).
-    ``keep`` keeps every row.
+    The rows fold by the sigma rule of the module docstring, with
+    sigma(0) = 0 and inf where no term is left.  For u < 1 there are no
+    cells: sigma(0) = 0 and sigma(u) = inf below.
     """
-    return _sweep(u, sys, 0, _sigma_row, keep, 1)
+    if u < 1:
+        return Grid([[0 if not u else _INF]], [], 1)
+    return _sweep(u, sys, 0, _sigma_row, every)
 
 
 def _sigma_kind(code: int) -> int:

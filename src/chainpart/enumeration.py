@@ -10,7 +10,7 @@ of U:
   stands in for the recursion, so a deep U needs no Python frames.
 
 * ``ResidueEnumerator`` lists the members of ranks 0 .. W(U) - 1 (the
-  recursive method of Nijenhuis and Wilf), at every base, from one kept
+  recursive method of Nijenhuis and Wilf), at every base, from one
   ``count_grid`` sweep: its rows give the weights, its cell codes the
   branches (``decomposition.CELL_BRANCHES``).  ``unrank`` maps a list of
   ranks to their members, taking them down together one segment of the grid
@@ -47,8 +47,7 @@ from .core import (
     part_value,
     value,
 )
-from .counting import make_counter
-from .decomposition import CellBranch, Grid, descend, refold
+from .decomposition import CellBranch, Grid, count_grid, descend, refold
 
 #: Default cap on the partitions an enumerator builds: the members of one
 #: Omega(U) for ``ResidueEnumerator``, all memo entries for ``SplitEnumerator``.
@@ -159,12 +158,8 @@ class SplitEnumerator(_BaseEnumerator):
 class ResidueEnumerator(_BaseEnumerator):
     """Omega(u) as the members of ranks 0 .. W(u) - 1, by ``walk``."""
 
-    def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
-        super().__init__(sys, budget)
-        self._counter = make_counter(sys)
-
     def omega(self, u: int) -> frozenset[Partition]:
-        grid = self._counter.grid(u)
+        grid = count_grid(u, self.sys, 1)
         w = grid.rows[0][0]  # W(u), the first cell of the first row
         if w > self.budget:
             raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
@@ -183,7 +178,7 @@ def branch_weight(rows: list[list], a: int, b: int, branch: CellBranch) -> int:
 
 
 def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
-    """The members of Omega(u) at ``ranks`` in [0, W(u)); ``grid`` is ``CountTable.grid(u)``.
+    """The members of Omega(u) at ``ranks`` in [0, W(u)); ``grid`` is a ``count_grid(u)``.
 
     Each member is one ``descend`` of the cells from u to the leaf: at a cell
     with two branches (one of p and 1p, one of q and 1q) it takes the first
@@ -230,7 +225,7 @@ def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
 
 
 def walk(grid: Grid) -> Iterator[Partition]:
-    """The members of Omega(u) in rank order; ``grid`` keeps every row, as ``CountTable.grid(u)``.
+    """The members of Omega(u) in rank order; ``grid`` is ``count_grid(u, sys, 1)``, every row.
 
     The i-th member is ``unrank(grid, [i])``, but the walk shares each prefix
     between consecutive ranks: one depth-first walk of the cells, on an
@@ -278,7 +273,7 @@ def sample_uniform(u: int, sys: PQSystem, rng: Union[int, random.Random] = 0,
     """Draw n members of Omega(u), each with probability exactly 1/W(u).
 
     Unless n = 0, one sweep keeps the checkpoint rows of
-    ``CountTable.grid(u, None)``.  The ranks, one ``rng.randrange(W(u))``
+    ``count_grid(u, sys, None)``.  The ranks, one ``rng.randrange(W(u))``
     each, are drawn in blocks of at most the number of segments; each block
     is unranked together by ``unrank`` and yielded before the next is drawn.
     """
@@ -288,7 +283,7 @@ def sample_uniform(u: int, sys: PQSystem, rng: Union[int, random.Random] = 0,
         rng = random.Random(rng)
     if not n:
         return iter(())
-    grid = make_counter(sys).grid(u, None)
+    grid = count_grid(u, sys, None)
     if not grid.rows[0][0]:
         raise UnreachableSumError(f"no strictly chained partition of {u} for {sys}")
     return _draws(u, sys, grid, rng, n)

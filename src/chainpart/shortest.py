@@ -88,7 +88,7 @@ class ShortestTable:
             return _INF
         hit = self.table.get(u)
         if hit is None:
-            hit = self.table[u] = sigma_grid(u, self.sys)[0][0]
+            hit = self.table[u] = sigma_grid(u, self.sys).rows[0][0]
         return hit
 
     def sigma(self, u: int) -> int:
@@ -105,11 +105,8 @@ class ShortestTable:
         One sweep keeps sigma on every row; at each cell (a, b) of the descent
         a branch scores 1 if it adds a part, plus sigma at the cell below it.
         """
-        if u < 1:
-            rows, cells = [[self.sigma_or_inf(u)]], []
-        else:
-            rows, cells, _ = sigma_grid(u, self.sys, keep=True)
-            self.table[u] = rows[0][0]
+        rows, cells, _ = sigma_grid(u, self.sys, 1)
+        self.table[u] = rows[0][0]
         best = self.sigma(u)
 
         def argmin(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:

@@ -242,6 +242,15 @@ def test_scan_monotonicity_alias(capsys):
     assert json.loads(out) == {"q": 3, "limit": 2000, "violations": 0}
 
 
+def test_scan_monotonicity_refuses_p_other_than_2(capsys):
+    # the (2,q) pattern is not checked on (p,q): the report is refused, as maxw's
+    for mode in ("monotonicity", "theorem4"):
+        for pq in (("3", "5"), ("3", "4")):
+            code, out, err = run(capsys, "scan", mode, "--limit", "100", "--p", pq[0], "--q", pq[1])
+            assert (code, out, err) == (
+                1, "", "error: the monotonicity pattern requires p = 2\n"), (mode, pq)
+
+
 def test_scan_monotonicity_refuses_a_negative_limit(capsys):
     for mode in ("monotonicity", "theorem4", "w"):
         code, out, err = run(capsys, "scan", mode, "--limit", "-1")

@@ -51,9 +51,8 @@ def test_split_enumerator_deep_single_member():
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 5), (3, 2), (4, 3), (3, 4)])
 def test_unrank_is_a_bijection_onto_the_oracle(p, q):
     sys_ = make_system(p, q)
-    counter = make_counter(sys_)
     for u in range(0, 600):
-        grid = counter.grid(u, None)
+        grid = count_grid(u, sys_, None)
         members = unrank(grid, range(grid.rows[0][0]))
         assert len(set(members)) == len(members), u
         assert set(members) == brute_force_enumerate(u, sys_), u
@@ -67,15 +66,15 @@ def test_checkpointed_unrank_equals_the_every_row_unrank(p, q):
     counter = make_counter(sys_)
     for u in range(0, 2000):
         ranks = range(counter.w(u))
-        expected = unrank(counter.grid(u), ranks)
-        assert unrank(counter.grid(u, None), ranks) == expected, u
-        assert unrank(counter.grid(u, 2), ranks) == expected, u
+        expected = unrank(count_grid(u, sys_, 1), ranks)
+        assert unrank(count_grid(u, sys_, None), ranks) == expected, u
+        assert unrank(count_grid(u, sys_, 2), ranks) == expected, u
 
 
 def test_checkpointed_unrank_at_10_600(sys23):
     u = 10**600
-    checkpoints = count_grid(u, sys23, keep=True)
-    every_row = count_grid(u, sys23, keep=True, every=1)
+    checkpoints = count_grid(u, sys23, None)
+    every_row = count_grid(u, sys23, 1)
     assert len(checkpoints.cells) == 898 and checkpoints.every == len(checkpoints.rows) == 30
     rng = random.Random(600)
     ranks = [rng.randrange(every_row.rows[0][0]) for _ in range(200)]
@@ -90,9 +89,9 @@ def test_unrank_takes_repeated_and_unsorted_ranks(sys35):
     w = counter.w(u)
     assert w == 61_440
     ranks = [w - 1, 3, 0, 3, w - 1, 7, 0, w // 2, 3]
-    grid = counter.grid(u, None)
+    grid = count_grid(u, sys35, None)
     members = unrank(grid, ranks)
-    assert members == [unrank(counter.grid(u), [rank])[0] for rank in ranks]
+    assert members == [unrank(count_grid(u, sys35, 1), [rank])[0] for rank in ranks]
     assert members[1] == members[3] == members[8] and members[0] == members[4]
     assert len(set(members)) == len(set(ranks))
     assert unrank(grid, []) == []
@@ -119,8 +118,7 @@ def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift, gene
     is a chain sum of 300 digits with 61,440 members."""
     sys_ = make_system(p, q)
     u = 10**300 if p == 2 else _chain_sum_of_300_digits(sys_, 9)
-    counter = make_counter(sys_)
-    rows = counter.grid(u).rows
+    rows = count_grid(u, sys_, 1).rows
     assert rows[0][0] > 60_000
     decomposition = general_table(sys_)
     rng = random.Random(300)
@@ -146,11 +144,11 @@ def test_unrank_equals_the_lifted_descent_at_10_300(p, q, descend_and_lift, gene
 
         ranks.append(rank0)
         lifted.append(descend_and_lift(decomposition, u, choose))
-    assert unrank(counter.grid(u, None), ranks) == lifted
+    assert unrank(count_grid(u, sys_, None), ranks) == lifted
 
 
 def test_unrank_refuses_a_rank_outside_the_count(sys23):
-    grid = make_counter(sys23).grid(60, None)
+    grid = count_grid(60, sys23, None)
     for rank in (-1, 5):
         with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
             unrank(grid, [0, rank])
@@ -190,9 +188,8 @@ def rank(u, table, rows, pt):
 def test_walk_lists_the_members_in_rank_order(p, q, general_table):
     sys_ = make_system(p, q)
     table = general_table(sys_)
-    counter = make_counter(sys_)
     for u in range(0, 2000):
-        grid = counter.grid(u)
+        grid = count_grid(u, sys_, 1)
         members = list(walk(grid))
         assert len(members) == grid.rows[0][0], u
         assert members == unrank(grid, range(len(members))), u
@@ -207,9 +204,8 @@ def test_branch_weights_add_up_to_the_node_weight(p, q, general_table):
     # p-scaled W(v); the cell's branches are the general table's row
     sys_ = make_system(p, q)
     table = general_table(sys_)
-    counter = make_counter(sys_)
     for u in range(2, 600):
-        rows, cells, _ = counter.grid(u)
+        rows, cells, _ = count_grid(u, sys_, 1)
         stack = [(u, 0, 0, False)]
         while stack:
             x, a, b, filtered = stack.pop()
@@ -227,10 +223,18 @@ def test_branch_weights_add_up_to_the_node_weight(p, q, general_table):
 
 
 def test_walk_at_the_ground_values(sys23):
-    counter = make_counter(sys23)
-    assert list(walk(counter.grid(0))) == [Partition()]
-    assert list(walk(counter.grid(1))) == [Partition(((0, 0),))]
-    assert list(walk(make_counter(make_system(3, 5)).grid(7))) == []
+    assert list(walk(count_grid(0, sys23, 1))) == [Partition()]
+    assert list(walk(count_grid(1, sys23, 1))) == [Partition(((0, 0),))]
+    assert list(walk(count_grid(7, make_system(3, 5), 1))) == []
+    # below 1 the fold has no cells: W(0) = 1 and W(-1) = 0, at every spacing
+    for every in (0, 1, None):
+        assert count_grid(0, sys23, every) == ([[1]], [], 1)
+        assert count_grid(-1, sys23, every) == ([[0]], [], 1)
+    assert list(walk(count_grid(-1, sys23, 1))) == []
+    assert unrank(count_grid(0, sys23, None), [0]) == [Partition()]
+    assert unrank(count_grid(-1, sys23, None), []) == []
+    with pytest.raises(ValueError, match="outside"):
+        unrank(count_grid(-1, sys23, None), [0])
 
 
 def test_budget_is_checked_before_any_member_is_built(sys23, monkeypatch):
@@ -291,6 +295,9 @@ def test_sampler_single_member(sys23):
         sample_uniform(7, make_system(3, 5), 0)
     # no draw, no sweep: an empty Omega(u) is no error
     assert list(sample_uniform(7, make_system(3, 5), 0, 0)) == []
+    assert list(sample_uniform(0, sys23, 0, 2)) == [Partition(), Partition()]
+    with pytest.raises(UnreachableSumError):
+        sample_uniform(-1, sys23, 0)
     with pytest.raises(ValueError, match="n must be >= 0"):
         sample_uniform(5, sys23, 0, -1)
 
@@ -337,14 +344,14 @@ def test_sampler_blocks_draw_the_ranks_of_single_draws(p, q):
     sys_ = make_system(p, q)
     u = 10**100 if p == 2 else _chain_sum_of_300_digits(sys_, 9)
     counter = make_counter(sys_)
-    segments = len(counter.grid(u, None).rows)
+    segments = len(count_grid(u, sys_, None).rows)
     n = 3 * segments + 1
     batched = list(sample_uniform(u, sys_, 5, n))
     rng = random.Random(5)
     assert batched == [pt for _ in range(n) for pt in sample_uniform(u, sys_, rng)]
     rng = random.Random(5)
     ranks = [rng.randrange(counter.w(u)) for _ in range(n)]
-    assert batched == unrank(counter.grid(u), ranks)
+    assert batched == unrank(count_grid(u, sys_, 1), ranks)
 
 
 def test_sampler_uniform_on_larger_support(sys23):

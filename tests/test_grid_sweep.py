@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from chainpart import decomposition
 from chainpart.core import make_system
 from chainpart.counting import CaseTableCounter, DirectSumCounter, HalvingCounter
 from chainpart.decomposition import (
@@ -28,6 +29,7 @@ from chainpart.decomposition import (
     refold,
     sigma_grid,
 )
+from chainpart.enumeration import sample_uniform
 from chainpart.shortest import ShortestTable
 
 SYSTEMS = [(2, 3), (3, 4), (5, 7), (3, 2), (2, 5), (7, 2)]
@@ -68,8 +70,7 @@ def test_sweep_visits_exactly_the_reachable_grid_quotients(pq, general_table):
     values = {u // (p**a * q**b) for a, b in visited}
     assert values <= grid_quotients(u, p, q)
     assert {x for x in values if x >= 2} == reachable(u, general_table(sys_))
-    for rows, kept_cells, every in (count_grid(u, sys_, keep=True, every=1),
-                                    sigma_grid(u, sys_, keep=True)):
+    for rows, kept_cells, every in (count_grid(u, sys_, 1), sigma_grid(u, sys_, 1)):
         assert kept_cells == cells
         assert every == 1 and len(rows) == len(cells)
         filled = {(a, b) for b, (row, codes) in enumerate(zip(rows, cells))
@@ -132,9 +133,9 @@ def test_kind_byte_folds_equal_the_bit_folds():
 def test_refold_gives_the_rows_right_of_its_column(pq):
     sys_ = make_system(*pq)
     u = random.Random(sum(pq)).randrange(10**99, 10**100)
-    rows, cells, _ = count_grid(u, sys_, keep=True, every=1)
-    for every in (1, 2, 5, None):
-        grid = count_grid(u, sys_, keep=True, every=every)
+    rows, cells, _ = count_grid(u, sys_, 1)
+    for every in (0, 1, 2, 5, None):
+        grid = count_grid(u, sys_, every)
         assert grid.rows == rows[::grid.every]
         for top in range(0, len(cells), grid.every):
             for lo in (0, 1, len(cells[top]) // 2, len(cells[top]) - 1):
@@ -143,6 +144,23 @@ def test_refold_gives_the_rows_right_of_its_column(pq):
                 for b, row in enumerate(segment, top):
                     full = rows[b] if b < len(rows) else []
                     assert len(row) == len(full) and row[lo:] == full[lo:], (every, top, lo, b)
+
+
+def test_witness_and_sampler_sweep_once(sys23, monkeypatch):
+    # the witness keeps the sigma of its sweep, and the sampler's refolds run
+    # the row loop on the kept cells, not a second sweep
+    sweep, calls = decomposition._sweep, []
+
+    def counted(u, *args):
+        calls.append(u)
+        return sweep(u, *args)
+
+    monkeypatch.setattr(decomposition, "_sweep", counted)
+    u = 10**100
+    assert ShortestTable(sys23).witness(u).u == u
+    assert calls == [u]
+    assert len(list(sample_uniform(u, sys23, 0, 4))) == 4
+    assert calls == [u, u]
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3),

@@ -6,11 +6,18 @@ import tracemalloc
 
 import pytest
 
-from chainpart.core import UnreachableSumError, chain_census, make_system, validate, value
+from chainpart.core import (
+    Partition,
+    UnreachableSumError,
+    chain_census,
+    make_system,
+    validate,
+    value,
+)
 from chainpart.counting import make_counter
 from chainpart.decomposition import sigma_grid
 from chainpart.enumeration import sample_uniform
-from chainpart.shortest import ChainCost, ShortestTable, chain_cost, chain_pow
+from chainpart.shortest import ChainCost, ShortestResult, ShortestTable, chain_cost, chain_pow
 
 
 def test_sigma_19(sys23):
@@ -67,7 +74,7 @@ def test_witness_equals_the_argmin_lift(p, q, descend_and_lift, general_table):
     for u in range(0, 3000):
         if table.sigma_or_inf(u) == math.inf:
             continue
-        rows = sigma_grid(u, sys_, keep=True)[0] if u >= 2 else [[table.sigma_or_inf(u)]]
+        rows = sigma_grid(u, sys_, 1).rows if u >= 2 else [[table.sigma_or_inf(u)]]
         a = b = 0
 
         def score(branch):
@@ -86,6 +93,14 @@ def test_witness_equals_the_argmin_lift(p, q, descend_and_lift, general_table):
 def test_sigma_unreachable(sys35):
     with pytest.raises(UnreachableSumError):
         ShortestTable(sys35).sigma(7)
+    # below 1 the fold has no cells: sigma(0) = 0 and sigma(-1) = inf
+    for every in (0, 1, None):
+        assert sigma_grid(0, sys35, every) == ([[0]], [], 1)
+        assert sigma_grid(-1, sys35, every) == ([[math.inf]], [], 1)
+    table = ShortestTable(sys35)
+    assert table.witness(0) == ShortestResult(0, 0, Partition())
+    with pytest.raises(UnreachableSumError):
+        table.witness(-1)
 
 
 def test_scan_shares_one_inf(sys35):

@@ -20,10 +20,12 @@ import random
 import sys as _sys
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import acceptance, analytics, codec, core, counting, enumeration, graph23, shortest
+# core alone at import time: each command imports the modules it runs
+from . import core
 from .core import (
     ChainPartError,
     DEFAULT_ENUMERATION_CEILING,
+    DEFAULT_PARTITION_BUDGET,
     InvariantViolationError,
     Partition,
     PQSystem,
@@ -140,10 +142,10 @@ def _member_line(sys_: PQSystem, u: int, fmt: str) -> Callable[[Partition], str]
     The sum is u for every member; the json and csv lines read the text of
     each pair and its value from ``_pair_texts``.
     """
-    if fmt == "words":
-        return codec.lattice_encode
-    if fmt == "tree":
-        return lambda pt: codec.tree_encode(pt, sys_).render(sys_)
+    if fmt in ("words", "tree"):
+        from . import codec
+        return (codec.lattice_encode if fmt == "words"
+                else lambda pt: codec.tree_encode(pt, sys_).render(sys_))
     values, json_line = _pair_texts(sys_)
     if fmt == "csv":
         head, text = f"{u},", values.__getitem__
@@ -183,6 +185,7 @@ def _write_lines(lines: Iterable[str]) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import enumeration
     sys_ = _system(args)
     ceiling = _ceiling(args)
     if args.u > ceiling:
@@ -196,6 +199,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from . import counting
     sys_ = _system(args)
     if args.method == "all":
         engines = counting.all_counters(sys_)
@@ -222,6 +226,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     sys_ = _system(args)
     mode = "monotonicity" if args.mode == "theorem4" else args.mode
     if mode == "w":
+        from . import counting
         arr = counting.make_counter(sys_).scan(args.limit)
         if args.emit == "csv":
             print("u,w")
@@ -229,6 +234,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         else:
             _print_numbered('{"u":', ',"w":"', '"}\n', arr)
         return 0
+    from . import analytics
     if mode == "maxw":
         records = analytics.max_count_jumps(args.limit, sys_).records
         klass = ["q-odd" if r.odd_multiple else "2q2-exception" for r in records]
@@ -266,6 +272,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from . import enumeration
     sys_ = _system(args)
     for pt in enumeration.sample_uniform(args.u, sys_, random.Random(args.seed), args.n):
         print(core.to_json(pt, sys_))
@@ -292,6 +299,7 @@ def _parse_partition_line(line: str, sys_: PQSystem) -> Partition:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from . import codec
     sys_ = _system(args)
     for line in _iter_stdin():
         pt = _parse_partition_line(line, sys_)
@@ -303,6 +311,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    from . import codec
     sys_ = _system(args)
     values, json_line = _pair_texts(sys_)
     words = _iter_stdin()
@@ -319,6 +328,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
+    from . import shortest
     sys_ = _system(args)
     table = shortest.ShortestTable(sys_)
     if not args.witness:
@@ -336,6 +346,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_sigma_stats(args: argparse.Namespace) -> int:
+    from . import shortest
     sys_ = _system(args)
     stats = shortest.ShortestTable(sys_).stats(args.limit)
     if args.emit == "csv":
@@ -350,6 +361,7 @@ def _cmd_sigma_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_chainpow(args: argparse.Namespace) -> int:
+    from . import shortest
     sys_ = _system(args)
     table = shortest.ShortestTable(sys_)
     witness = table.witness(args.u).witness if args.u >= 1 else Partition()
@@ -367,6 +379,7 @@ def _cmd_chainpow(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from . import codec, graph23
     sys_ = _system(args)
     graph = graph23.build_graph(args.u, sys_)
     if args.dot:
@@ -397,6 +410,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_walk(args: argparse.Namespace) -> int:
+    from . import codec, graph23
     sys_ = _system(args)
     pt = graph23.random_walk(args.u, args.steps, sys_, args.seed)
     print(json.dumps(
@@ -408,6 +422,7 @@ def _cmd_walk(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
+    from . import analytics
     sys_ = _system(args)
     roots = analytics.solve_exponents(sys_)
     print(json.dumps(
@@ -421,6 +436,7 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 
 
 def _cmd_sumfn(args: argparse.Namespace) -> int:
+    from . import analytics
     sys_ = _system(args)
     estimate = analytics.estimate_growth_constant(sys_, args.xmax)
     if args.emit == "csv":
@@ -432,6 +448,7 @@ def _cmd_sumfn(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from . import acceptance
     profile = "full" if args.full else "quick"
     return acceptance.run_selftest(profile, corrupt=args.inject_corruption)
 
@@ -460,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--budget",
         type=_integer,
-        default=enumeration.DEFAULT_PARTITION_BUDGET,
+        default=DEFAULT_PARTITION_BUDGET,
         help="max partitions to list, checked against W(u) before any is built",
     )
     sub.add_argument("--format", choices=("json", "csv", "words", "tree"),

@@ -24,6 +24,9 @@ from typing import Iterable, Iterator, Optional
 
 #: Largest U accepted by the brute-force enumerator unless overridden.
 DEFAULT_ENUMERATION_CEILING = 10**7
+#: Default cap on the partitions an enumerator builds: the members of one
+#: Omega(U) for ``ResidueEnumerator``, all memo entries for ``SplitEnumerator``.
+DEFAULT_PARTITION_BUDGET = 2_000_000
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 

@@ -387,32 +387,32 @@ def _sigma_row(codes: bytes, below: list) -> list:
 
 
 def _fill_columns(arr: array | bytearray, sys: PQSystem,
-                  column: Callable[[int, Any, Any, Any], Any]) -> None:
+                  column: Callable[[int, Callable[..., Any]], Any],
+                  read: Optional[Callable[[Any], Any]] = None) -> None:
     """Fill arr[2:] in place, given arr[0] and arr[1], one residue class at a time.
 
-    For u = pq k + r, ``column(code, P, Q, V)`` gets the ``_codes_of`` code of
-    r, and the slices of ``arr`` at u div p, u div q and u div pq for a run of
-    k, and returns the values at those u, as a buffer of the type of ``arr``.
-    A run of k from k0 to min(p, q) k0 has every argument below pq k0, so it
-    reads only finished entries.
+    For u = pq k + r, ``column(code, operand)`` gets the ``_codes_of`` code of
+    r, and ``operand(i, raw=True)``: the slice of ``arr`` at u div p (i = 0),
+    u div q (1) or u div pq (2) for a run of k, or its ``read`` if not
+    ``raw``.  It returns the values at those u, as a buffer of the type of
+    ``arr``.  A run of k from k0 to min(p, q) k0 reads only entries below
+    pq k0, finished before it starts; the first, k = 0 and r >= 2, reads
+    entries below r, each finished at its own r.  So each distinct slice is
+    cut, and read, once per run.
     """
     p, q, pq = sys.p, sys.q, sys.pq
     codes = [_codes_of(sys, 1, r % q, r % p)[0][0] for r in range(pq)]
-    n = len(arr)
-    for u in range(2, min(pq, n)):
-        arr[u:u + 1] = column(codes[u], arr[u // p:u // p + 1], arr[u // q:u // q + 1], arr[:1])
-    k0, end = 1, -(-n // pq)
+    n, k0, k1 = len(arr), 0, 1
+    end = -(-n // pq)
     arr += arr[:1] * (pq * end - n)  # padding, overwritten before anything reads it
     while k0 < end:
-        k1 = min(k0 * min(p, q), end)
-        for r in range(pq):
+        cut = functools.cache(lambda start, step: arr[start:start + step * (k1 - k0):step])
+        value = functools.cache(lambda start, step: read(cut(start, step)))
+        for r in range(0 if k0 else 2, pq):
+            at = ((q * k0 + r // p, q), (p * k0 + r // q, p), (k0, 1))
             arr[pq * k0 + r : pq * k1 : pq] = column(
-                codes[r],
-                arr[q * k0 + r // p : q * k1 : q],
-                arr[p * k0 + r // q : p * k1 : p],
-                arr[k0:k1],
-            )
-        k0 = k1
+                codes[r], lambda i, raw=True: (cut if raw else value)(*at[i]))
+        k0, k1 = k1, min(k1 * min(p, q), end)
     del arr[n:]
 
 
@@ -421,24 +421,24 @@ def count_fill(arr: array, sys: PQSystem) -> None:
 
     ``arr`` is an ``array('Q')``, one 64-bit lane per u.  A column that adds
     reads its operand slices as one integer each, ``int.from_bytes`` in the
-    native byte order, and does one big-integer add (and subtract); a column
-    of one term is that slice.  No lane carries or borrows into the next:
-    W(u) <= u^beta with beta <= 0.79, so W < 2^63 and a lane sum P + Q stays
-    below 2^64 for every u below 2^79, far past any scan that fits in memory;
-    and P + Q - V = W >= 0 in each lane.
+    native byte order once per slice and run, and does one big-integer add
+    (and subtract); a column of one term is that slice.  No lane carries or
+    borrows into the next: W(u) <= u^beta with beta <= 0.79, so W < 2^63 and
+    a lane sum P + Q stays below 2^64 for every u below 2^79, far past any
+    scan that fits in memory; and P + Q - V = W >= 0 in each lane.
     """
 
-    def column(code: int, at_p: array, at_q: array, at_pq: array) -> array:
+    def column(code: int, operand: Callable[..., Any]) -> array:
         if not code & STEP_Q:
-            return at_p if code & STEP_P else array("Q", bytes(8 * len(at_pq)))
+            return operand(0) if code & STEP_P else array("Q", bytes(8 * len(operand(2))))
         if not code & STEP_P:
-            return at_q
-        total = int.from_bytes(at_p, _sys.byteorder) + int.from_bytes(at_q, _sys.byteorder)
+            return operand(1)
+        total = operand(0, False) + operand(1, False)
         if code & FILTERED:
-            total -= int.from_bytes(at_pq, _sys.byteorder)
-        return array("Q", total.to_bytes(8 * len(at_pq), _sys.byteorder))
+            total -= operand(2, False)
+        return array("Q", total.to_bytes(8 * len(operand(2)), _sys.byteorder))
 
-    _fill_columns(arr, sys, column)
+    _fill_columns(arr, sys, column, functools.partial(int.from_bytes, byteorder=_sys.byteorder))
 
 
 #: A dense sigma byte where Omega is empty.  sigma(u) <= log2(u) + 1, so it
@@ -471,13 +471,12 @@ def sigma_fill(arr: bytearray, sys: PQSystem) -> None:
     one ``_byte_min``.
     """
 
-    def column(code: int, at_p: bytearray, at_q: bytearray, at_pq: bytearray) -> bytes:
-        terms = [at.translate(_PLUS_ONE) if code & one else at
-                 for at, step, one in ((at_p, STEP_P, ONE_P), (at_q, STEP_Q, ONE_Q))
-                 if code & step]
+    def column(code: int, operand: Callable[..., Any]) -> bytes:
+        terms = [operand(i).translate(_PLUS_ONE) if code & one else operand(i)
+                 for i, step, one in ((0, STEP_P, ONE_P), (1, STEP_Q, ONE_Q)) if code & step]
         if len(terms) == 2:
             return _byte_min(*terms)
-        return terms[0] if terms else bytes((NO_SIGMA,)) * len(at_pq)
+        return terms[0] if terms else bytes((NO_SIGMA,)) * len(operand(2))
 
     _fill_columns(arr, sys, column)
 

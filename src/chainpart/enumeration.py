@@ -24,9 +24,10 @@ of U:
 
 ``sample_uniform`` unranks uniform draws from [0, W(U)), so every member of
 Omega(U) is returned with probability exactly 1/W(U), and no draw is
-rejected.  One sweep keeps ceil(sqrt(rows)) checkpoint rows, and the draws
-are unranked in blocks of at most the number of segments, so the rows live
-at once stay O(sqrt(rows)) whatever the number of draws.
+rejected.  One sweep keeps ceil(sqrt(rows)) checkpoint rows, so the rows
+live at once stay O(sqrt(rows)) whatever the number of draws.  The draws are
+unranked in blocks, each one refold of the segments, whose members hold at
+most ``_BLOCK_PARTS`` parts (or one draw per segment, if more).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
+    DEFAULT_PARTITION_BUDGET,
     EMPTY_PARTITION,
     BudgetError,
     Partition,
@@ -49,9 +51,8 @@ from .core import (
 )
 from .decomposition import CellBranch, Grid, count_grid, descend, refold
 
-#: Default cap on the partitions an enumerator builds: the members of one
-#: Omega(U) for ``ResidueEnumerator``, all memo entries for ``SplitEnumerator``.
-DEFAULT_PARTITION_BUDGET = 2_000_000
+#: The parts that the members of one block of draws may hold, about 25 MB.
+_BLOCK_PARTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -274,8 +275,9 @@ def sample_uniform(u: int, sys: PQSystem, rng: Union[int, random.Random] = 0,
 
     Unless n = 0, one sweep keeps the checkpoint rows of
     ``count_grid(u, sys, None)``.  The ranks, one ``rng.randrange(W(u))``
-    each, are drawn in blocks of at most the number of segments; each block
-    is unranked together by ``unrank`` and yielded before the next is drawn.
+    each, are drawn in blocks whose members hold at most ``_BLOCK_PARTS``
+    parts, or of one draw per segment if that is more; each block is
+    unranked together by ``unrank`` and yielded before the next is drawn.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -290,7 +292,9 @@ def sample_uniform(u: int, sys: PQSystem, rng: Union[int, random.Random] = 0,
 
 
 def _draws(u: int, sys: PQSystem, grid: Grid, rng: random.Random, n: int) -> Iterator[Partition]:
-    w, block = grid.rows[0][0], len(grid.rows)
+    w = grid.rows[0][0]
+    # a member has at most u.bit_length() parts, each at least twice the last
+    block = max(len(grid.rows), _BLOCK_PARTS // (u.bit_length() or 1))
     for start in range(0, n, block):
         for pt in unrank(grid, [rng.randrange(w) for _ in range(min(block, n - start))]):
             assert value(pt, sys) == u

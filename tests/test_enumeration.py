@@ -338,9 +338,11 @@ def test_sampler_deterministic_under_seed(sys23):
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 5)])
-def test_sampler_blocks_draw_the_ranks_of_single_draws(p, q):
-    # more draws than segments, so the ranks come in several blocks; the
-    # members are those of one draw at a time from the same PRNG, in order
+def test_sampler_blocks_draw_the_ranks_of_single_draws(p, q, monkeypatch):
+    # no parts to spare, so a block is one draw per segment; more draws than
+    # segments, so the ranks come in several blocks; the members are those
+    # of one draw at a time from the same PRNG, in order
+    monkeypatch.setattr(enumeration, "_BLOCK_PARTS", 0)
     sys_ = make_system(p, q)
     u = 10**100 if p == 2 else _chain_sum_of_300_digits(sys_, 9)
     counter = make_counter(sys_)
@@ -352,6 +354,20 @@ def test_sampler_blocks_draw_the_ranks_of_single_draws(p, q):
     rng = random.Random(5)
     ranks = [rng.randrange(counter.w(u)) for _ in range(n)]
     assert batched == unrank(count_grid(u, sys_, 1), ranks)
+
+
+def test_sampler_blocks_hold_a_bounded_number_of_parts(sys23, monkeypatch):
+    # a member of 10^300 has at most 997 parts, so a block of 2^18 parts is
+    # 262 draws: 300 draws come in two blocks, not fifteen of one per segment
+    u = 10**300
+    blocks, real = [], enumeration.unrank
+    monkeypatch.setattr(enumeration, "unrank",
+                        lambda grid, ranks: blocks.append(len(ranks)) or real(grid, ranks))
+    members = list(sample_uniform(u, sys23, 5, 300))
+    assert blocks == [262, 38] and len(count_grid(u, sys23, None).rows) == 21
+    rng = random.Random(5)
+    w = make_counter(sys23).w(u)
+    assert members == real(count_grid(u, sys23, 1), [rng.randrange(w) for _ in range(300)])
 
 
 def test_sampler_uniform_on_larger_support(sys23):

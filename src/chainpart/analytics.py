@@ -17,8 +17,11 @@ jump scan with its divisibility classification, the exact characterization of
 {W = 1} and {W = 2} for (2, 3), and the doubling construction that certifies
 W is unbounded once any value exceeds 1.
 
-Each check reads its count scan in passes that run in C (slices, map, compress,
-max); Python loops walk only slices holding a running-maximum jump, or a failure.
+Each check reads its count scan, the ``array('I')`` of ``CountTable.scan``
+(a list is converted to one), in blocks of 32-bit lanes packed into one big
+integer; W < 2^31 below the scan's limit 2^39, so one SWAR compare on the
+lanes' top bits (``_at_least``) tests a whole block.  Python reads only the
+lanes a compare picks out: running-maximum jumps, counts below 3, failures.
 
 Violations of proved statements raise InvariantViolationError; conjecture
 exceptions are reported as data, never as errors.
@@ -26,12 +29,13 @@ exceptions are reported as data, never as errors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
+import sys as _sys
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     InvalidSystemError,
@@ -44,8 +48,41 @@ from .enumeration import ResidueEnumerator
 
 BISECTION_LO = 1e-6
 BISECTION_HI = 8.0
-#: Slice length of the running-maximum search; only slices holding a jump are walked.
+#: Slice length of the running-maximum screen; only slices holding a jump are read.
 JUMP_SLICE = 512
+#: Lanes per block of the other lane passes: 64 KB for each big integer.
+LANE_BLOCK = 1 << 14
+_GUARDS = int.from_bytes(array("I", [1 << 31]) * LANE_BLOCK, _sys.byteorder)
+
+
+def _lanes(counts: Sequence[int]) -> array:
+    """``counts`` as the scan's ``array('I')``; any other sequence is converted."""
+    return counts if isinstance(counts, array) and counts.typecode == "I" else array("I", counts)
+
+
+def _pack(part: array) -> tuple[int, int]:
+    """The lanes of ``part``, at most LANE_BLOCK, as one integer, and their guard
+    bits, each lane's top bit 2^31, which no W reaches: a lane holding it is refused."""
+    guards = _GUARDS >> 32 * (LANE_BLOCK - len(part))
+    x = int.from_bytes(part, _sys.byteorder)
+    if x & guards:
+        raise ValueError("a count at or past 2^31 is past the lane bound of the scan")
+    return x, guards
+
+
+def _at_least(x: int, y: int, guards: int) -> int:
+    """The guard bit of each lane where x >= y, all lanes below 2^31: SWAR, as
+    ``decomposition._byte_min``, since (x | guards) - y borrows from no other lane."""
+    return ((x | guards) - y) & guards
+
+
+def _set_lanes(bits: int, guards: int, first: int) -> Iterator[int]:
+    """first + i for each lane i whose guard bit is set in ``bits``, which holds no other bit."""
+    flags = bits.to_bytes(guards.bit_length() // 8, _sys.byteorder)
+    at = flags.find(0x80)
+    while at >= 0:
+        yield first + at // 4
+        at = flags.find(0x80, at + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +140,8 @@ def constant_upper_bound(sys: PQSystem, alpha: Optional[float] = None) -> float:
 class PrefixSums:
     """S(x) for real x up to a limit, backed by one bottom-up count scan.
 
-    The scan and its prefix sums are each an ``array('Q')``.
+    The scan is an ``array('I')``, W < 2^31, and its prefix sums an
+    ``array('Q')``: S(n) <= n^(1 + beta) < 2^64 for every n below 2^35.
     """
 
     def __init__(self, sys: PQSystem, limit: int,
@@ -112,7 +150,6 @@ class PrefixSums:
         self.limit = limit
         self.counter = counter or make_counter(sys)
         self._counts = counts = self.counter.scan(limit)
-        # S(n) <= n^(1 + beta) < 2^64 for every n below 2^35, past any scan in memory
         self._sums = array("Q", itertools.accumulate(itertools.islice(counts, 1, limit + 1),
                                                       initial=0))
 
@@ -157,21 +194,21 @@ def estimate_growth_constant(sys: PQSystem, xmax: int,
     """Ratios S(2^k)/2^(k*alpha) for 2^k <= xmax, plus the tail spread.
 
     The ratios converge to the growth constant; the spread of the last
-    ``tail`` dyadic samples, (max-min)/min, measures stabilization.
+    ``tail`` dyadic samples, (max-min)/min, measures stabilization.  S adds
+    one dyadic slice of the scan at a time, with no prefix array.
     """
     if xmax < 10:
         raise ValueError("xmax must be at least 10")
     exponents = solve_exponents(sys)
     alpha = exponents.alpha
     bound = constant_upper_bound(sys, alpha)
-    prefix = PrefixSums(sys, xmax, counter)
+    counts = memoryview((counter or make_counter(sys)).scan(xmax))
     samples = []
-    k = 1
-    while 2**k <= xmax:
-        x = 2**k
-        s = prefix.s(x)
+    s = counts[1]  # S(1)
+    for k in range(1, xmax.bit_length()):
+        x = 1 << k
+        s += sum(counts[x // 2 + 1:x + 1])
         samples.append((x, s, s / x**alpha))
-        k += 1
     ratios = [r for _, _, r in samples[-tail:]]
     spread = (max(ratios) - min(ratios)) / min(ratios) if min(ratios) > 0 else math.inf
     return GrowthEstimate(alpha, bound, tuple(samples), spread)
@@ -197,20 +234,25 @@ def check_local_monotonicity(limit: int, sys: PQSystem,
     if limit < 0:
         raise ValueError("limit must be >= 0")
     q = sys.q
-    arr = counts if counts is not None else make_counter(sys).scan(limit + q)
+    arr = _lanes(counts if counts is not None else make_counter(sys).scan(limit + q))
     if len(arr) < limit + q + 1:
         raise ValueError(f"need counts through {limit + q}, got {len(arr) - 1}")
     n = limit // q + 1
-    column = [arr[r:q * n:q] for r in range(q)]  # column[r][u] = W(qu + r) for u < n
-    # A check is (first u, its place among the checks of one u, W(qu + dx) and
-    # W(qu + dy) from that u on, dx, dy); it fails where W(qu + dx) < W(qu + dy).
-    checks = [(0, 0, column[0], column[1], 0, 1), (1, 1, column[1][1:], column[q - 1], 1, -1)]
-    checks += [(0, 2 + r, column[r], column[r + 1], r, r + 1) for r in range(1, q - 1)]
-    bad = sorted(
-        (u, place, q * u + dx, q * u + dy)
-        for first, place, at_x, at_y, dx, dy in checks
-        for u in itertools.compress(itertools.count(first), map(operator.lt, at_x, at_y))
-    )
+    # A check is (first u, its place among the checks of one u, dx, dy); it
+    # fails where W(qu + dx) < W(qu + dy).  A block of u packs the columns
+    # W(qu + d); consecutive checks share one, so two stay packed at a time.
+    checks = [(0, 0, 0, 1), (1, 1, 1, -1)] + [(0, 2 + r, r, r + 1) for r in range(1, q - 1)]
+    bad = []
+    for lo in range(0, n, LANE_BLOCK):
+        hi = min(lo + LANE_BLOCK, n)
+        column = functools.lru_cache(maxsize=2)(
+            lambda u0, d: _pack(arr[q * u0 + d:q * hi + d:q]))
+        for first, place, dx, dy in checks:
+            u0 = max(lo, first)
+            (x, guards), (y, _) = column(u0, dx), column(u0, dy)
+            if less := guards ^ _at_least(x, y, guards):
+                bad += ((u, place, q * u + dx, q * u + dy) for u in _set_lanes(less, guards, u0))
+    bad.sort()
     return MonotonicityReport(limit, q, tuple(f"W({x}) < W({y})" for _, _, x, y in bad))
 
 
@@ -242,7 +284,7 @@ def max_count_jumps(limit: int, sys: PQSystem,
     if sys.p != 2:
         raise InvalidSystemError("the jump classification requires p = 2")
     q = sys.q
-    arr = counts if counts is not None else make_counter(sys).scan(limit)
+    arr = _lanes(counts if counts is not None else make_counter(sys).scan(limit))
     records: list[JumpRecord] = []
     exceptions: list[int] = []
     for u in _jumps(arr, 1, limit + 1, 1):  # above W(0) = 1
@@ -262,18 +304,20 @@ def max_count_jumps(limit: int, sys: PQSystem,
     return JumpReport(limit, tuple(records), tuple(exceptions))
 
 
-def _jumps(arr: Sequence[int], start: int, stop: int, running: int) -> list[int]:
-    """The u in [start, stop) where arr[u] exceeds ``running`` and every earlier arr[v]."""
+def _jumps(arr: array, start: int, stop: int, running: int) -> list[int]:
+    """The u in [start, stop) where arr[u] exceeds ``running`` and every earlier arr[v].
+
+    ``_at_least`` screens each slice against ``running``; the first lane
+    above it is a jump, and the screen repeats against its value.
+    """
     if len(arr) < stop:
         raise ValueError(f"need counts through {stop - 1}, got {len(arr) - 1}")
     found = []
     for lo in range(start, stop, JUMP_SLICE):
-        part = arr[lo:min(lo + JUMP_SLICE, stop)]
-        if max(part) > running:
-            for u, w in enumerate(part, lo):
-                if w > running:
-                    running = w
-                    found.append(u)
+        x, guards = _pack(arr[lo:min(lo + JUMP_SLICE, stop)])
+        while above := guards ^ _at_least(running * (guards >> 31), x, guards):
+            found.append(next(_set_lanes(above, guards, lo)))
+            running = arr[found[-1]]
     return found
 
 
@@ -294,8 +338,14 @@ def classify_small_counts(limit: int, sys: PQSystem,
     """
     if (sys.p, sys.q) != (2, 3):
         raise InvalidSystemError("the small-count characterization is for (2, 3)")
-    arr = counts if counts is not None else make_counter(sys).scan(limit)
-    view = arr if len(arr) == limit + 1 else arr[:limit + 1]
+    arr = _lanes(counts if counts is not None else make_counter(sys).scan(limit))
+    # {W = w} for w = 1, 2 from the few lanes of each block where W <= 2
+    found: list[set[int]] = [set(), set(), set()]
+    for lo in range(0, limit + 1, LANE_BLOCK):
+        x, guards = _pack(arr[lo:min(lo + LANE_BLOCK, limit + 1)])
+        if small := _at_least(guards >> 30, x, guards):  # 2 >= W, guards >> 30 being 2s
+            for u in _set_lanes(small, guards, lo):
+                found[arr[u]].add(u)
 
     def geometric(seed: int) -> set[int]:
         out = set()
@@ -308,9 +358,8 @@ def classify_small_counts(limit: int, sys: PQSystem,
     ones = sorted(u for u in {0, 1} | geometric(3) if u <= limit)
     twos = sorted(u for u in {3, 4, 6, 7} | geometric(9) | geometric(15) if u <= limit)
     for w, members in ((1, ones), (2, twos)):
-        # equal sets: as many w in the scan as predicted members, and each of them a w
-        if view.count(w) != len(members) or any(view[u] != w for u in members):
-            diff = sorted({u for u, x in enumerate(view) if x == w} ^ set(members))
+        if found[w] != set(members):
+            diff = sorted(found[w] ^ set(members))
             raise InvariantViolationError(f"{{W={w}}} characterization fails at {diff[:5]}")
     return SmallCountReport(limit, tuple(ones), tuple(twos))
 
@@ -366,7 +415,7 @@ def check_growth_bound(limit: int, sys: PQSystem,
                        counts: Optional[Sequence[int]] = None) -> BoundReport:
     """Verify W(U) <= U^beta on [1, limit] and report the largest ratio."""
     beta = solve_exponents(sys).beta
-    arr = counts if counts is not None else make_counter(sys).scan(limit)
+    arr = _lanes(counts if counts is not None else make_counter(sys).scan(limit))
     # u^beta increases with u, so the ratio at u is at most the ratio at the
     # last running-maximum jump up to u, and any violation shows at a jump too.
     jumps = [1, *_jumps(arr, 2, limit + 1, arr[1])] if limit >= 1 else []

@@ -7,7 +7,7 @@ cross-validate each other and the brute-force oracle:
   the case split on U mod pq, as the ``decomposition`` module docstring
   writes it out.  A sparse W(U) is one ``count_grid`` row sweep over the
   reachable quotients U div (p^a q^b); a dense scan is ``count_fill``, on
-  64-bit lanes (see ``scan``).
+  32-bit lanes, W < 2^31 below the refused limit 2^39 (see ``scan``).
 
 * ``HalvingCounter`` -- the p = 2 specialization, kept as a cross-check,
       W(qU)   = W(U) + W(qU-1)
@@ -34,6 +34,8 @@ from .core import InvalidSystemError, PQSystem
 from .decomposition import count_fill, count_grid
 
 Expansion = tuple[int, tuple[tuple[int, int], ...]]
+
+LANE_LIMIT = 1 << 39  # the first limit ``CountTable.scan`` refuses
 
 
 def digits_zero_one(n: int, base: int) -> bool:
@@ -134,14 +136,17 @@ class CountTable:
         return total
 
     def scan(self, limit: int) -> array:
-        """W on 0..limit, bottom-up, as an ``array('Q')``; independent of the sparse memo.
+        """W on 0..limit, bottom-up, as an ``array('I')``; independent of the sparse memo.
 
-        One unsigned 64-bit lane per u holds every W a scan can reach:
-        W(u) <= u^beta with beta <= 0.79, so W < 2^63 for every u below 2^79.
+        One unsigned 32-bit lane per u: W(u) <= u^beta with beta <= 0.79, so
+        W < 2^31 and a lane sum P + Q < 2^32 for every u below LANE_LIMIT =
+        2^39; a limit at or past it is refused before anything is allocated.
         """
         if limit < 0:
             raise ValueError("limit must be >= 0")
-        arr = array("Q", bytes(8 * (limit + 1)))
+        if limit >= LANE_LIMIT:
+            raise ValueError("limit must be below 2^39, where W fits a 32-bit lane")
+        arr = array("I", bytes(4)) * (limit + 1)
         arr[0] = 1
         if limit >= 1:
             arr[1] = 1

@@ -36,11 +36,11 @@ else reads the codes:
   column left of where it entered.
 * ``count_fill`` and ``sigma_fill`` fold the code of each class mod pq on
   0..n, a column of one class at a time, on typed buffers: W in an
-  ``array('Q')`` of 64-bit lanes, each column one big-integer add or subtract
+  ``array('I')`` of 32-bit lanes, each column one big-integer add or subtract
   of its packed slices, and sigma in a ``bytearray``, NO_SIGMA (0x7F) where
   Omega is empty, with ``translate`` for ``+1`` and a bytewise SWAR min.
-  W < 2^63 and sigma < 0x7E on every scan that fits in memory, so no lane
-  overflows.
+  Below the limit that ``CountTable.scan`` refuses, 2^39, W < 2^31 and
+  P + Q < 2^32 in every lane, and sigma < 0x7E, so no lane overflows.
 
 The binary table (p = 2, modulus 2q) reads the label ``1`` as adding 1 to
 the block of powers of 2, with carries, which keeps every branch disjoint and
@@ -386,32 +386,34 @@ def _sigma_row(codes: bytes, below: list) -> list:
     return row
 
 
-def _fill_columns(arr: array | bytearray, sys: PQSystem,
+def _fill_columns(arr: array | bytearray, sys: PQSystem, bits: int,
                   column: Callable[[int, Callable[..., Any]], Any],
                   read: Optional[Callable[[Any], Any]] = None) -> None:
     """Fill arr[2:] in place, given arr[0] and arr[1], one residue class at a time.
 
-    For u = pq k + r, ``column(code, operand)`` gets the ``_codes_of`` code of
-    r, and ``operand(i, raw=True)``: the slice of ``arr`` at u div p (i = 0),
-    u div q (1) or u div pq (2) for a run of k, or its ``read`` if not
-    ``raw``.  It returns the values at those u, as a buffer of the type of
-    ``arr``.  A run of k from k0 to min(p, q) k0 reads only entries below
-    pq k0, finished before it starts; the first, k = 0 and r >= 2, reads
-    entries below r, each finished at its own r.  So each distinct slice is
-    cut, and read, once per run.
+    For u = pq k + r, ``column(code, operand)`` gets the code bits ``bits``
+    of the ``_codes_of`` code of r, and ``operand(i, raw=True)``: the slice of
+    ``arr`` at u div p (i = 0), u div q (1) or u div pq (2) for a run of k, or
+    its ``read`` if not ``raw``.  It returns the values at those u, as a
+    buffer of the type of ``arr``.  A run of k from k0 to min(p, q) k0 reads
+    only entries below pq k0, finished before it starts; the first, k = 0 and
+    r >= 2, reads entries below r, each finished at its own r.  So each
+    distinct slice is cut, and read, once per run; a class with the bits and
+    slices of the one before (r = 1 after r = 0 for W) reuses its column.
     """
     p, q, pq = sys.p, sys.q, sys.pq
-    codes = [_codes_of(sys, 1, r % q, r % p)[0][0] for r in range(pq)]
+    codes = [_codes_of(sys, 1, r % q, r % p)[0][0] & bits for r in range(pq)]
     n, k0, k1 = len(arr), 0, 1
     end = -(-n // pq)
     arr += arr[:1] * (pq * end - n)  # padding, overwritten before anything reads it
     while k0 < end:
         cut = functools.cache(lambda start, step: arr[start:start + step * (k1 - k0):step])
         value = functools.cache(lambda start, step: read(cut(start, step)))
+        fill = functools.lru_cache(maxsize=1)(lambda code, at: column(
+            code, lambda i, raw=True: (cut if raw else value)(*at[i])))
         for r in range(0 if k0 else 2, pq):
             at = ((q * k0 + r // p, q), (p * k0 + r // q, p), (k0, 1))
-            arr[pq * k0 + r : pq * k1 : pq] = column(
-                codes[r], lambda i, raw=True: (cut if raw else value)(*at[i]))
+            arr[pq * k0 + r : pq * k1 : pq] = fill(codes[r], at)
         k0, k1 = k1, min(k1 * min(p, q), end)
     del arr[n:]
 
@@ -419,26 +421,28 @@ def _fill_columns(arr: array | bytearray, sys: PQSystem,
 def count_fill(arr: array, sys: PQSystem) -> None:
     """W on 0..len(arr) - 1 by the rule of ``count_grid``, given arr[0] = arr[1] = 1.
 
-    ``arr`` is an ``array('Q')``, one 64-bit lane per u.  A column that adds
-    reads its operand slices as one integer each, ``int.from_bytes`` in the
-    native byte order once per slice and run, and does one big-integer add
-    (and subtract); a column of one term is that slice.  No lane carries or
-    borrows into the next: W(u) <= u^beta with beta <= 0.79, so W < 2^63 and
-    a lane sum P + Q stays below 2^64 for every u below 2^79, far past any
-    scan that fits in memory; and P + Q - V = W >= 0 in each lane.
+    ``arr`` is an ``array``, one lane of ``arr.itemsize`` bytes per u.  A column
+    that adds reads its operand slices as one integer each, ``int.from_bytes``
+    in the native byte order once per slice and run, and does one big-integer
+    add (and subtract); a column of one term is that slice, and u = pq k + 1
+    shares the column of pq k.  No lane carries or borrows into the next:
+    W(u) <= u^beta with beta <= 0.79, so W < 2^31 and P + Q < 2^32 for every
+    u below 2^39, which ``CountTable.scan`` refuses; and P + Q - V = W >= 0.
     """
+    typecode, size = arr.typecode, arr.itemsize
 
     def column(code: int, operand: Callable[..., Any]) -> array:
         if not code & STEP_Q:
-            return operand(0) if code & STEP_P else array("Q", bytes(8 * len(operand(2))))
+            return operand(0) if code & STEP_P else array(typecode, bytes(size * len(operand(2))))
         if not code & STEP_P:
             return operand(1)
         total = operand(0, False) + operand(1, False)
         if code & FILTERED:
             total -= operand(2, False)
-        return array("Q", total.to_bytes(8 * len(operand(2)), _sys.byteorder))
+        return array(typecode, total.to_bytes(size * len(operand(2)), _sys.byteorder))
 
-    _fill_columns(arr, sys, column, functools.partial(int.from_bytes, byteorder=_sys.byteorder))
+    _fill_columns(arr, sys, STEP_P | STEP_Q | FILTERED, column,
+                  functools.partial(int.from_bytes, byteorder=_sys.byteorder))
 
 
 #: A dense sigma byte where Omega is empty.  sigma(u) <= log2(u) + 1, so it
@@ -478,7 +482,7 @@ def sigma_fill(arr: bytearray, sys: PQSystem) -> None:
             return _byte_min(*terms)
         return terms[0] if terms else bytes((NO_SIGMA,)) * len(operand(2))
 
-    _fill_columns(arr, sys, column)
+    _fill_columns(arr, sys, STEP_P | ONE_P | STEP_Q | ONE_Q, column)
 
 
 @functools.lru_cache(maxsize=128)

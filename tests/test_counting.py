@@ -1,6 +1,7 @@
 """The three counting engines, the digit indicator, and their identities."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -174,3 +175,15 @@ def test_count_splits_by_unit_presence(sys23, sys35):
         counter = make_counter(sys_, "cases")
         for u in range(1, 600):
             assert counter.w(u) == counter.w_star(u) + counter.w_star(u - 1)
+
+
+def test_scan_to_a_million_traces_under_10_mb(sys23):
+    # 4 bytes per u and the fill's column integers; 64-bit lanes traced 15.9 MB here
+    tracemalloc.start()
+    try:
+        counts = make_counter(sys23).scan(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[10**6] == make_counter(sys23).w(10**6)
+    assert peak < 10 * 2**20, peak

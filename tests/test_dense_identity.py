@@ -1,6 +1,6 @@
 """The dense fills on typed buffers against the list fills they replace.
 
-``count_fill`` runs on an ``array('Q')`` of 64-bit lanes and ``sigma_fill``
+``count_fill`` runs on an ``array('I')`` of 32-bit lanes and ``sigma_fill``
 on a ``bytearray`` (NO_SIGMA where Omega is empty), one big-integer or
 bytewise pass per column.  The list fills below, one Python object per value,
 are the reference: every lane must hold the value the list holds, on the
@@ -27,6 +27,7 @@ from chainpart.decomposition import (
     _byte_min,
     _codes_of,
     _PLUS_ONE,
+    count_fill,
 )
 from chainpart.shortest import ShortestTable
 
@@ -99,7 +100,7 @@ def block_edges(sys_, top):
 def test_lane_fills_equal_the_list_fills(pq):
     sys_ = make_system(*pq)
     counts = make_counter(sys_).scan(LIMIT)
-    assert counts.typecode == "Q"
+    assert counts.typecode == "I"
     assert list(counts) == list_count_scan(LIMIT, sys_)
     assert ShortestTable(sys_).scan(LIMIT) == list_sigma_scan(LIMIT, sys_)
 
@@ -119,8 +120,16 @@ def test_every_engine_scans_into_lanes(pq):
     reference = list_count_scan(5000, make_system(*pq))
     for engine in all_counters(make_system(*pq)):
         scan = engine.scan(5000)
-        assert isinstance(scan, array) and scan.typecode == "Q", type(engine).__name__
+        assert isinstance(scan, array) and scan.typecode == "I", type(engine).__name__
         assert list(scan) == reference, type(engine).__name__
+
+
+@pytest.mark.parametrize("typecode", ["I", "Q"])
+def test_count_fill_reads_the_lane_width_of_its_array(typecode):
+    sys_ = make_system(2, 3)
+    arr = array(typecode, [1, 1]) * 2500
+    count_fill(arr, sys_)
+    assert list(arr) == list_count_scan(4999, sys_)
 
 
 def test_sigma_bytes_mark_each_empty_omega():

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,124 @@ def test_sumfn_ratios_match_the_loop(p, q):
         (2**k, sums[2**k]) for k in range(1, REPORT_LIMIT.bit_length())]
     assert [r for _, _, r in estimate.samples] == [
         sums[2**k] / (2**k) ** estimate.alpha for k in range(1, REPORT_LIMIT.bit_length())]
+
+
+# ---------------------------------------------------------------------------
+# Lanes: the refused limit, and the SWAR screens against the loops at their
+# slice and block edges
+# ---------------------------------------------------------------------------
+
+TOP = 2**31 - 1  # the largest lane value the screens take
+EDGE_U = 2 * analytics.LANE_BLOCK + 5  # the u = limit div q of checks across two block edges
+
+
+def old_running_max(arr, start, stop, running):
+    found = []
+    for u in range(start, stop):
+        if arr[u] > running:
+            running = arr[u]
+            found.append(u)
+    return found
+
+
+@pytest.fixture(scope="module")
+def edge_scans():
+    """W through q * EDGE_U + q, so the monotonicity checks cross two block edges."""
+    return {q: counting.make_counter(make_system(2, q)).scan(q * EDGE_U + q)
+            for q in (3, 5, 9)}
+
+
+@pytest.mark.parametrize("mode", ["w", "maxw", "monotonicity", "smallw", "bound"])
+def test_scan_past_the_lane_bound_is_refused_before_allocating(mode):
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["scan", mode, "--limit", str(counting.LANE_LIMIT)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue() == "error: limit must be below 2^39, where W fits a 32-bit lane\n"
+    assert peak < 2**20, peak
+
+
+def test_every_engine_refuses_the_lane_bound():
+    for engine in counting.all_counters(make_system(2, 3)):
+        with pytest.raises(ValueError, match="below 2\\^39"):
+            engine.scan(counting.LANE_LIMIT)
+
+
+@pytest.mark.parametrize("start", [1, 2])
+def test_jump_screen_matches_the_loop_at_slice_edges(scans, start):
+    # slices start at ``start``: jumps in the last lane of one slice and the
+    # first of the next, two in one slice, and 2^31 - 1 as the running maximum
+    edge = start + analytics.JUMP_SLICE
+    arr = list(scans[2, 3][:REPORT_LIMIT + 1])
+    for i, u in enumerate((edge - 1, edge, edge + 2 * analytics.JUMP_SLICE - 1,
+                           edge + 3000, edge + 3001, edge + 9000)):
+        arr[u] = 10**6 + i
+    arr[edge + 10_000] = arr[edge + 10_001] = arr[REPORT_LIMIT] = TOP
+    expected = old_running_max(arr, start, REPORT_LIMIT + 1, 1)
+    assert expected[-1] == edge + 10_000
+    for counts in (arr, array("I", arr)):
+        assert analytics._jumps(analytics._lanes(counts), start, REPORT_LIMIT + 1, 1) == expected
+    report = analytics.check_growth_bound(REPORT_LIMIT, make_system(2, 3), arr)
+    assert (report.max_ratio, report.violations) == old_growth_bound(REPORT_LIMIT, arr, report.beta)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_monotonicity_screen_matches_the_loop_at_block_edges(edge_scans, q):
+    arr = list(edge_scans[q])
+    block = analytics.LANE_BLOCK
+    # breaks in the last u of a block and the first of the next, the check
+    # W(qu + 1) >= W(qu - 1) reaching back into the block before, and lanes of
+    # 2^31 - 1: equal neighbours pass, a smaller one breaks
+    for u in (block - 1, block, 2 * block - 1):
+        arr[q * u] = 0
+    arr[q * block - 1] = arr[q * 2 * block - 1] = TOP
+    arr[q * (block + 7) + 1] = arr[q * (block + 7) + 2] = TOP
+    arr[q * (block + 9)] = arr[q * (block + 9) + 1] = TOP
+    report = analytics.check_local_monotonicity(q * EDGE_U, make_system(2, q), arr)
+    expected = old_monotonicity(q * EDGE_U, q, arr)
+    assert report.violations == expected
+    assert {f"W({q * block - q}) < W({q * block - q + 1})", f"W({q * block}) < W({q * block + 1})",
+            f"W({q * block + 1}) < W({q * block - 1})"} <= set(expected)
+    assert report == analytics.check_local_monotonicity(q * EDGE_U, make_system(2, q),
+                                                        array("I", arr))
+
+
+def test_small_count_screen_matches_the_loop_at_block_edges(scans):
+    block = analytics.LANE_BLOCK
+    arr = list(scans[2, 3][:REPORT_LIMIT + 1])
+    arr[block - 2] = arr[block - 1] = TOP
+    report = analytics.classify_small_counts(REPORT_LIMIT, make_system(2, 3), arr)
+    assert (report.ones, report.twos) == old_small_counts(REPORT_LIMIT, arr)
+    for u, w in ((block - 1, 1), (block, 2), (block + 1, 1)):
+        arr[u] = w
+        with pytest.raises(InvariantViolationError) as old:
+            old_small_counts(REPORT_LIMIT, arr)
+        with pytest.raises(InvariantViolationError) as new:
+            analytics.classify_small_counts(REPORT_LIMIT, make_system(2, 3), array("I", arr))
+        assert str(new.value) == str(old.value)
+
+
+def test_reports_of_a_list_equal_those_of_its_lanes(edge_scans):
+    sys23, counts = make_system(2, 3), edge_scans[3]
+    for check in (analytics.check_local_monotonicity, analytics.max_count_jumps,
+                  analytics.classify_small_counts, analytics.check_growth_bound):
+        reports = [check(3 * EDGE_U, sys23, arg)
+                   for arg in (counts, list(counts), array("Q", counts), tuple(counts))]
+        assert reports[1:] == reports[:-1], check.__name__
+
+
+@pytest.mark.parametrize("check", [analytics.check_local_monotonicity, analytics.max_count_jumps,
+                                   analytics.classify_small_counts, analytics.check_growth_bound])
+def test_a_count_past_the_lane_bound_is_refused(scans, check):
+    arr = list(scans[2, 3][:REPORT_LIMIT + 4])
+    arr[REPORT_LIMIT // 2] = TOP + 1
+    with pytest.raises(ValueError, match="at or past 2\\^31"):
+        check(REPORT_LIMIT, make_system(2, 3), arr)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,7 @@ import itertools
 import math
 import sys as _sys
 from array import array
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     InvalidSystemError,
@@ -43,7 +42,7 @@ from .core import (
     PQSystem,
     UnreachableSumError,
 )
-from .counting import CountTable, make_counter
+from .counting import make_counter
 from .enumeration import ResidueEnumerator
 
 BISECTION_LO = 1e-6
@@ -85,8 +84,7 @@ def _set_lanes(bits: int, guards: int, first: int) -> Iterator[int]:
         at = flags.find(0x80, at + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class GrowthExponents:
+class GrowthExponents(NamedTuple):
     """Roots of the two defining equations with their residuals."""
 
     alpha: float
@@ -144,11 +142,10 @@ class PrefixSums:
     ``array('Q')``: S(n) <= n^(1 + beta) < 2^64 for every n below 2^35.
     """
 
-    def __init__(self, sys: PQSystem, limit: int,
-                 counter: Optional[CountTable] = None) -> None:
+    def __init__(self, sys: PQSystem, limit: int) -> None:
         self.sys = sys
         self.limit = limit
-        self.counter = counter or make_counter(sys)
+        self.counter = make_counter(sys)
         self._counts = counts = self.counter.scan(limit)
         self._sums = array("Q", itertools.accumulate(itertools.islice(counts, 1, limit + 1),
                                                       initial=0))
@@ -174,8 +171,7 @@ class PrefixSums:
         return lhs - rhs
 
 
-@dataclass(frozen=True, slots=True)
-class GrowthEstimate:
+class GrowthEstimate(NamedTuple):
     """Dyadic snapshots of S(x)/x^alpha against the closed-form ceiling."""
 
     alpha: float
@@ -188,13 +184,11 @@ class GrowthEstimate:
         return max(r for _, _, r in self.samples)
 
 
-def estimate_growth_constant(sys: PQSystem, xmax: int,
-                             counter: Optional[CountTable] = None,
-                             tail: int = 5) -> GrowthEstimate:
+def estimate_growth_constant(sys: PQSystem, xmax: int) -> GrowthEstimate:
     """Ratios S(2^k)/2^(k*alpha) for 2^k <= xmax, plus the tail spread.
 
     The ratios converge to the growth constant; the spread of the last
-    ``tail`` dyadic samples, (max-min)/min, measures stabilization.  S adds
+    five dyadic samples, (max-min)/min, measures stabilization.  S adds
     one dyadic slice of the scan at a time, with no prefix array.
     """
     if xmax < 10:
@@ -202,20 +196,19 @@ def estimate_growth_constant(sys: PQSystem, xmax: int,
     exponents = solve_exponents(sys)
     alpha = exponents.alpha
     bound = constant_upper_bound(sys, alpha)
-    counts = memoryview((counter or make_counter(sys)).scan(xmax))
+    counts = memoryview(make_counter(sys).scan(xmax))
     samples = []
     s = counts[1]  # S(1)
     for k in range(1, xmax.bit_length()):
         x = 1 << k
         s += sum(counts[x // 2 + 1:x + 1])
         samples.append((x, s, s / x**alpha))
-    ratios = [r for _, _, r in samples[-tail:]]
+    ratios = [r for _, _, r in samples[-5:]]
     spread = (max(ratios) - min(ratios)) / min(ratios) if min(ratios) > 0 else math.inf
     return GrowthEstimate(alpha, bound, tuple(samples), spread)
 
 
-@dataclass(frozen=True, slots=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     limit: int
     q: int
     violations: tuple[str, ...]
@@ -256,8 +249,7 @@ def check_local_monotonicity(limit: int, sys: PQSystem,
     return MonotonicityReport(limit, q, tuple(f"W({x}) < W({y})" for _, _, x, y in bad))
 
 
-@dataclass(frozen=True, slots=True)
-class JumpRecord:
+class JumpRecord(NamedTuple):
     """A point where the running maximum of W strictly increases."""
 
     u: int
@@ -265,8 +257,7 @@ class JumpRecord:
     odd_multiple: bool  # u = q * (odd number): the conjectured-only class
 
 
-@dataclass(frozen=True, slots=True)
-class JumpReport:
+class JumpReport(NamedTuple):
     limit: int
     records: tuple[JumpRecord, ...]
     conjecture_exceptions: tuple[int, ...]  # jumps at even multiples of q
@@ -321,8 +312,7 @@ def _jumps(arr: array, start: int, stop: int, running: int) -> list[int]:
     return found
 
 
-@dataclass(frozen=True, slots=True)
-class SmallCountReport:
+class SmallCountReport(NamedTuple):
     limit: int
     ones: tuple[int, ...]
     twos: tuple[int, ...]
@@ -364,36 +354,29 @@ def classify_small_counts(limit: int, sys: PQSystem,
     return SmallCountReport(limit, tuple(ones), tuple(twos))
 
 
-@dataclass(frozen=True, slots=True)
-class DoublingStep:
+class DoublingStep(NamedTuple):
     u: int
     lower_bound: int
     count: Optional[int]  # None when verification was skipped (u too large)
 
 
-def doubling_witnesses(
-    u0: int,
-    n: int,
-    sys: PQSystem,
-    counter: Optional[CountTable] = None,
-    verify_limit: int = 10**18,
-) -> list[DoublingStep]:
+def doubling_witnesses(u0: int, n: int, sys: PQSystem) -> list[DoublingStep]:
     """The sequence u_{k+1} = (1 + p^(kc) q^(kd)) u_k with W(u_k) >= 2^k.
 
     c and d are the componentwise maxima of the top-part exponents of two
     distinct partitions of u0 (hence W(u0) >= 2 is required).  Each step is
-    verified against a counting engine while u_k <= verify_limit.
+    verified against a counting engine while u_k <= 10^18.
     """
-    counter = counter or make_counter(sys)
+    counter = make_counter(sys)
     if counter.w(u0) < 2:
         raise UnreachableSumError(f"need at least two partitions of {u0}")
-    members = sorted(ResidueEnumerator(sys).omega(u0), key=lambda pt: pt.parts)
+    members = sorted(ResidueEnumerator(sys).omega(u0))
     (a1, b1), (a2, b2) = members[0].largest, members[1].largest
     c, d = max(a1, a2), max(b1, b2)
     steps: list[DoublingStep] = []
     u = u0
     for k in range(1, n + 1):
-        w = counter.w(u) if u <= verify_limit else None
+        w = counter.w(u) if u <= 10**18 else None
         if w is not None and w < 2**k:
             raise InvariantViolationError(
                 f"doubling construction failed: W({u}) = {w} < 2^{k}"
@@ -403,8 +386,7 @@ def doubling_witnesses(
     return steps
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     limit: int
     beta: float
     max_ratio: float

@@ -149,10 +149,10 @@ def _member_line(sys_: PQSystem, u: int, fmt: str) -> Callable[[Partition], str]
     values, json_line = _pair_texts(sys_)
     if fmt == "csv":
         head, text = f"{u},", values.__getitem__
-        return lambda pt: head + " ".join(map(text, pt.parts))
+        return lambda pt: head + " ".join(map(text, pt))
     if fmt == "json":
         total = str(u)
-        return lambda pt: json_line(pt.parts, total)
+        return lambda pt: json_line(pt, total)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -320,9 +320,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     else:  # (None, partition); the json line sums the partition itself
         decoded = ((None, codec.lattice_decode(w)) for w in words)
     if args.format == "values":
-        _write_lines(" ".join(map(values.__getitem__, pt.parts)) for _, pt in decoded)
+        _write_lines(" ".join(map(values.__getitem__, pt)) for _, pt in decoded)
     else:
-        _write_lines(json_line(pt.parts, core.value(pt, sys_) if total is None else total)
+        _write_lines(json_line(pt, core.value(pt, sys_) if total is None else total)
                      for total, pt in decoded)
     return 0
 
@@ -338,8 +338,8 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
     cost = shortest.chain_cost(res.witness)
     print(json.dumps(
         {"u": args.u, "sigma": res.sigma,
-         "witness": [[a, b] for a, b in res.witness.parts],
-         "values": [str(core.part_value(pair, sys_)) for pair in res.witness.parts],
+         "witness": res.witness,
+         "values": [str(core.part_value(pair, sys_)) for pair in res.witness],
          "cost": {"p_ops": cost.p_ops, "q_ops": cost.q_ops, "adds": cost.adds}},
         separators=(",", ":")))
     return 0
@@ -370,7 +370,7 @@ def _cmd_chainpow(args: argparse.Namespace) -> int:
         cost = shortest.chain_cost(witness)
         print(json.dumps(
             {"result": str(result),
-             "witness": [[a, b] for a, b in witness.parts],
+             "witness": witness,
              "cost": {"p_ops": cost.p_ops, "q_ops": cost.q_ops, "adds": cost.adds}},
             separators=(",", ":")))
     else:
@@ -389,7 +389,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             print(f'  "{labels[v]}";')
         seen = set()
         for v in graph.vertices:
-            for w in sorted(graph.adjacency[v], key=lambda x: x.parts):
+            for w in sorted(graph.adjacency[v]):
                 key = tuple(sorted((labels[v], labels[w])))
                 if key not in seen:
                     seen.add(key)
@@ -416,7 +416,7 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     print(json.dumps(
         {"u": args.u, "steps": args.steps, "seed": args.seed,
          "word": codec.lattice_encode(pt),
-         "partition": [[a, b] for a, b in pt.parts]},
+         "partition": pt},
         separators=(",", ":")))
     return 0
 

@@ -25,7 +25,6 @@ contain neither 02 nor 12 as a factor; for fixed U they form an infix code
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import MalformedWordError, Partition, PQSystem
@@ -41,26 +40,29 @@ def _require_p2(sys: PQSystem) -> None:
         raise MalformedWordError("tree words are defined for p = 2 systems only")
 
 
-@dataclass(frozen=True, slots=True)
-class TreeWord:
-    """A word over the letters 1, 2 and q (stored symbolically)."""
+class TreeWord(tuple):
+    """A word over the letters 1, 2 and q (stored symbolically): the tuple of its letters."""
 
-    letters: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _TREE_LETTER_SET.issuperset(self.letters):
-            ch = next(ch for ch in self.letters if ch not in _TREE_LETTER_SET)
+    def __new__(cls, letters: Iterable[str]) -> "TreeWord":
+        word = super().__new__(cls, letters)
+        if not _TREE_LETTER_SET.issuperset(word):
+            ch = next(ch for ch in word if ch not in _TREE_LETTER_SET)
             raise MalformedWordError(f"invalid tree letter {ch!r}")
+        return word
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    @property
+    def letters(self) -> "TreeWord":
+        """The letters: the word itself."""
+        return self
 
     def render(self, sys: PQSystem) -> str:
         """Concrete text: the q letter prints as the digit q itself.
 
         For q >= 10 letters are separated by '.' so the text stays parseable.
         """
-        text = ".".join(self.letters) if sys.q >= 10 else "".join(self.letters)
+        text = ".".join(self) if sys.q >= 10 else "".join(self)
         return text.replace("q", str(sys.q))
 
     @classmethod
@@ -76,7 +78,7 @@ class TreeWord:
             return cls(())
         q = str(sys.q)
         if sys.q < 10 and "." not in text and not text.strip("12" + q):
-            return cls(tuple(text.replace(q, "q")))
+            return cls(text.replace(q, "q"))
         tokens = text.split(".") if "." in text or sys.q >= 10 else list(text)
         letters = []
         for tok in tokens:
@@ -86,7 +88,7 @@ class TreeWord:
                 letters.append("q")
             else:
                 raise MalformedWordError(f"token {tok!r} is not a letter for {sys}")
-        return cls(tuple(letters))
+        return cls(letters)
 
 
 def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
@@ -115,12 +117,11 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
     odd, even = _undo_labels(sys)
     # the parts with b = 0 end the chain: they make the amount, and the
     # others, smallest first, are rest
-    parts = pt.parts
-    n_rest, amount = len(parts), 0
-    while n_rest and not parts[n_rest - 1][1]:
+    n_rest, amount = len(pt), 0
+    while n_rest and not pt[n_rest - 1][1]:
         n_rest -= 1
-        amount += 1 << parts[n_rest][0]
-    rest = parts[n_rest - 1::-1] if n_rest else ()
+        amount += 1 << pt[n_rest][0]
+    rest = pt[n_rest - 1::-1] if n_rest else ()
     # the node is the amount and the parts (a - da, b - db) of rest[i:], of
     # which rest[i:k] have a = da
     da = db = i = k = 0
@@ -156,7 +157,7 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
             while k < n_rest and rest[k][0] == da:
                 k += 1
         append(label)
-    return TreeWord(tuple("".join(labels)))
+    return TreeWord("".join(labels))
 
 
 @functools.lru_cache(maxsize=128)
@@ -214,7 +215,7 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     MalformedWordError, all with one message.
     """
     _require_p2(sys)
-    letters = "".join(word.letters)
+    letters = "".join(word)
     q = sys.q
     steps = _replay_steps(sys)
     on1, on2, onq = steps["1"], steps["2"], steps["q"]
@@ -248,7 +249,7 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
             ok1, ok2 = ok2 and after == rest, ok1
         after = letter
     if not ok1:
-        raise MalformedWordError(f"{word.letters} is not a canonical tree word")
+        raise MalformedWordError(f"{word} is not a canonical tree word")
     parts: list[tuple[int, int]] = []
     for bits, da_at, db_at in frozen + [(amount, da, db)]:
         a0, b = da - da_at, db - db_at
@@ -256,7 +257,7 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
             top = bits.bit_length() - 1
             parts.append((top + a0, b))
             bits ^= 1 << top
-    return u, Partition(tuple(parts))
+    return u, Partition(parts)
 
 
 class TreeLanguage:
@@ -303,11 +304,10 @@ def lattice_encode(pt: Partition) -> str:
     """
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no lattice word")
-    parts = pt.parts
-    a, b = parts[-1]
+    a, b = pt[-1]
     runs = ["2" * b, "0" * a]
-    for k in range(len(parts) - 2, -1, -1):
-        a1, b1 = parts[k]
+    for k in range(len(pt) - 2, -1, -1):
+        a1, b1 = pt[k]
         if b1 > b:
             runs.append("3" + "2" * (b1 - b - 1) + "0" * (a1 - a))
         else:
@@ -344,7 +344,7 @@ def lattice_decode(word: str) -> Partition:
                 a += 1
             else:
                 b += 1
-    return Partition(tuple(reversed(chain)))
+    return Partition(reversed(chain))
 
 
 def lattice_language(max_len: int) -> Iterable[str]:

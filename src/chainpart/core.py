@@ -19,8 +19,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 #: Largest U accepted by the brute-force enumerator unless overridden.
 DEFAULT_ENUMERATION_CEILING = 10**7
@@ -71,8 +70,7 @@ class InvariantViolationError(ChainPartError, RuntimeError):
     """A property that should hold unconditionally was observed to fail."""
 
 
-@dataclass(frozen=True, slots=True)
-class PQSystem:
+class PQSystem(NamedTuple):
     """Validated coprime base pair with precomputed modular inverses.
 
     k0 = p^(-1) mod q and l0 = q^(-1) mod p.  The pair (k0, p - l0) is the
@@ -111,38 +109,34 @@ def make_system(p: int, q: int) -> PQSystem:
     return PQSystem(p, q, k0, l0)
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """A strictly chained partition as exponent pairs in decreasing order.
+class Partition(tuple):
+    """A strictly chained partition: its exponent pairs in decreasing order.
 
-    ``parts[i] = (a, b)`` stands for the part p^a * q^b.  Consecutive pairs
+    The pair ``(a, b)`` stands for the part p^a * q^b.  Consecutive pairs
     satisfy a[i+1] <= a[i] and b[i+1] <= b[i] with at least one strict, so
     every part divides its predecessor.  The empty partition is ``Partition()``.
+    A partition is the tuple of its pairs, and equals a plain tuple of them.
     """
 
-    parts: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.parts)
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
+    @property
+    def parts(self) -> "Partition":
+        """The exponent pairs: the partition itself."""
+        return self
 
     @property
     def has_unit(self) -> bool:
         """True when the part 1 (exponents (0, 0)) is present."""
-        return bool(self.parts) and self.parts[-1] == (0, 0)
+        return bool(self) and self[-1] == (0, 0)
 
     @property
     def largest(self) -> tuple[int, int]:
-        return self.parts[0]
+        return self[0]
 
     @property
     def smallest(self) -> tuple[int, int]:
-        return self.parts[-1]
+        return self[-1]
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Partition":
@@ -154,7 +148,7 @@ class Partition:
         # On a chain the exponent sum strictly decreases with the part value.
         items.sort(key=lambda ab: (ab[0] + ab[1], ab[0]), reverse=True)
         _check_chain(items)
-        return cls(tuple(items))
+        return cls(items)
 
 
 def _check_chain(desc_pairs: list[tuple[int, int]]) -> None:
@@ -184,15 +178,14 @@ def value(pt: Partition, sys: PQSystem) -> int:
     multiplication per part, and the smallest part is multiplied in once.
     Pairs that do not descend (not a chain) are summed one power at a time.
     """
-    parts = pt.parts
-    if not parts:
+    if not pt:
         return 0
     p, q = sys.p, sys.q
     total = 1
-    a, b = parts[0]
-    for a1, b1 in itertools.islice(parts, 1, None):
+    a, b = pt[0]
+    for a1, b1 in itertools.islice(pt, 1, None):
         if a1 > a or b1 > b:
-            return sum(p**a * q**b for a, b in parts)
+            return sum(p**a * q**b for a, b in pt)
         total = total * (p ** (a - a1) * q ** (b - b1)) + 1
         a, b = a1, b1
     return total * p**a * q**b
@@ -246,7 +239,7 @@ def validate(values: Iterable[int], sys: PQSystem) -> Partition:
             raise DuplicatePartError(f"part {v1} occurs more than once")
         if v1 % v2 != 0:
             raise ChainBreakError(f"{v2} does not divide {v1}")
-    return Partition(tuple(pair for _, pair in decorated))
+    return Partition(pair for _, pair in decorated)
 
 
 def _chain_by_ratios(values: list, sys: PQSystem) -> Optional[tuple[tuple[int, int], ...]]:
@@ -279,26 +272,26 @@ def _chain_by_ratios(values: list, sys: PQSystem) -> Optional[tuple[tuple[int, i
 
 def map_p(pt: Partition) -> Partition:
     """Multiply every part by p (increment every first exponent)."""
-    return Partition(tuple((a + 1, b) for a, b in pt.parts))
+    return Partition((a + 1, b) for a, b in pt)
 
 
 def map_q(pt: Partition) -> Partition:
     """Multiply every part by q (increment every second exponent)."""
-    return Partition(tuple((a, b + 1) for a, b in pt.parts))
+    return Partition((a, b + 1) for a, b in pt)
 
 
 def append_unit(pt: Partition) -> Partition:
     """Append the part 1 to a partition that has none."""
     if pt.has_unit:
         raise DuplicatePartError("partition already has a part 1")
-    return Partition(pt.parts + ((0, 0),))
+    return Partition(pt + ((0, 0),))
 
 
 def binary_partition(u: int) -> Partition:
     """The partition of u into distinct powers of 2 (requires a binary base)."""
     if u < 0:
         raise UnreachableSumError("negative sum")
-    return Partition(tuple((i, 0) for i in range(u.bit_length() - 1, -1, -1) if u >> i & 1))
+    return Partition((i, 0) for i in range(u.bit_length() - 1, -1, -1) if u >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +359,7 @@ def brute_force_enumerate(
     return frozenset(Partition(pairs) for _, pairs in iter_chains(u, sys, least=u))
 
 
-@dataclass(frozen=True, slots=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     """Exhaustive brute-force sweep: per-sum partition counts and least sizes."""
 
     limit: int
@@ -407,8 +399,8 @@ def to_json(pt: Partition, sys: PQSystem, include_values: bool = False) -> str:
     computes each part value once and takes the sum from those values.
     """
     p, q = sys.p, sys.q
-    values = [p**a * q**b for a, b in pt.parts]
-    pairs = ",".join([f"[{a},{b}]" for a, b in pt.parts])
+    values = [p**a * q**b for a, b in pt]
+    pairs = ",".join([f"[{a},{b}]" for a, b in pt])
     text = f'{{"p":{p},"q":{q},"parts":[{pairs}],"sum":"{sum(values)}"'
     if include_values:
         return text + ',"values":[' + ",".join([f'"{v}"' for v in values]) + "]}"

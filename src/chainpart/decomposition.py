@@ -397,9 +397,11 @@ def _fill_columns(arr: array | bytearray, sys: PQSystem, bits: int,
     its ``read`` if not ``raw``.  It returns the values at those u, as a
     buffer of the type of ``arr``.  A run of k from k0 to min(p, q) k0 reads
     only entries below pq k0, finished before it starts; the first, k = 0 and
-    r >= 2, reads entries below r, each finished at its own r.  So each
-    distinct slice is cut, and read, once per run; a class with the bits and
-    slices of the one before (r = 1 after r = 0 for W) reuses its column.
+    r >= 2, reads entries below r, each finished at its own r.  Within a run
+    the start of each operand's slice does not decrease with r, so keeping
+    the last slice of each operand, and its read, still cuts and reads each
+    distinct slice once per run; a class with the bits and slices of the one
+    before (r = 1 after r = 0 for W) reuses its column.
     """
     p, q, pq = sys.p, sys.q, sys.pq
     codes = [_codes_of(sys, 1, r % q, r % p)[0][0] & bits for r in range(pq)]
@@ -407,10 +409,12 @@ def _fill_columns(arr: array | bytearray, sys: PQSystem, bits: int,
     end = -(-n // pq)
     arr += arr[:1] * (pq * end - n)  # padding, overwritten before anything reads it
     while k0 < end:
-        cut = functools.cache(lambda start, step: arr[start:start + step * (k1 - k0):step])
-        value = functools.cache(lambda start, step: read(cut(start, step)))
+        cut = [functools.lru_cache(maxsize=1)(
+            lambda start, step: arr[start:start + step * (k1 - k0):step]) for _ in range(3)]
+        value = [functools.lru_cache(maxsize=1)(
+            lambda start, step, i=i: read(cut[i](start, step))) for i in range(3)]
         fill = functools.lru_cache(maxsize=1)(lambda code, at: column(
-            code, lambda i, raw=True: (cut if raw else value)(*at[i])))
+            code, lambda i, raw=True: (cut if raw else value)[i](*at[i])))
         for r in range(0 if k0 else 2, pq):
             at = ((q * k0 + r // p, q), (p * k0 + r // q, p), (k0, 1))
             arr[pq * k0 + r : pq * k1 : pq] = fill(codes[r], at)

@@ -33,7 +33,6 @@ most ``_BLOCK_PARTS`` parts (or one draw per segment, if more).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -55,12 +54,14 @@ from .decomposition import CellBranch, Grid, count_grid, descend, refold
 _BLOCK_PARTS = 1 << 18
 
 
-@dataclass(frozen=True)
 class OmegaSet:
     """The set Omega(u) together with its sum."""
 
-    u: int
-    members: frozenset[Partition]
+    __slots__ = ("u", "members")
+
+    def __init__(self, u: int, members: frozenset[Partition]) -> None:
+        self.u = u
+        self.members = members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -72,10 +73,10 @@ class OmegaSet:
         """Members ordered by decreasing part values (deterministic output)."""
         # each distinct pair's value is computed once, not once per member
         values = {pair: part_value(pair, sys)
-                  for pair in {pair for pt in self.members for pair in pt.parts}}
+                  for pair in {pair for pt in self.members for pair in pt}}
         return sorted(
             self.members,
-            key=lambda pt: tuple(map(values.__getitem__, pt.parts)),
+            key=lambda pt: tuple(map(values.__getitem__, pt)),
             reverse=True,
         )
 
@@ -222,7 +223,7 @@ def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
             at[i] = descend(cells, *at[i], parts[i], pick, top + every)
             left[i] = rank
         segment = []  # so that two segments are never held at once
-    return [Partition(tuple(member[::-1])) for member in parts]
+    return [Partition(member[::-1]) for member in parts]
 
 
 def walk(grid: Grid) -> Iterator[Partition]:
@@ -266,7 +267,7 @@ def walk(grid: Grid) -> Iterator[Partition]:
         if part:
             parts.append(part)
         descend(cells, a, b, filtered, parts, pick)
-        yield Partition(tuple(parts[::-1]))
+        yield Partition(parts[::-1])
 
 
 def sample_uniform(u: int, sys: PQSystem, rng: Union[int, random.Random] = 0,

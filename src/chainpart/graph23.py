@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     InvalidSystemError,
@@ -70,26 +69,25 @@ def forward_moves(pt: Partition) -> set[Partition]:
     leaves one iff the part after the run has exponent of 2 at most c, which
     also rules out every part 2^(c+1)*3^d with d < b.
     """
-    parts = pt.parts
-    n = len(parts)
+    n = len(pt)
     out: set[Partition] = set()
     i = 0
     while i < n:
-        a, b = parts[i]
+        a, b = pt[i]
         j = i + 1
-        if j < n and parts[j] == (a - 1, b):
+        if j < n and pt[j] == (a - 1, b):
             # family A: merge 2^a*3^b + 2^(a-1)*3^b into 2^(a-1)*3^(b+1)
-            out.add(Partition(parts[:i] + ((a - 1, b + 1),) + parts[j + 1:]))
+            out.add(Partition(pt[:i] + ((a - 1, b + 1),) + pt[j + 1:]))
         else:
-            # family B: split 2^a*3^b, carrying the run parts[i+1:j] below it
+            # family B: split 2^a*3^b, carrying the run pt[i+1:j] below it
             c = a - 2
-            while j < n and parts[j] == (c, b):
+            while j < n and pt[j] == (c, b):
                 c -= 1
                 j += 1
-            if c >= 0 and (j == n or parts[j][0] <= c):
+            if c >= 0 and (j == n or pt[j][0] <= c):
                 lifted = tuple((x, b + 1) for x in range(a - 2, c, -1))
-                out.add(Partition(parts[:i] + lifted + ((c, b + 1), (c, b)) + parts[j:]))
-        while j < n and parts[j][1] == b:
+                out.add(Partition(pt[:i] + lifted + ((c, b + 1), (c, b)) + pt[j:]))
+        while j < n and pt[j][1] == b:
             j += 1
         i = j
     return out
@@ -103,29 +101,28 @@ def neighbors(pt: Partition) -> frozenset[Partition]:
     on a chain that move always applies: an inverse is a neighbor iff it is
     a chain, which only the parts next to the change can break.
     """
-    parts = pt.parts
-    n = len(parts)
+    n = len(pt)
     out = forward_moves(pt)
-    for i, (alpha, beta) in enumerate(parts):
-        after = parts[i + 1] if i + 1 < n else None
+    for i, (alpha, beta) in enumerate(pt):
+        after = pt[i + 1] if i + 1 < n else None
         # inverse A: split (alpha, beta) into (alpha+1, beta-1) and (alpha, beta-1);
         # a chain iff the part before has a larger a and the one after sits lower
-        if beta and (i == 0 or parts[i - 1][0] > alpha) and (
+        if beta and (i == 0 or pt[i - 1][0] > alpha) and (
                 after is None or (after[1] < beta and after != (alpha, beta - 1))):
             split = ((alpha + 1, beta - 1), (alpha, beta - 1))
-            out.add(Partition(parts[:i] + split + parts[i + 1:]))
+            out.add(Partition(pt[:i] + split + pt[i + 1:]))
         # inverse B: (c, b+1), (c, b) with the run (c+1, b+1), ... before them
         # return to (top, b) and the run at level b; a chain iff the part
         # before the run has a >= top
         if after == (alpha, beta - 1):
             h = i
-            while h and parts[h - 1] == (alpha + i - h + 1, beta):
+            while h and pt[h - 1] == (alpha + i - h + 1, beta):
                 h -= 1
             top = alpha + i - h + 2
-            if h == 0 or parts[h - 1][0] >= top:
+            if h == 0 or pt[h - 1][0] >= top:
                 lowered = ((top, beta - 1),) + tuple(
                     (x, beta - 1) for x in range(top - 2, alpha, -1))
-                out.add(Partition(parts[:h] + lowered + parts[i + 2:]))
+                out.add(Partition(pt[:h] + lowered + pt[i + 2:]))
     return frozenset(out)
 
 
@@ -143,8 +140,7 @@ def _bfs(nbrs: list[list[int]], start: int) -> tuple[list[int], list[int]]:
     return dist, order
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(NamedTuple):
     """Vertices Omega(u) with the symmetric move relation."""
 
     u: int
@@ -205,7 +201,7 @@ def build_graph(u: int, sys: PQSystem,
     _require_23(sys)
     enumerator = enumerator or ResidueEnumerator(sys)
     members = enumerator.omega(u)
-    vertices = tuple(sorted(members, key=lambda pt: pt.parts))
+    vertices = tuple(sorted(members))
     # every forward move stays in Omega(u), so the edges are the forward
     # moves of each vertex together with their reversals
     linked: dict[Partition, set[Partition]] = {v: set() for v in vertices}
@@ -230,8 +226,8 @@ def reduce_to_binary(pt: Partition, sys: PQSystem) -> list[Partition]:
     _require_23(sys)
     path: list[Partition] = []
     guard = 0
-    while pt.parts and max(b for _, b in pt.parts) > 0:
-        parts = set(pt.parts)
+    while pt and max(b for _, b in pt) > 0:
+        parts = set(pt)
         b = max(d for _, d in parts)
         a = min(x for x, d in parts if d == b)
         if (a, b - 1) not in parts:
@@ -278,7 +274,7 @@ def random_walk(
     for _ in range(steps):
         if rng.random() < 0.5:
             continue
-        nbrs = sorted(neighbors(pt), key=lambda w: w.parts)
+        nbrs = sorted(neighbors(pt))
         if nbrs:
             pt = nbrs[rng.randrange(len(nbrs))]
     return pt

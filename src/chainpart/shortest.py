@@ -26,9 +26,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Partition,
@@ -46,8 +45,7 @@ _FOUR_SIGMA = tuple(4.0 * s for s in range(NO_SIGMA))
 _REACHED = bytes(int(x != NO_SIGMA) for x in range(256))
 
 
-@dataclass(frozen=True, slots=True)
-class ShortestResult:
+class ShortestResult(NamedTuple):
     """sigma(u) with one witness of that length."""
 
     u: int
@@ -55,8 +53,7 @@ class ShortestResult:
     witness: Partition
 
 
-@dataclass(frozen=True, slots=True)
-class ChainCost:
+class ChainCost(NamedTuple):
     """Operation counts of the Horner evaluation along a chain.
 
     p_ops and q_ops equal the exponents of the largest part; adds is the
@@ -68,8 +65,7 @@ class ChainCost:
     adds: int
 
 
-@dataclass(frozen=True, slots=True)
-class ShortestStats:
+class ShortestStats(NamedTuple):
     limit: int
     mean_ratio: float
     histogram: dict[int, int]
@@ -114,7 +110,7 @@ class ShortestTable:
 
         parts: list[tuple[int, int]] = []
         descend(cells, 0, 0, False, parts, argmin)
-        pt = Partition(tuple(parts[::-1]))
+        pt = Partition(parts[::-1])
         assert value(pt, self.sys) == u and len(pt) == best
         return ShortestResult(u, best, pt)
 
@@ -191,15 +187,14 @@ def chain_pow(
         witness = ShortestTable(sys).witness(u).witness
     elif value(witness, sys) != u:
         raise ValueError("witness does not sum to the exponent")
-    parts = witness.parts
     acc = g % modulus
-    for (a1, b1), (a2, b2) in zip(parts, parts[1:]):
+    for (a1, b1), (a2, b2) in zip(witness, witness[1:]):
         for _ in range(a1 - a2):
             acc = pow(acc, sys.p, modulus)
         for _ in range(b1 - b2):
             acc = pow(acc, sys.q, modulus)
         acc = acc * g % modulus
-    ak, bk = parts[-1]
+    ak, bk = witness[-1]
     for _ in range(ak):
         acc = pow(acc, sys.p, modulus)
     for _ in range(bk):

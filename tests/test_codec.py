@@ -288,6 +288,15 @@ def test_tree_decode_messages(sys23, by_descent):
             assert str(info.value) == message
 
 
+def test_tree_word_is_the_tuple_of_its_letters(sys23):
+    word = TreeWord("1qq2")
+    assert word.letters is word and word.letters == ("1", "q", "q", "2") == word
+    assert (len(word), word.render(sys23)) == (4, "1332")
+    for letters in ("13", ("1", "x")):
+        with pytest.raises(MalformedWordError, match="invalid tree letter"):
+            TreeWord(letters)
+
+
 def test_tree_word_parse_paths():
     sys23, sys25, sys2_11 = make_system(2, 3), make_system(2, 5), make_system(2, 11)
     assert TreeWord.parse(" 1332\n", sys23).letters == ("1", "q", "q", "2")

@@ -1,6 +1,8 @@
 """Base systems, the partition type, the elementary maps, and the oracle."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -71,6 +73,27 @@ def test_from_pairs_sorts_and_checks():
         Partition.from_pairs([(2, 0), (0, 1)])
     with pytest.raises(DuplicatePartError):
         Partition.from_pairs([(1, 1), (1, 1)])
+
+
+def test_partition_is_the_tuple_of_its_pairs():
+    pairs = ((1, 2), (1, 1), (0, 0))
+    pt = Partition(pairs)
+    assert (len(pt), list(pt), bool(pt), pt.parts) == (3, list(pairs), True, pairs)
+    assert pt.parts is pt and pt == pairs and hash(pt) == hash(pairs)
+    assert (pt.has_unit, pt.largest, pt.smallest) == (True, (1, 2), (0, 0))
+    assert not Partition(((1, 0),)).has_unit
+    empty = Partition()
+    assert (len(empty), list(empty), bool(empty), empty.parts, empty.has_unit) == (
+        0, [], False, (), False)
+    with pytest.raises(AttributeError):
+        pt.extra = 1  # no instance dict
+
+
+def test_partition_survives_pickle_and_copy():
+    pt = Partition(((3, 1), (1, 0), (0, 0)))
+    for clone in [pickle.loads(pickle.dumps(pt, protocol)) for protocol in range(6)] + [
+            copy.copy(pt), copy.deepcopy(pt)]:
+        assert type(clone) is Partition and clone == pt and clone.largest == (3, 1)
 
 
 def test_scaling_maps(sys23):

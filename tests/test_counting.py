@@ -187,3 +187,16 @@ def test_scan_to_a_million_traces_under_10_mb(sys23):
         tracemalloc.stop()
     assert counts[10**6] == make_counter(sys23).w(10**6)
     assert peak < 10 * 2**20, peak
+
+
+def test_scan_to_a_million_traces_under_7_5_mb(sys23):
+    # the 4 MB array and, per operand, only its last slice and that slice's
+    # integer; keeping every slice of a doubling run traced 8.2 MB here
+    tracemalloc.start()
+    try:
+        counts = make_counter(sys23).scan(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[10**6] == make_counter(sys23).w(10**6)
+    assert peak < 7.5 * 2**20, peak

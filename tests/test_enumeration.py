@@ -288,6 +288,20 @@ def test_sorted_by_value_order(sys23):
     assert firsts == [(1, 2), (4, 0), (2, 1), (2, 1)]
 
 
+def test_omega_set_keeps_its_members_and_order(sys23):
+    om = ResidueEnumerator(sys23).omega_set(27)
+    assert (om.u, len(om), set(om)) == (27, 7, set(om.members))
+    assert om.members == brute_force_enumerate(27, sys23)
+    assert [value(pt, sys23) for pt in om.sorted_by_value(sys23)] == [27] * 7
+
+
+def test_sorted_members_keep_the_order_of_their_pair_tuples(sys23):
+    enumerator = ResidueEnumerator(sys23)
+    for u in range(3001):
+        members = enumerator.omega(u)
+        assert sorted(members) == sorted(members, key=tuple), u
+
+
 def test_sampler_single_member(sys23):
     [pt] = sample_uniform(5, sys23, 7)
     assert pt.parts == ((2, 0), (0, 0))

@@ -40,6 +40,22 @@ def fresh(code: str):
     return json.loads(out.splitlines()[-1])
 
 
+def test_no_module_or_command_loads_dataclasses_or_inspect():
+    # dataclasses imports inspect, and with it ast, dis and tokenize, which
+    # cost a command more to import than the package itself
+    names = sorted(path.stem for path in (SRC / "chainpart").glob("*.py"))
+    loaded = fresh("import contextlib, importlib, io\n"
+                   f"for name in {names!r}:\n"
+                   "    importlib.import_module('chainpart.' + name)\n"
+                   "from chainpart import cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    rcs = [cli.main(argv) for argv in (\n"
+                   "        ['enumerate', '--u', '27'], ['graph', '--u', '27'],\n"
+                   "        ['sigma', '--u', '19', '--witness'], ['scan', 'maxw', '--limit', '100'])]\n"
+                   "print(json.dumps([rcs, [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))")
+    assert loaded == [[0, 0, 0, 0], []]
+
+
 def test_importing_the_cli_loads_only_core():
     assert fresh(f"import chainpart.cli\nprint(json.dumps({LOADED}))") == [
         "chainpart", "chainpart.cli", "chainpart.core"]

@@ -24,10 +24,12 @@ else reads the codes:
   of sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms
   whose residue is at most 1.  Both folds read one kind byte per cell, the
   ``translate`` of its code, and return a ``Grid`` of the codes and every
-  k-th row: a lone value row 0 alone (k = 0, two rows live at a time), the
-  sigma witness and ``walk`` every row (k = 1), the sampler
+  k-th row: a lone value and the sigma witness row 0 alone (k = 0, two rows
+  live at a time), ``walk`` every row (k = 1), the sampler
   k = ceil(sqrt(rows)) checkpoints, from which ``refold`` recomputes the
-  rows of one segment by the same row loop (Griewank's checkpointing).
+  rows of one segment by the same row loop (Griewank's checkpointing).  For
+  the witness the sigma fold also records one pick byte per cell, the
+  branch that its min took, ties to the first, so no sigma row is kept.
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
   above, and ``descend`` follows one of them per cell to the leaf N = 1, or
   to the end of a segment: to build a member of a given rank for sampling
@@ -327,16 +329,20 @@ def _count_row(codes: bytes, below: list, lo: int = 0) -> list:
     return row
 
 
-def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
+def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0,
+               picks: Optional[list] = None) -> Grid:
     """sigma on the reachable cells below u, as ``count_grid``.
 
     The rows fold by the sigma rule of the module docstring, with
     sigma(0) = 0 and inf where no term is left.  For u < 1 there are no
-    cells: sigma(0) = 0 and sigma(u) = inf below.
+    cells: sigma(0) = 0 and sigma(u) = inf below.  With a list ``picks``,
+    the fold appends to it the picks of ``_sigma_row``, one ``bytes`` per
+    row, b descending: the argmin branches of the sigma witness.
     """
     if u < 1:
         return Grid([[0 if not u else _INF]], [], 1)
-    return _sweep(u, sys, 0, _sigma_row, every)
+    fold_row = _sigma_row if picks is None else functools.partial(_sigma_row, picks=picks)
+    return _sweep(u, sys, 0, fold_row, every)
 
 
 def _sigma_kind(code: int) -> int:
@@ -353,27 +359,40 @@ def _sigma_kind(code: int) -> int:
 _SIGMA_KINDS = bytes(_sigma_kind(code) for code in range(256))
 
 
-def _sigma_row(codes: bytes, below: list) -> list:
+def _sigma_row(codes: bytes, below: list, picks: Optional[list] = None) -> list:
+    """One row of ``sigma_grid``; with a list ``picks``, also append the row's
+    picks to it: per cell, the index in ``CELL_BRANCHES[False][code]`` of the
+    argmin branch of a cell with two, ties to the first, else 0."""
     row: list = [None] * len(codes) + [0]
+    pick = None if picks is None else bytearray(len(codes))
     best = 0  # sigma at (a + 1, b) whenever the cell has STEP_P
     # one kind byte per cell, as in ``_count_row``: 7-9 and 4-6 are the
-    # p terms + 1 and + 0, with no q term, + 0 or + 1
+    # p terms + 1 and + 0, with no q term, + 0 or + 1; kind 8 lists its
+    # branches q first, the others p first
     for a, kind in zip(range(len(codes) - 1, -1, -1), reversed(codes.translate(_SIGMA_KINDS))):
         if kind >= 7:
             best += 1
             if kind == 8:
-                if below[a] < best:
+                if below[a] <= best:
                     best = below[a]
+                elif pick is not None:
+                    pick[a] = 1
             elif kind == 9:
                 if below[a] + 1 < best:
                     best = below[a] + 1
+                    if pick is not None:
+                        pick[a] = 1
         elif kind >= 4:
             if kind == 5:
                 if below[a] < best:
                     best = below[a]
+                    if pick is not None:
+                        pick[a] = 1
             elif kind == 6:
                 if below[a] + 1 < best:
                     best = below[a] + 1
+                    if pick is not None:
+                        pick[a] = 1
         elif not kind:
             continue
         elif kind == 2:
@@ -383,6 +402,8 @@ def _sigma_row(codes: bytes, below: list) -> list:
         else:
             best = _INF
         row[a] = best
+    if pick is not None:
+        picks.append(bytes(pick))
     return row
 
 

@@ -10,11 +10,12 @@ dense scan is ``sigma_fill`` on a ``bytearray``, one byte per sum and
 ``NO_SIGMA`` (0x7F) where Omega is empty; sigma(U) <= log2(U) + 1 keeps every
 value below 0x7E.  ``stats`` reads those bytes directly, and ``scan`` lists
 them, with math.inf for NO_SIGMA.  A witness is one ``decomposition.descend``
-of the cells of one kept sweep along the argmin branches; ties go to the
-first branch of a cell in the order p, q, 1p, 1q, which makes witnesses
-deterministic.  Below a filtered branch into Omega(pv) the descent drops the
-p-scaled branch, which is never the argmin there: the descent enters pv only
-when sigma(pv) < sigma(v).
+of the cells of one two-row sweep along the argmin branches, which the sweep
+records as one pick byte per cell; ties go to the first branch of a cell in
+the order p, q, 1p, 1q, which makes witnesses deterministic.  Below a
+filtered branch into Omega(pv) the descent drops the p-scaled branch, which
+is never the argmin there: the descent enters pv only when
+sigma(pv) < sigma(v).
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
 by a Horner walk along the chain, with one p-th or q-th powering per exponent
@@ -33,6 +34,7 @@ from .core import (
     Partition,
     PQSystem,
     UnreachableSumError,
+    _check_chain,
     value,
 )
 from .decomposition import NO_SIGMA, CellBranch, descend, sigma_fill, sigma_grid
@@ -98,15 +100,18 @@ class ShortestTable:
     def witness(self, u: int) -> ShortestResult:
         """One shortest partition, built by descending the argmin branches.
 
-        One sweep keeps sigma on every row; at each cell (a, b) of the descent
-        a branch scores 1 if it adds a part, plus sigma at the cell below it.
+        One two-row sweep records, at each cell (a, b), which branch scores
+        least: 1 if it adds a part, plus sigma at the cell below it.  Below a
+        filtered branch the only branch is the q side.
         """
-        rows, cells, _ = sigma_grid(u, self.sys, 1)
+        picks: list[bytes] = []
+        rows, cells, _ = sigma_grid(u, self.sys, picks=picks)
+        picks.reverse()
         self.table[u] = rows[0][0]
         best = self.sigma(u)
 
         def argmin(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:
-            return min(branches, key=lambda br: br.unit + rows[b + br.db][a + br.da])
+            return branches[picks[b][a]] if len(branches) == 2 else branches[0]
 
         parts: list[tuple[int, int]] = []
         descend(cells, 0, 0, False, parts, argmin)
@@ -175,7 +180,9 @@ def chain_pow(
     Walking the chain from the largest part: raise the accumulator by the
     exponent gap to the next part (repeated p-th and q-th powers), multiply
     by g once per additional part, and finish with the exponents of the
-    smallest part.  Cost is ``chain_cost`` of the witness.
+    smallest part.  Cost is ``chain_cost`` of the witness.  A witness that
+    is not a chain in that order raises ``ChainBreakError`` or
+    ``DuplicatePartError``, both ``ValueError``s.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -187,6 +194,7 @@ def chain_pow(
         witness = ShortestTable(sys).witness(u).witness
     elif value(witness, sys) != u:
         raise ValueError("witness does not sum to the exponent")
+    _check_chain(witness)  # the walk reads the parts in descending chain order
     acc = g % modulus
     for (a1, b1), (a2, b2) in zip(witness, witness[1:]):
         for _ in range(a1 - a2):

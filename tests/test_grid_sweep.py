@@ -13,7 +13,7 @@ import random
 import pytest
 
 from chainpart import decomposition
-from chainpart.core import make_system
+from chainpart.core import Partition, make_system
 from chainpart.counting import CaseTableCounter, DirectSumCounter, HalvingCounter
 from chainpart.decomposition import (
     CELL_BRANCHES,
@@ -25,6 +25,7 @@ from chainpart.decomposition import (
     _count_row,
     _sigma_row,
     count_grid,
+    descend,
     grid_cells,
     refold,
     sigma_grid,
@@ -114,19 +115,81 @@ def sigma_row_by_bits(codes, below):
     return row
 
 
-def test_kind_byte_folds_equal_the_bit_folds():
-    # every code of six bits, at every place of a row and after each other code
-    rng = random.Random(64)
+def code_rows(rng):
+    """Every code of six bits, alone, after each other code, and shuffled."""
     codes = list(range(64))
     rows = [bytes([c]) for c in codes] + [bytes([c, d]) for c in codes for d in codes]
     for _ in range(200):
         rng.shuffle(codes)
         rows.append(bytes(codes))
-    for row in rows:
+    return rows
+
+
+def test_kind_byte_folds_equal_the_bit_folds():
+    # every code of six bits, at every place of a row and after each other code
+    rng = random.Random(64)
+    for row in code_rows(rng):
         below = [rng.randrange(-10**30, 10**30) for _ in range(len(row) + 1)]
         assert _count_row(row, below) == count_row_by_bits(row, below), row
         below = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(row) + 1)]
         assert _sigma_row(row, below) == sigma_row_by_bits(row, below), row
+
+
+def test_sigma_picks_are_the_argmin_branches():
+    # the pick of a cell with two branches is the one that ``min`` takes over
+    # CELL_BRANCHES, ties to the first; the fold with picks gives the same row
+    rng = random.Random(65)
+    for row in code_rows(rng):
+        for values in ((0, 1), (math.inf, 0, 1, 2), (math.inf, *range(40))):
+            below = [rng.choice(values) for _ in range(len(row) + 1)]
+            picks = []
+            sigma = _sigma_row(row, below, picks)
+            assert sigma == _sigma_row(row, below) and len(picks) == 1, row
+            pick = picks[0]
+            assert type(pick) is bytes and len(pick) == len(row)
+            for a, code in enumerate(row):
+                branches = CELL_BRANCHES[False][code]
+                if len(branches) < 2:
+                    assert pick[a] == 0, (row, a)
+                    continue
+                # a p side steps into the nearest reached cell to the right
+                right = next(x for x in sigma[a + 1:] if x is not None)
+                argmin = min(branches, key=lambda br: br.unit + (right if br.da else below[a]))
+                assert branches[pick[a]] == argmin, (row, a, below)
+
+
+def chain_sum(rng, digits, p, q):
+    """The sum of a random chain whose largest part has about ``digits`` digits."""
+    top = digits * math.log(10)
+    b = rng.randrange(int(top / math.log(q)))
+    a = int((top - b * math.log(q)) / math.log(p))
+    total = 0
+    while a >= 0 and b >= 0:
+        total += p**a * q**b
+        da, db = rng.choice(((1, 0), (0, 1), (1, 1), (2, 0), (3, 1)))
+        a, b = a - da, b - db
+    return total
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 2)])
+def test_witness_is_the_every_row_argmin(pq):
+    # the witness from pick bytes on two rows against a min over the branches
+    # of each cell, scored on every row of sigma
+    sys_ = make_system(*pq)
+    rng = random.Random(66 + sum(pq))
+    table = ShortestTable(sys_)
+    for digits in (100, 150, 200, 300):
+        u = chain_sum(rng, digits, *pq)
+        rows, cells, _ = sigma_grid(u, sys_, 1)
+
+        def argmin(a, b, branches):
+            return min(branches, key=lambda br: br.unit + rows[b + br.db][a + br.da])
+
+        parts = []
+        descend(cells, 0, 0, False, parts, argmin)
+        res = table.witness(u)
+        assert res.witness == Partition(parts[::-1]), (pq, digits)
+        assert res.sigma == rows[0][0] == len(parts)
 
 
 @pytest.mark.parametrize("pq", SYSTEMS)

@@ -7,6 +7,8 @@ import tracemalloc
 import pytest
 
 from chainpart.core import (
+    ChainBreakError,
+    DuplicatePartError,
     Partition,
     UnreachableSumError,
     chain_census,
@@ -151,6 +153,19 @@ def test_sample_at_10_600_traces_under_16_mb(sys23):
     assert peak < 16 * 2**20, peak
 
 
+def test_witness_at_10_600_traces_under_4_mb(sys23):
+    # two live sigma rows and one pick byte per cell; keeping every sigma
+    # row once traced 12.5 MB here
+    tracemalloc.start()
+    try:
+        res = ShortestTable(sys23).witness(10**600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value(res.witness, sys23) == 10**600 and len(res.witness) == res.sigma
+    assert peak < 4 * 2**20, peak
+
+
 def test_chain_cost(sys23):
     assert chain_cost(validate([18, 1], sys23)) == ChainCost(1, 2, 1)
     assert chain_cost(validate([], sys23)) == ChainCost(0, 0, 0)
@@ -175,3 +190,15 @@ def test_chain_pow_validations(sys23):
         chain_pow(3, 10, 1, sys23)
     with pytest.raises(ValueError):
         chain_pow(3, 10, 7, sys23, witness=validate([8, 1], sys23))
+
+
+def test_chain_pow_rejects_a_witness_out_of_chain_order(sys23):
+    # each sums to the exponent, but the Horner walk needs a chain in
+    # descending order: the two orders of 3 + 2 once gave 5^8 and 5^9 for 5^5
+    m = 10**9 + 7
+    for parts in (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (2, 0))):
+        with pytest.raises(ChainBreakError):
+            chain_pow(5, 5, m, sys23, Partition(parts))
+    with pytest.raises(DuplicatePartError):
+        chain_pow(5, 4, m, sys23, Partition(((1, 0), (1, 0))))
+    assert chain_pow(5, 5, m, sys23, Partition(((2, 0), (0, 0)))) == pow(5, 5, m)

@@ -4,7 +4,8 @@ One executable with subcommands wired to the library modules.  Output is
 deterministic: identical argv (and seed) produce byte-identical stdout, all
 counts are decimal strings, and anything order-dependent is sorted.  Commands
 that print a row per record format and write their rows a block at a time;
-``scan w`` puts its rows together from text made once per distinct value.
+``scan w`` puts its rows together from text made once per distinct value, and
+``enumerate`` writes ``ResidueEnumerator.by_value``, building no set of Omega(U).
 Exit status is 0 on success, 1 on a domain or usage error, 2 when an invariant
 or acceptance check fails.
 """
@@ -33,8 +34,9 @@ from .core import (
 )
 
 _SCAN_MODES = ("w", "maxw", "monotonicity", "theorem4", "smallw", "bound")
-#: Lines per stdout write of the row-per-record commands other than ``scan w``.
-_BLOCK_LINES = 4096
+#: Lines per stdout write of the row-per-record commands other than ``scan w``;
+#: 256 json lines of ``enumerate`` at U = 9,555,147 are about 55 kB of text.
+_BLOCK_LINES = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,11 +192,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     ceiling = _ceiling(args)
     if args.u > ceiling:
         raise core.BudgetError(f"u={args.u} exceeds the enumeration ceiling {ceiling}")
-    members = enumeration.ResidueEnumerator(sys_, args.budget).omega_set(args.u)
+    members = enumeration.ResidueEnumerator(sys_, args.budget).by_value(args.u)
     line = _member_line(sys_, args.u, args.format)
     if args.format == "csv":
         print("u,values")
-    _write_lines(map(line, members.sorted_by_value(sys_)))
+    _write_lines(map(line, members))
     return 0
 
 
@@ -335,12 +337,11 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
         print(table.sigma(args.u))
         return 0
     res = table.witness(args.u)
-    cost = shortest.chain_cost(res.witness)
     print(json.dumps(
         {"u": args.u, "sigma": res.sigma,
          "witness": res.witness,
          "values": [str(core.part_value(pair, sys_)) for pair in res.witness],
-         "cost": {"p_ops": cost.p_ops, "q_ops": cost.q_ops, "adds": cost.adds}},
+         "cost": shortest.chain_cost(res.witness)._asdict()},
         separators=(",", ":")))
     return 0
 
@@ -367,11 +368,10 @@ def _cmd_chainpow(args: argparse.Namespace) -> int:
     witness = table.witness(args.u).witness if args.u >= 1 else Partition()
     result = shortest.chain_pow(args.g, args.u, args.mod, sys_, witness or None)
     if args.cost:
-        cost = shortest.chain_cost(witness)
         print(json.dumps(
             {"result": str(result),
              "witness": witness,
-             "cost": {"p_ops": cost.p_ops, "q_ops": cost.q_ops, "adds": cost.adds}},
+             "cost": shortest.chain_cost(witness)._asdict()},
             separators=(",", ":")))
     else:
         print(result)
@@ -468,29 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("enumerate", parents=[base], help="list all partitions of a sum")
     sub.add_argument("--u", type=_integer, required=True)
-    sub.add_argument(
-        "--ceiling",
-        type=_integer,
-        default=None,
-        help="largest sum to enumerate (default env CHAINPART_CEILING or 10^7)",
-    )
-    sub.add_argument(
-        "--budget",
-        type=_integer,
-        default=DEFAULT_PARTITION_BUDGET,
-        help="max partitions to list, checked against W(u) before any is built",
-    )
-    sub.add_argument("--format", choices=("json", "csv", "words", "tree"),
-                     default="json")
+    sub.add_argument("--ceiling", type=_integer, default=None,
+                     help="largest sum to enumerate (default env CHAINPART_CEILING or 10^7)")
+    sub.add_argument("--budget", type=_integer, default=DEFAULT_PARTITION_BUDGET,
+                     help="max partitions to list, checked against W(u) before any is built")
+    sub.add_argument("--format", choices=("json", "csv", "words", "tree"), default="json")
 
     sub = subs.add_parser("count", parents=[base], help="W(u) by one or all engines")
     sub.add_argument("--u", type=_integer, required=True)
-    sub.add_argument(
-        "--method",
-        choices=("auto", "cases", "halving", "direct", "all",
-                 "general", "p2", "theorem2"),
-        default="auto",
-    )
+    sub.add_argument("--method", default="auto", choices=(
+        "auto", "cases", "halving", "direct", "all", "general", "p2", "theorem2"))
 
     sub = subs.add_parser("scan", parents=[base], help="bulk scans and structure checks")
     sub.add_argument("mode", nargs="?", choices=_SCAN_MODES, default="w")

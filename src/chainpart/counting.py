@@ -219,17 +219,15 @@ class DirectSumCounter(CountTable):
         deps: list[tuple[int, int]] = []
         if u % q == 0:
             deps.append((1, u // q))
-        pc = 1
-        skip_until = -1
-        c = 0
-        bound = u // (q + 1)
-        while pc <= bound:
-            if c > skip_until and (u // pc) % q == 1:
-                deps.append((1, u // (pc * q)))
+        # v = u div p^c; v > q is p^c <= u div (q + 1), and v div q is u div (p^c q)
+        v, c, skip_until = u, 0, -1
+        while v > q:
+            if c > skip_until and v % q == 1:
+                deps.append((1, v // q))
                 skip_until = c + self._gap
-            if (u // pc) % p > 1:
+            if v % p > 1:
                 break
-            pc *= p
+            v //= p
             c += 1
         return const, tuple(deps)
 

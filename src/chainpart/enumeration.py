@@ -20,7 +20,8 @@ of U:
   checkpoint spacing.  ``walk`` lists the same members in rank order from a
   grid of every row, stacking each second branch to resume the descent
   there, which shares each prefix between consecutive ranks; ``omega`` is
-  the walk.
+  the walk as a set, and ``by_value`` the walk as a list sorted once in
+  ``value_order``, whose keys are bytes, not tuples of int part values.
 
 ``sample_uniform`` unranks uniform draws from [0, W(U)), so every member of
 Omega(U) is returned with probability exactly 1/W(U), and no draw is
@@ -33,7 +34,7 @@ most ``_BLOCK_PARTS`` parts (or one draw per segment, if more).
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_PARTITION_BUDGET,
@@ -71,14 +72,7 @@ class OmegaSet:
 
     def sorted_by_value(self, sys: PQSystem) -> list[Partition]:
         """Members ordered by decreasing part values (deterministic output)."""
-        # each distinct pair's value is computed once, not once per member
-        values = {pair: part_value(pair, sys)
-                  for pair in {pair for pt in self.members for pair in pt}}
-        return sorted(
-            self.members,
-            key=lambda pt: tuple(map(values.__getitem__, pt)),
-            reverse=True,
-        )
+        return value_order(self.members, self.u, sys)
 
 
 class _BaseEnumerator:
@@ -160,12 +154,33 @@ class SplitEnumerator(_BaseEnumerator):
 class ResidueEnumerator(_BaseEnumerator):
     """Omega(u) as the members of ranks 0 .. W(u) - 1, by ``walk``."""
 
-    def omega(self, u: int) -> frozenset[Partition]:
+    def _grid(self, u: int) -> Grid:
+        """``count_grid(u, sys, 1)``, once W(u) is known to be within the budget."""
         grid = count_grid(u, self.sys, 1)
         w = grid.rows[0][0]  # W(u), the first cell of the first row
         if w > self.budget:
             raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
-        return frozenset(walk(grid))
+        return grid
+
+    def omega(self, u: int) -> frozenset[Partition]:
+        return frozenset(walk(self._grid(u)))
+
+    def by_value(self, u: int) -> list[Partition]:
+        """Omega(u) in ``value_order``, sorted from a list of the walk: no set is built."""
+        return value_order(walk(self._grid(u)), u, self.sys)
+
+
+def value_order(members: Iterable[Partition], u: int, sys: PQSystem) -> list[Partition]:
+    """``members``, partitions of u, by decreasing tuples of part values.
+
+    A key joins the part values, largest first, as big-endian bytes of u's
+    byte length: it orders as the tuple does, in about a fifth of its memory.
+    """
+    members = list(members)
+    width = (u.bit_length() + 7) // 8  # no part exceeds u
+    keys = {pair: part_value(pair, sys).to_bytes(width, "big") for pair in set().union(*members)}
+    members.sort(key=lambda pt: b"".join(map(keys.__getitem__, pt)), reverse=True)
+    return members
 
 
 def branch_weight(rows: list[list], a: int, b: int, branch: CellBranch) -> int:

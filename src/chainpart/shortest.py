@@ -40,9 +40,8 @@ from .core import (
 from .decomposition import NO_SIGMA, CellBranch, descend, sigma_fill, sigma_grid
 
 _INF = math.inf
-#: A dense sigma byte as ``scan`` lists it, and 4.0 times it as ``stats`` sums it.
+#: A dense sigma byte as ``scan`` lists it.
 _SIGMA_OF = (*range(NO_SIGMA), _INF)
-_FOUR_SIGMA = tuple(4.0 * s for s in range(NO_SIGMA))
 #: 1 at a reachable sum, 0 at NO_SIGMA, as a ``translate`` table.
 _REACHED = bytes(int(x != NO_SIGMA) for x in range(256))
 
@@ -148,9 +147,10 @@ class ShortestTable:
             sigmas = sigmas.replace(bytes((NO_SIGMA,)), b"")
         if not sigmas:
             raise UnreachableSumError(f"no reachable sums in [2, {limit}] for {self.sys}")
-        # a plain left fold in u order; sum() compensates float rounding from Python 3.12 on
-        terms = map(operator.truediv, map(_FOUR_SIGMA.__getitem__, sigmas), map(math.log2, us))
-        total = functools.reduce(operator.add, terms, 0.0)
+        # a left fold in u order (sum() compensates rounding from Python 3.12 on);
+        # one product by 4 at the end is exact, as it commutes with each rounding
+        terms = map(operator.truediv, sigmas, map(math.log2, us))
+        total = 4.0 * functools.reduce(operator.add, terms, 0.0)
         histogram, left, s = {}, len(sigmas), 0
         while left:  # one count per value, up to the largest sigma
             if count := sigmas.count(s):

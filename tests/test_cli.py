@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,25 @@ def test_enumerate_budget_counts_members(capsys):
     assert err.startswith("error: ") and "budget of 4" in err and "Traceback" not in err
     code, out, _ = run(capsys, "enumerate", "--u", "60", "--budget", "5")
     assert code == 0 and len(out.splitlines()) == 5
+
+
+def test_enumerate_at_9555147_traces_under_3_2_mb(monkeypatch):
+    # a list of the walk sorted by byte keys and written 256 lines at a time;
+    # a set sorted by tuples of int values, 4,096 lines a write, traced 4.4 MB.
+    # The untraced first run imports the modules and builds the parser.
+    argv = ["enumerate", "--u", "9555147", "--format", "json"]
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert cli.main(argv) == 0
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.getvalue().count("\n") == 5413
+    assert peak < 3.2 * 2**20, peak
 
 
 def test_encode_decode_roundtrip(capsys, monkeypatch):

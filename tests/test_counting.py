@@ -150,6 +150,35 @@ def test_direct_sum_accelerations_are_neutral():
         assert list(DirectSumCounter(sys_).scan(5000)) == plain
 
 
+def _expand_on_powers(counter, u):
+    """``DirectSumCounter._expand`` as it was: p^c carried, u divided by it each step."""
+    p, q = counter.sys.p, counter.sys.q
+    const = 1 if digits_zero_one(u, p) else 0
+    deps = []
+    if u % q == 0:
+        deps.append((1, u // q))
+    pc, skip_until, c = 1, -1, 0
+    bound = u // (q + 1)
+    while pc <= bound:
+        if c > skip_until and (u // pc) % q == 1:
+            deps.append((1, u // (pc * q)))
+            skip_until = c + counter._gap
+        if (u // pc) % p > 1:
+            break
+        pc *= p
+        c += 1
+    return const, tuple(deps)
+
+
+def test_direct_expand_on_a_running_quotient_equals_the_loop_on_powers():
+    rng = random.Random(27)
+    for p, q in ((2, 3), (2, 5), (3, 4), (3, 2), (5, 3), (2, 9), (4, 7)):
+        counter = DirectSumCounter(make_system(p, q))
+        big = [rng.randrange(10 ** (d - 1), 10**d) for d in range(5, 31) for _ in range(40)]
+        for u in [*range(3000), *big]:
+            assert counter._expand(u) == _expand_on_powers(counter, u), (p, q, u)
+
+
 def test_w_star(sys23):
     from chainpart.core import brute_force_enumerate
 

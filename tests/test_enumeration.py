@@ -244,6 +244,8 @@ def test_budget_is_checked_before_any_member_is_built(sys23, monkeypatch):
     monkeypatch.setattr(enumeration, "walk", no_walk)
     with pytest.raises(BudgetError, match="past the budget of 4"):
         ResidueEnumerator(sys23, budget=4).omega(60)
+    with pytest.raises(BudgetError, match="past the budget of 4"):
+        ResidueEnumerator(sys23, budget=4).by_value(60)
 
 
 def test_ground_values(sys23):
@@ -279,6 +281,29 @@ def test_budget_guard(sys23):
     with pytest.raises(BudgetError):
         ResidueEnumerator(sys23, budget=4).omega(60)
     assert len(ResidueEnumerator(sys23, budget=5).omega(60)) == 5
+
+
+def _by_value_tuples(members, sys_):
+    """``members`` sorted by decreasing tuples of int part values, largest part first."""
+    return sorted(members, key=lambda pt: tuple(part_value(pair, sys_) for pair in pt),
+                  reverse=True)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 2), (2, 11)])
+def test_by_value_is_the_order_of_value_tuples(p, q):
+    sys_ = make_system(p, q)
+    enumerator = ResidueEnumerator(sys_)
+    for u in range(3001):
+        om = enumerator.omega_set(u)
+        expected = _by_value_tuples(om.members, sys_)
+        assert enumerator.by_value(u) == expected == om.sorted_by_value(sys_), u
+
+
+def test_by_value_at_9555147_is_the_order_of_value_tuples(sys23):
+    om = ResidueEnumerator(sys23).omega_set(9555147)
+    expected = _by_value_tuples(om.members, sys23)
+    assert len(expected) == 5413
+    assert ResidueEnumerator(sys23).by_value(9555147) == expected == om.sorted_by_value(sys23)
 
 
 def test_sorted_by_value_order(sys23):

@@ -103,7 +103,11 @@ def _ceiling(args: argparse.Namespace) -> int:
 
 
 def _system(args: argparse.Namespace) -> PQSystem:
-    return make_system(args.p, args.q)
+    sys_ = make_system(args.p, args.q)
+    if "tree" in (getattr(args, "codec", None), getattr(args, "format", None)):
+        from . import codec  # tree words need p = 2: refused before any work
+        codec.require_p2(sys_)
+    return sys_
 
 
 class _TextOf(dict):

@@ -35,7 +35,7 @@ _TREE_LETTER_SET = frozenset(TREE_LETTERS)
 LATTICE_ALPHABET = "0123"
 
 
-def _require_p2(sys: PQSystem) -> None:
+def require_p2(sys: PQSystem) -> None:
     if sys.p != 2:
         raise MalformedWordError("tree words are defined for p = 2 systems only")
 
@@ -109,7 +109,7 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
       amount, so the next label is its q.
     Each letter costs O(1) amortized, not a new tuple.
     """
-    _require_p2(sys)
+    require_p2(sys)
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no tree word")
     q = sys.q
@@ -214,7 +214,7 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     labels from there.  Any word that is not canonical raises
     MalformedWordError, all with one message.
     """
-    _require_p2(sys)
+    require_p2(sys)
     letters = "".join(word)
     q = sys.q
     steps = _replay_steps(sys)
@@ -264,7 +264,7 @@ class TreeLanguage:
     """Memoized generator of the full tree-word set per value."""
 
     def __init__(self, sys: PQSystem) -> None:
-        _require_p2(sys)
+        require_p2(sys)
         self.sys = sys
         self._rows = binary_table(sys)
         self._memo: dict[int, tuple[str, ...]] = {0: (), 1: ("",)}

@@ -99,16 +99,18 @@ class CountTable:
     def _sparse(self, u: int) -> int:
         """Memoize W at u, which ``table`` lacks, and at every argument it needs."""
         table = self.table
-        stack = [u]
+        stack: list = [(u, None)]  # a node and its expansion, made once
         while stack:
-            v = stack[-1]
+            v, expansion = stack[-1]
             if v in table:
                 stack.pop()
                 continue
-            const, deps = self._expand(v)
+            if expansion is None:
+                stack[-1] = v, (expansion := self._expand(v))
+            const, deps = expansion
             missing = [d for _, d in deps if d >= 2 and d not in table]
             if missing:
-                stack.extend(missing)
+                stack.extend((d, None) for d in missing)
                 continue
             total = const
             for coeff, d in deps:

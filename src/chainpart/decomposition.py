@@ -25,9 +25,9 @@ else reads the codes:
   whose residue is at most 1.  Both folds read one kind byte per cell, the
   ``translate`` of its code, and return a ``Grid`` of the codes and every
   k-th row: a lone value and the sigma witness row 0 alone (k = 0, two rows
-  live at a time), ``walk`` every row (k = 1), the sampler
-  k = ceil(sqrt(rows)) checkpoints, from which ``refold`` recomputes the
-  rows of one segment by the same row loop (Griewank's checkpointing).  For
+  live at a time), ``walk`` every row (k = 1), the sampler ``_checkpoints``,
+  placed by bytes; ``split`` refolds a segment keeping binomial checkpoints
+  (Griewank and Walther's revolve, 2000), ``refold`` the rows between.  For
   the witness the sigma fold also records one pick byte per cell, the
   branch that its min took, ties to the first, so no sigma row is kept.
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
@@ -56,10 +56,11 @@ subtracts 1, ``2`` halves and ``q`` divides by q.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys as _sys
 from array import array
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Container, NamedTuple, Optional, Sequence, Union
 
 from .core import InvalidSystemError, PQSystem
 
@@ -170,13 +171,16 @@ def _codes_of(sys: PQSystem, k: int, s: int, c: int) -> tuple[bytes, int]:
 
 
 class Grid(NamedTuple):
-    """A sweep: ``rows[j]`` is row j * ``every``, rows b ascending, and the
-    ``grid_cells`` they fold; ``every`` = 1 keeps every row, and row 0 alone
-    has ``every`` = len(cells), one segment."""
+    """A sweep: ``rows[j]`` is row ``tops[j]``, b ascending, and the ``grid_cells`` they
+    fold; an int ``every`` keeps every ``every``-th row, a tuple the rows it lists."""
 
     rows: list[list]
     cells: list[bytes]
-    every: int
+    every: Union[int, tuple[int, ...]]
+
+    @property
+    def tops(self) -> Sequence[int]:
+        return range(0, len(self.cells), self.every) if isinstance(self.every, int) else self.every
 
 
 _P_FF = bytes(0xFF if c & STEP_P else 0 for c in range(256))
@@ -225,9 +229,9 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
 
 
 def _fold_rows(cells: list[bytes], bs: range, below: list, at_zero: object,
-               fold_row: Callable[[bytes, list], list], every: int) -> list[list]:
+               fold_row: Callable[[bytes, list], list], keep: Container[int]) -> list[list]:
     """Fold the rows b of ``bs``, a descending range, by ``fold_row(codes, below)``,
-    from ``below``, the row under the first; keep those with b % ``every`` = 0.
+    from ``below``, the row under the first; keep those with b in ``keep``.
 
     A row holds one value per cell a, None where unreached, and then the value
     at N = 0; the row below is padded with that value past its end.
@@ -236,32 +240,55 @@ def _fold_rows(cells: list[bytes], bs: range, below: list, at_zero: object,
     for b in bs:
         codes = cells[b]
         below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
-        if not b % every:
+        if b in keep:
             kept.append(below)
     return kept
 
 
+#: Below this many bytes of rows a segment is refolded whole: no third fold saves memory.
+_WHOLE_BYTES = 1 << 18
+
+
+def _slots(rows: int) -> int:
+    """The checkpoints ``split`` keeps in ``rows`` rows: the least s with C(s + 2, 2) > rows."""
+    return (math.isqrt(8 * rows + 1) - 1) // 2
+
+
+def _row_bytes(codes: bytes) -> float:
+    """About the bytes of a row of W of L cells: 8 a cell for its pointer, and for each
+    reached cell an int of 28 bytes and a quarter of L bits (N's bits for p = 2), 7.5 a byte."""
+    return 8 * len(codes) + (len(codes) - codes.count(0)) * (28 + len(codes) / 30)
+
+
+def _checkpoints(cells: list[bytes]) -> tuple[int, ...]:
+    """Row 0 and the top of each segment where ``_slots(m)`` + 2 of its largest rows, as
+    ``split`` holds for m rows, would pass 1.3 R^(1/3) of the largest of all R rows."""
+    size = [_row_bytes(codes) for codes in cells]
+    budget = 1.3 * len(cells) ** (1 / 3) * max(size)
+    tops, rows, big = [], 0, 0.0
+    for b in range(len(cells) - 1, -1, -1):
+        rows, big = rows + 1, max(big, size[b])
+        if not b or (_slots(rows + 1) + 2) * max(big, size[b - 1]) > budget:
+            tops.append(b)
+            rows, big = 0, 0.0
+    return tuple(tops[::-1])
+
+
 def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytes, list], list],
            every: Optional[int]) -> Grid:
-    """Fold every row of ``grid_cells`` by ``_fold_rows``; the one sweep of a fold.
-
-    Returns a ``Grid`` of every ``every``-th row, b ascending: every
-    ceil(sqrt(rows))-th when ``every`` is None, and row 0 alone, one segment,
-    when it is 0.
-    """
+    """Fold every row of ``grid_cells`` by ``_fold_rows``, the one sweep of a fold, into a Grid
+    of every ``every``-th row: ``_checkpoints`` for None, and row 0 alone, one segment, for 0."""
     cells = grid_cells(u, sys)
-    if every is None:
-        every = math.isqrt(len(cells) - 1) + 1  # u >= 1 has a row
-    every = every or len(cells)
-    kept = _fold_rows(cells, range(len(cells) - 1, -1, -1), [], at_zero, fold_row, every)
-    return Grid(kept[::-1], cells, every)
+    grid = Grid([], cells, _checkpoints(cells) if every is None else every or len(cells))
+    kept = _fold_rows(cells, range(len(cells) - 1, -1, -1), [], at_zero, fold_row, grid.tops)
+    return grid._replace(rows=kept[::-1])
 
 
 def count_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
     """W on the reachable cells below u, as a ``Grid``; W(u) is rows[0][0].
 
     ``every`` picks the rows kept, as in ``_sweep``: 0 row 0 alone, None the
-    checkpoints of ``refold``, k every k-th row.  The rows fold by the W rule
+    sampler's checkpoints, k every k-th row.  The rows fold by the W rule
     of the module docstring, with W(0) = 1; unreached cells hold None.  For
     u < 1 there are no cells: W(0) = 1 and W(u) = 0 below.
     """
@@ -270,21 +297,32 @@ def count_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
     return _sweep(u, sys, 1, _count_row, every)
 
 
-def refold(grid: Grid, top: int, lo: int) -> list[list]:
-    """Rows top .. top + every of a ``count_grid`` Grid, where top is a kept row.
+def split(grid: Grid, top: int, lo: int) -> Grid:
+    """A Grid of W's segment from its kept row ``top`` to the next (empty past the grid)
+    and its checkpoints: of the m rows between, refolded right of column ``lo`` (None left
+    of it, which no descent entering there reads), every (s + 1)-th up from the bottom,
+    then every s-th, ..., s = ``_slots(m)`` (revolve); none under ``_WHOLE_BYTES``."""
+    return _refold(grid, top, lo, True)
 
-    The first is the kept row itself and the last the next kept row (empty
-    past the last row of the grid); the rows between are folded again from
-    it by ``_fold_rows``, on the columns a >= ``lo`` only, None to their left.
-    A descent that enters the segment at a column >= ``lo`` reads no other
-    cell.
-    """
-    rows, cells, every = grid
-    j = top // every
+
+def refold(grid: Grid, top: int, lo: int) -> list[list]:
+    """Rows top .. the next kept row of a Grid of W, as ``split`` folds them, all kept."""
+    return _refold(grid, top, lo, False).rows
+
+
+def _refold(grid: Grid, top: int, lo: int, binomial: bool) -> Grid:
+    rows, cells, _ = grid
+    j = grid.tops.index(top)
+    end = (*grid.tops, len(cells))[j + 1]
+    keep: Sequence[int] = range(end - 1, top, -1)
+    if binomial:  # up from the end, every s + 1 rows, then every s, ...: none if small
+        small = sum(map(_row_bytes, cells[top + 1:end])) < _WHOLE_BYTES
+        step = end - top if small else _slots(end - top - 1) + 1
+        keep = [b for b in itertools.accumulate(range(-step, 0), initial=end) if b > top][1:]
     below = rows[j + 1] if j + 1 < len(rows) else []
-    bs = range(min(top + every, len(cells)) - 1, top, -1)
-    fold_row = functools.partial(_count_row, lo=lo)
-    return [below, *_fold_rows(cells, bs, below, 1, fold_row, 1), rows[j]][::-1]
+    bs = range(end - 1, min(keep, default=end) - 1, -1)  # no row above the last kept
+    kept = _fold_rows(cells, bs, below, 1, functools.partial(_count_row, lo=lo), keep)
+    return Grid([rows[j], *kept[::-1], below], cells, (top, *keep[::-1], end))
 
 
 def _count_kind(code: int) -> int:

@@ -17,7 +17,7 @@ of U:
   at a time: each rank's ``decomposition.descend`` takes at each cell the
   branch whose weight range holds the rank, and stops at the segment's end.
   It is a bijection from [0, W(U)) onto Omega(U), on a grid of any
-  checkpoint spacing.  ``walk`` lists the same members in rank order from a
+  checkpoints.  ``walk`` lists the same members in rank order from a
   grid of every row, stacking each second branch to resume the descent
   there, which shares each prefix between consecutive ranks; ``omega`` is
   the walk as a set, and ``by_value`` the walk as a list sorted once in
@@ -25,16 +25,15 @@ of U:
 
 ``sample_uniform`` unranks uniform draws from [0, W(U)), so every member of
 Omega(U) is returned with probability exactly 1/W(U), and no draw is
-rejected.  One sweep keeps ceil(sqrt(rows)) checkpoint rows, so the rows
-live at once stay O(sqrt(rows)) whatever the number of draws.  The draws are
-unranked in blocks, each one refold of the segments, whose members hold at
-most ``_BLOCK_PARTS`` parts (or one draw per segment, if more).
+rejected.  One sweep keeps checkpoint rows placed by their bytes, and each
+block of draws (of at most ``_BLOCK_PARTS`` parts, or one draw per checkpoint
+row) refolds the rows between with binomial checkpoints, three folds at most.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_PARTITION_BUDGET,
@@ -49,7 +48,7 @@ from .core import (
     part_value,
     value,
 )
-from .decomposition import CellBranch, Grid, count_grid, descend, refold
+from .decomposition import CellBranch, Grid, count_grid, descend, refold, split
 
 #: The parts that the members of one block of draws may hold, about 25 MB.
 _BLOCK_PARTS = 1 << 18
@@ -204,11 +203,10 @@ def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
     the cell has no p-scaled branch: the others hold exactly the members
     whose smallest part is not divisible by p.  Distinct ranks give distinct
     members, so the ranks 0 .. W(u) - 1 give all of Omega(u).  The ranks go
-    down together, one segment of the grid at a time: ``refold`` gives its
-    rows right of the least column at which a descent enters it, and each
-    descent stops at the segment's end.
+    down together, one segment of ``_segments`` at a time, right of the least
+    column that a descent reads, and each stops at the segment's end.
     """
-    rows, cells, every = grid
+    rows, cells, _ = grid
     for rank in ranks:
         if not 0 <= rank < rows[0][0]:
             raise ValueError(f"rank {rank} is outside [0, {rows[0][0]})")
@@ -228,17 +226,25 @@ def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
                 return branches[1]
         return branches[0]
 
-    for top in range(0, len(cells), every):
-        live = [i for i, cell in enumerate(at) if cell]
-        if not live:
-            break
-        segment = refold(grid, top, min(at[i][0] for i in live))
-        for i in live:
-            rank = left[i]
-            at[i] = descend(cells, *at[i], parts[i], pick, top + every)
-            left[i] = rank
+    for top, segment in _segments(grid, lambda: min((cell[0] for cell in at if cell), default=0)):
+        for i, cell in enumerate(at):
+            if cell:
+                rank = left[i]
+                at[i] = descend(cells, *cell, parts[i], pick, top + len(segment) - 1)
+                left[i] = rank
         segment = []  # so that two segments are never held at once
+        if not any(at):
+            break
     return [Partition(member[::-1]) for member in parts]
+
+
+def _segments(grid: Grid, least: Callable[[], int]) -> Iterator[tuple[int, list[list]]]:
+    """Top and rows of each segment between checkpoints of a ``split``, right of ``least()``."""
+    for top in grid.tops:
+        part = split(grid, top, least())
+        for j, sub in enumerate(part.tops[:-1]):
+            yield sub, refold(part, sub, least())
+            part.rows[j] = []  # descended: only the checkpoints below stay live
 
 
 def walk(grid: Grid) -> Iterator[Partition]:
@@ -292,7 +298,7 @@ def sample_uniform(u: int, sys: PQSystem, rng: Union[int, random.Random] = 0,
     Unless n = 0, one sweep keeps the checkpoint rows of
     ``count_grid(u, sys, None)``.  The ranks, one ``rng.randrange(W(u))``
     each, are drawn in blocks whose members hold at most ``_BLOCK_PARTS``
-    parts, or of one draw per segment if that is more; each block is
+    parts, or of one draw per checkpoint row if that is more; each block is
     unranked together by ``unrank`` and yielded before the next is drawn.
     """
     if n < 0:

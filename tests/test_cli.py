@@ -271,6 +271,29 @@ def test_scan_monotonicity_refuses_p_other_than_2(capsys):
                 1, "", "error: the monotonicity pattern requires p = 2\n"), (mode, pq)
 
 
+#: Tree words on p != 2, which each command refuses before any work.
+TREE_ON_P_NOT_2 = [
+    ["enumerate", "--u", "2", "--format", "tree", "--p", "3", "--q", "4"],
+    ["enumerate", "--u", "4", "--format", "tree", "--p", "3", "--q", "4"],
+    ["encode", "--codec", "tree", "--p", "3", "--q", "4"],
+    ["decode", "--codec", "tree", "--p", "3", "--q", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", TREE_ON_P_NOT_2)
+@pytest.mark.parametrize("stdin", ["", "[[1,0]]\n", "1q\n"])
+def test_tree_words_on_p_other_than_2_are_refused_before_any_input(capsys, monkeypatch, argv,
+                                                                   stdin):
+    # enumerate at u = 2 once printed nothing and exited 0, and encode and
+    # decode exited 0 on empty stdin
+    read = []
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("chainpart.enumeration.ResidueEnumerator.by_value",
+                        lambda *args: read.append(args))
+    assert run(capsys, *argv) == (1, "", "error: tree words are defined for p = 2 systems only\n")
+    assert not read and sys.stdin.read() == stdin
+
+
 def test_scan_monotonicity_refuses_a_negative_limit(capsys):
     for mode in ("monotonicity", "theorem4", "w"):
         code, out, err = run(capsys, "scan", mode, "--limit", "-1")

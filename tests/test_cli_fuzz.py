@@ -139,6 +139,16 @@ def test_encode_of_fuzzed_documents_exits_cleanly(codec, lines):
     _exits_cleanly(["encode", "--codec", codec], "\n".join(lines))
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--u", "2", "--format", "tree", "--p", "3", "--q", "4"],
+    ["encode", "--codec", "tree", "--p", "3", "--q", "4"],
+    ["decode", "--codec", "tree", "--p", "3", "--q", "4"],
+])
+@pytest.mark.parametrize("stdin", ["", "[[1,0]]\n{]\n", "1q\n\u00e9\n"])
+def test_tree_words_on_p_other_than_2_exit_cleanly(argv, stdin):
+    _exits_cleanly(argv, stdin)
+
+
 def _exits_cleanly(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin

@@ -15,6 +15,7 @@ from chainpart.counting import (
     indicator_gap,
     make_counter,
 )
+from chainpart.decomposition import count_grid
 
 
 def summand_indicator(c, u, sys_):
@@ -229,3 +230,30 @@ def test_scan_to_a_million_traces_under_7_5_mb(sys23):
         tracemalloc.stop()
     assert counts[10**6] == make_counter(sys23).w(10**6)
     assert peak < 7.5 * 2**20, peak
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 2)])
+def test_sparse_expands_each_new_entry_once(pq):
+    # each stack entry keeps its node's expansion, so a node whose missing
+    # arguments were filled is not expanded again
+    sys_ = make_system(*pq)
+    rng = random.Random(sum(pq))
+    engines = [DirectSumCounter] + ([HalvingCounter] if sys_.p == 2 else [])
+    for digits in (20, 24, 27, 30):
+        u = rng.randrange(10 ** (digits - 1), 10**digits)
+        for engine in engines:
+            counter, calls = engine(sys_), []
+            real = counter._expand
+            counter._expand = lambda v: calls.append(v) or real(v)
+            before = len(counter.table)
+            assert counter.w(u) == count_grid(u, sys_).rows[0][0], (pq, u, engine)
+            assert len(calls) == len(set(calls)) == len(counter.table) - before, (pq, u, engine)
+
+
+def test_sparse_expansions_at_27_digits(sys23):
+    # 1,312 expansions for 750 entries when a node was expanded again
+    counter, calls = DirectSumCounter(sys23), []
+    real = counter._expand
+    counter._expand = lambda v: calls.append(v) or real(v)
+    counter.w(495997235245523141262311424)
+    assert len(calls) == len(counter.table) - 2 == 748

@@ -60,8 +60,9 @@ def test_unrank_is_a_bijection_onto_the_oracle(p, q):
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 2), (3, 4), (5, 7), (2, 5), (4, 3)])
 def test_checkpointed_unrank_equals_the_every_row_unrank(p, q):
-    # the checkpoints of ceil(sqrt(rows)) and a spacing of 2 split the rows
-    # into segments whose ends every descent crosses; every row is k = 1
+    # the byte-placed checkpoints and their binomial refolds, and a spacing
+    # of 2, split the rows into segments whose ends every descent crosses;
+    # every row is k = 1
     sys_ = make_system(p, q)
     counter = make_counter(sys_)
     for u in range(0, 2000):
@@ -75,7 +76,8 @@ def test_checkpointed_unrank_at_10_600(sys23):
     u = 10**600
     checkpoints = count_grid(u, sys23, None)
     every_row = count_grid(u, sys23, 1)
-    assert len(checkpoints.cells) == 898 and checkpoints.every == len(checkpoints.rows) == 30
+    assert len(checkpoints.cells) == 898 and checkpoints.every == (0, 62, 139, 252, 435)
+    assert len(checkpoints.rows) == 5
     rng = random.Random(600)
     ranks = [rng.randrange(every_row.rows[0][0]) for _ in range(200)]
     members = unrank(checkpoints, ranks)
@@ -403,7 +405,7 @@ def test_sampler_blocks_hold_a_bounded_number_of_parts(sys23, monkeypatch):
     monkeypatch.setattr(enumeration, "unrank",
                         lambda grid, ranks: blocks.append(len(ranks)) or real(grid, ranks))
     members = list(sample_uniform(u, sys23, 5, 300))
-    assert blocks == [262, 38] and len(count_grid(u, sys23, None).rows) == 21
+    assert blocks == [262, 38] and len(count_grid(u, sys23, None).rows) == 5
     rng = random.Random(5)
     w = make_counter(sys23).w(u)
     assert members == real(count_grid(u, sys23, 1), [rng.randrange(w) for _ in range(300)])

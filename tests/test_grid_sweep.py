@@ -9,11 +9,12 @@ row, in the same order.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from chainpart import decomposition
-from chainpart.core import Partition, make_system
+from chainpart.core import Partition, make_system, value
 from chainpart.counting import CaseTableCounter, DirectSumCounter, HalvingCounter
 from chainpart.decomposition import (
     CELL_BRANCHES,
@@ -29,6 +30,7 @@ from chainpart.decomposition import (
     grid_cells,
     refold,
     sigma_grid,
+    split,
 )
 from chainpart.enumeration import sample_uniform
 from chainpart.shortest import ShortestTable
@@ -199,14 +201,66 @@ def test_refold_gives_the_rows_right_of_its_column(pq):
     rows, cells, _ = count_grid(u, sys_, 1)
     for every in (0, 1, 2, 5, None):
         grid = count_grid(u, sys_, every)
-        assert grid.rows == rows[::grid.every]
-        for top in range(0, len(cells), grid.every):
+        tops = grid.tops
+        assert grid.rows == [rows[b] for b in tops]
+        for j, top in enumerate(tops):
             for lo in (0, 1, len(cells[top]) // 2, len(cells[top]) - 1):
                 segment = refold(grid, top, lo)
-                assert len(segment) == min(grid.every, len(cells) - top) + 1
+                assert len(segment) == (tops[j + 1] if j + 1 < len(tops) else len(cells)) - top + 1
                 for b, row in enumerate(segment, top):
                     full = rows[b] if b < len(rows) else []
                     assert len(row) == len(full) and row[lo:] == full[lo:], (every, top, lo, b)
+
+
+@pytest.mark.parametrize("whole_bytes", [decomposition._WHOLE_BYTES, 0])
+@pytest.mark.parametrize("pq", SYSTEMS)
+def test_split_keeps_the_binomial_checkpoints_of_a_segment(pq, whole_bytes, monkeypatch):
+    # from the bottom of a segment of n rows between kept ones, checkpoints
+    # every s + 1 rows, then every s, ..., with s the least that C(s + 2, 2) > n,
+    # or none when its rows hold under _WHOLE_BYTES (at 0, never); their rows,
+    # right of the cut, are the every-row grid's
+    monkeypatch.setattr(decomposition, "_WHOLE_BYTES", whole_bytes)
+    sys_ = make_system(*pq)
+    u = random.Random(sum(pq)).randrange(10**199, 10**200)
+    rows, cells, _ = count_grid(u, sys_, 1)
+    grid = count_grid(u, sys_, None)
+    tops = grid.tops
+    assert tops[0] == 0 and list(tops) == sorted(set(tops)) and grid.every == tops
+    kinds = set()
+    for j, top in enumerate(tops):
+        end = tops[j + 1] if j + 1 < len(tops) else len(cells)
+        n = end - top - 1
+        s = next(s for s in range(n + 1) if math.comb(s + 2, 2) > n)
+        whole = sum(map(decomposition._row_bytes, cells[top + 1:end])) < whole_bytes
+        kinds.add(whole)
+        for lo in (0, len(cells[top]) // 2):
+            part = split(grid, top, lo)
+            assert part.tops[0] == top and part.tops[-1] == end, (pq, top)
+            gaps = [b - a for a, b in zip(part.tops, part.tops[1:])][::-1]
+            if whole:
+                assert gaps == [end - top], (pq, top, gaps)
+                continue
+            assert gaps[:-1] == list(range(s + 1, s + 2 - len(gaps), -1)), (pq, top, gaps)
+            assert 0 < gaps[-1] <= s + 2 - len(gaps), (pq, top, gaps)
+            for b, row in zip(part.tops, part.rows):
+                full = rows[b] if b < len(rows) else []
+                assert len(row) == len(full) and row[lo:] == full[lo:], (pq, top, lo, b)
+    assert whole_bytes or kinds == {False}, pq
+
+
+def test_sample_at_10_600_folds_no_row_more_than_three_times(sys23, monkeypatch):
+    # the sweep folds each row once, the split of its segment once more and
+    # the refold between two binomial checkpoints once more
+    folds, fold_rows = Counter(), decomposition._fold_rows
+
+    def counted(cells, bs, *args):
+        folds.update(bs)
+        return fold_rows(cells, bs, *args)
+
+    monkeypatch.setattr(decomposition, "_fold_rows", counted)
+    members = list(sample_uniform(10**600, sys23, 4, 4))
+    assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
+    assert len(folds) == 898 and max(folds.values()) <= 3 and 3 in folds.values()
 
 
 def test_witness_and_sampler_sweep_once(sys23, monkeypatch):

@@ -141,8 +141,9 @@ def test_stats_to_a_million_trace_under_4_mb(sys23):
 
 
 def test_sample_at_10_600_traces_under_16_mb(sys23):
-    # the sampler keeps ceil(sqrt(rows)) checkpoint rows and one segment;
-    # keeping every row of W once traced 47 MB here
+    # the sampler keeps its checkpoint rows, placed by their bytes, and the
+    # binomial checkpoints of one segment; keeping every row of W once
+    # traced 47 MB here
     tracemalloc.start()
     try:
         members = list(sample_uniform(10**600, sys23, 4, 4))
@@ -151,6 +152,20 @@ def test_sample_at_10_600_traces_under_16_mb(sys23):
         tracemalloc.stop()
     assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
     assert peak < 16 * 2**20, peak
+
+
+def test_sample_at_10_600_traces_under_3_5_mb(sys23):
+    # 3.06 MiB with checkpoints placed by row bytes and binomial refolds;
+    # ceil(sqrt(rows)) checkpoints, each segment refolded whole, traced
+    # 6.33 MiB here
+    tracemalloc.start()
+    try:
+        members = list(sample_uniform(10**600, sys23, 4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
+    assert peak < 3.5 * 2**20, peak
 
 
 def test_witness_at_10_600_traces_under_4_mb(sys23):

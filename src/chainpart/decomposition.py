@@ -26,8 +26,9 @@ else reads the codes:
   ``translate`` of its code, and return a ``Grid`` of the codes and every
   k-th row: a lone value and the sigma witness row 0 alone (k = 0, two rows
   live at a time), ``walk`` every row (k = 1), the sampler ``_checkpoints``,
-  placed by bytes; ``split`` refolds a segment keeping binomial checkpoints
-  (Griewank and Walther's revolve, 2000), ``refold`` the rows between.  For
+  placed by bytes.  ``segments``, the one loop of a descent down a Grid of
+  W, refolds the rows between two kept rows keeping binomial checkpoints
+  (Griewank and Walther's revolve, 2000), then the rows between those.  For
   the witness the sigma fold also records one pick byte per cell, the
   branch that its min took, ties to the first, so no sigma row is kept.
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
@@ -60,7 +61,7 @@ import itertools
 import math
 import sys as _sys
 from array import array
-from typing import Any, Callable, Container, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Container, Iterator, NamedTuple, Optional, Sequence
 
 from .core import InvalidSystemError, PQSystem
 
@@ -172,15 +173,11 @@ def _codes_of(sys: PQSystem, k: int, s: int, c: int) -> tuple[bytes, int]:
 
 class Grid(NamedTuple):
     """A sweep: ``rows[j]`` is row ``tops[j]``, b ascending, and the ``grid_cells`` they
-    fold; an int ``every`` keeps every ``every``-th row, a tuple the rows it lists."""
+    fold; ``tops`` is a ``range`` of every k-th row, or a tuple of checkpoint rows."""
 
     rows: list[list]
     cells: list[bytes]
-    every: Union[int, tuple[int, ...]]
-
-    @property
-    def tops(self) -> Sequence[int]:
-        return range(0, len(self.cells), self.every) if isinstance(self.every, int) else self.every
+    tops: Sequence[int]
 
 
 _P_FF = bytes(0xFF if c & STEP_P else 0 for c in range(256))
@@ -230,18 +227,19 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
 
 def _fold_rows(cells: list[bytes], bs: range, below: list, at_zero: object,
                fold_row: Callable[[bytes, list], list], keep: Container[int]) -> list[list]:
-    """Fold the rows b of ``bs``, a descending range, by ``fold_row(codes, below)``,
-    from ``below``, the row under the first; keep those with b in ``keep``.
+    """Fold the rows b of ``bs``, an ascending range, bottom up by ``fold_row(codes, below)``
+    from ``below``, the row under the last; return those with b in ``keep``, b ascending.
 
     A row holds one value per cell a, None where unreached, and then the value
     at N = 0; the row below is padded with that value past its end.
     """
     kept = []
-    for b in bs:
+    for b in reversed(bs):
         codes = cells[b]
         below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
         if b in keep:
             kept.append(below)
+    kept.reverse()
     return kept
 
 
@@ -250,7 +248,7 @@ _WHOLE_BYTES = 1 << 18
 
 
 def _slots(rows: int) -> int:
-    """The checkpoints ``split`` keeps in ``rows`` rows: the least s with C(s + 2, 2) > rows."""
+    """The checkpoints ``segments`` keeps in ``rows`` rows: the least s with C(s + 2, 2) > rows."""
     return (math.isqrt(8 * rows + 1) - 1) // 2
 
 
@@ -262,7 +260,7 @@ def _row_bytes(codes: bytes) -> float:
 
 def _checkpoints(cells: list[bytes]) -> tuple[int, ...]:
     """Row 0 and the top of each segment where ``_slots(m)`` + 2 of its largest rows, as
-    ``split`` holds for m rows, would pass 1.3 R^(1/3) of the largest of all R rows."""
+    ``segments`` holds for m rows, would pass 1.3 R^(1/3) of the largest of all R rows."""
     size = [_row_bytes(codes) for codes in cells]
     budget = 1.3 * len(cells) ** (1 / 3) * max(size)
     tops, rows, big = [], 0, 0.0
@@ -279,9 +277,8 @@ def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytes, li
     """Fold every row of ``grid_cells`` by ``_fold_rows``, the one sweep of a fold, into a Grid
     of every ``every``-th row: ``_checkpoints`` for None, and row 0 alone, one segment, for 0."""
     cells = grid_cells(u, sys)
-    grid = Grid([], cells, _checkpoints(cells) if every is None else every or len(cells))
-    kept = _fold_rows(cells, range(len(cells) - 1, -1, -1), [], at_zero, fold_row, grid.tops)
-    return grid._replace(rows=kept[::-1])
+    tops = _checkpoints(cells) if every is None else range(0, len(cells), every or len(cells))
+    return Grid(_fold_rows(cells, range(len(cells)), [], at_zero, fold_row, tops), cells, tops)
 
 
 def count_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
@@ -290,39 +287,42 @@ def count_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
     ``every`` picks the rows kept, as in ``_sweep``: 0 row 0 alone, None the
     sampler's checkpoints, k every k-th row.  The rows fold by the W rule
     of the module docstring, with W(0) = 1; unreached cells hold None.  For
-    u < 1 there are no cells: W(0) = 1 and W(u) = 0 below.
+    u < 1 there are no cells and no tops: W(0) = 1 and W(u) = 0 below.
     """
     if u < 1:
-        return Grid([[int(not u)]], [], 1)
+        return Grid([[int(not u)]], [], range(0))
     return _sweep(u, sys, 1, _count_row, every)
 
 
-def split(grid: Grid, top: int, lo: int) -> Grid:
-    """A Grid of W's segment from its kept row ``top`` to the next (empty past the grid)
-    and its checkpoints: of the m rows between, refolded right of column ``lo`` (None left
-    of it, which no descent entering there reads), every (s + 1)-th up from the bottom,
-    then every s-th, ..., s = ``_slots(m)`` (revolve); none under ``_WHOLE_BYTES``."""
-    return _refold(grid, top, lo, True)
+def segments(grid: Grid, least: Callable[[], int]) -> Iterator[tuple[int, list[list]]]:
+    """The top and rows of each segment of a Grid of W, top first, for a descent to cross.
 
+    The m rows between two kept rows (the last past the grid, empty) are
+    refolded right of column ``least()`` (None left of it, which no descent
+    entering there reads), keeping binomial checkpoints up from the bottom:
+    every (s + 1)-th row, then every s-th, ..., s = ``_slots(m)`` (revolve),
+    none when they hold under ``_WHOLE_BYTES``.  The rows between two
+    checkpoints are refolded once more right of ``least()``, and yielded with
+    both, so no row is folded more than three times.  The loop holds no
+    segment once yielded, nor a checkpoint once its segment is passed.
+    """
+    rows, cells, tops = grid
 
-def refold(grid: Grid, top: int, lo: int) -> list[list]:
-    """Rows top .. the next kept row of a Grid of W, as ``split`` folds them, all kept."""
-    return _refold(grid, top, lo, False).rows
+    def fold(bs: range, below: list, keep: Container[int]) -> list[list]:
+        return _fold_rows(cells, bs, below, 1, functools.partial(_count_row, lo=least()), keep)
 
-
-def _refold(grid: Grid, top: int, lo: int, binomial: bool) -> Grid:
-    rows, cells, _ = grid
-    j = grid.tops.index(top)
-    end = (*grid.tops, len(cells))[j + 1]
-    keep: Sequence[int] = range(end - 1, top, -1)
-    if binomial:  # up from the end, every s + 1 rows, then every s, ...: none if small
+    for j, top in enumerate(tops):
+        end = tops[j + 1] if j + 1 < len(tops) else len(cells)
         small = sum(map(_row_bytes, cells[top + 1:end])) < _WHOLE_BYTES
         step = end - top if small else _slots(end - top - 1) + 1
-        keep = [b for b in itertools.accumulate(range(-step, 0), initial=end) if b > top][1:]
-    below = rows[j + 1] if j + 1 < len(rows) else []
-    bs = range(end - 1, min(keep, default=end) - 1, -1)  # no row above the last kept
-    kept = _fold_rows(cells, bs, below, 1, functools.partial(_count_row, lo=lo), keep)
-    return Grid([rows[j], *kept[::-1], below], cells, (top, *keep[::-1], end))
+        # up from the end, every s + 1 rows, then every s, ...: none if small; b ascending
+        ends = [b for b in itertools.accumulate(range(-step, 0), initial=end) if b > top][::-1]
+        below = rows[j + 1] if j + 1 < len(rows) else []
+        checkpoints = [rows[j], *fold(range(ends[0], end), below, ends), below]
+        for i, sub in enumerate((top, *ends[:-1])):
+            bs = range(sub + 1, ends[i])
+            yield sub, [checkpoints[i], *fold(bs, checkpoints[i + 1], bs), checkpoints[i + 1]]
+            checkpoints[i] = []  # passed: only the checkpoints below stay live
 
 
 def _count_kind(code: int) -> int:
@@ -373,12 +373,12 @@ def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0,
 
     The rows fold by the sigma rule of the module docstring, with
     sigma(0) = 0 and inf where no term is left.  For u < 1 there are no
-    cells: sigma(0) = 0 and sigma(u) = inf below.  With a list ``picks``,
-    the fold appends to it the picks of ``_sigma_row``, one ``bytes`` per
-    row, b descending: the argmin branches of the sigma witness.
+    cells and no tops: sigma(0) = 0 and sigma(u) = inf below.  With a list
+    ``picks``, the fold appends to it the picks of ``_sigma_row``, one
+    ``bytes`` per row, b descending: the argmin branches of the witness.
     """
     if u < 1:
-        return Grid([[0 if not u else _INF]], [], 1)
+        return Grid([[0 if not u else _INF]], [], range(0))
     fold_row = _sigma_row if picks is None else functools.partial(_sigma_row, picks=picks)
     return _sweep(u, sys, 0, fold_row, every)
 

@@ -13,11 +13,11 @@ of U:
   recursive method of Nijenhuis and Wilf), at every base, from one
   ``count_grid`` sweep: its rows give the weights, its cell codes the
   branches (``decomposition.CELL_BRANCHES``).  ``unrank`` maps a list of
-  ranks to their members, taking them down together one segment of the grid
-  at a time: each rank's ``decomposition.descend`` takes at each cell the
-  branch whose weight range holds the rank, and stops at the segment's end.
-  It is a bijection from [0, W(U)) onto Omega(U), on a grid of any
-  checkpoints.  ``walk`` lists the same members in rank order from a
+  ranks to their members, taking them down together through each segment
+  that ``decomposition.segments`` yields: each rank's ``descend`` takes at
+  each cell the branch whose weight range holds the rank, and stops at the
+  segment's end.  It is a bijection from [0, W(U)) onto Omega(U), on a grid
+  of any checkpoints.  ``walk`` lists the same members in rank order from a
   grid of every row, stacking each second branch to resume the descent
   there, which shares each prefix between consecutive ranks; ``omega`` is
   the walk as a set, and ``by_value`` the walk as a list sorted once in
@@ -27,18 +27,20 @@ of U:
 Omega(U) is returned with probability exactly 1/W(U), and no draw is
 rejected.  One sweep keeps checkpoint rows placed by their bytes, and each
 block of draws (of at most ``_BLOCK_PARTS`` parts, or one draw per checkpoint
-row) refolds the rows between with binomial checkpoints, three folds at most.
+row) goes down ``decomposition.segments``, which refolds the rows between
+with binomial checkpoints, three folds at most.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_PARTITION_BUDGET,
     EMPTY_PARTITION,
     BudgetError,
+    InvariantViolationError,
     Partition,
     PQSystem,
     UnreachableSumError,
@@ -48,7 +50,7 @@ from .core import (
     part_value,
     value,
 )
-from .decomposition import CellBranch, Grid, count_grid, descend, refold, split
+from .decomposition import CellBranch, Grid, count_grid, descend, segments
 
 #: The parts that the members of one block of draws may hold, about 25 MB.
 _BLOCK_PARTS = 1 << 18
@@ -203,7 +205,7 @@ def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
     the cell has no p-scaled branch: the others hold exactly the members
     whose smallest part is not divisible by p.  Distinct ranks give distinct
     members, so the ranks 0 .. W(u) - 1 give all of Omega(u).  The ranks go
-    down together, one segment of ``_segments`` at a time, right of the least
+    down together, one segment of ``segments`` at a time, right of the least
     column that a descent reads, and each stops at the segment's end.
     """
     rows, cells, _ = grid
@@ -226,7 +228,7 @@ def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
                 return branches[1]
         return branches[0]
 
-    for top, segment in _segments(grid, lambda: min((cell[0] for cell in at if cell), default=0)):
+    for top, segment in segments(grid, lambda: min((cell[0] for cell in at if cell), default=0)):
         for i, cell in enumerate(at):
             if cell:
                 rank = left[i]
@@ -236,15 +238,6 @@ def unrank(grid: Grid, ranks: Sequence[int]) -> list[Partition]:
         if not any(at):
             break
     return [Partition(member[::-1]) for member in parts]
-
-
-def _segments(grid: Grid, least: Callable[[], int]) -> Iterator[tuple[int, list[list]]]:
-    """Top and rows of each segment between checkpoints of a ``split``, right of ``least()``."""
-    for top in grid.tops:
-        part = split(grid, top, least())
-        for j, sub in enumerate(part.tops[:-1]):
-            yield sub, refold(part, sub, least())
-            part.rows[j] = []  # descended: only the checkpoints below stay live
 
 
 def walk(grid: Grid) -> Iterator[Partition]:
@@ -319,5 +312,6 @@ def _draws(u: int, sys: PQSystem, grid: Grid, rng: random.Random, n: int) -> Ite
     block = max(len(grid.rows), _BLOCK_PARTS // (u.bit_length() or 1))
     for start in range(0, n, block):
         for pt in unrank(grid, [rng.randrange(w) for _ in range(min(block, n - start))]):
-            assert value(pt, sys) == u
+            if value(pt, sys) != u:
+                raise InvariantViolationError("a drawn member does not sum to u")
             yield pt

@@ -31,6 +31,7 @@ from itertools import compress
 from typing import NamedTuple, Optional
 
 from .core import (
+    InvariantViolationError,
     Partition,
     PQSystem,
     UnreachableSumError,
@@ -115,7 +116,8 @@ class ShortestTable:
         parts: list[tuple[int, int]] = []
         descend(cells, 0, 0, False, parts, argmin)
         pt = Partition(parts[::-1])
-        assert value(pt, self.sys) == u and len(pt) == best
+        if value(pt, self.sys) != u or len(pt) != best:
+            raise InvariantViolationError("the witness is not a partition of u into sigma(u) parts")
         return ShortestResult(u, best, pt)
 
     def _dense(self, limit: int) -> bytearray:

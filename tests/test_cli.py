@@ -425,6 +425,17 @@ def test_usage_error_exit_code(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("module,argv", [("enumeration", ["sample", "--u", "19"]),
+                                         ("shortest", ["sigma", "--u", "19", "--witness"])])
+def test_a_wrong_sum_is_an_invariant_violation(capsys, monkeypatch, module, argv):
+    # the sampler and the witness check each member's sum by a raise, which -O keeps
+    monkeypatch.setattr(f"chainpart.{module}.value", lambda pt, sys_: 18)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("invariant violation: ") and " u" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
                                    MemoryError()])
 def test_resource_errors_exit_1_without_traceback(capsys, monkeypatch, error):

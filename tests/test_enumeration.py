@@ -76,7 +76,7 @@ def test_checkpointed_unrank_at_10_600(sys23):
     u = 10**600
     checkpoints = count_grid(u, sys23, None)
     every_row = count_grid(u, sys23, 1)
-    assert len(checkpoints.cells) == 898 and checkpoints.every == (0, 62, 139, 252, 435)
+    assert len(checkpoints.cells) == 898 and checkpoints.tops == (0, 62, 139, 252, 435)
     assert len(checkpoints.rows) == 5
     rng = random.Random(600)
     ranks = [rng.randrange(every_row.rows[0][0]) for _ in range(200)]
@@ -228,10 +228,10 @@ def test_walk_at_the_ground_values(sys23):
     assert list(walk(count_grid(0, sys23, 1))) == [Partition()]
     assert list(walk(count_grid(1, sys23, 1))) == [Partition(((0, 0),))]
     assert list(walk(count_grid(7, make_system(3, 5), 1))) == []
-    # below 1 the fold has no cells: W(0) = 1 and W(-1) = 0, at every spacing
+    # below 1 the fold has no cells nor tops: W(0) = 1 and W(-1) = 0, at every spacing
     for every in (0, 1, None):
-        assert count_grid(0, sys23, every) == ([[1]], [], 1)
-        assert count_grid(-1, sys23, every) == ([[0]], [], 1)
+        assert count_grid(0, sys23, every) == ([[1]], [], range(0))
+        assert count_grid(-1, sys23, every) == ([[0]], [], range(0))
     assert list(walk(count_grid(-1, sys23, 1))) == []
     assert unrank(count_grid(0, sys23, None), [0]) == [Partition()]
     assert unrank(count_grid(-1, sys23, None), []) == []

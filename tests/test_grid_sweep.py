@@ -7,8 +7,10 @@ that ``CELL_BRANCHES`` reads from a cell's code must be the general table's
 row, in the same order.
 """
 
+import bisect
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -28,9 +30,8 @@ from chainpart.decomposition import (
     count_grid,
     descend,
     grid_cells,
-    refold,
+    segments,
     sigma_grid,
-    split,
 )
 from chainpart.enumeration import sample_uniform
 from chainpart.shortest import ShortestTable
@@ -73,9 +74,9 @@ def test_sweep_visits_exactly_the_reachable_grid_quotients(pq, general_table):
     values = {u // (p**a * q**b) for a, b in visited}
     assert values <= grid_quotients(u, p, q)
     assert {x for x in values if x >= 2} == reachable(u, general_table(sys_))
-    for rows, kept_cells, every in (count_grid(u, sys_, 1), sigma_grid(u, sys_, 1)):
+    for rows, kept_cells, tops in (count_grid(u, sys_, 1), sigma_grid(u, sys_, 1)):
         assert kept_cells == cells
-        assert every == 1 and len(rows) == len(cells)
+        assert tops == range(len(cells)) and len(rows) == len(cells)
         filled = {(a, b) for b, (row, codes) in enumerate(zip(rows, cells))
                   for a, x in enumerate(row[: len(codes)]) if x is not None}
         assert filled == visited
@@ -194,8 +195,27 @@ def test_witness_is_the_every_row_argmin(pq):
         assert res.sigma == rows[0][0] == len(parts)
 
 
+def refolded(grid, lo_of):
+    """(top, rows, lo) of each segment that ``segments`` yields on a Grid of W, whose
+    ``least()`` is ``lo_of(the length of the kept row above)``: rows right of lo are W."""
+    cells, tops = grid.cells, grid.tops
+    start = 0  # the top of the next segment
+
+    def least():
+        return lo_of(len(cells[tops[bisect.bisect_right(tops, start) - 1]]))
+
+    for top, rows in segments(grid, least):
+        assert top == start and len(rows) >= 2, (top, start)
+        yield top, rows, least()
+        start = top + len(rows) - 1
+    assert start == len(cells)
+
+
 @pytest.mark.parametrize("pq", SYSTEMS)
 def test_refold_gives_the_rows_right_of_its_column(pq):
+    # the segments of every layout, refolded right of each column, cover the
+    # rows from 0 to one past the grid, each equal right of it to the
+    # every-row grid's, and start at every kept row
     sys_ = make_system(*pq)
     u = random.Random(sum(pq)).randrange(10**99, 10**100)
     rows, cells, _ = count_grid(u, sys_, 1)
@@ -203,13 +223,14 @@ def test_refold_gives_the_rows_right_of_its_column(pq):
         grid = count_grid(u, sys_, every)
         tops = grid.tops
         assert grid.rows == [rows[b] for b in tops]
-        for j, top in enumerate(tops):
-            for lo in (0, 1, len(cells[top]) // 2, len(cells[top]) - 1):
-                segment = refold(grid, top, lo)
-                assert len(segment) == (tops[j + 1] if j + 1 < len(tops) else len(cells)) - top + 1
+        for lo_of in (lambda n: 0, lambda n: 1, lambda n: n // 2, lambda n: n - 1):
+            starts = set()
+            for top, segment, lo in refolded(grid, lo_of):
+                starts.add(top)
                 for b, row in enumerate(segment, top):
                     full = rows[b] if b < len(rows) else []
                     assert len(row) == len(full) and row[lo:] == full[lo:], (every, top, lo, b)
+            assert starts >= set(tops), every
 
 
 @pytest.mark.parametrize("whole_bytes", [decomposition._WHOLE_BYTES, 0])
@@ -217,40 +238,61 @@ def test_refold_gives_the_rows_right_of_its_column(pq):
 def test_split_keeps_the_binomial_checkpoints_of_a_segment(pq, whole_bytes, monkeypatch):
     # from the bottom of a segment of n rows between kept ones, checkpoints
     # every s + 1 rows, then every s, ..., with s the least that C(s + 2, 2) > n,
-    # or none when its rows hold under _WHOLE_BYTES (at 0, never); their rows,
-    # right of the cut, are the every-row grid's
+    # or none when its rows hold under _WHOLE_BYTES (at 0, never): the tops
+    # that ``segments`` yields; their rows, right of the cut, are the
+    # every-row grid's
     monkeypatch.setattr(decomposition, "_WHOLE_BYTES", whole_bytes)
     sys_ = make_system(*pq)
     u = random.Random(sum(pq)).randrange(10**199, 10**200)
     rows, cells, _ = count_grid(u, sys_, 1)
     grid = count_grid(u, sys_, None)
     tops = grid.tops
-    assert tops[0] == 0 and list(tops) == sorted(set(tops)) and grid.every == tops
+    assert tops[0] == 0 and list(tops) == sorted(set(tops)) and type(tops) is tuple
+    ends = (*tops[1:], len(cells))
     kinds = set()
-    for j, top in enumerate(tops):
-        end = tops[j + 1] if j + 1 < len(tops) else len(cells)
-        n = end - top - 1
-        s = next(s for s in range(n + 1) if math.comb(s + 2, 2) > n)
-        whole = sum(map(decomposition._row_bytes, cells[top + 1:end])) < whole_bytes
-        kinds.add(whole)
-        for lo in (0, len(cells[top]) // 2):
-            part = split(grid, top, lo)
-            assert part.tops[0] == top and part.tops[-1] == end, (pq, top)
-            gaps = [b - a for a, b in zip(part.tops, part.tops[1:])][::-1]
+    for lo_of in (lambda n: 0, lambda n: n // 2):
+        subs = {top: [] for top in tops}  # the tops yielded in each kept segment
+        for sub, segment, lo in refolded(grid, lo_of):
+            subs[tops[bisect.bisect_right(tops, sub) - 1]].append(sub)
+            for b in (sub, sub + len(segment) - 1):
+                full = rows[b] if b < len(rows) else []
+                row = segment[b - sub]
+                assert len(row) == len(full) and row[lo:] == full[lo:], (pq, sub, lo, b)
+        for top, end in zip(tops, ends):
+            n = end - top - 1
+            s = next(s for s in range(n + 1) if math.comb(s + 2, 2) > n)
+            whole = sum(map(decomposition._row_bytes, cells[top + 1:end])) < whole_bytes
+            kinds.add(whole)
+            assert subs[top][0] == top, (pq, top)
+            gaps = [b - a for a, b in zip(subs[top], subs[top][1:] + [end])][::-1]
             if whole:
                 assert gaps == [end - top], (pq, top, gaps)
                 continue
             assert gaps[:-1] == list(range(s + 1, s + 2 - len(gaps), -1)), (pq, top, gaps)
             assert 0 < gaps[-1] <= s + 2 - len(gaps), (pq, top, gaps)
-            for b, row in zip(part.tops, part.rows):
-                full = rows[b] if b < len(rows) else []
-                assert len(row) == len(full) and row[lo:] == full[lo:], (pq, top, lo, b)
     assert whole_bytes or kinds == {False}, pq
 
 
+@pytest.mark.parametrize("pq", [(2, 3), (3, 2)])
+def test_segments_hold_no_yielded_segment(pq):
+    # once yielded, a segment and the rows refolded between its checkpoints
+    # are referenced only by the caller: a generator that kept either would
+    # hold two segments at once while it refolds the next, which raises the
+    # sampler's peak
+    sys_ = make_system(*pq)
+    grid = count_grid(random.Random(sum(pq)).randrange(10**299, 10**300), sys_, None)
+    held, between = [], 0
+    for top, segment in segments(grid, lambda: 0):
+        held.append(sys.getrefcount(segment))
+        held.extend(sys.getrefcount(segment[k]) for k in range(1, len(segment) - 1))
+        between += len(segment) - 2
+        del segment
+    assert between > 0 and set(held) == {2}, held
+
+
 def test_sample_at_10_600_folds_no_row_more_than_three_times(sys23, monkeypatch):
-    # the sweep folds each row once, the split of its segment once more and
-    # the refold between two binomial checkpoints once more
+    # the sweep folds each row once, ``segments`` the rows between two kept
+    # rows once more and those between two binomial checkpoints once more
     folds, fold_rows = Counter(), decomposition._fold_rows
 
     def counted(cells, bs, *args):

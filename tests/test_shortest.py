@@ -95,10 +95,10 @@ def test_witness_equals_the_argmin_lift(p, q, descend_and_lift, general_table):
 def test_sigma_unreachable(sys35):
     with pytest.raises(UnreachableSumError):
         ShortestTable(sys35).sigma(7)
-    # below 1 the fold has no cells: sigma(0) = 0 and sigma(-1) = inf
+    # below 1 the fold has no cells nor tops: sigma(0) = 0 and sigma(-1) = inf
     for every in (0, 1, None):
-        assert sigma_grid(0, sys35, every) == ([[0]], [], 1)
-        assert sigma_grid(-1, sys35, every) == ([[math.inf]], [], 1)
+        assert sigma_grid(0, sys35, every) == ([[0]], [], range(0))
+        assert sigma_grid(-1, sys35, every) == ([[math.inf]], [], range(0))
     table = ShortestTable(sys35)
     assert table.witness(0) == ShortestResult(0, 0, Partition())
     with pytest.raises(UnreachableSumError):
@@ -140,32 +140,32 @@ def test_stats_to_a_million_trace_under_4_mb(sys23):
     assert peak < 4 * 2**20, peak
 
 
-def test_sample_at_10_600_traces_under_16_mb(sys23):
+@pytest.fixture(scope="module")
+def sample_at_10_600(sys23):
+    """Four draws at 10^600 and the tracemalloc peak of drawing them: one
+    traced run, which tracing slows about tenfold, for both bounds below."""
+    tracemalloc.start()
+    try:
+        members = list(sample_uniform(10**600, sys23, 4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
+    return peak
+
+
+def test_sample_at_10_600_traces_under_16_mb(sample_at_10_600):
     # the sampler keeps its checkpoint rows, placed by their bytes, and the
     # binomial checkpoints of one segment; keeping every row of W once
     # traced 47 MB here
-    tracemalloc.start()
-    try:
-        members = list(sample_uniform(10**600, sys23, 4, 4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
-    assert peak < 16 * 2**20, peak
+    assert sample_at_10_600 < 16 * 2**20, sample_at_10_600
 
 
-def test_sample_at_10_600_traces_under_3_5_mb(sys23):
+def test_sample_at_10_600_traces_under_3_5_mb(sample_at_10_600):
     # 3.06 MiB with checkpoints placed by row bytes and binomial refolds;
     # ceil(sqrt(rows)) checkpoints, each segment refolded whole, traced
     # 6.33 MiB here
-    tracemalloc.start()
-    try:
-        members = list(sample_uniform(10**600, sys23, 4, 4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
-    assert peak < 3.5 * 2**20, peak
+    assert sample_at_10_600 < 3.5 * 2**20, sample_at_10_600
 
 
 def test_witness_at_10_600_traces_under_4_mb(sys23):

@@ -23,14 +23,15 @@ else reads the codes:
   - [N mod pq <= 1] W(N div pq), and ``sigma_grid`` by sigma(N) = the least
   of sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms
   whose residue is at most 1.  Both folds read one kind byte per cell, the
-  ``translate`` of its code, and return a ``Grid`` of the codes and every
-  k-th row: a lone value and the sigma witness row 0 alone (k = 0, two rows
-  live at a time), ``walk`` every row (k = 1), the sampler ``_checkpoints``,
-  placed by bytes.  ``segments``, the one loop of a descent down a Grid of
-  W, refolds the rows between two kept rows keeping binomial checkpoints
-  (Griewank and Walther's revolve, 2000), then the rows between those.  For
-  the witness the sigma fold also records one pick byte per cell, the
-  branch that its min took, ties to the first, so no sigma row is kept.
+  ``translate`` of its code, from a row's first reached cell on (on p = 2
+  its unreached cells are the run left of it), and return a ``Grid`` of the
+  codes and every k-th row: a lone value and the sigma witness row 0 alone
+  (k = 0, two rows live at a time), ``walk`` every row (k = 1), the sampler
+  ``_checkpoints``, placed by bytes.  ``segments``, the one loop of a descent
+  down a Grid of W, refolds the rows between two kept rows keeping binomial
+  checkpoints (revolve: Griewank and Walther, 2000), then the rows between.
+  The witness's sigma fold also records one pick byte per cell, the branch
+  that its min took, ties to the first, so no sigma row is kept.
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
   above, and ``descend`` follows one of them per cell to the leaf N = 1, or
   to the end of a segment: to build a member of a given rank for sampling
@@ -145,7 +146,7 @@ def _digits(n: int, base: int) -> Sequence[int]:
 
 @functools.lru_cache(maxsize=128)
 def _chunk_codes(sys: PQSystem) -> tuple[int, dict[int, tuple[bytes, int]]]:
-    """k, and a map filled on demand from s * p^k + c to (codes, s after).
+    """k, and a map filled on demand from s * p^k + c to (codes, s after * p^k).
 
     c holds the base-p digits N mod p of k cells in a row, least significant
     first, and s is N mod q at the first; the codes ignore reachability.
@@ -202,11 +203,12 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
     cells: list[bytes] = []
     seeds, n = 1, u  # one byte per cell: 1 at a seed, else 0
     while seeds and n:
-        chunks, parts, s = _digits(n, span), [], n % sys.q
+        chunks, parts, s = _digits(n, span), [], n % sys.q * span  # s: N mod q times span
         for c in chunks:
-            hit = table.get(s * span + c)
+            hit = table.get(s + c)
             if hit is None:
-                hit = table[s * span + c] = _codes_of(sys, k, s, c)
+                codes, after = _codes_of(sys, k, s // span, c)
+                hit = table[s + c] = codes, after * span
             parts.append(hit[0])
             s = hit[1]
         length, top = k * (len(chunks) - 1), chunks[-1]
@@ -231,13 +233,18 @@ def _fold_rows(cells: list[bytes], bs: range, below: list, at_zero: object,
     from ``below``, the row under the last; return those with b in ``keep``, b ascending.
 
     A row holds one value per cell a, None where unreached, and then the value
-    at N = 0; the row below is padded with that value past its end.
+    at N = 0; the row below is padded with that value past its end, in place
+    unless it is kept or the caller's.  Each row folds from its first reached cell.
     """
-    kept = []
+    kept, mine = [], False  # mine: ``below`` is a row of this fold, not kept
     for b in reversed(bs):
         codes = cells[b]
-        below = fold_row(codes, below + [at_zero] * (len(codes) + 1 - len(below)))
-        if b in keep:
+        if not mine:
+            below = below[:]
+        below += [at_zero] * (len(codes) + 1 - len(below))
+        below = fold_row(codes, below)
+        mine = b not in keep
+        if not mine:
             kept.append(below)
     kept.reverse()
     return kept
@@ -343,12 +350,13 @@ _COUNT_KINDS = bytes(_count_kind(code) for code in range(256))
 
 
 def _count_row(codes: bytes, below: list, lo: int = 0) -> list:
-    row: list = [None] * len(codes) + [1]
-    w = 1
-    # one kind byte per cell a >= lo, the kinds in the order of their
-    # frequency on p = 2; literals keep the loop free of name lookups
-    for a, kind in zip(range(len(codes) - 1, lo - 1, -1),
-                       reversed(codes[lo:].translate(_COUNT_KINDS))):
+    a = len(codes)
+    row: list = [None] * (a + 1)
+    row[a] = w = 1
+    # one kind byte per cell from the first reached one (or lo), a counted down,
+    # kinds by their frequency on p = 2; literals keep out name lookups
+    for kind in reversed(codes[max(lo, a - len(codes.lstrip(b"\0"))):].translate(_COUNT_KINDS)):
+        a -= 1
         if kind == 1:
             w += below[a]
         elif kind == 2:
@@ -401,13 +409,15 @@ def _sigma_row(codes: bytes, below: list, picks: Optional[list] = None) -> list:
     """One row of ``sigma_grid``; with a list ``picks``, also append the row's
     picks to it: per cell, the index in ``CELL_BRANCHES[False][code]`` of the
     argmin branch of a cell with two, ties to the first, else 0."""
-    row: list = [None] * len(codes) + [0]
-    pick = None if picks is None else bytearray(len(codes))
-    best = 0  # sigma at (a + 1, b) whenever the cell has STEP_P
-    # one kind byte per cell, as in ``_count_row``: 7-9 and 4-6 are the
-    # p terms + 1 and + 0, with no q term, + 0 or + 1; kind 8 lists its
-    # branches q first, the others p first
-    for a, kind in zip(range(len(codes) - 1, -1, -1), reversed(codes.translate(_SIGMA_KINDS))):
+    a = len(codes)
+    row: list = [None] * (a + 1)
+    row[a] = best = 0  # best: sigma at (a + 1, b) whenever the cell has STEP_P
+    pick = None if picks is None else bytearray(a)
+    # one kind byte per cell from the first reached one, as in ``_count_row``:
+    # 7-9 and 4-6 are the p terms + 1 and + 0, with no q term, + 0 or + 1;
+    # kind 8 lists its branches q first, the others p first
+    for kind in reversed(codes[a - len(codes.lstrip(b"\0")):].translate(_SIGMA_KINDS)):
+        a -= 1
         if kind >= 7:
             best += 1
             if kind == 8:

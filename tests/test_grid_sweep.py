@@ -161,6 +161,48 @@ def test_sigma_picks_are_the_argmin_branches():
                 assert branches[pick[a]] == argmin, (row, a, below)
 
 
+def test_row_folds_start_at_the_first_reached_cell():
+    # a leading run of unreached cells, then each shuffled row of codes: the
+    # folds equal the bit folds right of lo (count) and on the whole row
+    # (sigma), with None left of lo and picks of 0 on the run; ``below``
+    # holds None left of the first reached cell, so a read there raises
+    rng = random.Random(67)
+    for tail in code_rows(rng)[-200:]:
+        for run in (0, 1, 7, 300):
+            row = bytes(run) + tail
+            first = len(row) - len(row.lstrip(b"\0"))
+            full = [rng.randrange(-10**30, 10**30) for _ in range(len(row) + 1)]
+            want = count_row_by_bits(row, full)
+            for lo in sorted({0, run // 2, run, run + 1, first, first + 5}):
+                start = max(lo, first)
+                below = [None] * start + full[start:]
+                assert _count_row(row, below, lo) == [None] * lo + want[lo:], (run, lo)
+            full = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(row) + 1)]
+            below = [None] * first + full[first:]
+            picks, alone = [], []
+            sigma = _sigma_row(row, below, picks)
+            assert sigma == sigma_row_by_bits(row, full), run
+            assert sigma[run:] == _sigma_row(tail, full[run:], alone), run
+            assert picks[0] == bytes(run) + alone[0], run
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (2, 5), (2, 7), (3, 4)])
+def test_unreached_cells_of_a_row_lead_it_on_p_2(pq):
+    # on p = 2 every reached cell has STEP_P, so the unreached cells of a row
+    # are the run left of its first reached cell, which the folds skip; on
+    # p = 3 some row holds an unreached cell right of it, which they step over
+    sys_ = make_system(*pq)
+    rng = random.Random(68)
+    spans = [[codes.lstrip(b"\0") for codes in grid_cells(u, sys_)]
+             for u in (rng.randrange(10**149, 10**150), chain_sum(rng, 150, *pq))]
+    if pq[0] == 2:
+        for rows in spans:
+            assert len(rows) > 50 and all(code & STEP_P for codes in rows for code in codes)
+    else:
+        rows = spans[1]  # a random U of 150 digits has a grid of one row on (3, 4)
+        assert len(rows) > 50 and any(0 in codes for codes in rows)
+
+
 def chain_sum(rng, digits, p, q):
     """The sum of a random chain whose largest part has about ``digits`` digits."""
     top = digits * math.log(10)

@@ -150,9 +150,6 @@ class PrefixSums:
         self._sums = array("Q", itertools.accumulate(itertools.islice(counts, 1, limit + 1),
                                                       initial=0))
 
-    def count(self, u: int) -> int:
-        return self._counts[u] if 0 <= u <= self.limit else self.counter.w(u)
-
     def s(self, x: float) -> int:
         """S(x): the sum of W over 1..floor(x); 0 for x < 1."""
         if x >= self.limit + 1:

@@ -208,17 +208,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     from . import counting
     sys_ = _system(args)
     if args.method == "all":
-        engines = counting.all_counters(sys_)
+        names = {engine: name for name, engine in counting.ENGINES.items()}
         doc: dict = {"u": args.u}
         values = set()
-        for engine in engines:
-            name = {
-                "CaseTableCounter": "cases",
-                "HalvingCounter": "halving",
-                "DirectSumCounter": "direct",
-            }[type(engine).__name__]
+        for engine in counting.all_counters(sys_):
             w = engine.w(args.u)
-            doc[name] = str(w)
+            doc[names[type(engine)]] = str(w)
             values.add(w)
         doc["agree"] = len(values) == 1
         print(json.dumps(doc, separators=(",", ":")))

@@ -234,34 +234,21 @@ class DirectSumCounter(CountTable):
         return const, tuple(deps)
 
 
-METHOD_ALIASES = {
-    "cases": "cases",
-    "halving": "halving",
-    "direct": "direct",
-    # compatibility spellings used by the CLI contract
-    "general": "cases",
-    "p2": "halving",
-    "theorem2": "direct",
-}
+#: The counting engines by name, in the order of ``all_counters``.
+ENGINES = {"cases": CaseTableCounter, "halving": HalvingCounter, "direct": DirectSumCounter}
+
+#: Other spellings of the engine names: ``auto``, and those of the CLI contract.
+METHOD_ALIASES = {"auto": "cases", "general": "cases", "p2": "halving", "theorem2": "direct"}
 
 
 def make_counter(sys: PQSystem, method: str = "auto") -> CountTable:
     """Build a counting engine; ``auto`` is the cell rule at every base."""
-    name = "cases" if method == "auto" else METHOD_ALIASES.get(method)
-    if name is None:
+    engine = ENGINES.get(METHOD_ALIASES.get(method, method))
+    if engine is None:
         raise ValueError(f"unknown counting method {method!r}")
-    if name == "cases":
-        return CaseTableCounter(sys)
-    if name == "halving":
-        return HalvingCounter(sys)
-    return DirectSumCounter(sys)
+    return engine(sys)
 
 
 def all_counters(sys: PQSystem) -> list[CountTable]:
-    """One instance of every engine applicable to ``sys``."""
-    engines: list[CountTable] = [CaseTableCounter(sys)]
-    if sys.p == 2:
-        engines.append(HalvingCounter(sys))
-    engines.append(DirectSumCounter(sys))
-    return engines
-
+    """One instance of every engine applicable to ``sys``: halving needs p = 2."""
+    return [engine(sys) for name, engine in ENGINES.items() if name != "halving" or sys.p == 2]

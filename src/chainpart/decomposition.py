@@ -30,8 +30,8 @@ else reads the codes:
   ``_checkpoints``, placed by bytes.  ``segments``, the one loop of a descent
   down a Grid of W, refolds the rows between two kept rows keeping binomial
   checkpoints (revolve: Griewank and Walther, 2000), then the rows between.
-  The witness's sigma fold also records one pick byte per cell, the branch
-  that its min took, ties to the first, so no sigma row is kept.
+  The sigma fold prunes each code to the branch that its min took, ties to
+  the first, so the witness reads it from the codes and no sigma row is kept.
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
   above, and ``descend`` follows one of them per cell to the leaf N = 1, or
   to the end of a segment: to build a member of a given rank for sampling
@@ -97,7 +97,7 @@ CELL_BRANCHES = tuple(tuple(_branches_of(code, filtered) for code in range(64))
                       for filtered in (False, True))
 
 
-def descend(cells: list[bytes], a: int, b: int, filtered: bool, parts: list[tuple[int, int]],
+def descend(cells: list[bytearray], a: int, b: int, filtered: bool, parts: list[tuple[int, int]],
             pick: Callable[[int, int, tuple[CellBranch, ...]], CellBranch],
             end: Optional[int] = None) -> Optional[tuple[int, int, bool]]:
     """Go down the ``cells`` of ``grid_cells`` from the cell (a, b) to the leaf.
@@ -177,7 +177,7 @@ class Grid(NamedTuple):
     fold; ``tops`` is a ``range`` of every k-th row, or a tuple of checkpoint rows."""
 
     rows: list[list]
-    cells: list[bytes]
+    cells: list[bytearray]
     tops: Sequence[int]
 
 
@@ -185,8 +185,8 @@ _P_FF = bytes(0xFF if c & STEP_P else 0 for c in range(256))
 _Q_01 = bytes(1 if c & STEP_Q else 0 for c in range(256))
 
 
-def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
-    """Codes of the grid cells reachable from u >= 1, row by row.
+def grid_cells(u: int, sys: PQSystem) -> list[bytearray]:
+    """Codes of the grid cells reachable from u >= 1, a ``bytearray`` per row.
 
     ``cells[b][a]`` describes N = u div (p^a q^b): 0 when no branch path
     reaches it from u, else REACHED plus STEP_P when N mod p <= 1 (ONE_P when it
@@ -196,11 +196,11 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
     cells a, a + 1, ... joined by STEP_P and starting at a seed (a reached
     cell of the row above with STEP_Q) is cleared by adding the seed, as a
     carry.  A row ends at its last reached cell, and the rows end at one with
-    no reached STEP_Q cell, or at N = 0.
+    no reached STEP_Q cell, or at N = 0.  The sigma fold prunes the rows in place.
     """
     k, table = _chunk_codes(sys)
     span = sys.p**k
-    cells: list[bytes] = []
+    cells: list[bytearray] = []
     seeds, n = 1, u  # one byte per cell: 1 at a seed, else 0
     while seeds and n:
         chunks, parts, s = _digits(n, span), [], n % sys.q * span  # s: N mod q times span
@@ -214,21 +214,21 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytes]:
         length, top = k * (len(chunks) - 1), chunks[-1]
         while top:
             length, top = length + 1, top // sys.p
-        flags = b"".join(parts)[:length]
+        flags = b"".join(parts)  # past the length, codes of zero digits that ``mask`` drops
         mask = (1 << 8 * length) - 1
         seeds_ff = seeds * 0xFF
         # 0xFF at each seed and at each cell that a STEP_P cell steps into
         run = int.from_bytes(flags.translate(_P_FF), "little") << 8 | seeds_ff
         reached = (((run + seeds) ^ run) & run | seeds_ff) & mask
-        cells.append((int.from_bytes(flags, "little") & reached)
-                     .to_bytes(length, "little").rstrip(b"\0"))
+        row = int.from_bytes(flags, "little") & reached
+        cells.append(bytearray(row.to_bytes((row.bit_length() + 7) // 8, "little")))
         seeds = reached & int.from_bytes(flags.translate(_Q_01), "little")
         n //= sys.q
     return cells
 
 
-def _fold_rows(cells: list[bytes], bs: range, below: list, at_zero: object,
-               fold_row: Callable[[bytes, list], list], keep: Container[int]) -> list[list]:
+def _fold_rows(cells: list[bytearray], bs: range, below: list, at_zero: object,
+               fold_row: Callable[[bytearray, list], list], keep: Container[int]) -> list[list]:
     """Fold the rows b of ``bs``, an ascending range, bottom up by ``fold_row(codes, below)``
     from ``below``, the row under the last; return those with b in ``keep``, b ascending.
 
@@ -265,7 +265,7 @@ def _row_bytes(codes: bytes) -> float:
     return 8 * len(codes) + (len(codes) - codes.count(0)) * (28 + len(codes) / 30)
 
 
-def _checkpoints(cells: list[bytes]) -> tuple[int, ...]:
+def _checkpoints(cells: list[bytearray]) -> tuple[int, ...]:
     """Row 0 and the top of each segment where ``_slots(m)`` + 2 of its largest rows, as
     ``segments`` holds for m rows, would pass 1.3 R^(1/3) of the largest of all R rows."""
     size = [_row_bytes(codes) for codes in cells]
@@ -279,7 +279,7 @@ def _checkpoints(cells: list[bytes]) -> tuple[int, ...]:
     return tuple(tops[::-1])
 
 
-def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytes, list], list],
+def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytearray, list], list],
            every: Optional[int]) -> Grid:
     """Fold every row of ``grid_cells`` by ``_fold_rows``, the one sweep of a fold, into a Grid
     of every ``every``-th row: ``_checkpoints`` for None, and row 0 alone, one segment, for 0."""
@@ -375,20 +375,18 @@ def _count_row(codes: bytes, below: list, lo: int = 0) -> list:
     return row
 
 
-def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0,
-               picks: Optional[list] = None) -> Grid:
+def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
     """sigma on the reachable cells below u, as ``count_grid``.
 
     The rows fold by the sigma rule of the module docstring, with
     sigma(0) = 0 and inf where no term is left.  For u < 1 there are no
-    cells and no tops: sigma(0) = 0 and sigma(u) = inf below.  With a list
-    ``picks``, the fold appends to it the picks of ``_sigma_row``, one
-    ``bytes`` per row, b descending: the argmin branches of the witness.
+    cells and no tops: sigma(0) = 0 and sigma(u) = inf below.  The fold
+    prunes the Grid's codes as ``_sigma_row`` does, so the first branch of
+    each cell is the argmin that the witness descends.
     """
     if u < 1:
         return Grid([[0 if not u else _INF]], [], range(0))
-    fold_row = _sigma_row if picks is None else functools.partial(_sigma_row, picks=picks)
-    return _sweep(u, sys, 0, fold_row, every)
+    return _sweep(u, sys, 0, _sigma_row, every)
 
 
 def _sigma_kind(code: int) -> int:
@@ -403,16 +401,17 @@ def _sigma_kind(code: int) -> int:
 
 
 _SIGMA_KINDS = bytes(_sigma_kind(code) for code in range(256))
+#: A code less its p side, and less its q side.
+_NO_P, _NO_Q = 0xFF ^ (STEP_P | ONE_P), 0xFF ^ (STEP_Q | ONE_Q | FILTERED)
 
 
-def _sigma_row(codes: bytes, below: list, picks: Optional[list] = None) -> list:
-    """One row of ``sigma_grid``; with a list ``picks``, also append the row's
-    picks to it: per cell, the index in ``CELL_BRANCHES[False][code]`` of the
-    argmin branch of a cell with two, ties to the first, else 0."""
+def _sigma_row(codes: bytearray, below: list) -> list:
+    """One row of ``sigma_grid``.  At a cell with two branches whose second
+    scores strictly less, it clears the first's bits in ``codes``, so that
+    ``CELL_BRANCHES[filtered][code][0]`` is the argmin branch, ties to the first."""
     a = len(codes)
     row: list = [None] * (a + 1)
     row[a] = best = 0  # best: sigma at (a + 1, b) whenever the cell has STEP_P
-    pick = None if picks is None else bytearray(a)
     # one kind byte per cell from the first reached one, as in ``_count_row``:
     # 7-9 and 4-6 are the p terms + 1 and + 0, with no q term, + 0 or + 1;
     # kind 8 lists its branches q first, the others p first
@@ -423,24 +422,21 @@ def _sigma_row(codes: bytes, below: list, picks: Optional[list] = None) -> list:
             if kind == 8:
                 if below[a] <= best:
                     best = below[a]
-                elif pick is not None:
-                    pick[a] = 1
+                else:
+                    codes[a] &= _NO_Q
             elif kind == 9:
                 if below[a] + 1 < best:
                     best = below[a] + 1
-                    if pick is not None:
-                        pick[a] = 1
+                    codes[a] &= _NO_P
         elif kind >= 4:
             if kind == 5:
                 if below[a] < best:
                     best = below[a]
-                    if pick is not None:
-                        pick[a] = 1
+                    codes[a] &= _NO_P
             elif kind == 6:
                 if below[a] + 1 < best:
                     best = below[a] + 1
-                    if pick is not None:
-                        pick[a] = 1
+                    codes[a] &= _NO_P
         elif not kind:
             continue
         elif kind == 2:
@@ -450,8 +446,6 @@ def _sigma_row(codes: bytes, below: list, picks: Optional[list] = None) -> list:
         else:
             best = _INF
         row[a] = best
-    if pick is not None:
-        picks.append(bytes(pick))
     return row
 
 

@@ -15,7 +15,7 @@ Parts are kept in chain order, so each move rewrites a slice of the tuple
 and its chain check looks only at the parts next to that slice (a B-candidate
 can break the chain against a lower level, in which case it simply is not a
 move).  Neighbor sets add the inverses of both families, each checked on the
-parts next to it with no move replayed (see ``neighbors``), so the relation
+parts next to it with no move replayed (see ``_inverses``), so the relation
 is symmetric.  Every forward move stays in Omega(U), so ``build_graph`` takes
 the forward moves and their reversals as its edges, and ``diameter`` is exact
 by iFUB.  Its breadth-first search on vertex indices is the only one: the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import (
     InvalidSystemError,
@@ -93,16 +93,15 @@ def forward_moves(pt: Partition) -> set[Partition]:
     return out
 
 
-def neighbors(pt: Partition) -> frozenset[Partition]:
-    """Neighbor set of ``pt`` in the transition graph of its sum.
+def _inverses(pt: Partition) -> Iterator[tuple[int, Partition]]:
+    """The partitions that move to ``pt``, each after the index i of the part it rewrites.
 
-    The forward moves plus the partitions that move to ``pt``.  An inverse
-    changes the number of parts, so only one forward move can undo it, and
-    on a chain that move always applies: an inverse is a neighbor iff it is
-    a chain, which only the parts next to the change can break.
+    An inverse changes the number of parts, so only one forward move can undo
+    it, and on a chain that move always applies: an inverse is a neighbor iff
+    it is a chain, which only the parts next to the change can break.  At most
+    one inverse rewrites a part, and none a part followed by one of its level.
     """
     n = len(pt)
-    out = forward_moves(pt)
     for i, (alpha, beta) in enumerate(pt):
         after = pt[i + 1] if i + 1 < n else None
         # inverse A: split (alpha, beta) into (alpha+1, beta-1) and (alpha, beta-1);
@@ -110,11 +109,11 @@ def neighbors(pt: Partition) -> frozenset[Partition]:
         if beta and (i == 0 or pt[i - 1][0] > alpha) and (
                 after is None or (after[1] < beta and after != (alpha, beta - 1))):
             split = ((alpha + 1, beta - 1), (alpha, beta - 1))
-            out.add(Partition(pt[:i] + split + pt[i + 1:]))
+            yield i, Partition(pt[:i] + split + pt[i + 1:])
         # inverse B: (c, b+1), (c, b) with the run (c+1, b+1), ... before them
         # return to (top, b) and the run at level b; a chain iff the part
         # before the run has a >= top
-        if after == (alpha, beta - 1):
+        elif after == (alpha, beta - 1):
             h = i
             while h and pt[h - 1] == (alpha + i - h + 1, beta):
                 h -= 1
@@ -122,7 +121,15 @@ def neighbors(pt: Partition) -> frozenset[Partition]:
             if h == 0 or pt[h - 1][0] >= top:
                 lowered = ((top, beta - 1),) + tuple(
                     (x, beta - 1) for x in range(top - 2, alpha, -1))
-                out.add(Partition(pt[:h] + lowered + pt[i + 2:]))
+                yield i, Partition(pt[:h] + lowered + pt[i + 2:])
+
+
+def neighbors(pt: Partition) -> frozenset[Partition]:
+    """Neighbor set of ``pt`` in the transition graph of its sum: the forward
+    moves plus the ``_inverses``, the partitions that move to ``pt``."""
+    out = forward_moves(pt)
+    for _, nxt in _inverses(pt):
+        out.add(nxt)
     return frozenset(out)
 
 
@@ -216,37 +223,23 @@ def build_graph(u: int, sys: PQSystem,
 def reduce_to_binary(pt: Partition, sys: PQSystem) -> list[Partition]:
     """A move path from ``pt`` to the binary partition of its sum.
 
-    Strategy: take the largest 3-level b and the smallest part 2^a*3^b on it.
-    When 2^a*3^(b-1) is absent apply the inverse A split; otherwise the
-    inverse B merge (with its run) applies.  Either move reduces the number
+    Strategy: take the last part 2^a*3^b of the highest 3-level b, in chain
+    order, and apply its inverse move: the A split when 2^a*3^(b-1) is
+    absent, else the B merge with its run.  Either move reduces the number
     of parts at level b, so the path ends at level 0, the binary partition.
     Returns the successor states; the empty list when ``pt`` is already
     binary.  The length never exceeds ``diameter_bound`` of the sum.
     """
     _require_23(sys)
     path: list[Partition] = []
-    guard = 0
-    while pt and max(b for _, b in pt) > 0:
-        parts = set(pt)
-        b = max(d for _, d in parts)
-        a = min(x for x, d in parts if d == b)
-        if (a, b - 1) not in parts:
-            nxt = parts - {(a, b)} | {(a + 1, b - 1), (a, b - 1)}
-        else:
-            run = []
-            j = a + 1
-            while (j, b) in parts:
-                run.append(j)
-                j += 1
-            top = a + len(run) + 2
-            nxt = parts - {(a, b - 1), (a, b)} - {(x, b) for x in run}
-            nxt |= {(x, b - 1) for x in run} | {(top, b - 1)}
-        stepped = Partition.from_pairs(nxt)  # raises if the move broke the chain
+    while pt and pt[0][1]:
+        # no inverse rewrites a part followed by one of its level, so the first
+        # is at the last part of the top level if any applies there
+        i, stepped = next(_inverses(pt), (-1, None))
+        if stepped is None or pt[i][1] < pt[0][1]:
+            raise InvariantViolationError(f"no inverse move at the last part of {pt}'s top level")
         path.append(stepped)
         pt = stepped
-        guard += 1
-        if guard > 10_000_000:  # pragma: no cover - defensive
-            raise RuntimeError("reduction did not terminate")
     return path
 
 

@@ -10,9 +10,9 @@ dense scan is ``sigma_fill`` on a ``bytearray``, one byte per sum and
 ``NO_SIGMA`` (0x7F) where Omega is empty; sigma(U) <= log2(U) + 1 keeps every
 value below 0x7E.  ``stats`` reads those bytes directly, and ``scan`` lists
 them, with math.inf for NO_SIGMA.  A witness is one ``decomposition.descend``
-of the cells of one two-row sweep along the argmin branches, which the sweep
-records as one pick byte per cell; ties go to the first branch of a cell in
-the order p, q, 1p, 1q, which makes witnesses deterministic.  Below a
+of the cells of one two-row sweep along the first branch of each cell: the
+sweep prunes each code to its argmin branches, ties to the first branch of a
+cell in the order p, q, 1p, 1q, which makes witnesses deterministic.  Below a
 filtered branch into Omega(pv) the descent drops the p-scaled branch, which
 is never the argmin there: the descent enters pv only when
 sigma(pv) < sigma(v).
@@ -38,7 +38,7 @@ from .core import (
     _check_chain,
     value,
 )
-from .decomposition import NO_SIGMA, CellBranch, descend, sigma_fill, sigma_grid
+from .decomposition import NO_SIGMA, descend, sigma_fill, sigma_grid
 
 _INF = math.inf
 #: A dense sigma byte as ``scan`` lists it.
@@ -100,21 +100,16 @@ class ShortestTable:
     def witness(self, u: int) -> ShortestResult:
         """One shortest partition, built by descending the argmin branches.
 
-        One two-row sweep records, at each cell (a, b), which branch scores
-        least: 1 if it adds a part, plus sigma at the cell below it.  Below a
-        filtered branch the only branch is the q side.
+        One two-row sweep prunes each cell (a, b) to the branches that score
+        least, ties to the first: 1 if it adds a part, plus sigma at the cell
+        below it.  So the descent takes the first branch of every cell; below
+        a filtered branch that is the q side, which the pruning never clears.
         """
-        picks: list[bytes] = []
-        rows, cells, _ = sigma_grid(u, self.sys, picks=picks)
-        picks.reverse()
+        rows, cells, _ = sigma_grid(u, self.sys)
         self.table[u] = rows[0][0]
         best = self.sigma(u)
-
-        def argmin(a: int, b: int, branches: tuple[CellBranch, ...]) -> CellBranch:
-            return branches[picks[b][a]] if len(branches) == 2 else branches[0]
-
         parts: list[tuple[int, int]] = []
-        descend(cells, 0, 0, False, parts, argmin)
+        descend(cells, 0, 0, False, parts, lambda a, b, branches: branches[0])
         pt = Partition(parts[::-1])
         if value(pt, self.sys) != u or len(pt) != best:
             raise InvariantViolationError("the witness is not a partition of u into sigma(u) parts")

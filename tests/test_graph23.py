@@ -236,6 +236,12 @@ def test_reduce_to_binary_paths(sys23):
     assert len(path19) <= diameter_bound(19)
 
 
+def test_reduce_to_binary_refuses_a_top_level_without_an_inverse(sys23):
+    # 3 before 6 is no chain: no inverse applies at the last part of its top level
+    with pytest.raises(InvariantViolationError, match="no inverse move"):
+        reduce_to_binary(Partition(((0, 1), (1, 1))), sys23)
+
+
 def test_reduce_steps_are_graph_moves(sys23):
     en = ResidueEnumerator(sys23)
     for u in (19, 27, 57, 81, 100):

@@ -74,8 +74,10 @@ def test_sweep_visits_exactly_the_reachable_grid_quotients(pq, general_table):
     values = {u // (p**a * q**b) for a, b in visited}
     assert values <= grid_quotients(u, p, q)
     assert {x for x in values if x >= 2} == reachable(u, general_table(sys_))
-    for rows, kept_cells, tops in (count_grid(u, sys_, 1), sigma_grid(u, sys_, 1)):
-        assert kept_cells == cells
+    count, sigma = count_grid(u, sys_, 1), sigma_grid(u, sys_, 1)
+    # the count fold leaves the codes as they are, and the sigma fold prunes
+    assert count.cells == cells and is_pruned(cells, sigma.cells)
+    for rows, _, tops in (count, sigma):
         assert tops == range(len(cells)) and len(rows) == len(cells)
         filled = {(a, b) for b, (row, codes) in enumerate(zip(rows, cells))
                   for a, x in enumerate(row[: len(codes)]) if x is not None}
@@ -133,38 +135,53 @@ def test_kind_byte_folds_equal_the_bit_folds():
     rng = random.Random(64)
     for row in code_rows(rng):
         below = [rng.randrange(-10**30, 10**30) for _ in range(len(row) + 1)]
-        assert _count_row(row, below) == count_row_by_bits(row, below), row
+        assert _count_row(bytearray(row), below) == count_row_by_bits(row, below), row
         below = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(row) + 1)]
-        assert _sigma_row(row, below) == sigma_row_by_bits(row, below), row
+        assert _sigma_row(bytearray(row), below) == sigma_row_by_bits(row, below), row
 
 
-def test_sigma_picks_are_the_argmin_branches():
-    # the pick of a cell with two branches is the one that ``min`` takes over
-    # CELL_BRANCHES, ties to the first; the fold with picks gives the same row
+def first_bits(code):
+    """The code bits of the first of a cell's branches: its q side where
+    ``CELL_BRANCHES`` lists q first, else its p side."""
+    return STEP_Q | ONE_Q | FILTERED if CELL_BRANCHES[False][code][0].db else STEP_P | ONE_P
+
+
+def is_pruned(old, new):
+    """Whether each code of the rows ``new`` is that of ``old``, or, at a cell
+    with two branches, that code less its first branch's bits."""
+    if list(map(len, new)) != list(map(len, old)):
+        return False
+    return all(y == x or (len(CELL_BRANCHES[False][x]) == 2 and y == x & ~first_bits(x))
+               for o, n in zip(old, new) for x, y in zip(o, n))
+
+
+def test_sigma_fold_prunes_to_the_argmin_branch():
+    # the fold leaves a code as it is or, at a cell with two branches whose
+    # second scores strictly less, clears its first branch's bits: either way
+    # the first branch left is the one that ``min`` takes over CELL_BRANCHES,
+    # ties to the first
     rng = random.Random(65)
     for row in code_rows(rng):
         for values in ((0, 1), (math.inf, 0, 1, 2), (math.inf, *range(40))):
             below = [rng.choice(values) for _ in range(len(row) + 1)]
-            picks = []
-            sigma = _sigma_row(row, below, picks)
-            assert sigma == _sigma_row(row, below) and len(picks) == 1, row
-            pick = picks[0]
-            assert type(pick) is bytes and len(pick) == len(row)
+            codes = bytearray(row)
+            sigma = _sigma_row(codes, below)
+            assert sigma == sigma_row_by_bits(row, below) and is_pruned([row], [codes]), row
             for a, code in enumerate(row):
                 branches = CELL_BRANCHES[False][code]
-                if len(branches) < 2:
-                    assert pick[a] == 0, (row, a)
+                if not branches:
+                    assert codes[a] == code, (row, a)
                     continue
                 # a p side steps into the nearest reached cell to the right
                 right = next(x for x in sigma[a + 1:] if x is not None)
                 argmin = min(branches, key=lambda br: br.unit + (right if br.da else below[a]))
-                assert branches[pick[a]] == argmin, (row, a, below)
+                assert CELL_BRANCHES[False][codes[a]][0] == argmin, (row, a, below)
 
 
 def test_row_folds_start_at_the_first_reached_cell():
     # a leading run of unreached cells, then each shuffled row of codes: the
     # folds equal the bit folds right of lo (count) and on the whole row
-    # (sigma), with None left of lo and picks of 0 on the run; ``below``
+    # (sigma), with None left of lo and the run's codes left zero; ``below``
     # holds None left of the first reached cell, so a read there raises
     rng = random.Random(67)
     for tail in code_rows(rng)[-200:]:
@@ -176,14 +193,16 @@ def test_row_folds_start_at_the_first_reached_cell():
             for lo in sorted({0, run // 2, run, run + 1, first, first + 5}):
                 start = max(lo, first)
                 below = [None] * start + full[start:]
-                assert _count_row(row, below, lo) == [None] * lo + want[lo:], (run, lo)
+                codes = bytearray(row)
+                assert _count_row(codes, below, lo) == [None] * lo + want[lo:], (run, lo)
+                assert codes == row, (run, lo)
             full = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(row) + 1)]
             below = [None] * first + full[first:]
-            picks, alone = [], []
-            sigma = _sigma_row(row, below, picks)
+            codes, alone = bytearray(row), bytearray(tail)
+            sigma = _sigma_row(codes, below)
             assert sigma == sigma_row_by_bits(row, full), run
-            assert sigma[run:] == _sigma_row(tail, full[run:], alone), run
-            assert picks[0] == bytes(run) + alone[0], run
+            assert sigma[run:] == _sigma_row(alone, full[run:]), run
+            assert codes == bytes(run) + alone, run
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (2, 5), (2, 7), (3, 4)])
@@ -218,20 +237,20 @@ def chain_sum(rng, digits, p, q):
 
 @pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 2)])
 def test_witness_is_the_every_row_argmin(pq):
-    # the witness from pick bytes on two rows against a min over the branches
-    # of each cell, scored on every row of sigma
+    # the witness from the pruned codes of two rows against a min over the
+    # branches of each cell of the unpruned codes, scored on every row of sigma
     sys_ = make_system(*pq)
     rng = random.Random(66 + sum(pq))
     table = ShortestTable(sys_)
     for digits in (100, 150, 200, 300):
         u = chain_sum(rng, digits, *pq)
-        rows, cells, _ = sigma_grid(u, sys_, 1)
+        rows = sigma_grid(u, sys_, 1).rows
 
         def argmin(a, b, branches):
             return min(branches, key=lambda br: br.unit + rows[b + br.db][a + br.da])
 
         parts = []
-        descend(cells, 0, 0, False, parts, argmin)
+        descend(grid_cells(u, sys_), 0, 0, False, parts, argmin)
         res = table.witness(u)
         assert res.witness == Partition(parts[::-1]), (pq, digits)
         assert res.sigma == rows[0][0] == len(parts)

@@ -2,12 +2,14 @@
 
 Each criterion is a function taking a profile ("quick" for a scaled-down
 smoke run, "full" for the complete scan ranges) and returning a
-CriterionResult.  Failures carry a human-readable detail string; the runner
+CriterionResult.  Its body, under ``_criterion``, returns the detail string
+or raises; failures carry a human-readable detail string, and the runner
 turns any failure into exit status 2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -19,6 +21,7 @@ from .core import make_system
 
 #: 0.99 quantile of the chi-square law with 6 degrees of freedom.
 CHI2_CRITICAL_6DOF_99 = 16.8119
+SYS23 = make_system(2, 3)
 
 OMEGA19_TREE_WORDS = {"1112222", "1112213", "1332", "131122"}
 OMEGA19_LATTICE_WORDS = {"3203", "3013", "1133", "11003"}
@@ -45,361 +48,332 @@ def _need(cond: bool, message: str) -> None:
         raise _Failure(message)
 
 
-def _result(cid: int, name: str, body: Callable[[], str]) -> CriterionResult:
-    try:
-        detail = body()
-        return CriterionResult(cid, name, True, detail)
-    except _Failure as exc:
-        return CriterionResult(cid, name, False, str(exc))
-    except core.ChainPartError as exc:
-        return CriterionResult(cid, name, False, f"{type(exc).__name__}: {exc}")
+def _criterion(cid: int, name: str) -> Callable[[Callable[..., str]], Callable]:
+    """Criterion ``cid`` of a body that returns its detail; a _Failure or a
+    ChainPartError in the body makes it a failed CriterionResult."""
+
+    def wrap(body: Callable[..., str]) -> Callable[..., CriterionResult]:
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CriterionResult:
+            try:
+                return CriterionResult(cid, name, True, body(*args, **kwargs))
+            except _Failure as exc:
+                return CriterionResult(cid, name, False, str(exc))
+            except core.ChainPartError as exc:
+                return CriterionResult(cid, name, False, f"{type(exc).__name__}: {exc}")
+
+        return run
+
+    return wrap
 
 
-def criterion_01_omega19(profile: str) -> CriterionResult:
-    def body() -> str:
-        t0 = time.perf_counter()
-        sys23 = make_system(2, 3)
-        members = enumeration.ResidueEnumerator(sys23).omega(19)
-        _need(len(members) == 4, f"|Omega(19)| = {len(members)}, wanted 4")
-        tree = {codec.tree_encode(pt, sys23).render(sys23) for pt in members}
-        lattice = {codec.lattice_encode(pt) for pt in members}
-        _need(tree == OMEGA19_TREE_WORDS, f"tree words {sorted(tree)}")
-        _need(lattice == OMEGA19_LATTICE_WORDS, f"lattice words {sorted(lattice)}")
-        elapsed = time.perf_counter() - t0
-        _need(elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s")
-        return "4 members, both word sets byte-exact"
-
-    return _result(1, "omega19-words", body)
+@_criterion(1, "omega19-words")
+def criterion_01_omega19(profile: str) -> str:
+    t0 = time.perf_counter()
+    members = enumeration.ResidueEnumerator(SYS23).omega(19)
+    _need(len(members) == 4, f"|Omega(19)| = {len(members)}, wanted 4")
+    tree = {codec.tree_encode(pt, SYS23).render(SYS23) for pt in members}
+    lattice = {codec.lattice_encode(pt) for pt in members}
+    _need(tree == OMEGA19_TREE_WORDS, f"tree words {sorted(tree)}")
+    _need(lattice == OMEGA19_LATTICE_WORDS, f"lattice words {sorted(lattice)}")
+    elapsed = time.perf_counter() - t0
+    _need(elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s")
+    return "4 members, both word sets byte-exact"
 
 
-def criterion_02_omega27(profile: str) -> CriterionResult:
-    def body() -> str:
-        t0 = time.perf_counter()
-        sys23 = make_system(2, 3)
-        members = enumeration.ResidueEnumerator(sys23).omega(27)
-        words = {codec.lattice_encode(pt) for pt in members}
-        _need(words == OMEGA27_LATTICE_WORDS, f"lattice words {sorted(words)}")
-        try:  # diameter()'s first BFS finds a disconnected graph
-            diam = graph23.build_graph(27, sys23).diameter()
-        except core.InvariantViolationError:
-            raise _Failure("graph on Omega(27) is disconnected") from None
-        elapsed = time.perf_counter() - t0
-        _need(elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s")
-        return f"7 words reproduced; graph connected, diameter {diam}"
-
-    return _result(2, "omega27-graph", body)
+@_criterion(2, "omega27-graph")
+def criterion_02_omega27(profile: str) -> str:
+    t0 = time.perf_counter()
+    members = enumeration.ResidueEnumerator(SYS23).omega(27)
+    words = {codec.lattice_encode(pt) for pt in members}
+    _need(words == OMEGA27_LATTICE_WORDS, f"lattice words {sorted(words)}")
+    try:  # diameter()'s first BFS finds a disconnected graph
+        diam = graph23.build_graph(27, SYS23).diameter()
+    except core.InvariantViolationError:
+        raise _Failure("graph on Omega(27) is disconnected") from None
+    elapsed = time.perf_counter() - t0
+    _need(elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s")
+    return f"7 words reproduced; graph connected, diameter {diam}"
 
 
+@_criterion(3, "count-cross-validation")
 def criterion_03_counting(profile: str,
-                          corrupt: bool = False) -> CriterionResult:
-    def body() -> str:
-        t0 = time.perf_counter()
-        oracle_limit = 10_000 if profile == "full" else 400
-        scan_limit = 1_000_000 if profile == "full" else 20_000
-        checked = []
-        for p, q in ((2, 3), (2, 5)):
-            sys_ = make_system(p, q)
-            census = core.chain_census(oracle_limit, sys_)
-            engines = counting.all_counters(sys_)
-            scans = [eng.scan(scan_limit) for eng in engines]
-            for eng, scan in zip(engines, scans):
-                head = scan[: oracle_limit + 1]
-                _need(
-                    head.tolist() == census.counts,
-                    f"{type(eng).__name__} disagrees with the oracle for {sys_}",
-                )
-            for other in scans[1:]:
-                _need(other == scans[0], f"engine scans disagree for {sys_}")
-            if corrupt and (p, q) == (2, 3):
-                engines[1].table[2931] = -1  # deliberate memo damage (test hook)
-            for u in range(0, scan_limit + 1, 977):
-                vals = {eng.w(u) for eng in engines}
-                _need(
-                    len(vals) == 1,
-                    f"pointwise disagreement at u={u} for {sys_}: {sorted(vals)}",
-                )
-            checked.append(f"{sys_} ok to {scan_limit}")
-        elapsed = time.perf_counter() - t0
-        _need(elapsed < 600.0, f"took {elapsed:.1f}s, budget 600s")
-        return "; ".join(checked)
-
-    return _result(3, "count-cross-validation", body)
-
-
-def criterion_04_small_counts(profile: str) -> CriterionResult:
-    def body() -> str:
-        limit = 100_000 if profile == "full" else 10_000
-        sys23 = make_system(2, 3)
-        report = analytics.classify_small_counts(limit, sys23)
-        return (
-            f"{{W=1}} and {{W=2}} match exactly to {limit} "
-            f"({len(report.ones)} ones, {len(report.twos)} twos)"
-        )
-
-    return _result(4, "small-count-characterization", body)
-
-
-def criterion_05_monotonicity(profile: str) -> CriterionResult:
-    def body() -> str:
-        if profile == "full":
-            qs, limit = (3, 5, 7, 9, 11, 13, 15), 1_000_000
-        else:
-            qs, limit = (3, 5, 7), 30_000
-        for q in qs:
-            report = analytics.check_local_monotonicity(limit, make_system(2, q))
-            _need(not report.violations, f"q={q}: {report.violations[:3]}")
-        return f"no violations for q in {qs} up to {limit}"
-
-    return _result(5, "local-monotonicity", body)
-
-
-def criterion_06_max_jumps(profile: str) -> CriterionResult:
-    def body() -> str:
-        sys23 = make_system(2, 3)
-        small = analytics.max_count_jumps(400, sys23)
-        got = [(r.u, r.value) for r in small.records]
-        _need(got == MAX_JUMPS_TO_400, f"jump list to 400: {got}")
-        limit = 1_000_000 if profile == "full" else 10_000
-        big = analytics.max_count_jumps(limit, sys23)
-        _need(all(r.u % 3 == 0 for r in big.records), "jump not divisible by 3")
-        _need(
-            not big.conjecture_exceptions,
-            f"even-multiple jumps: {big.conjecture_exceptions}",
-        )
-        return f"11 known records exact; {len(big.records)} jumps to {limit}, 0 exceptions"
-
-    return _result(6, "max-jumps", body)
-
-
-def criterion_07_shortest(profile: str) -> CriterionResult:
-    def body() -> str:
-        sys23 = make_system(2, 3)
-        table = shortest.ShortestTable(sys23)
-        res = table.witness(19)
-        _need(res.sigma == 2, f"sigma(19) = {res.sigma}")
-        _need(
-            res.witness == ((1, 2), (0, 0)),
-            f"sigma(19) witness {res.witness}",
-        )
-        for a in range(0, 21):
-            u = 3 * 2**a - 1
-            _need(table.sigma(u) == a + 1, f"sigma({u}) != {a + 1}")
-            _need(table.sigma(3 * 2**a) == 1, f"sigma({3 * 2 ** a}) != 1")
-        census_limit = 10_000 if profile == "full" else 400
-        census = core.chain_census(census_limit, sys23)
-        arr = table.scan(census_limit)
-        for u in range(1, census_limit + 1):
-            _need(arr[u] == census.min_len[u], f"sigma({u}) != oracle minimum")
-        if profile != "full":
-            stats = table.stats(20_000)
-            return (
-                f"spot values and oracle minima to {census_limit} pass; the "
-                f"soft mean-ratio window is asserted at full scale only "
-                f"(here mean = {stats.mean_ratio:.4f})"
-            )
-        stats = table.stats(500_000)
-        _need(
-            0.85 <= stats.mean_ratio <= 1.15,
-            f"exact checks pass (spot values, oracle minima to {census_limit}); "
-            f"soft check red: mean of 4*sigma(u)/log2(u) over [2, 500000] "
-            f"is {stats.mean_ratio:.4f}, outside the stated window [0.85, 1.15]. "
-            f"sigma is verified exactly, so the window itself is unattainable at "
-            f"this scale: the additive offset in sigma decays only like 1/log(u) "
-            f"(dyadic-window slope of sigma vs log2(u)/4 is about 1.07)",
-        )
-        return (
-            f"oracle match to {census_limit}; mean ratio {stats.mean_ratio:.4f} "
-            f"over [2, 500000]"
-        )
-
-    return _result(7, "shortest-lengths", body)
-
-
-def criterion_08_growth_bound(profile: str) -> CriterionResult:
-    def body() -> str:
-        limit = 1_000_000 if profile == "full" else 30_000
-        sys23 = make_system(2, 3)
-        report = analytics.check_growth_bound(limit, sys23)
-        _need(not report.violations, f"W(u) > u^beta at {report.violations[:3]}")
-        _need(round(report.beta, 2) == 0.79, f"beta = {report.beta}")
-        return f"W <= U^{report.beta:.4f} to {limit}; max ratio {report.max_ratio:.4f}"
-
-    return _result(8, "growth-bound", body)
-
-
-def criterion_09_exponents(profile: str) -> CriterionResult:
-    def body() -> str:
-        roots34 = analytics.solve_exponents(make_system(3, 4))
-        _need(abs(roots34.alpha - 1.0) <= 1e-10, f"alpha(3,4) = {roots34.alpha!r}")
-        roots23 = analytics.solve_exponents(make_system(2, 3))
-        _need(abs(roots23.alpha_residual) <= 1e-12,
-              f"alpha residual {roots23.alpha_residual!r}")
-        _need(1.0 < roots23.alpha < 1.5, f"alpha(2,3) = {roots23.alpha!r}")
-        for p, q in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
-            roots = analytics.solve_exponents(make_system(p, q))
-            _need(roots.alpha > roots.beta, f"alpha <= beta for ({p},{q})")
-        return f"alpha(3,4) = 1 exactly; alpha(2,3) = {roots23.alpha:.6f}"
-
-    return _result(9, "exponent-solver", body)
-
-
-def criterion_10_partial_sums(profile: str) -> CriterionResult:
-    def body() -> str:
-        sys23 = make_system(2, 3)
-        id_limit = 100_000 if profile == "full" else 3_000
-        n_random = 1_000 if profile == "full" else 100
-        prefix = analytics.PrefixSums(sys23, id_limit)
-        for x in range(1, id_limit + 1):
-            gap = prefix.identity_gap(x)
-            _need(gap == 0, f"identity gap {gap} at x = {x}")
-        rng = random.Random(10)
-        for _ in range(n_random):
-            x = rng.uniform(0.0, float(id_limit))
-            if x == math.floor(x):
-                x += 0.5
-            gap = prefix.identity_gap(x)
-            _need(gap == 0, f"identity gap {gap} at x = {x!r}")
-        xmax = 1_000_000 if profile == "full" else 100_000
-        estimate = analytics.estimate_growth_constant(sys23, xmax)
-        _need(
-            estimate.max_ratio <= estimate.upper_bound,
-            f"ratio {estimate.max_ratio} above the bound {estimate.upper_bound}",
-        )
-        if profile == "full":
+                          corrupt: bool = False) -> str:
+    t0 = time.perf_counter()
+    oracle_limit = 10_000 if profile == "full" else 400
+    scan_limit = 1_000_000 if profile == "full" else 20_000
+    checked = []
+    for p, q in ((2, 3), (2, 5)):
+        sys_ = make_system(p, q)
+        census = core.chain_census(oracle_limit, sys_)
+        engines = counting.all_counters(sys_)
+        scans = [eng.scan(scan_limit) for eng in engines]
+        for eng, scan in zip(engines, scans):
+            head = scan[: oracle_limit + 1]
             _need(
-                estimate.tail_spread < 0.20,
-                f"tail spread {estimate.tail_spread:.4f} >= 20%",
+                head.tolist() == census.counts,
+                f"{type(eng).__name__} disagrees with the oracle for {sys_}",
             )
-        return (
-            f"identity exact on {id_limit}+{n_random} points; "
-            f"ratios <= {estimate.upper_bound:.4f}, tail spread "
-            f"{estimate.tail_spread:.4f}"
-        )
-
-    return _result(10, "partial-sum-identity", body)
-
-
-def criterion_11_graph(profile: str) -> CriterionResult:
-    def body() -> str:
-        sys23 = make_system(2, 3)
-        scan_limit = 2_000 if profile == "full" else 300
-        enumerator = enumeration.ResidueEnumerator(sys23)
-        for u in range(1, scan_limit + 1):
-            members = enumerator.omega(u)
-            adjacency = {v: graph23.neighbors(v) for v in members}
-            for v, nbrs in adjacency.items():
-                for w in nbrs:
-                    _need(w in members, f"u={u}: neighbor leaves Omega")
-                    _need(v in adjacency[w], f"u={u}: asymmetric edge")
-            index = {v: i for i, v in enumerate(adjacency)}
-            nbrs = [[index[w] for w in ws] for ws in adjacency.values()]
-            _need(len(graph23._bfs(nbrs, 0)[1]) == len(nbrs), f"graph on Omega({u}) disconnected")
-        n_paths = 1_000 if profile == "full" else 100
-        u_max = 100_000 if profile == "full" else 10_000
-        rng = random.Random(11)
-        for _ in range(n_paths):
-            u = rng.randrange(2, u_max + 1)
-            [pt] = enumeration.sample_uniform(u, sys23, rng)
-            path = graph23.reduce_to_binary(pt, sys23)
-            bound = graph23.diameter_bound(u)
+        for other in scans[1:]:
+            _need(other == scans[0], f"engine scans disagree for {sys_}")
+        if corrupt and (p, q) == (2, 3):
+            engines[1].table[2931] = -1  # deliberate memo damage (test hook)
+        for u in range(0, scan_limit + 1, 977):
+            vals = {eng.w(u) for eng in engines}
             _need(
-                len(path) <= bound,
-                f"reduction of u={u} took {len(path)} > {bound:.1f} moves",
+                len(vals) == 1,
+                f"pointwise disagreement at u={u} for {sys_}: {sorted(vals)}",
             )
-            here = pt
-            for step in path:
-                _need(
-                    here in graph23.forward_moves(step),
-                    f"u={u}: reduction step is not a graph move",
-                )
-                here = step
-            if path:
-                _need(path[-1] == core.binary_partition(u), f"u={u}: wrong endpoint")
+        checked.append(f"{sys_} ok to {scan_limit}")
+    elapsed = time.perf_counter() - t0
+    _need(elapsed < 600.0, f"took {elapsed:.1f}s, budget 600s")
+    return "; ".join(checked)
+
+
+@_criterion(4, "small-count-characterization")
+def criterion_04_small_counts(profile: str) -> str:
+    limit = 100_000 if profile == "full" else 10_000
+    report = analytics.classify_small_counts(limit, SYS23)
+    return (
+        f"{{W=1}} and {{W=2}} match exactly to {limit} "
+        f"({len(report.ones)} ones, {len(report.twos)} twos)"
+    )
+
+
+@_criterion(5, "local-monotonicity")
+def criterion_05_monotonicity(profile: str) -> str:
+    if profile == "full":
+        qs, limit = (3, 5, 7, 9, 11, 13, 15), 1_000_000
+    else:
+        qs, limit = (3, 5, 7), 30_000
+    for q in qs:
+        report = analytics.check_local_monotonicity(limit, make_system(2, q))
+        _need(not report.violations, f"q={q}: {report.violations[:3]}")
+    return f"no violations for q in {qs} up to {limit}"
+
+
+@_criterion(6, "max-jumps")
+def criterion_06_max_jumps(profile: str) -> str:
+    small = analytics.max_count_jumps(400, SYS23)
+    got = [(r.u, r.value) for r in small.records]
+    _need(got == MAX_JUMPS_TO_400, f"jump list to 400: {got}")
+    limit = 1_000_000 if profile == "full" else 10_000
+    big = analytics.max_count_jumps(limit, SYS23)
+    _need(all(r.u % 3 == 0 for r in big.records), "jump not divisible by 3")
+    _need(
+        not big.conjecture_exceptions,
+        f"even-multiple jumps: {big.conjecture_exceptions}",
+    )
+    return f"11 known records exact; {len(big.records)} jumps to {limit}, 0 exceptions"
+
+
+@_criterion(7, "shortest-lengths")
+def criterion_07_shortest(profile: str) -> str:
+    table = shortest.ShortestTable(SYS23)
+    res = table.witness(19)
+    _need(res.sigma == 2, f"sigma(19) = {res.sigma}")
+    _need(
+        res.witness == ((1, 2), (0, 0)),
+        f"sigma(19) witness {res.witness}",
+    )
+    for a in range(0, 21):
+        u = 3 * 2**a - 1
+        _need(table.sigma(u) == a + 1, f"sigma({u}) != {a + 1}")
+        _need(table.sigma(3 * 2**a) == 1, f"sigma({3 * 2 ** a}) != 1")
+    census_limit = 10_000 if profile == "full" else 400
+    census = core.chain_census(census_limit, SYS23)
+    arr = table.scan(census_limit)
+    for u in range(1, census_limit + 1):
+        _need(arr[u] == census.min_len[u], f"sigma({u}) != oracle minimum")
+    if profile != "full":
+        stats = table.stats(20_000)
         return (
-            f"symmetry/closure/connectivity to {scan_limit}; "
-            f"{n_paths} reductions within the bound"
+            f"spot values and oracle minima to {census_limit} pass; the "
+            f"soft mean-ratio window is asserted at full scale only "
+            f"(here mean = {stats.mean_ratio:.4f})"
         )
+    stats = table.stats(500_000)
+    _need(
+        0.85 <= stats.mean_ratio <= 1.15,
+        f"exact checks pass (spot values, oracle minima to {census_limit}); "
+        f"soft check red: mean of 4*sigma(u)/log2(u) over [2, 500000] "
+        f"is {stats.mean_ratio:.4f}, outside the stated window [0.85, 1.15]. "
+        f"sigma is verified exactly, so the window itself is unattainable at "
+        f"this scale: the additive offset in sigma decays only like 1/log(u) "
+        f"(dyadic-window slope of sigma vs log2(u)/4 is about 1.07)",
+    )
+    return (
+        f"oracle match to {census_limit}; mean ratio {stats.mean_ratio:.4f} "
+        f"over [2, 500000]"
+    )
 
-    return _result(11, "graph-properties", body)
+
+@_criterion(8, "growth-bound")
+def criterion_08_growth_bound(profile: str) -> str:
+    limit = 1_000_000 if profile == "full" else 30_000
+    report = analytics.check_growth_bound(limit, SYS23)
+    _need(not report.violations, f"W(u) > u^beta at {report.violations[:3]}")
+    _need(round(report.beta, 2) == 0.79, f"beta = {report.beta}")
+    return f"W <= U^{report.beta:.4f} to {limit}; max ratio {report.max_ratio:.4f}"
 
 
-def criterion_12_sampler(profile: str) -> CriterionResult:
-    def body() -> str:
-        sys23 = make_system(2, 3)
-        draws = 7_000
-        members = sorted(enumeration.ResidueEnumerator(sys23).omega(27))
-        _need(len(members) == 7, f"|Omega(27)| = {len(members)}")
-        tally = defaultdict(int)
-        for pt in enumeration.sample_uniform(27, sys23, random.Random(0), draws):
-            tally[pt] += 1
-        _need(set(tally) <= set(members), "sampler left Omega(27)")
-        expected = draws / len(members)
-        stat = sum((tally[pt] - expected) ** 2 / expected for pt in members)
+@_criterion(9, "exponent-solver")
+def criterion_09_exponents(profile: str) -> str:
+    roots34 = analytics.solve_exponents(make_system(3, 4))
+    _need(abs(roots34.alpha - 1.0) <= 1e-10, f"alpha(3,4) = {roots34.alpha!r}")
+    roots23 = analytics.solve_exponents(SYS23)
+    _need(abs(roots23.alpha_residual) <= 1e-12,
+          f"alpha residual {roots23.alpha_residual!r}")
+    _need(1.0 < roots23.alpha < 1.5, f"alpha(2,3) = {roots23.alpha!r}")
+    for p, q in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
+        roots = analytics.solve_exponents(make_system(p, q))
+        _need(roots.alpha > roots.beta, f"alpha <= beta for ({p},{q})")
+    return f"alpha(3,4) = 1 exactly; alpha(2,3) = {roots23.alpha:.6f}"
+
+
+@_criterion(10, "partial-sum-identity")
+def criterion_10_partial_sums(profile: str) -> str:
+    id_limit = 100_000 if profile == "full" else 3_000
+    n_random = 1_000 if profile == "full" else 100
+    prefix = analytics.PrefixSums(SYS23, id_limit)
+    for x in range(1, id_limit + 1):
+        gap = prefix.identity_gap(x)
+        _need(gap == 0, f"identity gap {gap} at x = {x}")
+    rng = random.Random(10)
+    for _ in range(n_random):
+        x = rng.uniform(0.0, float(id_limit))
+        if x == math.floor(x):
+            x += 0.5
+        gap = prefix.identity_gap(x)
+        _need(gap == 0, f"identity gap {gap} at x = {x!r}")
+    xmax = 1_000_000 if profile == "full" else 100_000
+    estimate = analytics.estimate_growth_constant(SYS23, xmax)
+    _need(
+        estimate.max_ratio <= estimate.upper_bound,
+        f"ratio {estimate.max_ratio} above the bound {estimate.upper_bound}",
+    )
+    if profile == "full":
         _need(
-            stat < CHI2_CRITICAL_6DOF_99,
-            f"chi-square {stat:.3f} >= {CHI2_CRITICAL_6DOF_99}",
+            estimate.tail_spread < 0.20,
+            f"tail spread {estimate.tail_spread:.4f} >= 20%",
         )
-        return f"chi-square {stat:.3f} < {CHI2_CRITICAL_6DOF_99} on {draws} draws"
+    return (
+        f"identity exact on {id_limit}+{n_random} points; "
+        f"ratios <= {estimate.upper_bound:.4f}, tail spread "
+        f"{estimate.tail_spread:.4f}"
+    )
 
-    return _result(12, "sampler-uniformity", body)
 
-
-def criterion_13_codec(profile: str) -> CriterionResult:
-    def body() -> str:
-        sys23 = make_system(2, 3)
-        rt_limit = 3_000 if profile == "full" else 300
-        enumerator = enumeration.ResidueEnumerator(sys23)
-        n_round = 0
-        for u in range(1, rt_limit + 1):
-            for pt in enumerator.omega(u):
-                word = codec.tree_encode(pt, sys23)
-                _need(
-                    codec.tree_decode(word, sys23) == (u, pt),
-                    f"tree round-trip failed at u={u}",
-                )
-                lword = codec.lattice_encode(pt)
-                _need(
-                    codec.lattice_decode(lword) == pt,
-                    f"lattice round-trip failed at u={u}",
-                )
-                n_round += 1
-        del enumerator
-        code_limit = 10_000 if profile == "full" else 600
-        language = codec.TreeLanguage(sys23)
-        lattice_words: dict[int, list[str]] = defaultdict(list)
-        for total, pairs in core.iter_chains(code_limit, sys23, least=1):
-            lattice_words[total].append(codec.lattice_encode(core.Partition(pairs)))
-        for u in range(1, code_limit + 1):
-            words = language.words(u)
-            bad = codec.check_hypercode(words)
-            _need(bad is None, f"hypercode violated at u={u}: {bad}")
-            bad = codec.check_infix_code(lattice_words[u])
-            _need(bad is None, f"infix code violated at u={u}: {bad}")
-        del lattice_words, language
-        word_len = 12 if profile == "full" else 8
-        n_words = 0
-        for word in codec.lattice_language(word_len):
-            pt = codec.lattice_decode(word)
+@_criterion(11, "graph-properties")
+def criterion_11_graph(profile: str) -> str:
+    scan_limit = 2_000 if profile == "full" else 300
+    enumerator = enumeration.ResidueEnumerator(SYS23)
+    for u in range(1, scan_limit + 1):
+        members = enumerator.omega(u)
+        adjacency = {v: graph23.neighbors(v) for v in members}
+        for v, nbrs in adjacency.items():
+            for w in nbrs:
+                _need(w in members, f"u={u}: neighbor leaves Omega")
+                _need(v in adjacency[w], f"u={u}: asymmetric edge")
+        index = {v: i for i, v in enumerate(adjacency)}
+        nbrs = [[index[w] for w in ws] for ws in adjacency.values()]
+        _need(len(graph23._bfs(nbrs, 0)[1]) == len(nbrs), f"graph on Omega({u}) disconnected")
+    n_paths = 1_000 if profile == "full" else 100
+    u_max = 100_000 if profile == "full" else 10_000
+    rng = random.Random(11)
+    for _ in range(n_paths):
+        u = rng.randrange(2, u_max + 1)
+        [pt] = enumeration.sample_uniform(u, SYS23, rng)
+        path = graph23.reduce_to_binary(pt, SYS23)
+        bound = graph23.diameter_bound(u)
+        _need(
+            len(path) <= bound,
+            f"reduction of u={u} took {len(path)} > {bound:.1f} moves",
+        )
+        here = pt
+        for step in path:
             _need(
-                codec.lattice_encode(pt) == word,
-                f"grammar word {word} re-encodes differently",
+                here in graph23.forward_moves(step),
+                f"u={u}: reduction step is not a graph move",
             )
-            n_words += 1
-        return (
-            f"{n_round} round-trips; codes verified to {code_limit}; "
-            f"{n_words} grammar words to length {word_len}"
+            here = step
+        if path:
+            _need(path[-1] == core.binary_partition(u), f"u={u}: wrong endpoint")
+    return (
+        f"symmetry/closure/connectivity to {scan_limit}; "
+        f"{n_paths} reductions within the bound"
+    )
+
+
+@_criterion(12, "sampler-uniformity")
+def criterion_12_sampler(profile: str) -> str:
+    draws = 7_000
+    members = sorted(enumeration.ResidueEnumerator(SYS23).omega(27))
+    _need(len(members) == 7, f"|Omega(27)| = {len(members)}")
+    tally = defaultdict(int)
+    for pt in enumeration.sample_uniform(27, SYS23, random.Random(0), draws):
+        tally[pt] += 1
+    _need(set(tally) <= set(members), "sampler left Omega(27)")
+    expected = draws / len(members)
+    stat = sum((tally[pt] - expected) ** 2 / expected for pt in members)
+    _need(
+        stat < CHI2_CRITICAL_6DOF_99,
+        f"chi-square {stat:.3f} >= {CHI2_CRITICAL_6DOF_99}",
+    )
+    return f"chi-square {stat:.3f} < {CHI2_CRITICAL_6DOF_99} on {draws} draws"
+
+
+@_criterion(13, "codec-roundtrip")
+def criterion_13_codec(profile: str) -> str:
+    rt_limit = 3_000 if profile == "full" else 300
+    enumerator = enumeration.ResidueEnumerator(SYS23)
+    n_round = 0
+    for u in range(1, rt_limit + 1):
+        for pt in enumerator.omega(u):
+            word = codec.tree_encode(pt, SYS23)
+            _need(
+                codec.tree_decode(word, SYS23) == (u, pt),
+                f"tree round-trip failed at u={u}",
+            )
+            lword = codec.lattice_encode(pt)
+            _need(
+                codec.lattice_decode(lword) == pt,
+                f"lattice round-trip failed at u={u}",
+            )
+            n_round += 1
+    del enumerator
+    code_limit = 10_000 if profile == "full" else 600
+    language = codec.TreeLanguage(SYS23)
+    lattice_words: dict[int, list[str]] = defaultdict(list)
+    for total, pairs in core.iter_chains(code_limit, SYS23, least=1):
+        lattice_words[total].append(codec.lattice_encode(core.Partition(pairs)))
+    for u in range(1, code_limit + 1):
+        words = language.words(u)
+        bad = codec.check_hypercode(words)
+        _need(bad is None, f"hypercode violated at u={u}: {bad}")
+        bad = codec.check_infix_code(lattice_words[u])
+        _need(bad is None, f"infix code violated at u={u}: {bad}")
+    del lattice_words, language
+    word_len = 12 if profile == "full" else 8
+    n_words = 0
+    for word in codec.lattice_language(word_len):
+        pt = codec.lattice_decode(word)
+        _need(
+            codec.lattice_encode(pt) == word,
+            f"grammar word {word} re-encodes differently",
         )
+        n_words += 1
+    return (
+        f"{n_round} round-trips; codes verified to {code_limit}; "
+        f"{n_words} grammar words to length {word_len}"
+    )
 
-    return _result(13, "codec-roundtrip", body)
 
-
-def criterion_14_digit_powers(profile: str) -> CriterionResult:
-    def body() -> str:
-        hits = {n for n in range(31) if counting.digits_zero_one(2**n, 3)}
-        _need(hits == {0, 2, 8}, f"powers of 2 with 0/1 ternary digits: {sorted(hits)}")
-        return "2^n has only ternary digits 0/1 exactly for n in {0, 2, 8} (n <= 30)"
-
-    return _result(14, "digit-indicator-powers", body)
+@_criterion(14, "digit-indicator-powers")
+def criterion_14_digit_powers(profile: str) -> str:
+    hits = {n for n in range(31) if counting.digits_zero_one(2**n, 3)}
+    _need(hits == {0, 2, 8}, f"powers of 2 with 0/1 ternary digits: {sorted(hits)}")
+    return "2^n has only ternary digits 0/1 exactly for n in {0, 2, 8} (n <= 30)"
 
 
 CRITERIA: tuple[Callable[[str], CriterionResult], ...] = (
@@ -424,10 +398,7 @@ def run_selftest(profile: str = "quick", corrupt: bool = False) -> int:
     """Run every criterion, printing a line for each; returns 0 when all pass, 2 otherwise."""
     failures = 0
     for fn in CRITERIA:
-        if fn is criterion_03_counting:
-            result = criterion_03_counting(profile, corrupt=corrupt)
-        else:
-            result = fn(profile)
+        result = fn(profile, corrupt=corrupt) if fn is criterion_03_counting else fn(profile)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.cid:02d} {result.name}: {result.detail}")
         if not result.passed:

@@ -146,7 +146,7 @@ class PrefixSums:
         self.sys = sys
         self.limit = limit
         self.counter = make_counter(sys)
-        self._counts = counts = self.counter.scan(limit)
+        counts = self.counter.scan(limit)  # W itself is not kept: ``s`` reads the sums only
         self._sums = array("Q", itertools.accumulate(itertools.islice(counts, 1, limit + 1),
                                                       initial=0))
 

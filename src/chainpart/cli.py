@@ -110,6 +110,11 @@ def _system(args: argparse.Namespace) -> PQSystem:
     return sys_
 
 
+def _print_json(doc: dict) -> None:
+    """Print ``doc`` as one line of compact JSON."""
+    print(json.dumps(doc, separators=(",", ":")))
+
+
 class _TextOf(dict):
     """``make(key)`` for each key, made on its first lookup and kept."""
 
@@ -190,9 +195,8 @@ def _write_lines(lines: Iterable[str], size: int = 0) -> None:
             flush()
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import enumeration
-    sys_ = _system(args)
     ceiling = _ceiling(args)
     if args.u > ceiling:
         raise core.BudgetError(f"u={args.u} exceeds the enumeration ceiling {ceiling}")
@@ -204,9 +208,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import counting
-    sys_ = _system(args)
     if args.method == "all":
         names = {engine: name for name, engine in counting.ENGINES.items()}
         doc: dict = {"u": args.u}
@@ -216,15 +219,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
             doc[names[type(engine)]] = str(w)
             values.add(w)
         doc["agree"] = len(values) == 1
-        print(json.dumps(doc, separators=(",", ":")))
+        _print_json(doc)
         return 0 if doc["agree"] else 2
     counter = counting.make_counter(sys_, args.method)
     print(counter.w(args.u))
     return 0
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    sys_ = _system(args)
+def _cmd_scan(args: argparse.Namespace, sys_: PQSystem) -> int:
     mode = "monotonicity" if args.mode == "theorem4" else args.mode
     if mode == "w":
         from . import counting
@@ -248,8 +250,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         results = [(q, analytics.check_local_monotonicity(args.limit, make_system(sys_.p, q)))
                    for q in args.scan_q or [sys_.q]]
         for q, report in results:
-            print(json.dumps({"q": q, "limit": args.limit,
-                              "violations": len(report.violations)}, separators=(",", ":")))
+            _print_json({"q": q, "limit": args.limit, "violations": len(report.violations)})
         return 0 if not any(report.violations for _, report in results) else 2
     if mode == "smallw":
         report = analytics.classify_small_counts(args.limit, sys_)
@@ -258,23 +259,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             _write_lines(map("%d,1".__mod__, report.ones))
             _write_lines(map("%d,2".__mod__, report.twos))
         else:
-            print(json.dumps(
-                {"limit": report.limit, "ones": list(report.ones),
-                 "twos": list(report.twos)}, separators=(",", ":")))
+            _print_json({"limit": report.limit, "ones": list(report.ones),
+                         "twos": list(report.twos)})
         return 0
     if mode == "bound":
         report = analytics.check_growth_bound(args.limit, sys_)
-        print(json.dumps(
-            {"limit": report.limit, "beta": repr(report.beta),
-             "max_ratio": repr(report.max_ratio),
-             "violations": len(report.violations)}, separators=(",", ":")))
+        _print_json({"limit": report.limit, "beta": repr(report.beta),
+                     "max_ratio": repr(report.max_ratio), "violations": len(report.violations)})
         return 0 if not report.violations else 2
     raise ValueError(f"unknown scan mode {mode!r}")
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import enumeration
-    sys_ = _system(args)
     for pt in enumeration.sample_uniform(args.u, sys_, random.Random(args.seed), args.n):
         print(core.to_json(pt, sys_))
     return 0
@@ -292,16 +289,12 @@ def _parse_partition_line(line: str, sys_: PQSystem) -> Partition:
         pt, _ = core.from_json(line, sys_)
         return pt
     if line.startswith("["):
-        try:
-            return Partition.from_pairs(core.json_pairs(json.loads(line)))
-        except TypeError as exc:
-            raise core.PartitionError(f"not a list of exponent pairs: {exc}") from None
+        return Partition.from_pairs(core.json_pairs(json.loads(line)))
     return core.validate(line.split(), sys_)
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import codec
-    sys_ = _system(args)
     for line in _iter_stdin():
         pt = _parse_partition_line(line, sys_)
         if args.codec == "tree":
@@ -311,9 +304,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import codec
-    sys_ = _system(args)
     values, json_line = _pair_texts(sys_)
     words = _iter_stdin()
     if args.codec == "tree":  # (U, partition); U is the json sum
@@ -328,58 +320,46 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sigma(args: argparse.Namespace) -> int:
+def _cmd_sigma(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import shortest
-    sys_ = _system(args)
     table = shortest.ShortestTable(sys_)
     if not args.witness:
         print(table.sigma(args.u))
         return 0
     res = table.witness(args.u)
-    print(json.dumps(
-        {"u": args.u, "sigma": res.sigma,
-         "witness": res.witness,
-         "values": [str(core.part_value(pair, sys_)) for pair in res.witness],
-         "cost": shortest.chain_cost(res.witness)._asdict()},
-        separators=(",", ":")))
+    _print_json({"u": args.u, "sigma": res.sigma, "witness": res.witness,
+                 "values": [str(core.part_value(pair, sys_)) for pair in res.witness],
+                 "cost": shortest.chain_cost(res.witness)._asdict()})
     return 0
 
 
-def _cmd_sigma_stats(args: argparse.Namespace) -> int:
+def _cmd_sigma_stats(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import shortest
-    sys_ = _system(args)
     stats = shortest.ShortestTable(sys_).stats(args.limit)
     if args.emit == "csv":
         print("sigma,count")
         _write_lines(map("%d,%d".__mod__, stats.histogram.items()))
     else:
-        print(json.dumps(
-            {"limit": stats.limit, "mean_ratio": repr(stats.mean_ratio),
-             "histogram": {str(k): v for k, v in stats.histogram.items()}},
-            separators=(",", ":")))
+        _print_json({"limit": stats.limit, "mean_ratio": repr(stats.mean_ratio),
+                     "histogram": {str(k): v for k, v in stats.histogram.items()}})
     return 0
 
 
-def _cmd_chainpow(args: argparse.Namespace) -> int:
+def _cmd_chainpow(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import shortest
-    sys_ = _system(args)
     table = shortest.ShortestTable(sys_)
     witness = table.witness(args.u).witness if args.u >= 1 else Partition()
     result = shortest.chain_pow(args.g, args.u, args.mod, sys_, witness or None)
     if args.cost:
-        print(json.dumps(
-            {"result": str(result),
-             "witness": witness,
-             "cost": shortest.chain_cost(witness)._asdict()},
-            separators=(",", ":")))
+        _print_json({"result": str(result), "witness": witness,
+                     "cost": shortest.chain_cost(witness)._asdict()})
     else:
         print(result)
     return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import codec, graph23
-    sys_ = _system(args)
     graph = graph23.build_graph(args.u, sys_)
     if args.dot:
         print(f'graph "omega{args.u}" {{')
@@ -400,43 +380,31 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         diameter = graph.diameter()
     except InvariantViolationError:
         diameter = -1
-    print(json.dumps(
-        {"u": args.u, "vertices": len(graph.vertices),
-         "edges": graph.edge_count, "connected": diameter >= 0,
-         "diameter": diameter},
-        separators=(",", ":")))
+    _print_json({"u": args.u, "vertices": len(graph.vertices), "edges": graph.edge_count,
+                 "connected": diameter >= 0, "diameter": diameter})
     return 0
 
 
-def _cmd_walk(args: argparse.Namespace) -> int:
+def _cmd_walk(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import codec, graph23
-    sys_ = _system(args)
     pt = graph23.random_walk(args.u, args.steps, sys_, args.seed)
-    print(json.dumps(
-        {"u": args.u, "steps": args.steps, "seed": args.seed,
-         "word": codec.lattice_encode(pt),
-         "partition": pt},
-        separators=(",", ":")))
+    _print_json({"u": args.u, "steps": args.steps, "seed": args.seed,
+                 "word": codec.lattice_encode(pt), "partition": pt})
     return 0
 
 
-def _cmd_alpha(args: argparse.Namespace) -> int:
+def _cmd_alpha(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import analytics
-    sys_ = _system(args)
     roots = analytics.solve_exponents(sys_)
-    print(json.dumps(
-        {"p": sys_.p, "q": sys_.q,
-         "alpha": repr(roots.alpha), "beta": repr(roots.beta),
-         "alpha_residual": repr(roots.alpha_residual),
-         "beta_residual": repr(roots.beta_residual),
-         "c_upper": repr(analytics.constant_upper_bound(sys_, roots.alpha))},
-        separators=(",", ":")))
+    _print_json({"p": sys_.p, "q": sys_.q, "alpha": repr(roots.alpha), "beta": repr(roots.beta),
+                 "alpha_residual": repr(roots.alpha_residual),
+                 "beta_residual": repr(roots.beta_residual),
+                 "c_upper": repr(analytics.constant_upper_bound(sys_, roots.alpha))})
     return 0
 
 
-def _cmd_sumfn(args: argparse.Namespace) -> int:
+def _cmd_sumfn(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import analytics
-    sys_ = _system(args)
     estimate = analytics.estimate_growth_constant(sys_, args.xmax)
     if args.emit == "csv":
         print("x,s,ratio,c_upper")
@@ -446,7 +414,7 @@ def _cmd_sumfn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import acceptance
     profile = "full" if args.full else "quick"
     return acceptance.run_selftest(profile, corrupt=args.inject_corruption)
@@ -574,8 +542,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # raised by _Parser.error with code 1
         return int(exc.code or 0)
-    try:  # by name at call time, so the cached parser holds no function
-        return globals()["_cmd_" + args.command.replace("-", "_")](args)
+    try:  # the handler by name at call time, so the cached parser holds no function
+        return globals()["_cmd_" + args.command.replace("-", "_")](args, _system(args))
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=_sys.stderr)
         return 2

@@ -430,8 +430,11 @@ def from_json(text: str, sys: Optional[PQSystem] = None) -> tuple[Partition, PQS
     return pt, sys
 
 
-def json_pairs(items: Iterable) -> list[tuple[int, int]]:
-    """The exponent pairs of a JSON list of ``[a, b]`` lists; each must be an integer."""
+def json_pairs(items: object) -> list[tuple[int, int]]:
+    """The exponent pairs of a JSON list of ``[a, b]`` lists of integers; any
+    other shape raises one PartitionError."""
+    if type(items) is not list or any(type(pair) is not list or len(pair) != 2 for pair in items):
+        raise PartitionError("not a list of exponent pairs")
     return [(_json_int(a, "exponent"), _json_int(b, "exponent")) for a, b in items]
 
 

@@ -38,6 +38,7 @@ from .core import (
     InvariantViolationError,
     Partition,
     PQSystem,
+    _check_chain,
     binary_partition,
     value,
 )
@@ -126,7 +127,11 @@ def _inverses(pt: Partition) -> Iterator[tuple[int, Partition]]:
 
 def neighbors(pt: Partition) -> frozenset[Partition]:
     """Neighbor set of ``pt`` in the transition graph of its sum: the forward
-    moves plus the ``_inverses``, the partitions that move to ``pt``."""
+    moves plus the ``_inverses``, the partitions that move to ``pt``.
+
+    ``pt`` must be a chain.  It is not checked here, since this is the
+    per-step call of ``random_walk``, which checks its start once.
+    """
     out = forward_moves(pt)
     for _, nxt in _inverses(pt):
         out.add(nxt)
@@ -228,9 +233,11 @@ def reduce_to_binary(pt: Partition, sys: PQSystem) -> list[Partition]:
     absent, else the B merge with its run.  Either move reduces the number
     of parts at level b, so the path ends at level 0, the binary partition.
     Returns the successor states; the empty list when ``pt`` is already
-    binary.  The length never exceeds ``diameter_bound`` of the sum.
+    binary.  The length never exceeds ``diameter_bound`` of the sum.  A
+    ``pt`` that is no chain raises ChainBreakError or DuplicatePartError.
     """
     _require_23(sys)
+    _check_chain(pt)
     path: list[Partition] = []
     while pt and pt[0][1]:
         # no inverse rewrites a part followed by one of its level, so the first
@@ -254,7 +261,8 @@ def random_walk(
 
     The stationary law is proportional to vertex degree, not uniform; exact
     uniform generation is the sampler's job.  Starts at the binary partition
-    unless told otherwise.
+    unless told otherwise; a ``start`` that is no chain raises
+    ChainBreakError or DuplicatePartError.
     """
     _require_23(sys)
     if steps < 0:
@@ -262,6 +270,7 @@ def random_walk(
     if isinstance(rng, int):
         rng = random.Random(rng)
     pt = start if start is not None else binary_partition(u)
+    _check_chain(pt)
     if value(pt, sys) != u:
         raise ValueError("start vertex does not sum to u")
     for _ in range(steps):

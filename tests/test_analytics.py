@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,19 @@ def test_sum_s_spot(sys23):
     assert prefix.s(3) == 4
     assert prefix.s(0.5) == 0
     assert prefix.s(19.7) == prefix.s(19) == sum(make_counter(sys23).scan(19)[1:])
+
+
+def test_prefix_sums_hold_no_scan(sys23):
+    # the 8 MB array of sums to 10^6 and the counter; keeping the 4 MB scan
+    # beside them held 11.9 MiB here
+    tracemalloc.start()
+    try:
+        prefix = PrefixSums(sys23, 10**6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert prefix.s(10**6) == sum(make_counter(sys23).scan(10**6)[1:])
+    assert held < 9 * 2**20, held
 
 
 def test_identity_exact(sys23):

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: dispatch, formats, determinism, exit codes."""
 
+import inspect
 import io
 import json
 import random
+import re
 import sys
 import tracemalloc
 
@@ -203,6 +205,17 @@ def test_encode_refuses_lines_of_the_wrong_shape(capsys, monkeypatch):
         code, out, err = run(capsys, "encode")
         assert (code, out) == (1, ""), line
         assert err.startswith("error: ") and "Traceback" not in err, line
+
+
+@pytest.mark.parametrize("codec", ["lattice", "tree"])
+@pytest.mark.parametrize("line", ['[[1]]', '[[1,2,3]]', '[1]', '{"p":2,"q":3,"parts":[5]}',
+                                  '{"p":2,"q":3,"parts":"ab"}', '{"p":2,"q":3,"parts":[[1]]}',
+                                  '{"p":2,"q":3,"parts":{"ab":1}}', '{"p":2,"q":3,"parts":5}'])
+def test_encode_names_one_shape_error_for_exponent_pairs(capsys, monkeypatch, codec, line):
+    # a pair of the wrong length or a string of parts once read "not enough values to unpack"
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    expected = (1, "", "error: not a list of exponent pairs\n")
+    assert run(capsys, "encode", "--codec", codec) == expected
 
 
 def test_encode_refuses_fractions_and_booleans(capsys, monkeypatch):
@@ -439,7 +452,7 @@ def test_a_wrong_sum_is_an_invariant_violation(capsys, monkeypatch, module, argv
 @pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
                                    MemoryError()])
 def test_resource_errors_exit_1_without_traceback(capsys, monkeypatch, error):
-    def fail(args):
+    def fail(args, sys_):
         raise error
 
     monkeypatch.setattr(cli, "_cmd_count", fail)
@@ -451,7 +464,7 @@ def test_resource_errors_exit_1_without_traceback(capsys, monkeypatch, error):
 
 
 def test_keyboard_interrupt_propagates(monkeypatch):
-    def interrupt(args):
+    def interrupt(args, sys_):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "_cmd_count", interrupt)
@@ -478,6 +491,24 @@ def test_selftest_detects_injected_corruption(capsys):
     code, out, _ = run(capsys, "selftest", "--quick", "--inject-corruption")
     assert code == 2
     assert any(line.startswith("FAIL 03") for line in out.splitlines())
+
+
+def test_selftest_refuses_bad_bases_before_any_criterion(capsys):
+    # main resolves every command's system, selftest's too, before the handler runs
+    code, out, err = run(capsys, "selftest", "--quick", "--p", "4", "--q", "6")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bases must be coprime")
+
+
+def test_main_resolves_the_system_once_for_each_handler(capsys, monkeypatch):
+    handlers = [getattr(cli, name) for name in dir(cli) if name.startswith("_cmd_")]
+    assert len(handlers) == 14
+    assert not any(re.search(r"\b_system\(", inspect.getsource(fn)) for fn in handlers)
+    assert inspect.getsource(cli).count("separators=") == 1  # in _print_json only
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_count", lambda args, sys_: seen.append(sys_) or 0)
+    assert run(capsys, "count", "--u", "5", "--p", "3", "--q", "5")[0] == 0
+    assert seen == [make_system(3, 5)]
 
 
 def test_config_file(capsys, tmp_path):

@@ -15,8 +15,11 @@ from collections import deque
 
 import pytest
 
+from chainpart import graph23
 from chainpart.core import (
     BudgetError,
+    ChainBreakError,
+    DuplicatePartError,
     InvalidSystemError,
     InvariantViolationError,
     Partition,
@@ -236,10 +239,24 @@ def test_reduce_to_binary_paths(sys23):
     assert len(path19) <= diameter_bound(19)
 
 
-def test_reduce_to_binary_refuses_a_top_level_without_an_inverse(sys23):
-    # 3 before 6 is no chain: no inverse applies at the last part of its top level
-    with pytest.raises(InvariantViolationError, match="no inverse move"):
+def test_reduce_to_binary_refuses_a_top_level_without_an_inverse(sys23, monkeypatch):
+    # 3 before 6 is no chain, so the input check refuses it before any move
+    with pytest.raises(ChainBreakError):
         reduce_to_binary(Partition(((0, 1), (1, 1))), sys23)
+    # a chain at whose top level no inverse applies reaches the guard
+    monkeypatch.setattr(graph23, "_inverses", lambda pt: iter(()))
+    with pytest.raises(InvariantViolationError, match="no inverse move"):
+        reduce_to_binary(validate([18, 1], sys23), sys23)
+
+
+@pytest.mark.parametrize("pairs,error", [(((0, 1), (1, 0)), ChainBreakError),
+                                         (((1, 0), (1, 0)), DuplicatePartError)])
+def test_reduce_and_walk_refuse_a_non_chain(sys23, pairs, error):
+    pt = Partition(pairs)
+    with pytest.raises(error):
+        reduce_to_binary(pt, sys23)
+    with pytest.raises(error):
+        random_walk(value(pt, sys23), 1, sys23, 0, start=pt)
 
 
 def test_reduce_steps_are_graph_moves(sys23):

@@ -339,7 +339,7 @@ def test_small_counts_hold_no_table_of_the_range():
 @pytest.mark.parametrize("p,q", SYSTEMS)
 def test_prefix_sums_match_the_loop(p, q):
     prefix = analytics.PrefixSums(make_system(p, q), REPORT_LIMIT)
-    assert list(prefix._sums) == old_prefix_sums(REPORT_LIMIT, prefix._counts)
+    assert list(prefix._sums) == old_prefix_sums(REPORT_LIMIT, prefix.counter.scan(REPORT_LIMIT))
     assert list(analytics.PrefixSums(make_system(p, q), 0)._sums) == [0]
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Optional
 
-from .core import MalformedWordError, Partition, PQSystem
+from .core import MalformedWordError, Partition, PQSystem, fill_memo
 from .decomposition import binary_table
 
 TREE_LETTERS = ("1", "2", "q")
@@ -270,28 +270,24 @@ class TreeLanguage:
         self._memo: dict[int, tuple[str, ...]] = {0: (), 1: ("",)}
 
     def words(self, v: int) -> tuple[str, ...]:
-        """All symbolic words ('1', '2', 'q' letters concatenated) for v."""
+        """All symbolic words ('1', '2', 'q' letters concatenated) for v; none for v < 0."""
+        if v < 0:
+            return ()
         memo = self._memo
+        return fill_memo(memo, v, self._branches, lambda _, branches: tuple(
+            labels + w for labels, arg in zip(*branches) for w in memo[arg]))
+
+    def _branches(self, x: int) -> tuple[tuple[str, ...], list[int]]:
+        """The labels of x's row and, for each, x with its labels undone, first label first."""
         rows, q = self._rows, self.sys.q
-        stack = [v]
-        while stack:
-            x = stack[-1]
-            if x in memo:
-                stack.pop()
-                continue
-            branches = []
-            for labels in rows[x % len(rows)]:
-                arg = x  # x with the labels undone, first label first
-                for letter in labels:
-                    arg = arg - 1 if letter == "1" else arg // (2 if letter == "2" else q)
-                branches.append((labels, arg))
-            missing = [arg for _, arg in branches if arg not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[x] = tuple(labels + w for labels, arg in branches for w in memo[arg])
-            stack.pop()
-        return memo[v]
+        labels_of = rows[x % len(rows)]
+        args = []
+        for labels in labels_of:
+            arg = x
+            for letter in labels:
+                arg = arg - 1 if letter == "1" else arg // (2 if letter == "2" else q)
+            args.append(arg)
+        return labels_of, args
 
 
 def lattice_encode(pt: Partition) -> str:

@@ -1,7 +1,8 @@
 """Strictly chained two-base partitions: base systems, the partition type,
-the maps that scale by p or q or append the part 1, the JSON form, and the
-brute-force oracle, one explicit-stack walk over every chain (``iter_chains``)
-that ``brute_force_enumerate`` and ``chain_census`` read.
+the maps that scale by p or q or append the part 1, the JSON form, the memo
+walk ``fill_memo``, and the brute-force oracle, one explicit-stack walk over
+every chain (``iter_chains``) that ``brute_force_enumerate`` and
+``chain_census`` read.
 
 A (p,q)-part is an integer p^a * q^b for coprime bases p, q >= 2.  A strictly
 chained (p,q)-ary partition of U is a set of distinct parts summing to U in
@@ -19,7 +20,7 @@ import itertools
 import json
 import math
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 #: Largest U accepted by the brute-force enumerator unless overridden.
 DEFAULT_ENUMERATION_CEILING = 10**7
@@ -292,6 +293,34 @@ def binary_partition(u: int) -> Partition:
     if u < 0:
         raise UnreachableSumError("negative sum")
     return Partition((i, 0) for i in range(u.bit_length() - 1, -1, -1) if u >> i & 1)
+
+
+def fill_memo(memo: dict, key, expand: Callable, make: Callable):
+    """``memo[key]``, filled first, with every entry that it is made from.
+
+    ``expand(k)`` runs once for each key k that ``memo`` lacks and returns a
+    pair whose second item lists the keys that k is made from; ``make(k,
+    expansion)`` returns k's entry once each of those is in ``memo``, which
+    fills the missing ones last listed first.  The walk keeps each key's
+    expansion on an explicit stack, so a chain of any depth costs no Python
+    frames, and it never rewrites an entry.  No key may be made from itself,
+    or the walk does not end.
+    """
+    stack: list = [(key, None)]
+    while stack:
+        k, expansion = stack[-1]
+        if k in memo:
+            stack.pop()
+            continue
+        if expansion is None:
+            stack[-1] = k, (expansion := expand(k))
+        missing = [d for d in expansion[1] if d not in memo]
+        if missing:
+            stack.extend((d, None) for d in missing)
+            continue
+        memo[k] = make(k, expansion)
+        stack.pop()
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from array import array
 
-from .core import InvalidSystemError, PQSystem
+from .core import InvalidSystemError, PQSystem, fill_memo
 from .decomposition import count_fill, count_grid
 
-Expansion = tuple[int, tuple[tuple[int, int], ...]]
+Expansion = tuple[int, tuple[int, ...]]
 
 LANE_LIMIT = 1 << 39  # the first limit ``CountTable.scan`` refuses
 
@@ -86,7 +86,7 @@ class CountTable:
         self.star: dict[int, int] = {0: 1}
 
     def _expand(self, u: int) -> Expansion:
-        """Return (constant, ((coeff, dep), ...)) with all deps < u."""
+        """Return (constant, deps), all deps below u: W(u) is the constant plus W at each dep."""
         raise NotImplementedError
 
     def w(self, u: int) -> int:
@@ -99,26 +99,8 @@ class CountTable:
     def _sparse(self, u: int) -> int:
         """Memoize W at u, which ``table`` lacks, and at every argument it needs."""
         table = self.table
-        stack: list = [(u, None)]  # a node and its expansion, made once
-        while stack:
-            v, expansion = stack[-1]
-            if v in table:
-                stack.pop()
-                continue
-            if expansion is None:
-                stack[-1] = v, (expansion := self._expand(v))
-            const, deps = expansion
-            missing = [d for _, d in deps if d >= 2 and d not in table]
-            if missing:
-                stack.extend((d, None) for d in missing)
-                continue
-            total = const
-            for coeff, d in deps:
-                if d >= 0:
-                    total += coeff * table.get(d, 1 if d in (0, 1) else 0)
-            table[v] = total
-            stack.pop()
-        return table[u]
+        get = table.__getitem__
+        return fill_memo(table, u, self._expand, lambda _, e: e[0] + sum(map(get, e[1])))
 
     def w_star(self, u: int) -> int:
         """W*(u): partitions of u with no part 1; W*(0) = 1 by convention."""
@@ -163,11 +145,7 @@ class CountTable:
         expand = self._expand
         for v in range(2, len(arr)):
             const, deps = expand(v)
-            total = const
-            for coeff, d in deps:
-                if d >= 0:
-                    total += coeff * arr[d]
-            arr[v] = total
+            arr[v] = const + sum(map(arr.__getitem__, deps))
 
 
 class CaseTableCounter(CountTable):
@@ -195,12 +173,12 @@ class HalvingCounter(CountTable):
         q = self.sys.q
         k, r = divmod(u, q)
         if r == 0:
-            return 0, ((1, k), (1, u - 1))
+            return 0, (k, u - 1)
         if r == 1:
             if k % 2 == 0:
-                return 0, ((1, k), (1, q * k // 2 - 1))
-            return 0, ((1, k), (1, u // 2))
-        return 0, ((1, u // 2),)
+                return 0, (k, q * k // 2 - 1)
+            return 0, (k, u // 2)
+        return 0, (u // 2,)
 
 
 class DirectSumCounter(CountTable):
@@ -218,14 +196,14 @@ class DirectSumCounter(CountTable):
     def _expand(self, u: int) -> Expansion:
         p, q = self.sys.p, self.sys.q
         const = 1 if digits_zero_one(u, p) else 0
-        deps: list[tuple[int, int]] = []
+        deps: list[int] = []
         if u % q == 0:
-            deps.append((1, u // q))
+            deps.append(u // q)
         # v = u div p^c; v > q is p^c <= u div (q + 1), and v div q is u div (p^c q)
         v, c, skip_until = u, 0, -1
         while v > q:
             if c > skip_until and v % q == 1:
-                deps.append((1, v // q))
+                deps.append(v // q)
                 skip_until = c + self._gap
             if v % p > 1:
                 break

@@ -6,7 +6,7 @@ of U:
 * ``SplitEnumerator`` splits on the presence of a part 1,
       Omega(U)  = Omega*(U) + unit-extended Omega*(U-1),
       Omega*(U) = p-scaled Omega(U/p)  union  q-scaled Omega(U/q),
-  deduplicating the (pq-scaled) overlap with a set union; an explicit stack
+  deduplicating the (pq-scaled) overlap with a set union; ``core.fill_memo``
   stands in for the recursion, so a deep U needs no Python frames.
 
 * ``ResidueEnumerator`` lists the members of ranks 0 .. W(U) - 1 (the
@@ -45,6 +45,7 @@ from .core import (
     PQSystem,
     UnreachableSumError,
     append_unit,
+    fill_memo,
     map_p,
     map_q,
     part_value,
@@ -76,84 +77,51 @@ class OmegaSet:
         return value_order(self.members, self.u, sys)
 
 
-class _BaseEnumerator:
-    """The base system and the partition budget."""
+class SplitEnumerator:
+    """Omega(u) from the pair (no part 1 / part 1 removed), through ``fill_memo``:
+    one memo maps (True, u) to Omega*(u), the members with no part 1, and
+    (False, u) to Omega(u); every set it stores counts against the budget."""
 
     def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
         self.sys = sys
         self.budget = budget
-
-    def omega(self, u: int) -> frozenset[Partition]:
-        raise NotImplementedError
-
-    def omega_set(self, u: int) -> OmegaSet:
-        return OmegaSet(u, self.omega(u))
-
-
-class SplitEnumerator(_BaseEnumerator):
-    """Omega(u) from the pair (no part 1 / part 1 removed), on an explicit stack."""
-
-    def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
-        super().__init__(sys, budget)
         self._stored = 0
-        self._memo: dict[int, frozenset[Partition]] = {}
-        self._star_memo: dict[int, frozenset[Partition]] = {}
+        empty = frozenset((EMPTY_PARTITION,))  # Omega(0) and Omega*(0)
+        self._memo: dict[tuple[bool, int], frozenset] = {(False, 0): empty, (True, 0): empty}
 
-    def _store(self, memo: dict[int, frozenset[Partition]], u: int,
-               members: frozenset[Partition]) -> frozenset[Partition]:
-        """Put ``members`` in ``memo`` at u, counting them against the budget."""
+    def _expand(self, key: tuple[bool, int]) -> tuple[tuple, tuple]:
+        """The maps applied to the sets that ``key``'s set is made from, and their keys,
+        last first: ``fill_memo`` fills the last listed first, as the recursion did."""
+        star, v = key
+        if not star:  # Omega(v): Omega*(v - 1) with a part 1 appended, and Omega*(v)
+            return (append_unit, None), ((True, v - 1), (True, v))
+        # Omega*(v): q-scaled Omega(v/q) and p-scaled Omega(v/p)
+        scaled = [(scale, (False, v // base)) for scale, base in
+                  ((map_q, self.sys.q), (map_p, self.sys.p)) if v % base == 0]
+        return tuple(scale for scale, _ in scaled), tuple(dep for _, dep in scaled)
+
+    def _make(self, key: tuple[bool, int], expansion: tuple[tuple, tuple]) -> frozenset[Partition]:
+        """The union of the mapped sets, counted against the budget."""
+        members: set[Partition] = set()
+        for scale, dep in zip(*expansion):
+            members.update(map(scale, self._memo[dep]) if scale else self._memo[dep])
         self._stored += len(members)
         if self._stored > self.budget:
-            raise BudgetError(
-                f"enumeration memo grew past {self.budget} partitions at u={u}"
-            )
-        memo[u] = members
-        return members
-
-    def _known(self, star: bool, u: int) -> Optional[frozenset[Partition]]:
-        """Omega*(u) (``star``) or Omega(u) if it needs no work, else None."""
-        if u < 0:
-            return frozenset()
-        if u == 0:
-            return frozenset((EMPTY_PARTITION,))
-        return (self._star_memo if star else self._memo).get(u)
-
-    def _assemble(self, star: bool, u: int) -> frozenset[Partition]:
-        """Build and store one set whose parts are all known."""
-        if not star:
-            members = set(self._known(True, u))
-            members.update(append_unit(w) for w in self._known(True, u - 1))
-            return self._store(self._memo, u, frozenset(members))
-        # Omega*(u): members with no part 1, assembled from below
-        members = set()
-        if u % self.sys.p == 0:
-            members.update(map_p(w) for w in self._known(False, u // self.sys.p))
-        if u % self.sys.q == 0:
-            members.update(map_q(w) for w in self._known(False, u // self.sys.q))
-        return self._store(self._star_memo, u, frozenset(members))
+            raise BudgetError(f"enumeration memo grew past {self.budget} partitions at u={key[1]}")
+        return frozenset(members)
 
     def omega(self, u: int) -> frozenset[Partition]:
-        # an explicit stack in the order of the recursion, so depth costs no frames
-        stack = [(False, u)]
-        while stack:
-            star, v = stack[-1]
-            if self._known(star, v) is not None:
-                stack.pop()
-                continue
-            # the sets Omega*(v) or Omega(v) is assembled from, in assembly order
-            parts = ([(False, v // base) for base in (self.sys.p, self.sys.q) if v % base == 0]
-                     if star else [(True, v), (True, v - 1)])
-            missing = [key for key in parts if self._known(*key) is None]
-            if missing:
-                stack.extend(reversed(missing))
-            else:
-                stack.pop()
-                self._assemble(star, v)
-        return self._known(False, u)
+        if u < 0:
+            return frozenset()
+        return fill_memo(self._memo, (False, u), self._expand, self._make)
 
 
-class ResidueEnumerator(_BaseEnumerator):
+class ResidueEnumerator:
     """Omega(u) as the members of ranks 0 .. W(u) - 1, by ``walk``."""
+
+    def __init__(self, sys: PQSystem, budget: int = DEFAULT_PARTITION_BUDGET) -> None:
+        self.sys = sys
+        self.budget = budget
 
     def _grid(self, u: int) -> Grid:
         """``count_grid(u, sys, 1)``, once W(u) is known to be within the budget."""
@@ -165,6 +133,9 @@ class ResidueEnumerator(_BaseEnumerator):
 
     def omega(self, u: int) -> frozenset[Partition]:
         return frozenset(walk(self._grid(u)))
+
+    def omega_set(self, u: int) -> OmegaSet:
+        return OmegaSet(u, self.omega(u))
 
     def by_value(self, u: int) -> list[Partition]:
         """Omega(u) in ``value_order``, sorted from a list of the walk: no set is built."""

@@ -494,10 +494,11 @@ def test_selftest_detects_injected_corruption(capsys):
 
 
 def test_selftest_refuses_bad_bases_before_any_criterion(capsys):
-    # main resolves every command's system, selftest's too, before the handler runs
+    # the criteria fix their own systems, so selftest takes no --p or --q at
+    # all; --q abbreviates --quick, which leaves --p 4 and 6 unrecognized
     code, out, err = run(capsys, "selftest", "--quick", "--p", "4", "--q", "6")
     assert (code, out) == (1, "")
-    assert err.startswith("error: bases must be coprime")
+    assert "error: unrecognized arguments: --p 4 6" in err
 
 
 def test_main_resolves_the_system_once_for_each_handler(capsys, monkeypatch):

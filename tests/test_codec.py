@@ -193,6 +193,14 @@ def test_tree_language_deep_value(sys23):
     assert len(words[0]) == 2401
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_tree_language_has_no_words_below_0(q):
+    # the only branch of -1 is 12, back into -1: the words of no negative v are walked
+    lang = TreeLanguage(make_system(2, q))
+    assert [lang.words(v) for v in (-1, -2, -3)] == [(), (), ()]
+    assert lang.words(0) == () and lang.words(1) == ("",)
+
+
 def _tree_decode_by_descent(word, sys_, descend_and_lift, binary_oracle):
     """``tree_decode`` as it was: the descent from U takes at each node the
     branch whose labels come next in the word, then lifts the partition."""

@@ -17,6 +17,7 @@ from chainpart.core import (
     brute_force_enumerate,
     chain_census,
     factor_value,
+    fill_memo,
     from_json,
     iter_chains,
     make_system,
@@ -305,3 +306,39 @@ def test_value_equals_sum_of_powers(p, q):
     # pairs that do not descend are still summed exactly
     for pairs in (((0, 0), (1, 0)), ((2, 0), (0, 1)), ((0, 3), (3, 0), (1, 1))):
         assert value(Partition(pairs), sys_) == sum(p**a * q**b for a, b in pairs)
+
+
+def test_fill_memo_walks_a_chain_of_100000_keys():
+    # k is made from k - 1: a recursive walk would pass the recursion limit
+    memo = {0: 0}
+    assert fill_memo(memo, 100_000, lambda k: (None, (k - 1,)), lambda k, _: memo[k - 1] + 1) \
+        == 100_000
+    assert len(memo) == 100_001
+
+
+def test_fill_memo_expands_each_new_key_once():
+    # k is made from k // 2 and k - 1, so most keys are asked for twice, and
+    # 9 is expanded with its inputs missing, then made once they are filled
+    memo, calls = {0: 1, 1: 1, 4: 100}, []
+
+    def expand(k):
+        calls.append(k)
+        return None, (k // 2, k - 1)
+
+    assert fill_memo(memo, 9, expand, lambda k, _: memo[k // 2] + memo[k - 1]) == 308
+    assert sorted(calls) == [2, 3, 5, 6, 7, 8, 9]  # never 4, which memo held
+    assert fill_memo(memo, 9, expand, lambda k, _: 0) == 308
+    assert len(calls) == 7
+
+
+def test_fill_memo_hands_make_the_expansion_and_rewrites_no_entry():
+    memo = {"a": "kept", "b": "old"}
+    made = []
+
+    def make(k, expansion):
+        made.append((k, expansion))
+        return "+".join(memo[d] for d in expansion[1])
+
+    assert fill_memo(memo, "c", lambda k: ("info", ("a", "b")), make) == "kept+old"
+    assert made == [("c", ("info", ("a", "b")))]
+    assert memo == {"a": "kept", "b": "old", "c": "kept+old"}

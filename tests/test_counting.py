@@ -157,12 +157,12 @@ def _expand_on_powers(counter, u):
     const = 1 if digits_zero_one(u, p) else 0
     deps = []
     if u % q == 0:
-        deps.append((1, u // q))
+        deps.append(u // q)
     pc, skip_until, c = 1, -1, 0
     bound = u // (q + 1)
     while pc <= bound:
         if c > skip_until and (u // pc) % q == 1:
-            deps.append((1, u // (pc * q)))
+            deps.append(u // (pc * q))
             skip_until = c + counter._gap
         if (u // pc) % p > 1:
             break

@@ -46,8 +46,8 @@ def digits_zero_one(n: int, base: int) -> bool:
     """
     if base < 2:
         raise ValueError("base must be >= 2")
-    if n < 0:
-        return False
+    if base == 2 or n < 0:  # every n >= 0 is a sum of distinct powers of 2
+        return n >= 0
     while n:
         if n % base > 1:
             return False

@@ -15,23 +15,25 @@ Every branch argument of N is N div p or N div q, so every node below U is a
 grid quotient N(a, b) = U div (p^a q^b), and its branches depend only on
 N mod p and N mod q.  ``grid_cells`` gives each cell reachable from U one
 code byte: REACHED, plus STEP_P when N mod p <= 1 (and ONE_P when it is 1),
-STEP_Q and ONE_Q likewise for q, and FILTERED when N mod pq <= 1.  Everything
-else reads the codes:
+STEP_Q and ONE_Q likewise for q, and FILTERED when N mod pq <= 1; for p = 2
+a row's codes are one ``translate`` of bit windows of its N and the next
+row's.  Everything else reads the codes:
 
 * ``count_grid`` folds them, rows b descending, by
   W(N) = [N mod p <= 1] W(N div p) + [N mod q <= 1] W(N div q)
   - [N mod pq <= 1] W(N div pq), and ``sigma_grid`` by sigma(N) = the least
   of sigma(N div p) + N mod p and sigma(N div q) + N mod q over the terms
-  whose residue is at most 1.  Both folds read one kind byte per cell, the
-  ``translate`` of its code, from a row's first reached cell on (on p = 2
-  its unreached cells are the run left of it), and return a ``Grid`` of the
-  codes and every k-th row: a lone value and the sigma witness row 0 alone
-  (k = 0, two rows live at a time), ``walk`` every row (k = 1), the sampler
-  ``_checkpoints``, placed by bytes.  ``segments``, the one loop of a descent
-  down a Grid of W, refolds the rows between two kept rows keeping binomial
-  checkpoints (revolve: Griewank and Walther, 2000), then the rows between.
-  The sigma fold prunes each code to the branch that its min took, ties to
-  the first, so the witness reads it from the codes and no sigma row is kept.
+  whose residue is at most 1.  Both folds take two rows per walk down a, and
+  read one kind byte per cell, the ``translate`` of its code, from the first
+  reached cell of either row on (on p = 2 a row's unreached cells are the run
+  left of it).  They return a ``Grid`` of the codes and every k-th row: a
+  lone value and the sigma witness row 0 alone (k = 0, two rows live at a
+  time), ``walk`` every row (k = 1), the sampler ``_checkpoints``, placed by
+  bytes.  ``segments``, the one loop of a descent down a Grid of W, refolds
+  the rows between two kept rows keeping binomial checkpoints (revolve:
+  Griewank and Walther, 2000), then the rows between.  The sigma fold prunes
+  each code to the branch that its min took, ties to the first, so the
+  witness reads it from the codes and no sigma row is kept.
 * ``CELL_BRANCHES[filtered][code]`` lists the branches of a cell in the order
   above, and ``descend`` follows one of them per cell to the leaf N = 1, or
   to the end of a segment: to build a member of a given rank for sampling
@@ -191,13 +193,48 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytearray]:
     ``cells[b][a]`` describes N = u div (p^a q^b): 0 when no branch path
     reaches it from u, else REACHED plus STEP_P when N mod p <= 1 (ONE_P when it
     is 1), STEP_Q and ONE_Q likewise for q, and FILTERED when N mod pq <= 1.
-    The codes of a row come k digits at a time from u div q^b in base p^k.
-    Reachability is bytewise integer arithmetic, one byte per cell: a run of
-    cells a, a + 1, ... joined by STEP_P and starting at a seed (a reached
-    cell of the row above with STEP_Q) is cleared by adding the seed, as a
-    carry.  A row ends at its last reached cell, and the rows end at one with
-    no reached STEP_Q cell, or at N = 0.  The sigma fold prunes the rows in place.
+    A row's cells are reached along STEP_P from its seeds, the reached cells
+    of the row above with STEP_Q.  A row ends at its last reached cell, and
+    the rows end at one with no reached STEP_Q cell, or at N = 0.  The sigma
+    fold prunes the rows in place.
+
+    For p = 2 and q < 16 (else ``_chunk_cells``), with t = n div q, the next
+    row's n, and k = q's bits, N(a) mod q = ((n >> a) - q (t >> a)) mod 2^k:
+    one product of n and t, a byte per bit, sums each k-bit window into a key
+    of ``_window_codes``.  Every cell has STEP_P: a row is reached from its first seed on.
     """
+    if sys.p != 2 or sys.q > 15:
+        return _chunk_cells(u, sys)
+    q, k, table = sys.q, sys.q.bit_length(), _window_codes(sys)
+    window = sum(1 << 8 * j + k - 1 - j for j in range(k))  # cell a's key lands in byte a + k - 1
+    cells: list[bytearray] = []
+    first, n, bits = 0, u, int.from_bytes(bin(u).encode().translate(_BITS), "big")
+    while first >= 0 and n:  # first: the row's first seed
+        length, t = n.bit_length(), n // q
+        t_bits = int.from_bytes(bin(t).encode().translate(_BITS), "big")
+        flags = ((bits | t_bits << k) * window).to_bytes(length + k - 1, "little")[k - 1:].translate(table)
+        cells.append(bytearray(first) + flags[first:] if first < length else bytearray())
+        first, n, bits = flags.translate(_Q_01).find(1, first), t, t_bits
+    return cells
+
+
+#: The characters of ``bin`` as bytes: 1 for "1", else 0.
+_BITS = bytes(int(c == ord("1")) for c in range(256))
+
+
+@functools.lru_cache(maxsize=8)
+def _window_codes(sys: PQSystem) -> bytes:
+    """The p = 2 code of a cell by x = (n >> a) mod 2^k + 2^k ((n div q) >> a) mod 2^k."""
+    q, low = sys.q, (1 << sys.q.bit_length()) - 1
+    return bytes(_codes_of(sys, 1, ((x & low) - q * (x >> q.bit_length())) & low, x & 1)[0][0]
+                 for x in range(256))
+
+
+def _chunk_cells(u: int, sys: PQSystem) -> list[bytearray]:
+    """``grid_cells`` with the codes of a row k digits at a time from u div q^b
+    in base p^k.  Reachability is bytewise integer arithmetic, one byte per
+    cell: a run of cells joined by STEP_P from a seed is cleared by adding
+    the seed, as a carry."""
     k, table = _chunk_codes(sys)
     span = sys.p**k
     cells: list[bytearray] = []
@@ -228,26 +265,42 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytearray]:
 
 
 def _fold_rows(cells: list[bytearray], bs: range, below: list, at_zero: object,
-               fold_row: Callable[[bytearray, list], list], keep: Container[int]) -> list[list]:
-    """Fold the rows b of ``bs``, an ascending range, bottom up by ``fold_row(codes, below)``
-    from ``below``, the row under the last; return those with b in ``keep``, b ascending.
+               fold_pair: Callable[..., tuple], keep: Container[int]) -> list[list]:
+    """Fold the rows b of ``bs``, an ascending range, bottom up, two per
+    ``fold_pair(cells[b - 1], cells[b], below, b in keep)``, which returns
+    (row b if kept, else None; row b - 1), from ``below``, the row under the
+    last; return those with b in ``keep``, b ascending.  Of an odd number of
+    rows, the top one folds as row b under an empty row b - 1.
 
     A row holds one value per cell a, None where unreached, and then the value
     at N = 0; the row below is padded with that value past its end, in place
-    unless it is kept or the caller's.  Each row folds from its first reached cell.
+    unless it is kept or the caller's.  Each pair folds from its first reached cell.
     """
     kept, mine = [], False  # mine: ``below`` is a row of this fold, not kept
-    for b in reversed(bs):
+    for b in range(bs.stop - 1, bs.start - 1, -2):
         codes = cells[b]
         if not mine:
             below = below[:]
         below += [at_zero] * (len(codes) + 1 - len(below))
-        below = fold_row(codes, below)
-        mine = b not in keep
-        if not mine:
+        row, below = fold_pair(cells[b - 1] if b > bs.start else bytearray(), codes, below, b in keep)
+        if row is not None:
+            kept.append(row)
+        mine = b - 1 not in keep
+        if not mine and b > bs.start:
             kept.append(below)
     kept.reverse()
     return kept
+
+
+def _pair_kinds(up: bytes, low: bytes, kinds: bytes, lo: int) -> tuple[Iterator[tuple[int, int]], int]:
+    """The kind bytes of two rows, by the ``translate`` table ``kinds``, as pairs
+    (up's, low's) for a counted down from the first reached cell of either
+    (or ``lo``), and the end of the longer row; past its end a row's kind is 0."""
+    end = max(len(up), len(low))
+    start = max(lo, min(len(up) - len(up.lstrip(b"\0")) if up else end,
+                        len(low) - len(low.lstrip(b"\0")) if low else end))
+    return zip(reversed(up[start:].translate(kinds).ljust(end - start, b"\0")),
+               reversed(low[start:].translate(kinds).ljust(end - start, b"\0"))), end
 
 
 #: Below this many bytes of rows a segment is refolded whole: no third fold saves memory.
@@ -279,13 +332,13 @@ def _checkpoints(cells: list[bytearray]) -> tuple[int, ...]:
     return tuple(tops[::-1])
 
 
-def _sweep(u: int, sys: PQSystem, at_zero: object, fold_row: Callable[[bytearray, list], list],
+def _sweep(u: int, sys: PQSystem, at_zero: object, fold_pair: Callable[..., tuple],
            every: Optional[int]) -> Grid:
     """Fold every row of ``grid_cells`` by ``_fold_rows``, the one sweep of a fold, into a Grid
     of every ``every``-th row: ``_checkpoints`` for None, and row 0 alone, one segment, for 0."""
     cells = grid_cells(u, sys)
     tops = _checkpoints(cells) if every is None else range(0, len(cells), every or len(cells))
-    return Grid(_fold_rows(cells, range(len(cells)), [], at_zero, fold_row, tops), cells, tops)
+    return Grid(_fold_rows(cells, range(len(cells)), [], at_zero, fold_pair, tops), cells, tops)
 
 
 def count_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
@@ -298,7 +351,7 @@ def count_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
     """
     if u < 1:
         return Grid([[int(not u)]], [], range(0))
-    return _sweep(u, sys, 1, _count_row, every)
+    return _sweep(u, sys, 1, _count_pair, every)
 
 
 def segments(grid: Grid, least: Callable[[], int]) -> Iterator[tuple[int, list[list]]]:
@@ -316,7 +369,7 @@ def segments(grid: Grid, least: Callable[[], int]) -> Iterator[tuple[int, list[l
     rows, cells, tops = grid
 
     def fold(bs: range, below: list, keep: Container[int]) -> list[list]:
-        return _fold_rows(cells, bs, below, 1, functools.partial(_count_row, lo=least()), keep)
+        return _fold_rows(cells, bs, below, 1, functools.partial(_count_pair, lo=least()), keep)
 
     for j, top in enumerate(tops):
         end = tops[j + 1] if j + 1 < len(tops) else len(cells)
@@ -349,30 +402,50 @@ def _count_kind(code: int) -> int:
 _COUNT_KINDS = bytes(_count_kind(code) for code in range(256))
 
 
-def _count_row(codes: bytes, below: list, lo: int = 0) -> list:
-    a = len(codes)
-    row: list = [None] * (a + 1)
-    row[a] = w = 1
-    # one kind byte per cell from the first reached one (or lo), a counted down,
-    # kinds by their frequency on p = 2; literals keep out name lookups
-    for kind in reversed(codes[max(lo, a - len(codes.lstrip(b"\0"))):].translate(_COUNT_KINDS)):
+def _count_pair(up: bytes, low: bytes, below: list, keep: bool, lo: int = 0) -> tuple[Optional[list], list]:
+    """Rows b - 1 and b of ``count_grid`` right of ``lo``, for ``_fold_rows``, in
+    one walk down a: W at (a, b) is ``w``, with ``right`` at (a + 1, b) for the
+    filtered term, and W at (a, b - 1) is ``v``.  Row b is written only if kept."""
+    lower = [None] * len(low) + [1] if keep else None
+    upper = [None] * len(up) + [1]
+    kinds, a = _pair_kinds(up, low, _COUNT_KINDS, lo)
+    w = v = 1
+    # kinds by their frequency on p = 2 (kind 3 takes 1 - 2/q); literals keep out name lookups
+    for k_up, k_low in kinds:
         a -= 1
-        if kind == 1:
-            w += below[a]
-        elif kind == 2:
-            w += below[a] - below[a + 1]
-        elif kind == 3:
+        right = w
+        if k_low == 3:
             pass
-        elif not kind:
-            continue
-        elif kind == 4:
+        elif k_low == 1:
+            w += below[a]
+        elif k_low == 2:
+            w += below[a] - below[a + 1]
+        elif not k_low:
+            pass
+        elif k_low == 4:
             w = below[a]
-        elif kind == 5:
+        elif k_low == 5:
             w = below[a] - below[a + 1]
         else:
             w = 0
-        row[a] = w
-    return row
+        if keep and k_low:
+            lower[a] = w
+        if k_up == 3:
+            pass
+        elif k_up == 1:
+            v += w
+        elif k_up == 2:
+            v += w - right
+        elif not k_up:
+            continue
+        elif k_up == 4:
+            v = w
+        elif k_up == 5:
+            v = w - right
+        else:
+            v = 0
+        upper[a] = v
+    return lower, upper
 
 
 def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
@@ -381,12 +454,12 @@ def sigma_grid(u: int, sys: PQSystem, every: Optional[int] = 0) -> Grid:
     The rows fold by the sigma rule of the module docstring, with
     sigma(0) = 0 and inf where no term is left.  For u < 1 there are no
     cells and no tops: sigma(0) = 0 and sigma(u) = inf below.  The fold
-    prunes the Grid's codes as ``_sigma_row`` does, so the first branch of
+    prunes the Grid's codes as ``_sigma_pair`` does, so the first branch of
     each cell is the argmin that the witness descends.
     """
     if u < 1:
         return Grid([[0 if not u else _INF]], [], range(0))
-    return _sweep(u, sys, 0, _sigma_row, every)
+    return _sweep(u, sys, 0, _sigma_pair, every)
 
 
 def _sigma_kind(code: int) -> int:
@@ -401,52 +474,76 @@ def _sigma_kind(code: int) -> int:
 
 
 _SIGMA_KINDS = bytes(_sigma_kind(code) for code in range(256))
-#: A code less its p side, and less its q side.
-_NO_P, _NO_Q = 0xFF ^ (STEP_P | ONE_P), 0xFF ^ (STEP_Q | ONE_Q | FILTERED)
 
 
-def _sigma_row(codes: bytearray, below: list) -> list:
-    """One row of ``sigma_grid``.  At a cell with two branches whose second
-    scores strictly less, it clears the first's bits in ``codes``, so that
+def _sigma_pair(up: bytearray, low: bytearray, below: list, keep: bool) -> tuple[Optional[list], list]:
+    """Rows b - 1 and b of ``sigma_grid``, as ``_count_pair``: sigma at (a, b)
+    is ``s`` and at (a, b - 1) ``t``.  At a cell with two branches whose second
+    scores strictly less, it clears the first's bits in its codes, so that
     ``CELL_BRANCHES[filtered][code][0]`` is the argmin branch, ties to the first."""
-    a = len(codes)
-    row: list = [None] * (a + 1)
-    row[a] = best = 0  # best: sigma at (a + 1, b) whenever the cell has STEP_P
-    # one kind byte per cell from the first reached one, as in ``_count_row``:
-    # 7-9 and 4-6 are the p terms + 1 and + 0, with no q term, + 0 or + 1;
-    # kind 8 lists its branches q first, the others p first
-    for kind in reversed(codes[a - len(codes.lstrip(b"\0")):].translate(_SIGMA_KINDS)):
+    lower = [None] * len(low) + [0] if keep else None
+    upper = [None] * len(up) + [0]
+    kinds, a = _pair_kinds(up, low, _SIGMA_KINDS, 0)
+    s = t = 0  # each is sigma at (a + 1, its row) whenever the cell has STEP_P
+    # 7-9 and 4-6 are the p terms + 1 and + 0, with no q term, + 0 or + 1, and
+    # 1-3 have no p term; kind 8 lists its branches q first, the others p
+    # first; & 252 clears STEP_P | ONE_P, & 227 STEP_Q | ONE_Q | FILTERED
+    for k_up, k_low in kinds:
         a -= 1
-        if kind >= 7:
-            best += 1
-            if kind == 8:
-                if below[a] <= best:
-                    best = below[a]
+        if k_low >= 7:
+            s += 1
+            if k_low == 7:
+                pass
+            elif k_low == 8:
+                if below[a] <= s:
+                    s = below[a]
                 else:
-                    codes[a] &= _NO_Q
-            elif kind == 9:
-                if below[a] + 1 < best:
-                    best = below[a] + 1
-                    codes[a] &= _NO_P
-        elif kind >= 4:
-            if kind == 5:
-                if below[a] < best:
-                    best = below[a]
-                    codes[a] &= _NO_P
-            elif kind == 6:
-                if below[a] + 1 < best:
-                    best = below[a] + 1
-                    codes[a] &= _NO_P
-        elif not kind:
-            continue
-        elif kind == 2:
-            best = below[a]
-        elif kind == 3:
-            best = below[a] + 1
+                    low[a] &= 227
+            elif below[a] + 1 < s:
+                s = below[a] + 1
+                low[a] &= 252
+        elif k_low >= 4:
+            if k_low == 4:
+                pass
+            elif k_low == 5:
+                if below[a] < s:
+                    s = below[a]
+                    low[a] &= 252
+            elif below[a] + 1 < s:
+                s = below[a] + 1
+                low[a] &= 252
+        elif k_low:
+            s = below[a] + k_low - 2 if k_low > 1 else _INF
+        if keep and k_low:
+            lower[a] = s
+        if k_up >= 7:
+            t += 1
+            if k_up == 7:
+                pass
+            elif k_up == 8:
+                if s <= t:
+                    t = s
+                else:
+                    up[a] &= 227
+            elif s + 1 < t:
+                t = s + 1
+                up[a] &= 252
+        elif k_up >= 4:
+            if k_up == 4:
+                pass
+            elif k_up == 5:
+                if s < t:
+                    t = s
+                    up[a] &= 252
+            elif s + 1 < t:
+                t = s + 1
+                up[a] &= 252
+        elif k_up:
+            t = s + k_up - 2 if k_up > 1 else _INF
         else:
-            best = _INF
-        row[a] = best
-    return row
+            continue
+        upper[a] = t
+    return lower, upper
 
 
 def _fill_columns(arr: array | bytearray, sys: PQSystem, bits: int,

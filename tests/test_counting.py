@@ -110,6 +110,21 @@ def test_digit_indicator():
     assert {n for n in range(31) if digits_zero_one(2**n, 3)} == {0, 2, 8}
 
 
+def test_digit_indicator_equals_the_digit_loop():
+    # base 2 answers n >= 0 at once; the digit loop is the definition
+    def by_digits(n, base):
+        if n < 0:
+            return False
+        while n:
+            if n % base > 1:
+                return False
+            n //= base
+        return True
+
+    for base in (2, 3, 5):
+        assert all(digits_zero_one(n, base) == by_digits(n, base) for n in range(-3, 5001)), base
+
+
 def test_indicator_examples(sys23):
     assert summand_indicator(0, 19, sys23) == 1
     assert summand_indicator(1, 19, sys23) == 0

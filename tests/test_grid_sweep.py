@@ -8,6 +8,7 @@ row, in the same order.
 """
 
 import bisect
+import functools
 import math
 import random
 import sys
@@ -25,8 +26,10 @@ from chainpart.decomposition import (
     ONE_Q,
     STEP_P,
     STEP_Q,
-    _count_row,
-    _sigma_row,
+    _chunk_cells,
+    _count_pair,
+    _fold_rows,
+    _sigma_pair,
     count_grid,
     descend,
     grid_cells,
@@ -84,6 +87,16 @@ def test_sweep_visits_exactly_the_reachable_grid_quotients(pq, general_table):
         assert filled == visited
 
 
+def count_row(codes, below, lo=0):
+    """One row of the count fold: the pair kernel's row b under an empty row b - 1."""
+    return _count_pair(bytearray(), codes, below, True, lo)[0]
+
+
+def sigma_row(codes, below):
+    """One row of the sigma fold, pruning ``codes``, as ``count_row``."""
+    return _sigma_pair(bytearray(), codes, below, True)[0]
+
+
 def count_row_by_bits(codes, below):
     """The count fold of one row by bit tests on each code, before kind bytes."""
     row = [None] * len(codes) + [1]
@@ -135,9 +148,9 @@ def test_kind_byte_folds_equal_the_bit_folds():
     rng = random.Random(64)
     for row in code_rows(rng):
         below = [rng.randrange(-10**30, 10**30) for _ in range(len(row) + 1)]
-        assert _count_row(bytearray(row), below) == count_row_by_bits(row, below), row
+        assert count_row(bytearray(row), below) == count_row_by_bits(row, below), row
         below = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(row) + 1)]
-        assert _sigma_row(bytearray(row), below) == sigma_row_by_bits(row, below), row
+        assert sigma_row(bytearray(row), below) == sigma_row_by_bits(row, below), row
 
 
 def first_bits(code):
@@ -165,7 +178,7 @@ def test_sigma_fold_prunes_to_the_argmin_branch():
         for values in ((0, 1), (math.inf, 0, 1, 2), (math.inf, *range(40))):
             below = [rng.choice(values) for _ in range(len(row) + 1)]
             codes = bytearray(row)
-            sigma = _sigma_row(codes, below)
+            sigma = sigma_row(codes, below)
             assert sigma == sigma_row_by_bits(row, below) and is_pruned([row], [codes]), row
             for a, code in enumerate(row):
                 branches = CELL_BRANCHES[False][code]
@@ -194,14 +207,14 @@ def test_row_folds_start_at_the_first_reached_cell():
                 start = max(lo, first)
                 below = [None] * start + full[start:]
                 codes = bytearray(row)
-                assert _count_row(codes, below, lo) == [None] * lo + want[lo:], (run, lo)
+                assert count_row(codes, below, lo) == [None] * lo + want[lo:], (run, lo)
                 assert codes == row, (run, lo)
             full = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(row) + 1)]
             below = [None] * first + full[first:]
             codes, alone = bytearray(row), bytearray(tail)
-            sigma = _sigma_row(codes, below)
+            sigma = sigma_row(codes, below)
             assert sigma == sigma_row_by_bits(row, full), run
-            assert sigma[run:] == _sigma_row(alone, full[run:]), run
+            assert sigma[run:] == sigma_row(alone, full[run:]), run
             assert codes == bytes(run) + alone, run
 
 
@@ -220,6 +233,109 @@ def test_unreached_cells_of_a_row_lead_it_on_p_2(pq):
     else:
         rows = spans[1]  # a random U of 150 digits has a grid of one row on (3, 4)
         assert len(rows) > 50 and any(0 in codes for codes in rows)
+
+
+def pruned_by_bits(codes, sigma, below):
+    """``codes`` with the first branch's bits cleared at each cell with two
+    branches whose second scores strictly less: ``sigma`` at the nearest
+    reached cell to the right plus ONE_P against ``below`` plus ONE_Q."""
+    out = bytearray(codes)
+    for a, code in enumerate(codes):
+        if code & STEP_P and code & STEP_Q:
+            right = next(x for x in sigma[a + 1:] if x is not None)
+            p_score, q_score = right + bool(code & ONE_P), below[a] + bool(code & ONE_Q)
+            p_first = not CELL_BRANCHES[False][code][0].db
+            if q_score < p_score if p_first else p_score < q_score:
+                out[a] = code & ~first_bits(code)
+    return bytes(out)
+
+
+def with_reads_reached(up, low, rng):
+    """``low`` with a reached code wherever row b - 1 of codes ``up`` reads
+    row b: at each STEP_Q cell, and right of it when FILTERED."""
+    low = bytearray(low)
+    for a, code in enumerate(up):
+        if code & STEP_Q:
+            for x in (a, a + 1) if code & FILTERED else (a,):
+                if x < len(low) and not low[x]:
+                    low[x] = rng.randrange(1, 64)
+    return bytes(low)
+
+
+def test_pair_kernels_equal_the_row_by_row_bit_folds():
+    # rows b - 1 and b: shuffled codes after a run of unreached cells, with
+    # unreached cells inside, row b shorter than row b - 1, as long or longer;
+    # each kernel's rows equal the bit folds of row b and then of row b - 1
+    # (right of lo), row b only when kept, and the sigma kernel prunes both
+    # rows' codes as the bit folds' argmin does
+    rng = random.Random(69)
+    for tail in code_rows(rng)[-200:]:
+        up = bytes(rng.choice((0, 1, 9))) + tail
+        length = max(0, len(up) + rng.randrange(-12, 13))
+        low = bytes(rng.randrange(4)) + bytes(rng.choice((0, *range(1, 64))) for _ in range(length))
+        low = with_reads_reached(up, low, rng)
+        below = [rng.randrange(-10**30, 10**30) for _ in range(len(low) + 1)]
+        lower = count_row_by_bits(low, below)
+        upper = count_row_by_bits(up, lower + [1] * (len(up) - len(low)))
+        for lo in (0, 1, len(up) // 2):
+            for keep in (True, False):
+                got = _count_pair(bytearray(up), bytearray(low), below, keep, lo)
+                assert got[1] == [None] * lo + upper[lo:], (tail, lo)
+                assert got[0] == ([None] * lo + lower[lo:] if keep else None), (tail, lo)
+        below = [rng.choice((math.inf, rng.randrange(40))) for _ in range(len(low) + 1)]
+        lower = sigma_row_by_bits(low, below)
+        padded = lower + [0] * (len(up) - len(low))
+        upper = sigma_row_by_bits(up, padded)
+        for keep in (True, False):
+            codes_up, codes_low = bytearray(up), bytearray(low)
+            assert _sigma_pair(codes_up, codes_low, below, keep) == (lower if keep else None, upper)
+            assert codes_low == pruned_by_bits(low, lower, below), tail
+            assert codes_up == pruned_by_bits(up, upper, padded), tail
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (2, 7), (3, 4), (5, 7), (3, 2)])
+def test_fold_rows_by_pairs_equals_the_row_by_row_fold(pq):
+    # odd and even numbers of rows, kept lower rows or not, lo > 0 for the
+    # count; on p >= 3 some lower row is longer than the one above it
+    sys_ = make_system(*pq)
+    rng = random.Random(70 + sum(pq))
+    cells = grid_cells(chain_sum(rng, 120, *pq), sys_)
+    n = len(cells)
+    assert n > 20 and (pq[0] == 2 or any(len(cells[b]) > len(cells[b - 1]) for b in range(1, n)))
+    for bs in (range(n), range(1, n), range(n // 2, n), range(n - 1, n)):
+        rows = {}  # b: (the bit fold's rows of W and sigma, and the rows below them)
+        below = [], []
+        for b in reversed(bs):
+            codes = cells[b]
+            below = [row + [at_zero] * (len(codes) + 1 - len(row)) for row, at_zero in zip(below, (1, 0))]
+            rows[b] = (count_row_by_bits(codes, below[0]), sigma_row_by_bits(codes, below[1])), below
+            below = rows[b][0]
+        for keep in (bs, range(bs.start, n, 3), (bs.start,)):
+            for lo in (0, 2, len(cells[bs.start]) // 2):
+                got = _fold_rows(cells, bs, [], 1, functools.partial(_count_pair, lo=lo), keep)
+                assert [row[lo:] for row in got] == [rows[b][0][0][lo:] for b in bs if b in keep]
+                assert all(set(row[:min(lo, len(row) - 1)]) <= {None} for row in got), (bs, lo)
+            codes = [bytearray(row) for row in cells]
+            got = _fold_rows(codes, bs, [], 0, _sigma_pair, keep)
+            assert got == [rows[b][0][1] for b in bs if b in keep], bs
+            assert codes[:bs.start] == cells[:bs.start], bs
+            for b in bs:
+                assert codes[b] == pruned_by_bits(cells[b], rows[b][0][1], rows[b][1][1]), (bs, b)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 15, 17])
+def test_p_2_codes_from_bit_windows_equal_the_chunk_codes(q, monkeypatch):
+    # every U <= 3000, then random U and chain sums of 20 to 600 digits; from
+    # q = 17 on the chunk path runs
+    sys_ = make_system(2, q)
+    if q > 16:
+        monkeypatch.setattr(decomposition, "_window_codes", None)
+    rng = random.Random(71 + q)
+    digits = range(20, 601, 20)
+    us = [*range(1, 3001), *(rng.randrange(10**d) + 1 for d in digits), *(chain_sum(rng, d, 2, q) for d in digits)]
+    for u in us:
+        cells = grid_cells(u, sys_)
+        assert cells == _chunk_cells(u, sys_) and all(type(codes) is bytearray for codes in cells), u
 
 
 def chain_sum(rng, digits, p, q):

@@ -366,13 +366,12 @@ def _cmd_graph(args: argparse.Namespace, sys_: PQSystem) -> int:
         labels = {v: codec.lattice_encode(v) for v in graph.vertices}
         for v in graph.vertices:
             print(f'  "{labels[v]}";')
-        seen = set()
-        for v in graph.vertices:
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        for i, v in enumerate(graph.vertices):
             for w in sorted(graph.adjacency[v]):
-                key = tuple(sorted((labels[v], labels[w])))
-                if key not in seen:
-                    seen.add(key)
-                    print(f'  "{key[0]}" -- "{key[1]}";')
+                if index[w] > i:  # each edge once, from its earlier vertex
+                    first, last = sorted((labels[v], labels[w]))
+                    print(f'  "{first}" -- "{last}";')
         print("}")
         return 0
     # diameter()'s first BFS finds a disconnected graph, so no other BFS runs

@@ -19,6 +19,8 @@ cross-validate each other and the brute-force oracle:
       W(U) = Wp(U) + W(U/q) + sum_c delta(c, U) * W(floor(U / (p^c q)))
   where Wp(n) says whether n has only digits 0 and 1 in base p, and
   delta(c, U) = 1 iff floor(U/p^c) = 1 mod q and Wp(U mod p^c) = 1.
+  Its one acceleration is the digit break: the sum stops at the first
+  base-p digit of U past 1, after which every delta vanishes.
 
 All engines use exact integer arithmetic and evaluate with loops, not
 recursion, so deeply chained arguments cannot overflow the
@@ -55,35 +57,15 @@ def digits_zero_one(n: int, base: int) -> bool:
     return True
 
 
-def indicator_gap(sys: PQSystem) -> int:
-    """Least guaranteed gap between surviving summands (0 when p > q).
-
-    With N = floor(log_p(q - (q-1)/p)) and p < q, an index c with a surviving
-    summand forces the next N indices to vanish, so the evaluation loop may
-    skip them.  Computed exactly: N is the largest n with p^(n+1) <= pq-q+1.
-    """
-    if sys.p > sys.q:
-        return 0
-    n = 0
-    power = sys.p  # p^(n+1)
-    bound = sys.p * sys.q - sys.q + 1
-    while power * sys.p <= bound:
-        n += 1
-        power *= sys.p
-    return n
-
-
 class CountTable:
     """Memoized table for one counting engine; subclasses define the rule.
 
-    ``table`` maps U to W(U) and ``star`` maps U to W*(U), the number of
-    partitions with no part 1.  Entries are exact and never rewritten.
+    ``table`` maps U to W(U); its entries are exact and never rewritten.
     """
 
     def __init__(self, sys: PQSystem) -> None:
         self.sys = sys
         self.table: dict[int, int] = {0: 1, 1: 1}
-        self.star: dict[int, int] = {0: 1}
 
     def _expand(self, u: int) -> Expansion:
         """Return (constant, deps), all deps below u: W(u) is the constant plus W at each dep."""
@@ -103,12 +85,9 @@ class CountTable:
         return fill_memo(table, u, self._expand, lambda _, e: e[0] + sum(map(get, e[1])))
 
     def w_star(self, u: int) -> int:
-        """W*(u): partitions of u with no part 1; W*(0) = 1 by convention."""
+        """W*(u): partitions of u with no part 1, from the W memo; W*(0) = 1 by convention."""
         if u < 0:
             return 0
-        hit = self.star.get(u)
-        if hit is not None:
-            return hit
         total = 0
         if u % self.sys.p == 0:
             total += self.w(u // self.sys.p)
@@ -116,7 +95,6 @@ class CountTable:
             total += self.w(u // self.sys.q)
         if u % self.sys.pq == 0:
             total -= self.w(u // self.sys.pq)
-        self.star[u] = total
         return total
 
     def scan(self, limit: int) -> array:
@@ -184,14 +162,9 @@ class HalvingCounter(CountTable):
 class DirectSumCounter(CountTable):
     """Direct engine: sum over the sizes of the pure-power block.
 
-    Two result-neutral accelerations keep the sum short: once a base-p digit
-    of U exceeds 1 every later indicator vanishes, and a surviving summand
-    silences its ``indicator_gap`` successors.
+    One result-neutral acceleration keeps the sum short: once a base-p digit
+    of U exceeds 1, every later indicator vanishes, so the sum stops there.
     """
-
-    def __init__(self, sys: PQSystem) -> None:
-        super().__init__(sys)
-        self._gap = indicator_gap(sys)
 
     def _expand(self, u: int) -> Expansion:
         p, q = self.sys.p, self.sys.q
@@ -200,15 +173,13 @@ class DirectSumCounter(CountTable):
         if u % q == 0:
             deps.append(u // q)
         # v = u div p^c; v > q is p^c <= u div (q + 1), and v div q is u div (p^c q)
-        v, c, skip_until = u, 0, -1
+        v = u
         while v > q:
-            if c > skip_until and v % q == 1:
+            if v % q == 1:
                 deps.append(v // q)
-                skip_until = c + self._gap
             if v % p > 1:
                 break
             v //= p
-            c += 1
         return const, tuple(deps)
 
 

@@ -195,8 +195,9 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytearray]:
     is 1), STEP_Q and ONE_Q likewise for q, and FILTERED when N mod pq <= 1.
     A row's cells are reached along STEP_P from its seeds, the reached cells
     of the row above with STEP_Q.  A row ends at its last reached cell, and
-    the rows end at one with no reached STEP_Q cell, or at N = 0.  The sigma
-    fold prunes the rows in place.
+    the rows at the last row with one: a seed past its row's end is dropped,
+    as the q branch of the leaf N = 1 into N = 0, which no descent takes and
+    the folds read past every row's end.  The sigma fold prunes the rows in place.
 
     For p = 2 and q < 16 (else ``_chunk_cells``), with t = n div q, the next
     row's n, and k = q's bits, N(a) mod q = ((n >> a) - q (t >> a)) mod 2^k:
@@ -209,11 +210,11 @@ def grid_cells(u: int, sys: PQSystem) -> list[bytearray]:
     window = sum(1 << 8 * j + k - 1 - j for j in range(k))  # cell a's key lands in byte a + k - 1
     cells: list[bytearray] = []
     first, n, bits = 0, u, int.from_bytes(bin(u).encode().translate(_BITS), "big")
-    while first >= 0 and n:  # first: the row's first seed
-        length, t = n.bit_length(), n // q
+    while 0 <= first < (length := n.bit_length()):  # first: the row's first seed
+        t = n // q
         t_bits = int.from_bytes(bin(t).encode().translate(_BITS), "big")
         flags = ((bits | t_bits << k) * window).to_bytes(length + k - 1, "little")[k - 1:].translate(table)
-        cells.append(bytearray(first) + flags[first:] if first < length else bytearray())
+        cells.append(bytearray(first) + flags[first:])
         first, n, bits = flags.translate(_Q_01).find(1, first), t, t_bits
     return cells
 
@@ -257,6 +258,8 @@ def _chunk_cells(u: int, sys: PQSystem) -> list[bytearray]:
         # 0xFF at each seed and at each cell that a STEP_P cell steps into
         run = int.from_bytes(flags.translate(_P_FF), "little") << 8 | seeds_ff
         reached = (((run + seeds) ^ run) & run | seeds_ff) & mask
+        if not reached:  # every seed lies past the row's end
+            break
         row = int.from_bytes(flags, "little") & reached
         cells.append(bytearray(row.to_bytes((row.bit_length() + 7) // 8, "little")))
         seeds = reached & int.from_bytes(flags.translate(_Q_01), "little")

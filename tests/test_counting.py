@@ -12,7 +12,6 @@ from chainpart.counting import (
     HalvingCounter,
     all_counters,
     digits_zero_one,
-    indicator_gap,
     make_counter,
 )
 from chainpart.decomposition import count_grid
@@ -136,14 +135,6 @@ def test_indicator_examples(sys23):
             assert summand_indicator(c, u, sys23) == (1 if c % 2 == 0 else 0)
 
 
-def test_indicator_gap_value(sys23):
-    assert indicator_gap(sys23) == 1
-    # no two consecutive summands survive for (2,3)
-    for u in range(2, 3000):
-        hits = [c for c in range(0, 12) if summand_indicator(c, u, sys23)]
-        assert all(b - a > 1 for a, b in zip(hits, hits[1:]))
-
-
 def test_direct_sum_breakdown_u19(sys23):
     counter = DirectSumCounter(sys23)
     assert counter.w(19) == 1 + counter.w(6) + counter.w(1) == 4
@@ -166,8 +157,18 @@ def test_direct_sum_accelerations_are_neutral():
         assert list(DirectSumCounter(sys_).scan(5000)) == plain
 
 
+def _gap(p, q):
+    """The indices that a surviving summand silences: the largest n with
+    p^(n+1) <= pq - q + 1 when p < q, else 0."""
+    n = 0
+    while p < q and p ** (n + 2) <= p * q - q + 1:
+        n += 1
+    return n
+
+
 def _expand_on_powers(counter, u):
-    """``DirectSumCounter._expand`` as it was: p^c carried, u divided by it each step."""
+    """``DirectSumCounter._expand`` as it was: p^c carried, u divided by it
+    each step, and the ``_gap`` indices after a surviving summand skipped."""
     p, q = counter.sys.p, counter.sys.q
     const = 1 if digits_zero_one(u, p) else 0
     deps = []
@@ -178,7 +179,7 @@ def _expand_on_powers(counter, u):
     while pc <= bound:
         if c > skip_until and (u // pc) % q == 1:
             deps.append(u // (pc * q))
-            skip_until = c + counter._gap
+            skip_until = c + _gap(p, q)
         if (u // pc) % p > 1:
             break
         pc *= p
@@ -187,6 +188,9 @@ def _expand_on_powers(counter, u):
 
 
 def test_direct_expand_on_a_running_quotient_equals_the_loop_on_powers():
+    # the loop on powers skips the ``_gap`` indices that a surviving summand
+    # silences, so the equal deps also show that the running quotient, which
+    # skips none, adds no summand in them
     rng = random.Random(27)
     for p, q in ((2, 3), (2, 5), (3, 4), (3, 2), (5, 3), (2, 9), (4, 7)):
         counter = DirectSumCounter(make_system(p, q))

@@ -351,6 +351,21 @@ def chain_sum(rng, digits, p, q):
     return total
 
 
+@pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 2), (2, 17)])
+def test_every_row_of_a_grid_holds_a_reached_cell(pq):
+    # the rows end at the last one with a reached cell: the q branch of the
+    # leaf N = 1 seeds N = 0, past the end of the row below, and adds no row;
+    # every U <= 3000, then chain sums of 20 to 600 digits on (2, 3) (bit
+    # windows), (2, 17) (chunk tables on p = 2) and (3, 4)
+    sys_ = make_system(*pq)
+    rng = random.Random(72 + sum(pq))
+    us = [*range(1, 3001)]
+    if pq in ((2, 3), (2, 17), (3, 4)):
+        us += [chain_sum(rng, d, *pq) for d in range(20, 601, 20)]
+    for u in us:
+        assert all(any(codes) for codes in grid_cells(u, sys_)), u
+
+
 @pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 2)])
 def test_witness_is_the_every_row_argmin(pq):
     # the witness from the pruned codes of two rows against a min over the
@@ -479,7 +494,7 @@ def test_sample_at_10_600_folds_no_row_more_than_three_times(sys23, monkeypatch)
     monkeypatch.setattr(decomposition, "_fold_rows", counted)
     members = list(sample_uniform(10**600, sys23, 4, 4))
     assert len(members) == 4 and all(value(pt, sys23) == 10**600 for pt in members)
-    assert len(folds) == 898 and max(folds.values()) <= 3 and 3 in folds.values()
+    assert len(folds) == 897 and max(folds.values()) <= 3 and 3 in folds.values()
 
 
 def test_witness_and_sampler_sweep_once(sys23, monkeypatch):

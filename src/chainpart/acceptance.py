@@ -97,8 +97,7 @@ def criterion_02_omega27(profile: str) -> str:
 
 
 @_criterion(3, "count-cross-validation")
-def criterion_03_counting(profile: str,
-                          corrupt: bool = False) -> str:
+def criterion_03_counting(profile: str) -> str:
     t0 = time.perf_counter()
     oracle_limit = 10_000 if profile == "full" else 400
     scan_limit = 1_000_000 if profile == "full" else 20_000
@@ -116,8 +115,6 @@ def criterion_03_counting(profile: str,
             )
         for other in scans[1:]:
             _need(other == scans[0], f"engine scans disagree for {sys_}")
-        if corrupt and (p, q) == (2, 3):
-            engines[1].table[2931] = -1  # deliberate memo damage (test hook)
         for u in range(0, scan_limit + 1, 977):
             vals = {eng.w(u) for eng in engines}
             _need(
@@ -394,11 +391,11 @@ CRITERIA: tuple[Callable[[str], CriterionResult], ...] = (
 )
 
 
-def run_selftest(profile: str = "quick", corrupt: bool = False) -> int:
+def run_selftest(profile: str = "quick") -> int:
     """Run every criterion, printing a line for each; returns 0 when all pass, 2 otherwise."""
     failures = 0
     for fn in CRITERIA:
-        result = fn(profile, corrupt=corrupt) if fn is criterion_03_counting else fn(profile)
+        result = fn(profile)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.cid:02d} {result.name}: {result.detail}")
         if not result.passed:

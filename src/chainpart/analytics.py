@@ -20,8 +20,9 @@ W is unbounded once any value exceeds 1.
 Each check reads its count scan, the ``array('I')`` of ``CountTable.scan``
 (a list is converted to one), in blocks of 32-bit lanes packed into one big
 integer; W < 2^31 below the scan's limit 2^39, so one SWAR compare on the
-lanes' top bits (``_at_least``) tests a whole block.  Python reads only the
-lanes a compare picks out: running-maximum jumps, counts below 3, failures.
+lanes' top bits (``decomposition._at_least``) tests a whole block.  Python
+reads only the lanes a compare picks out: running-maximum jumps, counts below
+3, failures.
 
 Violations of proved statements raise InvariantViolationError; conjecture
 exceptions are reported as data, never as errors.
@@ -43,6 +44,7 @@ from .core import (
     UnreachableSumError,
 )
 from .counting import make_counter
+from .decomposition import _at_least
 from .enumeration import ResidueEnumerator
 
 BISECTION_LO = 1e-6
@@ -67,12 +69,6 @@ def _pack(part: array) -> tuple[int, int]:
     if x & guards:
         raise ValueError("a count at or past 2^31 is past the lane bound of the scan")
     return x, guards
-
-
-def _at_least(x: int, y: int, guards: int) -> int:
-    """The guard bit of each lane where x >= y, all lanes below 2^31: SWAR, as
-    ``decomposition._byte_min``, since (x | guards) - y borrows from no other lane."""
-    return ((x | guards) - y) & guards
 
 
 def _set_lanes(bits: int, guards: int, first: int) -> Iterator[int]:

@@ -416,7 +416,7 @@ def _cmd_sumfn(args: argparse.Namespace, sys_: PQSystem) -> int:
 def _cmd_selftest(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import acceptance
     profile = "full" if args.full else "quick"
-    return acceptance.run_selftest(profile, corrupt=args.inject_corruption)
+    return acceptance.run_selftest(profile)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", default=True)
     mode.add_argument("--full", action="store_true", default=False)
-    sub.add_argument("--inject-corruption", action="store_true",
-                     help=argparse.SUPPRESS)
     return parser
 
 
@@ -548,7 +546,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=_sys.stderr)
         return 2
-    except (ChainPartError, ValueError, RecursionError, MemoryError) as exc:
+    except (ChainPartError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=_sys.stderr)
         return 1
 

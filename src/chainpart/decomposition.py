@@ -44,9 +44,11 @@ row's.  Everything else reads the codes:
   0..n, a column of one class at a time, on typed buffers: W in an
   ``array('I')`` of 32-bit lanes, each column one big-integer add or subtract
   of its packed slices, and sigma in a ``bytearray``, NO_SIGMA (0x7F) where
-  Omega is empty, with ``translate`` for ``+1`` and a bytewise SWAR min.
-  Below the limit that ``CountTable.scan`` refuses, 2^39, W < 2^31 and
-  P + Q < 2^32 in every lane, and sigma < 0x7E, so no lane overflows.
+  Omega is empty, with ``translate`` for ``+1`` and a bytewise SWAR min
+  (``_at_least``, which the lane checks of ``analytics`` share).  Only the
+  classes below n are coded, so the work is sized by n, not by pq.  Below the
+  limit that ``CountTable.scan`` refuses, 2^39, W < 2^31 and P + Q < 2^32 in
+  every lane, and sigma < 0x7E, so no lane overflows.
 
 The binary table (p = 2, modulus 2q) reads the label ``1`` as adding 1 to
 the block of powers of 2, with carries, which keeps every branch disjoint and
@@ -550,38 +552,40 @@ def _sigma_pair(up: bytearray, low: bytearray, below: list, keep: bool) -> tuple
 
 
 def _fill_columns(arr: array | bytearray, sys: PQSystem, bits: int,
-                  column: Callable[[int, Callable[..., Any]], Any],
-                  read: Optional[Callable[[Any], Any]] = None) -> None:
+                  column: Callable[[int, Any, Any, Any], Any]) -> None:
     """Fill arr[2:] in place, given arr[0] and arr[1], one residue class at a time.
 
-    For u = pq k + r, ``column(code, operand)`` gets the code bits ``bits``
-    of the ``_codes_of`` code of r, and ``operand(i, raw=True)``: the slice of
-    ``arr`` at u div p (i = 0), u div q (1) or u div pq (2) for a run of k, or
-    its ``read`` if not ``raw``.  It returns the values at those u, as a
-    buffer of the type of ``arr``.  A run of k from k0 to min(p, q) k0 reads
-    only entries below pq k0, finished before it starts; the first, k = 0 and
-    r >= 2, reads entries below r, each finished at its own r.  Within a run
-    the start of each operand's slice does not decrease with r, so keeping
-    the last slice of each operand, and its read, still cuts and reads each
-    distinct slice once per run; a class with the bits and slices of the one
-    before (r = 1 after r = 0 for W) reuses its column.
+    For the u = pq k + r of a run of k, ``column(code, at_p, at_q, at_pq)``
+    gets the bits ``bits`` of the ``_codes_of`` code of r and the slices of
+    ``arr`` at u div p, u div q and u div pq, and returns the values at those
+    u as a buffer of the type of ``arr``.  Each u < pq is a run of its own.  A
+    run of k from k0 >= 1 to min(p, q) k0 reads only entries below pq k0; it
+    cuts the slice at u div p (u div q) when r enters a new block of p (of q),
+    and reuses the last column while (code, r div p, r div q) repeats, as
+    r = 1 does after r = 0 for W.  Only the r < len(arr) are coded, and arr is
+    padded to whole runs only when a run exists: the work is sized by the limit.
     """
     p, q, pq = sys.p, sys.q, sys.pq
-    codes = [_codes_of(sys, 1, r % q, r % p)[0][0] & bits for r in range(pq)]
-    n, k0, k1 = len(arr), 0, 1
-    end = -(-n // pq)
-    arr += arr[:1] * (pq * end - n)  # padding, overwritten before anything reads it
+    n = len(arr)
+    codes = [_codes_of(sys, 1, r % q, r % p)[0][0] & bits for r in range(min(pq, n))]
+    for u in range(2, min(pq, n)):
+        arr[u:u + 1] = column(codes[u], arr[u // p:u // p + 1], arr[u // q:u // q + 1], arr[:1])
+    k0, end = 1, -(-n // pq)
+    if end > 1:
+        arr += arr[:1] * (pq * end - n)  # padding, overwritten before anything reads it
     while k0 < end:
-        cut = [functools.lru_cache(maxsize=1)(
-            lambda start, step: arr[start:start + step * (k1 - k0):step]) for _ in range(3)]
-        value = [functools.lru_cache(maxsize=1)(
-            lambda start, step, i=i: read(cut[i](start, step))) for i in range(3)]
-        fill = functools.lru_cache(maxsize=1)(lambda code, at: column(
-            code, lambda i, raw=True: (cut if raw else value)[i](*at[i])))
-        for r in range(0 if k0 else 2, pq):
-            at = ((q * k0 + r // p, q), (p * k0 + r // q, p), (k0, 1))
-            arr[pq * k0 + r : pq * k1 : pq] = fill(codes[r], at)
-        k0, k1 = k1, min(k1 * min(p, q), end)
+        k1, last = min(k0 * min(p, q), end), None
+        at_pq = arr[k0:k1]
+        for r in range(pq):
+            if r % p == 0:
+                at_p = arr[q * k0 + r // p : q * k1 : q]
+            if r % q == 0:
+                at_q = arr[p * k0 + r // q : p * k1 : p]
+            key = (codes[r], r // p, r // q)
+            if key != last:
+                last, values = key, column(codes[r], at_p, at_q, at_pq)
+            arr[pq * k0 + r : pq * k1 : pq] = values
+        k0 = k1
     del arr[n:]
 
 
@@ -589,27 +593,26 @@ def count_fill(arr: array, sys: PQSystem) -> None:
     """W on 0..len(arr) - 1 by the rule of ``count_grid``, given arr[0] = arr[1] = 1.
 
     ``arr`` is an ``array``, one lane of ``arr.itemsize`` bytes per u.  A column
-    that adds reads its operand slices as one integer each, ``int.from_bytes``
-    in the native byte order once per slice and run, and does one big-integer
-    add (and subtract); a column of one term is that slice, and u = pq k + 1
-    shares the column of pq k.  No lane carries or borrows into the next:
-    W(u) <= u^beta with beta <= 0.79, so W < 2^31 and P + Q < 2^32 for every
-    u below 2^39, which ``CountTable.scan`` refuses; and P + Q - V = W >= 0.
+    that adds reads each of its operand slices as one integer, ``int.from_bytes``
+    in the native byte order, and does one big-integer add (and subtract); a
+    column of one term is that slice, and u = pq k + 1 shares the column of
+    pq k.  No lane carries or borrows into the next: W(u) <= u^beta with
+    beta <= 0.79, so W < 2^31 and P + Q < 2^32 for every u below 2^39, which
+    ``CountTable.scan`` refuses; and P + Q - V = W >= 0.
     """
-    typecode, size = arr.typecode, arr.itemsize
+    typecode, size, order = arr.typecode, arr.itemsize, _sys.byteorder
 
-    def column(code: int, operand: Callable[..., Any]) -> array:
+    def column(code: int, at_p: array, at_q: array, at_pq: array) -> array:
         if not code & STEP_Q:
-            return operand(0) if code & STEP_P else array(typecode, bytes(size * len(operand(2))))
+            return at_p if code & STEP_P else array(typecode, bytes(size * len(at_pq)))
         if not code & STEP_P:
-            return operand(1)
-        total = operand(0, False) + operand(1, False)
+            return at_q
+        total = int.from_bytes(at_p, order) + int.from_bytes(at_q, order)
         if code & FILTERED:
-            total -= operand(2, False)
-        return array(typecode, total.to_bytes(size * len(operand(2)), _sys.byteorder))
+            total -= int.from_bytes(at_pq, order)
+        return array(typecode, total.to_bytes(size * len(at_pq), order))
 
-    _fill_columns(arr, sys, STEP_P | STEP_Q | FILTERED, column,
-                  functools.partial(int.from_bytes, byteorder=_sys.byteorder))
+    _fill_columns(arr, sys, STEP_P | STEP_Q | FILTERED, column)
 
 
 #: A dense sigma byte where Omega is empty.  sigma(u) <= log2(u) + 1, so it
@@ -619,18 +622,20 @@ NO_SIGMA = 0x7F
 _PLUS_ONE = bytes(x + 1 if x < NO_SIGMA else x for x in range(256))
 
 
-def _byte_min(a: bytes, b: bytes) -> bytes:
-    """The bytewise min of two byte strings of one length, each byte below 0x80.
+def _at_least(x: int, y: int, guards: int) -> int:
+    """The guard bit of each lane where x >= y: SWAR over lanes packed in ints,
+    ``guards`` holding each lane's top bit, which no lane of x or y reaches
+    (0x80 for bytes, 2^31 for 32-bit count lanes), so (x | guards) - y borrows
+    from no other lane."""
+    return ((x | guards) - y) & guards
 
-    SWAR, one big-integer operation over every byte lane at once: with the
-    guard bit 0x80 set in each lane of a, (a | guards) - b borrows from no
-    other lane and keeps a lane's guard bit exactly where a >= b; spread to
-    0xFF, those bits pick b.
-    """
+
+def _byte_min(a: bytes, b: bytes) -> bytes:
+    """The bytewise min of two byte strings of one length, each byte below 0x80:
+    one ``_at_least`` over every byte lane at once, spread to 0xFF to pick b."""
     n = len(a)
     x, y = int.from_bytes(a, "little"), int.from_bytes(b, "little")
-    guards = int.from_bytes(b"\x80" * n, "little")
-    b_lanes = (((x | guards) - y) & guards) >> 7
+    b_lanes = _at_least(x, y, int.from_bytes(b"\x80" * n, "little")) >> 7
     return (x ^ ((x ^ y) & b_lanes * 0xFF)).to_bytes(n, "little")
 
 
@@ -638,16 +643,16 @@ def sigma_fill(arr: bytearray, sys: PQSystem) -> None:
     """sigma on 0..len(arr) - 1 by the rule of ``sigma_grid``, given arr[0] = 0, arr[1] = 1.
 
     ``arr`` holds one byte per u, NO_SIGMA where Omega is empty.  A ``+1``
-    column is one ``translate`` by ``_PLUS_ONE``, and the min of two columns
-    one ``_byte_min``.
+    column is one ``translate`` of its slice by ``_PLUS_ONE``, and the min of
+    two columns one ``_byte_min``.
     """
 
-    def column(code: int, operand: Callable[..., Any]) -> bytes:
-        terms = [operand(i).translate(_PLUS_ONE) if code & one else operand(i)
-                 for i, step, one in ((0, STEP_P, ONE_P), (1, STEP_Q, ONE_Q)) if code & step]
+    def column(code: int, at_p: bytearray, at_q: bytearray, at_pq: bytearray) -> bytes:
+        terms = [at.translate(_PLUS_ONE) if code & one else at
+                 for at, step, one in ((at_p, STEP_P, ONE_P), (at_q, STEP_Q, ONE_Q)) if code & step]
         if len(terms) == 2:
             return _byte_min(*terms)
-        return terms[0] if terms else bytes((NO_SIGMA,)) * len(operand(2))
+        return terms[0] if terms else bytes((NO_SIGMA,)) * len(at_pq)
 
     _fill_columns(arr, sys, STEP_P | ONE_P | STEP_Q | ONE_Q, column)
 

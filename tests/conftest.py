@@ -7,6 +7,25 @@ import pytest
 from chainpart.core import Partition, make_system
 
 
+@pytest.fixture
+def damaged_halving_memo(monkeypatch):
+    """Criterion 3's engines on (2, 3), with the halving memo damaged at
+    u = 2931, a point that the criterion's pointwise pass reads."""
+    from chainpart import acceptance
+    from chainpart.counting import HalvingCounter
+
+    all_counters = acceptance.counting.all_counters
+
+    def damaged(sys_):
+        engines = all_counters(sys_)
+        for engine in engines:
+            if isinstance(engine, HalvingCounter) and (sys_.p, sys_.q) == (2, 3):
+                engine.table[2931] = -1
+        return engines
+
+    monkeypatch.setattr(acceptance.counting, "all_counters", damaged)
+
+
 @pytest.fixture(scope="session")
 def sys23():
     return make_system(2, 3)

@@ -12,8 +12,8 @@ import pytest
 from chainpart import acceptance, core, graph23
 
 
-def _run(fn, **kwargs):
-    result = fn("full", **kwargs) if kwargs else fn("full")
+def _run(fn):
+    result = fn("full")
     print(f"criterion {result.cid:02d} {result.name}: "
           f"{'PASS' if result.passed else 'FAIL'} - {result.detail}")
     assert result.passed, f"criterion {result.cid} ({result.name}): {result.detail}"
@@ -31,8 +31,8 @@ def test_criterion_03_count_cross_validation():
     _run(acceptance.criterion_03_counting)
 
 
-def test_criterion_03_detects_corrupted_memo():
-    result = acceptance.criterion_03_counting("quick", corrupt=True)
+def test_criterion_03_detects_corrupted_memo(damaged_halving_memo):
+    result = acceptance.criterion_03_counting("quick")
     assert not result.passed
     assert "disagreement" in result.detail
 

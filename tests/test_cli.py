@@ -487,8 +487,8 @@ def test_selftest_quick(capsys):
     assert lines[-1] == "OK 14/14 criteria"
 
 
-def test_selftest_detects_injected_corruption(capsys):
-    code, out, _ = run(capsys, "selftest", "--quick", "--inject-corruption")
+def test_selftest_detects_injected_corruption(capsys, damaged_halving_memo):
+    code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 2
     assert any(line.startswith("FAIL 03") for line in out.splitlines())
 

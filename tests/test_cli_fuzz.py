@@ -8,7 +8,9 @@ stay small (``--u`` up to 10^6, ``--limit`` up to 2000, ``--n`` up to 3,
 file holds keys drawn from the command's option dests, flags included, and
 one key that is no option; its values are the command-line values or free
 text.  Hypothesis runs derandomized with a fixed number of examples, so
-every run draws the same command lines and files.
+every run draws the same command lines and files.  A 401-digit second base
+is tried on its own: the float estimates refuse it with an ``error:`` line,
+and the dense scans stop at their limit.
 """
 
 import argparse
@@ -149,7 +151,34 @@ def test_tree_words_on_p_other_than_2_exit_cleanly(argv, stdin):
     _exits_cleanly(argv, stdin)
 
 
-def _exits_cleanly(argv, stdin):
+# A second base of 401 digits: past float range, and far past any dense limit.
+HUGE_Q = str(10**400 + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--p", "2", "--q", HUGE_Q],
+    ["sumfn", "--xmax", "100", "--q", HUGE_Q],
+    ["scan", "bound", "--limit", "10", "--q", HUGE_Q],
+])
+def test_a_base_past_float_range_is_a_domain_error(argv):
+    code, out, err = _run(argv, "")
+    assert (code, out) == (1, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("mode", [["scan", "w"], ["sigma-stats"], ["scan", "maxw"]])
+def test_dense_scans_at_a_huge_base_stop_at_the_limit(mode):
+    # the fills code only the residues below the limit, so a 401-digit pq costs nothing
+    code, out, err = _run([*mode, "--limit", "10", "--q", HUGE_Q], "")
+    assert (code, err) == (0, ""), err
+    if mode == ["scan", "w"]:
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["u"] for row in rows] == list(range(11))
+        for row in rows:
+            assert _run(["count", "--u", str(row["u"]), "--q", HUGE_Q], "")[1] == row["w"] + "\n"
+
+
+def _run(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
@@ -158,5 +187,10 @@ def _exits_cleanly(argv, stdin):
             code = cli.main(argv)
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exits_cleanly(argv, stdin):
+    code, _, err = _run(argv, stdin)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert "Traceback" not in err, (argv, err)

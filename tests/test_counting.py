@@ -14,7 +14,8 @@ from chainpart.counting import (
     digits_zero_one,
     make_counter,
 )
-from chainpart.decomposition import count_grid
+from chainpart.decomposition import count_grid, sigma_grid
+from chainpart.shortest import ShortestTable
 
 
 def summand_indicator(c, u, sys_):
@@ -239,8 +240,8 @@ def test_scan_to_a_million_traces_under_10_mb(sys23):
 
 
 def test_scan_to_a_million_traces_under_7_5_mb(sys23):
-    # the 4 MB array and, per operand, only its last slice and that slice's
-    # integer; keeping every slice of a doubling run traced 8.2 MB here
+    # the 4 MB array and, per operand, only the slice in use; keeping every
+    # slice of a doubling run traced 8.2 MB here
     tracemalloc.start()
     try:
         counts = make_counter(sys23).scan(10**6)
@@ -249,6 +250,26 @@ def test_scan_to_a_million_traces_under_7_5_mb(sys23):
         tracemalloc.stop()
     assert counts[10**6] == make_counter(sys23).w(10**6)
     assert peak < 7.5 * 2**20, peak
+
+
+@pytest.mark.parametrize("pq", [(2, 100003), (100003, 2), (3, 100003)])
+def test_dense_scans_past_a_large_base_are_sized_by_the_limit(pq):
+    # every limit ends inside the first residue block mod pq, so the fills
+    # code no residue past the limit and pad to no whole run of pq lanes
+    sys_ = make_system(*pq)
+    counter, table = make_counter(sys_), ShortestTable(sys_)
+    for limit in range(41):
+        us = range(limit + 1)
+        assert list(counter.scan(limit)) == [count_grid(u, sys_).rows[0][0] for u in us], limit
+        assert table.scan(limit) == [sigma_grid(u, sys_).rows[0][0] for u in us], limit
+    tracemalloc.start()
+    try:
+        counter.scan(40)
+        table.scan(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (2, 5), (3, 4), (5, 7), (3, 2)])

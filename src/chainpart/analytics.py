@@ -227,13 +227,14 @@ def check_local_monotonicity(limit: int, sys: PQSystem,
     # A check is (first u, its place among the checks of one u, dx, dy); it
     # fails where W(qu + dx) < W(qu + dy).  A block of u packs the columns
     # W(qu + d); consecutive checks share one, so two stay packed at a time.
-    checks = [(0, 0, 0, 1), (1, 1, 1, -1)] + [(0, 2 + r, r, r + 1) for r in range(1, q - 1)]
+    # The q checks are generated anew in each block, never held as a list.
     bad = []
     for lo in range(0, n, LANE_BLOCK):
         hi = min(lo + LANE_BLOCK, n)
         column = functools.lru_cache(maxsize=2)(
             lambda u0, d: _pack(arr[q * u0 + d:q * hi + d:q]))
-        for first, place, dx, dy in checks:
+        for first, place, dx, dy in itertools.chain(
+                ((0, 0, 0, 1), (1, 1, 1, -1)), ((0, 2 + r, r, r + 1) for r in range(1, q - 1))):
             u0 = max(lo, first)
             (x, guards), (y, _) = column(u0, dx), column(u0, dy)
             if less := guards ^ _at_least(x, y, guards):

@@ -130,9 +130,10 @@ class _TextOf(dict):
 def _pair_texts(sys_: PQSystem) -> tuple[_TextOf, Callable[[tuple, object], str]]:
     """The decimal value of each exponent pair, and the json line of a partition.
 
-    ``json_line(parts, total)`` is ``core.to_json(pt, sys_, include_values=True)``
-    for a partition with sum ``total``, put together from the text of each
-    distinct pair and its value, made once per call of this function.
+    ``json_line(parts, total)`` is the ``core.to_json`` line of a partition
+    with sum ``total`` and a ``values`` list, the decimal text of each part,
+    put together from the text of each distinct pair and its value, made once
+    per call of this function.
     """
     p, q = sys_.p, sys_.q
     values = _TextOf(lambda pair: str(p**pair[0] * q**pair[1]))

@@ -1,13 +1,23 @@
 """Word encodings of strictly chained partitions.
 
-Tree words (p = 2 only).  The binary table in ``decomposition`` makes
-Omega(U) a tree whose nodes are the successive arguments and whose edges are
-labelled 1 (the +1 map), 2 (scale by 2) or q (scale by q).  Reading the
-labels from the root U down to a leaf of value 1 yields one word per
-partition; replaying the reversed word from the single-part partition of 1
-rebuilds the partition.  The word of the one-part partition of 1 is the
-empty word (the root is already the leaf).  For fixed U the word set is a
-hypercode: no word is a subsequence of another.
+Tree words (p = 2 only).  The binary table splits Omega(U) on the part 1 as
+``decomposition`` does, but reads the label ``1`` as adding 1 to the block of
+powers of 2, with carries, which keeps every branch disjoint and unfiltered.
+Its rows, ``TREE_ROWS``, are keyed by U & 1 and by U mod q as 0, 1 or other:
+
+    U mod q:    0         1          other
+    even U      q, 1      2, 1q      2
+    odd U       q, 1      1          12
+
+A branch's argument is U with its labels undone, first label first: ``1``
+subtracts 1, ``2`` halves and ``q`` divides by q.  So Omega(U) is a tree
+whose nodes are the successive arguments and whose edges are labelled 1
+(the +1 map), 2 (scale by 2) or q (scale by q).  Reading the labels from the
+root U down to a leaf of value 1 yields one word per partition; replaying the
+reversed word from the single-part partition of 1 rebuilds the partition.
+The word of the one-part partition of 1 is the empty word (the root is
+already the leaf).  For fixed U the word set is a hypercode: no word is a
+subsequence of another.
 
 Lattice words (any bases).  A partition is a chain C in N^2; the canonical
 C-filling path walks from (0, 0) to the maximal point of C, always going
@@ -24,15 +34,34 @@ contain neither 02 nor 12 as a factor; for fixed U they form an infix code
 
 from __future__ import annotations
 
-import functools
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import MalformedWordError, Partition, PQSystem, fill_memo
-from .decomposition import binary_table
 
 TREE_LETTERS = ("1", "2", "q")
+#: The label rows of the binary table: TREE_ROWS[U & 1][c], c = U mod q if that is 0 or 1, else 2.
+TREE_ROWS = ((("q", "1"), ("2", "1q"), ("2",)),
+             (("q", "1"), ("1",), ("12",)))
 _TREE_LETTER_SET = frozenset(TREE_LETTERS)
 LATTICE_ALPHABET = "0123"
+
+
+def _labels(leads: str, keep: Callable[[str], str]) -> tuple[tuple[Optional[str], ...], ...]:
+    """Per row of ``TREE_ROWS``, ``keep`` of its first label that starts with a letter
+    of ``leads``, or None."""
+    return tuple(tuple(next((keep(label) for label in row if label[0] in leads), None)
+                       for row in rows) for rows in TREE_ROWS)
+
+
+# What ``tree_encode`` undoes from an odd amount, by parity and class, and
+# from an even one, by class: the row's first label that starts with 1, or
+# with 2 or 1, with 1q cut to 1.
+_UNDO_ODD = _labels("1", lambda label: "1" if label == "1q" else label)
+_UNDO_EVEN = _labels("21", lambda label: "1" if label == "1q" else label)[0]
+# What ``tree_decode`` checks after a replayed 1, by parity and class, and
+# after a 2, by class: the rest of the row's label that starts with it.
+_AFTER_1 = _labels("1", lambda label: label[1:])
+_AFTER_2 = _labels("2", lambda label: label[1:])[0]
 
 
 def require_p2(sys: PQSystem) -> None:
@@ -98,23 +127,22 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
     node of the table, held as exponent offsets da and db, its parts with
     b > 0 (a pointer into them, smallest first) and its binary amount, the
     sum of its parts with b = 0.  It needs neither the sum nor big-integer
-    division, only the node's residue mod 2q:
+    division, only the node's row:
     - With no binary amount, every part is a multiple of q, and the label is
-      q (the rows 0 and q of the table start with it).
-    - Otherwise the node is the amount plus q times a number that is odd
-      exactly when an odd number of the parts with b > 0 have a = da.  An
-      odd amount (the part 1) undoes the row's label that starts with 1, and
-      an even one the row's first label that starts with 2 or 1
-      (``_undo_labels``); of 1q only the 1 is undone, which empties the
-      amount, so the next label is its q.
+      q (the rows of class 0 start with it).
+    - Otherwise the node's class is the amount's, and its parity the amount's
+      plus the number of the parts with b > 0 that have a = da: none for an
+      even amount, which on a chain stays below 2^(a - da + 1) for each of
+      them.  An odd amount (the part 1) undoes the row's label that starts
+      with 1, and an even one the row's first label that starts with 2 or 1
+      (``_UNDO_ODD``, ``_UNDO_EVEN``); of 1q only the 1 is undone, which
+      empties the amount, so the next label is its q.
     Each letter costs O(1) amortized, not a new tuple.
     """
     require_p2(sys)
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no tree word")
-    q = sys.q
-    modulus = 2 * q
-    odd, even = _undo_labels(sys)
+    q, undo_odd, undo_even = sys.q, _UNDO_ODD, _UNDO_EVEN
     # the parts with b = 0 end the chain: they make the amount, and the
     # others, smallest first, are rest
     n_rest, amount = len(pt), 0
@@ -141,12 +169,13 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
                 k = i
             append("q")
             continue
+        c = amount % q
         if amount & 1:
             if amount == 1 and i == n_rest:
                 break
-            label = odd[(amount + (q if k - i & 1 else 0)) % modulus]
+            label = undo_odd[(1 ^ k - i) & 1][c if c < 2 else 2]
         else:
-            label = even[amount % modulus]
+            label = undo_even[c if c < 2 else 2]
         if label == "1":
             amount -= 1
         elif label is None:
@@ -160,41 +189,6 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
     return TreeWord("".join(labels))
 
 
-@functools.lru_cache(maxsize=128)
-def _undo_labels(sys: PQSystem) -> tuple[tuple[Optional[str], ...], tuple[Optional[str], ...]]:
-    """Per residue mod 2q, the label ``tree_encode`` undoes from an odd and an even amount.
-
-    The first is the row's label that starts with 1, the second the row's
-    first that starts with 2 or 1; 1q is cut to 1.  None when there is none.
-    """
-    def first(row, leads):
-        labels = next((labels for labels in row if labels[0] in leads), None)
-        return "1" if labels == "1q" else labels
-
-    rows = binary_table(sys)
-    return tuple(first(row, "1") for row in rows), tuple(first(row, "21") for row in rows)
-
-
-@functools.lru_cache(maxsize=128)
-def _replay_steps(sys: PQSystem) -> dict[str, tuple[tuple[int, Optional[str]], ...]]:
-    """Per letter and residue r mod 2q, the residue after replaying the letter and the label.
-
-    Replaying 1 adds 1, 2 doubles and q multiplies by q.  The label is the
-    one of the binary table's row at the new residue that starts with the
-    letter, as its other letters, or None when the row has no such label;
-    the labels of a row start with distinct letters, and none has more than
-    two.
-    """
-    q = sys.q
-    modulus = 2 * q
-    rests = [{labels[0]: labels[1:] for labels in row} for row in binary_table(sys)]
-    steps = {}
-    for letter, mul, add in (("1", 1, 1), ("2", 2, 0), ("q", q, 0)):
-        after = [(mul * r + add) % modulus for r in range(modulus)]
-        steps[letter] = tuple((s, rests[s].get(letter)) for s in after)
-    return steps
-
-
 def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     """Replay a word from the leaf and check that it is canonical; returns (U, partition).
 
@@ -206,9 +200,9 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     checks the path: each branch argument is the inverse of its labels, so
     the descent from U visits exactly the replayed values, and the word is
     canonical when, read from U, each letter that starts a label starts one
-    of the table row of its node's residue mod 2q, and the label's other
-    letter, if any, follows it.  The residue is kept alongside U, one table
-    lookup per letter (``_replay_steps``) with no big-integer division.
+    of its node's row, and the label's other letter, if any, follows it.
+    s = U mod q is kept alongside U, an add and a compare per letter, and
+    ``_AFTER_1`` (by U's parity) and ``_AFTER_2`` give the label's rest.
     Since the labels split the word from its first letter on, the pass
     keeps, for the next two positions, whether the rest of the word reads as
     labels from there.  Any word that is not canonical raises
@@ -216,10 +210,8 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     """
     require_p2(sys)
     letters = "".join(word)
-    q = sys.q
-    steps = _replay_steps(sys)
-    on1, on2, onq = steps["1"], steps["2"], steps["q"]
-    u = amount = r = 1  # the leaf: the part 1, in the binary amount; r = u mod 2q
+    q, on1, on2 = sys.q, _AFTER_1, _AFTER_2
+    u = amount = s = 1  # the leaf: the part 1, in the binary amount; s = u mod q
     frozen = []  # (amount, 2s and qs replayed before it) at each q
     da = db = 0
     # ok1, ok2: the word from the next position / the one after splits into
@@ -230,17 +222,24 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
             u += u
             amount += amount
             da += 1
-            r, rest = on2[r]
+            s += s
+            if s >= q:
+                s -= q
+            rest = on2[s if s < 2 else 2]
         elif letter == "1":
             u += 1
             amount += 1
-            r, rest = on1[r]
+            s += 1
+            if s == q:
+                s = 0
+            rest = on1[u & 1][s if s < 2 else 2]
         else:
             u *= q
             frozen.append((amount, da, db))
             amount = 0
             db += 1
-            r, rest = onq[r]
+            s = 0
+            rest = ""
         if rest == "":
             ok2 = ok1
         elif rest is None:
@@ -266,7 +265,6 @@ class TreeLanguage:
     def __init__(self, sys: PQSystem) -> None:
         require_p2(sys)
         self.sys = sys
-        self._rows = binary_table(sys)
         self._memo: dict[int, tuple[str, ...]] = {0: (), 1: ("",)}
 
     def words(self, v: int) -> tuple[str, ...]:
@@ -279,8 +277,8 @@ class TreeLanguage:
 
     def _branches(self, x: int) -> tuple[tuple[str, ...], list[int]]:
         """The labels of x's row and, for each, x with its labels undone, first label first."""
-        rows, q = self._rows, self.sys.q
-        labels_of = rows[x % len(rows)]
+        q = self.sys.q
+        labels_of = TREE_ROWS[x & 1][min(x % q, 2)]
         args = []
         for labels in labels_of:
             arg = x

@@ -419,21 +419,17 @@ def chain_census(limit: int, sys: PQSystem,
 # ---------------------------------------------------------------------------
 
 
-def to_json(pt: Partition, sys: PQSystem, include_values: bool = False) -> str:
+def to_json(pt: Partition, sys: PQSystem) -> str:
     """Serialize as ``{"p":2,"q":3,"parts":[[a,b],...],"sum":"19"}``.
 
-    The sum (and the optional per-part values) are decimal strings so that
-    arbitrary-precision entries survive lossy JSON readers.  The text is the
-    compact ``json.dumps`` of that document, formatted in one pass that
-    computes each part value once and takes the sum from those values.
+    The sum is a decimal string so that arbitrary-precision sums survive
+    lossy JSON readers.  The text is the compact ``json.dumps`` of that
+    document, formatted in one pass.
     """
     p, q = sys.p, sys.q
     values = [p**a * q**b for a, b in pt]
     pairs = ",".join([f"[{a},{b}]" for a, b in pt])
-    text = f'{{"p":{p},"q":{q},"parts":[{pairs}],"sum":"{sum(values)}"'
-    if include_values:
-        return text + ',"values":[' + ",".join([f'"{v}"' for v in values]) + "]}"
-    return text + "}"
+    return f'{{"p":{p},"q":{q},"parts":[{pairs}],"sum":"{sum(values)}"}}'
 
 
 def from_json(text: str, sys: Optional[PQSystem] = None) -> tuple[Partition, PQSystem]:

@@ -49,14 +49,6 @@ row's.  Everything else reads the codes:
   classes below n are coded, so the work is sized by n, not by pq.  Below the
   limit that ``CountTable.scan`` refuses, 2^39, W < 2^31 and P + Q < 2^32 in
   every lane, and sigma < 0x7E, so no lane overflows.
-
-The binary table (p = 2, modulus 2q) reads the label ``1`` as adding 1 to
-the block of powers of 2, with carries, which keeps every branch disjoint and
-unfiltered; that split defines the tree words of ``codec``, so it is a table
-of its own.  Its rows hold labels: r in {0, q}: ``q`` and ``1``; r = 1:
-``1``; r = q + 1: ``2`` and ``1q``; other even r: ``2``; other odd r: ``12``.
-A branch's argument is U with its labels undone, first label first: ``1``
-subtracts 1, ``2`` halves and ``q`` divides by q.
 """
 
 from __future__ import annotations
@@ -68,7 +60,7 @@ import sys as _sys
 from array import array
 from typing import Any, Callable, Container, Iterator, NamedTuple, Optional, Sequence
 
-from .core import InvalidSystemError, PQSystem
+from .core import PQSystem
 
 _INF = math.inf
 
@@ -655,24 +647,3 @@ def sigma_fill(arr: bytearray, sys: PQSystem) -> None:
         return terms[0] if terms else bytes((NO_SIGMA,)) * len(at_pq)
 
     _fill_columns(arr, sys, STEP_P | ONE_P | STEP_Q | ONE_Q, column)
-
-
-@functools.lru_cache(maxsize=128)
-def binary_table(sys: PQSystem) -> tuple[tuple[str, ...], ...]:
-    """The disjoint table of Omega(U) for p = 2: the labels of each branch, by U mod 2q."""
-    if sys.p != 2:
-        raise InvalidSystemError("the binary decomposition requires p = 2")
-    q = sys.q
-    rows = []
-    for r in range(2 * q):
-        if r % q == 0:
-            rows.append(("q", "1"))
-        elif r == 1:
-            rows.append(("1",))
-        elif r == q + 1:
-            rows.append(("2", "1q"))
-        elif r % 2 == 0:
-            rows.append(("2",))
-        else:
-            rows.append(("12",))
-    return tuple(rows)

@@ -139,8 +139,7 @@ def general_table():
 def _binary_table(sys_):
     """The binary table of the tree words (p = 2, modulus 2q) with each
     branch's argument written out: the oracle of the label rows of
-    ``decomposition.binary_table``, whose arguments are U with the labels
-    undone."""
+    ``codec.TREE_ROWS``, whose arguments are U with the labels undone."""
     q = sys_.q
     rows = []
     for r in range(2 * q):

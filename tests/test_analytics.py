@@ -104,6 +104,19 @@ def test_monotonicity_scan_q5():
     assert report.violations == ()
 
 
+def test_monotonicity_at_a_large_base_traces_under_2_mb():
+    # the scan to 100013 and one block; the list of the q checks, built once,
+    # traced 17.9 MiB here
+    tracemalloc.start()
+    try:
+        report = check_local_monotonicity(10, make_system(2, 100003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == ()
+    assert peak < 2 * 2**20, peak
+
+
 def test_max_jumps_exact_list(sys23):
     report = max_count_jumps(400, sys23)
     assert [(r.u, r.value) for r in report.records] == [

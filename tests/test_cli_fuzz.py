@@ -10,7 +10,8 @@ one key that is no option; its values are the command-line values or free
 text.  Hypothesis runs derandomized with a fixed number of examples, so
 every run draws the same command lines and files.  A 401-digit second base
 is tried on its own: the float estimates refuse it with an ``error:`` line,
-and the dense scans stop at their limit.
+the dense scans stop at their limit, and the tree words equal the
+``TreeLanguage`` words.
 """
 
 import argparse
@@ -26,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainpart import cli
+from chainpart.codec import TreeLanguage, TreeWord
+from chainpart.core import make_system
 
 PARSER = cli.build_parser()
 COMMANDS = {
@@ -176,6 +179,19 @@ def test_dense_scans_at_a_huge_base_stop_at_the_limit(mode):
         assert [row["u"] for row in rows] == list(range(11))
         for row in rows:
             assert _run(["count", "--u", str(row["u"]), "--q", HUGE_Q], "")[1] == row["w"] + "\n"
+
+
+def test_tree_words_at_a_huge_base_equal_the_tree_language():
+    # the rows of the tree words are read by U & 1 and U mod q, so a 401-digit q costs nothing
+    sys_ = make_system(2, int(HUGE_Q))
+    words = sorted(TreeWord(w).render(sys_) for w in TreeLanguage(sys_).words(100))
+    code, listed, err = _run(["enumerate", "--u", "100", "--format", "tree", "--q", HUGE_Q], "")
+    assert (code, err) == (0, "") and sorted(listed.splitlines()) == words
+    code, decoded, err = _run(["decode", "--codec", "tree", "--q", HUGE_Q], listed)
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["sum"] for line in decoded.splitlines()] == ["100"] * len(words)
+    code, encoded, err = _run(["encode", "--codec", "tree", "--q", HUGE_Q], decoded)
+    assert (code, encoded, err) == (0, listed, "")
 
 
 def _run(argv, stdin):

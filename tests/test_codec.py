@@ -2,10 +2,12 @@
 
 import functools
 import random
+import tracemalloc
 
 import pytest
 
 from chainpart.codec import (
+    TREE_ROWS,
     TreeLanguage,
     TreeWord,
     check_hypercode,
@@ -19,7 +21,6 @@ from chainpart.codec import (
     tree_encode,
 )
 from chainpart.core import MalformedWordError, Partition, make_system, validate
-from chainpart.decomposition import binary_table
 from chainpart.enumeration import ResidueEnumerator
 
 
@@ -224,14 +225,17 @@ def _tree_decode_by_descent(word, sys_, descend_and_lift, binary_oracle):
     return u, pt
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 15, 17])
 def test_binary_table_labels_undo_to_the_oracle_arguments(q, binary_oracle):
-    """Undoing each label row from x = 2q v + r, first label first (1
-    subtracts 1, 2 halves, q divides by q), gives the oracle's mul v + off."""
+    """Each residue r < 2q reads the oracle's labels from ``TREE_ROWS`` by
+    r & 1 and r mod q as 0, 1 or other; undoing them from x = 2q v + r, first
+    label first (1 subtracts 1, 2 halves, q divides by q), gives the oracle's
+    mul v + off."""
     sys_ = make_system(2, q)
-    rows, oracle = binary_table(sys_), binary_oracle(sys_)
-    assert oracle.modulus == len(rows) == 2 * q
-    for r, (labels_row, branches) in enumerate(zip(rows, oracle.rows)):
+    oracle = binary_oracle(sys_)
+    assert oracle.modulus == 2 * q
+    for r, branches in enumerate(oracle.rows):
+        labels_row = TREE_ROWS[r & 1][min(r % q, 2)]
         assert labels_row == tuple(branch.labels for branch in branches), r
         for v in range(50):
             for branch in branches:
@@ -239,6 +243,38 @@ def test_binary_table_labels_undo_to_the_oracle_arguments(q, binary_oracle):
                 for letter in branch.labels:
                     x = x - 1 if letter == "1" else x // (2 if letter == "2" else q)
                 assert x == branch.mul * v + branch.off, (r, v, branch)
+
+
+@pytest.mark.parametrize("op", ["decode", "encode", "enumerate", "language"])
+def test_tree_ops_at_a_large_base_trace_under_64_kb(op):
+    # the rows are read by U & 1 and U mod q, so nothing is sized by q; the
+    # tables of 2q rows per system traced 91.8 MiB for this decode and
+    # 3.3 MiB for this encode
+    sys_ = make_system(2, 100003)
+    pt = validate([64, 32, 4], sys_)
+    run = {
+        "decode": lambda: tree_decode(tw("1.100003", sys_), sys_),
+        "encode": lambda: tree_encode(pt, sys_),
+        "enumerate": lambda: sorted(tree_encode(m, sys_) for m in
+                                    ResidueEnumerator(sys_).by_value(100)),
+        "language": lambda: sorted(TreeLanguage(sys_).words(100)),
+    }[op]
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if op == "encode":
+        assert tree_decode(result, sys_) == (100, pt)
+    else:
+        assert result == {
+            "decode": (100004, validate([100003, 1], sys_)),
+            "enumerate": sorted(TreeWord(w) for w in TreeLanguage(sys_).words(100)),
+            "language": sorted("".join(tree_encode(m, sys_))
+                               for m in ResidueEnumerator(sys_).by_value(100)),
+        }[op]
+    assert peak < 64 * 2**10, peak
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: ``chainpart.__all__`` as it was when every export loaded with the package.
@@ -69,6 +71,21 @@ def test_count_loads_the_counting_modules_alone():
                    f"print(json.dumps([rc, out.getvalue(), {LOADED}]))")
     assert loaded == [0, "7\n", ["chainpart", "chainpart.cli", "chainpart.core",
                                   "chainpart.counting", "chainpart.decomposition"]]
+
+
+@pytest.mark.parametrize("argv, stdin, out", [
+    (["encode", "--codec", "tree"], "18 1\n", "1332\n"),
+    (["decode", "--codec", "tree"], "1332\n",
+     '{"p":2,"q":3,"parts":[[1,2],[0,0]],"sum":"19","values":["18","1"]}\n'),
+], ids=["encode", "decode"])
+def test_tree_codec_commands_load_the_codec_alone(argv, stdin, out):
+    loaded = fresh("from chainpart import cli\n"
+                   "import contextlib, io\n"
+                   f"sys.stdin = io.StringIO({stdin!r})\n"
+                   "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                   f"    rc = cli.main({argv!r})\n"
+                   f"print(json.dumps([rc, out.getvalue(), {LOADED}]))")
+    assert loaded == [0, out, ["chainpart", "chainpart.cli", "chainpart.codec", "chainpart.core"]]
 
 
 def test_a_submodule_export_loads_that_module_alone():

@@ -267,13 +267,13 @@ def criterion_11_graph(profile: str) -> str:
     enumerator = enumeration.ResidueEnumerator(SYS23)
     for u in range(1, scan_limit + 1):
         members = enumerator.omega(u)
-        adjacency = {v: graph23.neighbors(v) for v in members}
-        for v, nbrs in adjacency.items():
+        linked = {v: graph23.neighbors(v) for v in members}
+        for v, nbrs in linked.items():
             for w in nbrs:
                 _need(w in members, f"u={u}: neighbor leaves Omega")
-                _need(v in adjacency[w], f"u={u}: asymmetric edge")
-        index = {v: i for i, v in enumerate(adjacency)}
-        nbrs = [[index[w] for w in ws] for ws in adjacency.values()]
+                _need(v in linked[w], f"u={u}: asymmetric edge")
+        index = {v: i for i, v in enumerate(linked)}
+        nbrs = [[index[w] for w in ws] for ws in linked.values()]
         _need(len(graph23._bfs(nbrs, 0)[1]) == len(nbrs), f"graph on Omega({u}) disconnected")
     n_paths = 1_000 if profile == "full" else 100
     u_max = 100_000 if profile == "full" else 10_000

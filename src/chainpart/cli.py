@@ -273,8 +273,8 @@ def _cmd_scan(args: argparse.Namespace, sys_: PQSystem) -> int:
 
 def _cmd_sample(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import enumeration
-    for pt in enumeration.sample_uniform(args.u, sys_, random.Random(args.seed), args.n):
-        print(core.to_json(pt, sys_))
+    draws = enumeration.sample_uniform(args.u, sys_, random.Random(args.seed), args.n)
+    _write_lines(core.to_json(pt, sys_) for pt in draws)
     return 0
 
 
@@ -295,13 +295,8 @@ def _parse_partition_line(line: str, sys_: PQSystem) -> Partition:
 
 
 def _cmd_encode(args: argparse.Namespace, sys_: PQSystem) -> int:
-    from . import codec
-    for line in _iter_stdin():
-        pt = _parse_partition_line(line, sys_)
-        if args.codec == "tree":
-            print(codec.tree_encode(pt, sys_).render(sys_))
-        else:
-            print(codec.lattice_encode(pt))
+    word = _member_line(sys_, 0, "tree" if args.codec == "tree" else "words")  # reads no sum
+    _write_lines(word(_parse_partition_line(line, sys_)) for line in _iter_stdin())
     return 0
 
 
@@ -363,17 +358,12 @@ def _cmd_graph(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import codec, graph23
     graph = graph23.build_graph(args.u, sys_)
     if args.dot:
-        print(f'graph "omega{args.u}" {{')
-        labels = {v: codec.lattice_encode(v) for v in graph.vertices}
-        for v in graph.vertices:
-            print(f'  "{labels[v]}";')
-        index = {v: i for i, v in enumerate(graph.vertices)}
-        for i, v in enumerate(graph.vertices):
-            for w in sorted(graph.adjacency[v]):
-                if index[w] > i:  # each edge once, from its earlier vertex
-                    first, last = sorted((labels[v], labels[w]))
-                    print(f'  "{first}" -- "{last}";')
-        print("}")
+        # every label before the first write; each edge once, from its earlier (sorted) vertex
+        labels = list(map(codec.lattice_encode, graph.vertices))
+        edges = (sorted((labels[i], labels[j])) for i, js in enumerate(graph.nbrs)
+                 for j in js if j > i)
+        _write_lines(itertools.chain([f'graph "omega{args.u}" {{'], map('  "{}";'.format, labels),
+                                     itertools.starmap('  "{}" -- "{}";'.format, edges), ["}"]))
         return 0
     # diameter()'s first BFS finds a disconnected graph, so no other BFS runs
     try:

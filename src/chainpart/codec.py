@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from .core import MalformedWordError, Partition, PQSystem, fill_memo
+from .core import ChainBreakError, MalformedWordError, Partition, PQSystem, fill_memo
 
 TREE_LETTERS = ("1", "2", "q")
 #: The label rows of the binary table: TREE_ROWS[U & 1][c], c = U mod q if that is 0 or 1, else 2.
@@ -137,18 +137,22 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
       with 1, and an even one the row's first label that starts with 2 or 1
       (``_UNDO_ODD``, ``_UNDO_EVEN``); of 1q only the 1 is undone, which
       empties the amount, so the next label is its q.
-    Each letter costs O(1) amortized, not a new tuple.
+    Each letter costs O(1) amortized, not a new tuple.  Each part is checked
+    against the last one taken, so a ``pt`` that is no chain raises ChainBreakError.
     """
     require_p2(sys)
     if not pt:
         raise MalformedWordError("the empty partition (of 0) has no tree word")
     q, undo_odd, undo_even = sys.q, _UNDO_ODD, _UNDO_EVEN
-    # the parts with b = 0 end the chain: they make the amount, and the
-    # others, smallest first, are rest
-    n_rest, amount = len(pt), 0
+    # the parts with b = 0 end the chain and make the amount, each over the sum of those after
+    # it; the others, smallest first, are rest; top is the exponent of 2 of the last part taken
+    n_rest, amount, top = len(pt), 0, 0
     while n_rest and not pt[n_rest - 1][1]:
         n_rest -= 1
-        amount += 1 << pt[n_rest][0]
+        top = pt[n_rest][0]
+        if amount >> top:
+            raise ChainBreakError(f"{pt} is not a chain")
+        amount += 1 << top
     rest = pt[n_rest - 1::-1] if n_rest else ()
     # the node is the amount and the parts (a - da, b - db) of rest[i:], of
     # which rest[i:k] have a = da
@@ -160,11 +164,16 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
     while True:
         if not amount:
             db += 1
+            least = top  # the least a of the level's next part; da <= top, so no shift is negative
             while i < n_rest and rest[i][1] == db:
-                amount += 1 << (rest[i][0] - da)
+                top = rest[i][0]
+                if top < least:
+                    raise ChainBreakError(f"{pt} is not a chain")
+                least = top + 1
+                amount += 1 << (top - da)
                 i += 1
-            if i < n_rest and rest[i][1] <= db:
-                raise MalformedWordError("partition does not reduce to the leaf")  # not a chain
+            if i < n_rest and rest[i][1] < db:
+                raise ChainBreakError(f"{pt} is not a chain")
             if k < i:
                 k = i
             append("q")
@@ -186,7 +195,7 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
             while k < n_rest and rest[k][0] == da:
                 k += 1
         append(label)
-    return TreeWord("".join(labels))
+    return tuple.__new__(TreeWord, "".join(labels))  # the letters of TREE_ROWS: no check
 
 
 def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:

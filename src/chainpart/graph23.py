@@ -16,11 +16,11 @@ and its chain check looks only at the parts next to that slice (a B-candidate
 can break the chain against a lower level, in which case it simply is not a
 move).  Neighbor sets add the inverses of both families, each checked on the
 parts next to it with no move replayed (see ``_inverses``), so the relation
-is symmetric.  Every forward move stays in Omega(U), so ``build_graph`` takes
-the forward moves and their reversals as its edges, and ``diameter`` is exact
-by iFUB.  Its breadth-first search on vertex indices is the only one: the
-first search raises InvariantViolationError on a disconnected graph, which is
-where the CLI and the acceptance criteria read connectivity.
+is symmetric.  Every forward move stays in Omega(U), so ``build_graph`` writes
+the forward moves and their reversals once, as the neighbour indices ``nbrs``
+that ``diameter``, ``edge_count`` and ``graph --dot`` read.  ``diameter`` is
+exact by iFUB; its first breadth-first search raises InvariantViolationError
+on a disconnected graph, which is where the CLI and the criteria read connectivity.
 
 The graph is connected: repeatedly applying the downward inverse moves to the
 highest 3-level reaches the binary partition in at most
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     InvalidSystemError,
@@ -138,7 +138,7 @@ def neighbors(pt: Partition) -> frozenset[Partition]:
     return frozenset(out)
 
 
-def _bfs(nbrs: list[list[int]], start: int) -> tuple[list[int], list[int]]:
+def _bfs(nbrs: Sequence[Sequence[int]], start: int) -> tuple[list[int], list[int]]:
     """(distance list, visiting order) of a BFS on vertex indices; -1 is unreached."""
     dist = [-1] * len(nbrs)
     dist[start] = 0
@@ -153,16 +153,16 @@ def _bfs(nbrs: list[list[int]], start: int) -> tuple[list[int], list[int]]:
 
 
 class TransitionGraph(NamedTuple):
-    """Vertices Omega(u) with the symmetric move relation."""
+    """Sorted vertices Omega(u); ``nbrs[i]``, the sorted indices of the neighbours of vertex i."""
 
     u: int
     vertices: tuple[Partition, ...]
-    adjacency: dict[Partition, frozenset[Partition]]
+    nbrs: tuple[tuple[int, ...], ...]
 
     @property
     def edge_count(self) -> int:
         """The number of edges: half the degree sum."""
-        return sum(map(len, self.adjacency.values())) // 2
+        return sum(map(len, self.nbrs)) // 2
 
     def diameter(self) -> int:
         """Exact diameter by iFUB on vertex indices (graph must be connected).
@@ -174,8 +174,7 @@ class TransitionGraph(NamedTuple):
         outside in, until the largest eccentricity found reaches the bound of
         the levels left.
         """
-        index = {v: i for i, v in enumerate(self.vertices)}
-        nbrs = [[index[w] for w in self.adjacency[v]] for v in self.vertices]
+        nbrs = self.nbrs
         if not nbrs:
             return 0
         ecc: dict[int, int] = {}
@@ -208,21 +207,22 @@ class TransitionGraph(NamedTuple):
         return lower
 
 
-def build_graph(u: int, sys: PQSystem,
-                enumerator: Optional[ResidueEnumerator] = None) -> TransitionGraph:
+def build_graph(u: int, sys: PQSystem) -> TransitionGraph:
+    """The transition graph on Omega(u): the forward moves of each vertex and
+    their reversals, on the indices of the sorted vertices.
+
+    Omega(u) comes from ``ResidueEnumerator`` at its default budget, which
+    W(u) is checked against before any member is built.
+    """
     _require_23(sys)
-    enumerator = enumerator or ResidueEnumerator(sys)
-    members = enumerator.omega(u)
-    vertices = tuple(sorted(members))
-    # every forward move stays in Omega(u), so the edges are the forward
-    # moves of each vertex together with their reversals
-    linked: dict[Partition, set[Partition]] = {v: set() for v in vertices}
-    for v in vertices:
-        for w in forward_moves(v):
-            linked[v].add(w)
-            linked[w].add(v)
-    adjacency = {v: frozenset(nbrs) for v, nbrs in linked.items()}
-    return TransitionGraph(u, vertices, adjacency)
+    vertices = tuple(sorted(ResidueEnumerator(sys).omega(u)))
+    index = {v: i for i, v in enumerate(vertices)}
+    linked: list[set[int]] = [set() for _ in vertices]
+    for i, v in enumerate(vertices):
+        for j in map(index.__getitem__, forward_moves(v)):
+            linked[i].add(j)
+            linked[j].add(i)
+    return TransitionGraph(u, vertices, tuple(tuple(sorted(js)) for js in linked))
 
 
 def reduce_to_binary(pt: Partition, sys: PQSystem) -> list[Partition]:

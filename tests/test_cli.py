@@ -197,6 +197,14 @@ def test_decode_malformed_word_exit_code(capsys, monkeypatch):
     assert "lattice word" in err
 
 
+@pytest.mark.parametrize("codec, word", [("lattice", "3203"), ("tree", "1332")])
+def test_encode_writes_the_words_before_a_bad_line(capsys, monkeypatch, codec, word):
+    # the word of the good line is written, then the bad line ends the run
+    monkeypatch.setattr("sys.stdin", io.StringIO("18 1\n[[1]]\n18 1\n"))
+    expected = (1, word + "\n", "error: not a list of exponent pairs\n")
+    assert run(capsys, "encode", "--codec", codec) == expected
+
+
 def test_encode_refuses_lines_of_the_wrong_shape(capsys, monkeypatch):
     # a missing key, non-list parts or pairs, a null sum, an infinite exponent
     for line in ('{}', '{"p":2}', '[1]', '{"p":2,"q":3,"parts":5}',
@@ -347,7 +355,7 @@ def test_graph_summary_of_a_disconnected_graph(capsys, monkeypatch):
     from chainpart.core import Partition
 
     lone = (Partition(((0, 1),)), Partition(((1, 0), (0, 0))))
-    graph = graph23.TransitionGraph(3, lone, {v: frozenset() for v in lone})
+    graph = graph23.TransitionGraph(3, lone, ((),) * len(lone))
     monkeypatch.setattr(graph23, "build_graph", lambda u, sys_: graph)
     code, out, _ = run(capsys, "graph", "--u", "3")
     assert code == 0

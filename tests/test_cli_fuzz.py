@@ -194,6 +194,13 @@ def test_tree_words_at_a_huge_base_equal_the_tree_language():
     assert (code, encoded, err) == (0, listed, "")
 
 
+def test_graph_dot_of_0_writes_nothing_before_its_error():
+    # every label is made before the first write, and the empty partition has none
+    code, out, err = _run(["graph", "--u", "0", "--dot"], "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def _run(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin

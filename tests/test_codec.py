@@ -1,6 +1,7 @@
 """Tree-word and lattice-word codecs."""
 
 import functools
+import itertools
 import random
 import tracemalloc
 
@@ -20,7 +21,14 @@ from chainpart.codec import (
     tree_decode,
     tree_encode,
 )
-from chainpart.core import MalformedWordError, Partition, make_system, validate
+from chainpart.core import (
+    MalformedWordError,
+    Partition,
+    PartitionError,
+    _check_chain,
+    make_system,
+    validate,
+)
 from chainpart.enumeration import ResidueEnumerator
 
 
@@ -60,6 +68,21 @@ def test_tree_decode_rejects_non_canonical(sys23):
         tree_decode(tw("21", sys23), sys23)  # replays to {4}, whose word is 22
     with pytest.raises(MalformedWordError):
         tree_decode(tw("1", sys23), sys23)  # replays to {2}, whose word is 2
+
+
+def test_tree_encode_refuses_exactly_the_non_chains(sys23):
+    # every sequence of 1-3 pairs with a, b <= 3: each one ``_check_chain``
+    # refuses raises, and not a bare ValueError; each chain round-trips
+    pairs = list(itertools.product(range(4), repeat=2))
+    for n in (1, 2, 3):
+        for seq in itertools.product(pairs, repeat=n):
+            try:
+                _check_chain(list(seq))
+            except PartitionError:
+                with pytest.raises((PartitionError, MalformedWordError)):
+                    tree_encode(Partition(seq), sys23)
+            else:
+                assert tree_decode(tree_encode(Partition(seq), sys23), sys23)[1] == seq
 
 
 def test_tree_requires_p2(sys35):

@@ -5,8 +5,8 @@ inverse in O(1): generate every partition shaped like a move's preimage,
 re-sort it, and keep it when its own forward moves (recomputed by the
 set-based ``replay_forward_moves``) lead back.  It is kept here as the oracle
 for ``forward_moves``, ``neighbors`` and the forward-edge ``build_graph``.
-``bfs_layers`` and ``edges`` are the plain breadth-first search and edge set
-that ``diameter`` and ``edge_count`` are checked against.
+``bfs_layers`` and ``edges`` are the plain breadth-first search and edge set,
+on vertex indices, that ``diameter`` and ``edge_count`` are checked against.
 """
 
 import random
@@ -107,12 +107,12 @@ def replay_inverse_candidates(pt):
 
 
 def bfs_layers(graph, start):
-    """The BFS distance of every vertex reachable from ``start``."""
+    """The BFS distance of every vertex index reachable from the index ``start``."""
     dist = {start: 0}
     queue = deque((start,))
     while queue:
         v = queue.popleft()
-        for w in graph.adjacency[v]:
+        for w in graph.nbrs[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -120,8 +120,8 @@ def bfs_layers(graph, start):
 
 
 def edges(graph):
-    """The edge set, each edge an unordered pair of vertices."""
-    return {frozenset((v, w)) for v, nbrs in graph.adjacency.items() for w in nbrs}
+    """The edge set, each edge an unordered pair of vertex indices."""
+    return {frozenset((i, j)) for i, js in enumerate(graph.nbrs) for j in js}
 
 
 def replay_neighbors(pt):
@@ -152,10 +152,13 @@ def test_neighbors_equal_replay_on_seeded_walks_near_a_million(sys23):
 
 
 def test_build_graph_adjacency_equals_neighbors_to_2000(sys23):
-    en = ResidueEnumerator(sys23)
     for u in range(1, 2001):
-        graph = build_graph(u, sys23, en)
-        assert graph.adjacency == {v: neighbors(v) for v in graph.vertices}, u
+        graph = build_graph(u, sys23)
+        vertices = graph.vertices
+        assert vertices == tuple(sorted(set(vertices))), u
+        for v, js in zip(vertices, graph.nbrs):
+            assert js == tuple(sorted(set(js))), v
+            assert {vertices[j] for j in js} == neighbors(v), v
         assert graph.edge_count == len(edges(graph)), u
 
 
@@ -169,15 +172,16 @@ def test_merge_move_u3(sys23):
 def test_g27_shape(sys23):
     graph = build_graph(27, sys23)
     assert len(graph.vertices) == 7
-    assert len(bfs_layers(graph, graph.vertices[0])) == 7
+    assert len(bfs_layers(graph, 0)) == 7
     assert graph.diameter() <= diameter_bound(27)
 
 
 def test_build_graph_checks_the_budget_before_building_members(sys23):
-    # W(10^30 + 7) is about 4.2e12: the budget check reads it from the sweep
+    # W(10^30 + 7) = 4,225,744,633,076, over the default budget of 2,000,000:
+    # the budget check reads it from the sweep
     start = time.perf_counter()
     with pytest.raises(BudgetError):
-        build_graph(10**30 + 7, sys23, ResidueEnumerator(sys23, 1000))
+        build_graph(10**30 + 7, sys23)
     assert time.perf_counter() - start < 1.0
 
 
@@ -201,30 +205,28 @@ def test_candidate_split_that_breaks_chain_is_not_a_move(sys23):
 
 
 def test_symmetry_closure_connectivity_small(sys23):
-    en = ResidueEnumerator(sys23)
     for u in range(1, 260):
-        members = en.omega(u)
-        adjacency = {v: neighbors(v) for v in members}
-        for v, nbrs in adjacency.items():
+        graph = build_graph(u, sys23)
+        members = set(graph.vertices)
+        linked = {v: neighbors(v) for v in members}
+        for v, nbrs in linked.items():
             for w in nbrs:
                 assert w in members
-                assert v in adjacency[w]
-        graph = build_graph(u, sys23, en)
-        assert len(bfs_layers(graph, graph.vertices[0])) == len(members)
+                assert v in linked[w]
+        assert len(bfs_layers(graph, 0)) == len(members)
         assert graph.diameter() <= diameter_bound(u)
 
 
 def test_diameter_equals_largest_bfs_distance(sys23):
-    en = ResidueEnumerator(sys23)
     for u in list(range(1, 2001)) + [99000]:
-        graph = build_graph(u, sys23, en)
-        farthest = max(max(bfs_layers(graph, v).values()) for v in graph.vertices)
+        graph = build_graph(u, sys23)
+        farthest = max(max(graph23._bfs(graph.nbrs, i)[0]) for i in range(len(graph.nbrs)))
         assert graph.diameter() == farthest, u
 
 
 def test_diameter_refuses_a_disconnected_graph(sys23):
     graph = build_graph(19, sys23)
-    cut = TransitionGraph(19, graph.vertices, {v: frozenset() for v in graph.vertices})
+    cut = TransitionGraph(19, graph.vertices, ((),) * len(graph.vertices))
     with pytest.raises(InvariantViolationError, match="not connected"):
         cut.diameter()
 

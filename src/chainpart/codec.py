@@ -38,11 +38,9 @@ from typing import Callable, Iterable, Optional
 
 from .core import ChainBreakError, MalformedWordError, Partition, PQSystem, fill_memo
 
-TREE_LETTERS = ("1", "2", "q")
 #: The label rows of the binary table: TREE_ROWS[U & 1][c], c = U mod q if that is 0 or 1, else 2.
 TREE_ROWS = ((("q", "1"), ("2", "1q"), ("2",)),
              (("q", "1"), ("1",), ("12",)))
-_TREE_LETTER_SET = frozenset(TREE_LETTERS)
 LATTICE_ALPHABET = "0123"
 
 
@@ -69,30 +67,30 @@ def require_p2(sys: PQSystem) -> None:
         raise MalformedWordError("tree words are defined for p = 2 systems only")
 
 
-class TreeWord(tuple):
-    """A word over the letters 1, 2 and q (stored symbolically): the tuple of its letters."""
+class TreeWord(str):
+    """A word over the letters 1, 2 and q (stored symbolically): the string of its letters."""
 
     __slots__ = ()
 
-    def __new__(cls, letters: Iterable[str]) -> "TreeWord":
+    def __new__(cls, letters: str) -> "TreeWord":
         word = super().__new__(cls, letters)
-        if not _TREE_LETTER_SET.issuperset(word):
-            ch = next(ch for ch in word if ch not in _TREE_LETTER_SET)
-            raise MalformedWordError(f"invalid tree letter {ch!r}")
+        bad = word.strip("12q")
+        if bad:
+            raise MalformedWordError(f"invalid tree letter {bad[0]!r}")
         return word
 
     @property
-    def letters(self) -> "TreeWord":
-        """The letters: the word itself."""
-        return self
+    def letters(self) -> str:
+        """The letters: the word's string."""
+        return str(self)
 
     def render(self, sys: PQSystem) -> str:
         """Concrete text: the q letter prints as the digit q itself.
 
         For q >= 10 letters are separated by '.' so the text stays parseable.
+        A plain ``str`` of letters renders as ``TreeWord.render(text, sys)``.
         """
-        text = ".".join(self) if sys.q >= 10 else "".join(self)
-        return text.replace("q", str(sys.q))
+        return (".".join(self) if sys.q >= 10 else self).replace("q", str(sys.q))
 
     @classmethod
     def parse(cls, text: str, sys: PQSystem) -> "TreeWord":
@@ -100,24 +98,17 @@ class TreeWord(tuple):
 
         Undotted text for q < 10 is checked with one ``strip`` of the three
         letter digits and mapped with one ``replace``; dotted text, and any
-        text for q >= 10, is read token by token.
+        text for q >= 10, is read token by token.  The checked text is the word.
         """
         text = text.strip()
-        if not text:
-            return cls(())
         q = str(sys.q)
-        if sys.q < 10 and "." not in text and not text.strip("12" + q):
-            return cls(text.replace(q, "q"))
-        tokens = text.split(".") if "." in text or sys.q >= 10 else list(text)
-        letters = []
+        if not text or sys.q < 10 and "." not in text and not text.strip("12" + q):
+            return str.__new__(cls, text.replace(q, "q"))
+        tokens = text.split(".") if "." in text or sys.q >= 10 else text
         for tok in tokens:
-            if tok == "1" or tok == "2":
-                letters.append(tok)
-            elif tok == q:
-                letters.append("q")
-            else:
+            if tok != "1" and tok != "2" and tok != q:
                 raise MalformedWordError(f"token {tok!r} is not a letter for {sys}")
-        return cls(letters)
+        return str.__new__(cls, "".join("q" if tok == q else tok for tok in tokens))
 
 
 def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
@@ -195,10 +186,10 @@ def tree_encode(pt: Partition, sys: PQSystem) -> TreeWord:
             while k < n_rest and rest[k][0] == da:
                 k += 1
         append(label)
-    return tuple.__new__(TreeWord, "".join(labels))  # the letters of TREE_ROWS: no check
+    return str.__new__(TreeWord, "".join(labels))  # the letters of TREE_ROWS: no check
 
 
-def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
+def tree_decode(word: str, sys: PQSystem) -> tuple[int, Partition]:
     """Replay a word from the leaf and check that it is canonical; returns (U, partition).
 
     A word is canonical when it spells the path of the binary table from its
@@ -215,10 +206,12 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
     Since the labels split the word from its first letter on, the pass
     keeps, for the next two positions, whether the rest of the word reads as
     labels from there.  Any word that is not canonical raises
-    MalformedWordError, all with one message.
+    MalformedWordError, all with one message, which names the rendered word.
+    ``word`` is a TreeWord or a plain ``str`` of its letters, as
+    ``TreeLanguage.words`` gives; the pass reads an exact ``str`` of it.
     """
     require_p2(sys)
-    letters = "".join(word)
+    letters = str(word)
     q, on1, on2 = sys.q, _AFTER_1, _AFTER_2
     u = amount = s = 1  # the leaf: the part 1, in the binary amount; s = u mod q
     frozen = []  # (amount, 2s and qs replayed before it) at each q
@@ -257,7 +250,7 @@ def tree_decode(word: TreeWord, sys: PQSystem) -> tuple[int, Partition]:
             ok1, ok2 = ok2 and after == rest, ok1
         after = letter
     if not ok1:
-        raise MalformedWordError(f"{word} is not a canonical tree word")
+        raise MalformedWordError(f"{TreeWord.render(word, sys)} is not a canonical tree word")
     parts: list[tuple[int, int]] = []
     for bits, da_at, db_at in frozen + [(amount, da, db)]:
         a0, b = da - da_at, db - db_at
@@ -277,7 +270,8 @@ class TreeLanguage:
         self._memo: dict[int, tuple[str, ...]] = {0: (), 1: ("",)}
 
     def words(self, v: int) -> tuple[str, ...]:
-        """All symbolic words ('1', '2', 'q' letters concatenated) for v; none for v < 0."""
+        """All tree words of v, none for v < 0: plain ``str``s of the letters 1, 2 and q,
+        each equal to its TreeWord, which ``tree_decode`` takes as they are."""
         if v < 0:
             return ()
         memo = self._memo

@@ -124,11 +124,14 @@ class ResidueEnumerator:
         self.budget = budget
 
     def _grid(self, u: int) -> Grid:
-        """``count_grid(u, sys, 1)``, once W(u) is known to be within the budget."""
-        grid = count_grid(u, self.sys, 1)
-        w = grid.rows[0][0]  # W(u), the first cell of the first row
-        if w > self.budget:
-            raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
+        """``count_grid(u, sys, 1)``, once W(u) is known to be within the budget.
+        W(u) <= u^beta <= u (criterion 8), so a u past the budget is first checked on a
+        sweep that keeps two rows: an over-budget u is refused before any row is kept."""
+        for every in (0, 1) if u > self.budget else (1,):
+            grid = count_grid(u, self.sys, every)
+            w = grid.rows[0][0]  # W(u), the first cell of the first row
+            if w > self.budget:
+                raise BudgetError(f"Omega({u}) has {w} partitions, past the budget of {self.budget}")
         return grid
 
     def omega(self, u: int) -> frozenset[Partition]:

@@ -212,7 +212,8 @@ def build_graph(u: int, sys: PQSystem) -> TransitionGraph:
     their reversals, on the indices of the sorted vertices.
 
     Omega(u) comes from ``ResidueEnumerator`` at its default budget, which
-    W(u) is checked against before any member is built.
+    W(u) is checked against before any member is built, and, for a u past
+    the budget, from a two-row sweep before any row of W is kept.
     """
     _require_23(sys)
     vertices = tuple(sorted(ResidueEnumerator(sys).omega(u)))

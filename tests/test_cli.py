@@ -197,6 +197,13 @@ def test_decode_malformed_word_exit_code(capsys, monkeypatch):
     assert "lattice word" in err
 
 
+def test_decode_names_a_non_canonical_tree_word_as_typed(capsys, monkeypatch):
+    # 21 replays to {4}, whose word is 22; the one error line names the word as typed
+    monkeypatch.setattr("sys.stdin", io.StringIO("21\n"))
+    code, out, err = run(capsys, "decode", "--codec", "tree")
+    assert (code, out, err) == (1, "", "error: 21 is not a canonical tree word\n")
+
+
 @pytest.mark.parametrize("codec, word", [("lattice", "3203"), ("tree", "1332")])
 def test_encode_writes_the_words_before_a_bad_line(capsys, monkeypatch, codec, word):
     # the word of the good line is written, then the bad line ends the run
@@ -347,6 +354,14 @@ def test_graph_summary_and_dot(capsys):
     assert code == 0
     assert out.startswith('graph "omega27"')
     assert '"2223";' in out
+
+
+def test_graph_past_the_budget_is_refused(capsys):
+    # W(10^1200 + 7) is read from a sweep of two rows, so no row of W is kept
+    u = 10**1200 + 7
+    code, out, err = run(capsys, "graph", "--u", str(u))
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith(f"error: Omega({u}) has ") and err.endswith("past the budget of 2000000\n")
 
 
 def test_graph_summary_of_a_disconnected_graph(capsys, monkeypatch):

@@ -184,7 +184,7 @@ def test_dense_scans_at_a_huge_base_stop_at_the_limit(mode):
 def test_tree_words_at_a_huge_base_equal_the_tree_language():
     # the rows of the tree words are read by U & 1 and U mod q, so a 401-digit q costs nothing
     sys_ = make_system(2, int(HUGE_Q))
-    words = sorted(TreeWord(w).render(sys_) for w in TreeLanguage(sys_).words(100))
+    words = sorted(TreeWord.render(w, sys_) for w in TreeLanguage(sys_).words(100))
     code, listed, err = _run(["enumerate", "--u", "100", "--format", "tree", "--q", HUGE_Q], "")
     assert (code, err) == (0, "") and sorted(listed.splitlines()) == words
     code, decoded, err = _run(["decode", "--codec", "tree", "--q", HUGE_Q], listed)

@@ -133,8 +133,7 @@ def test_tree_language_matches_encoded_sets(sys23):
     en = ResidueEnumerator(sys23)
     for u in range(1, 400):
         got = set(lang.words(u))
-        expected = {"".join(tree_encode(pt, sys23).letters) for pt in en.omega(u)}
-        assert got == expected
+        assert got == {tree_encode(pt, sys23) for pt in en.omega(u)}
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])
@@ -148,7 +147,7 @@ def test_tree_codec_other_odd_bases(q):
         for pt in members:
             word = tree_encode(pt, sys_)
             assert tree_decode(word, sys_) == (u, pt)
-            encoded.add("".join(word.letters))
+            encoded.add(word)
         assert encoded == set(lang.words(u))
 
 
@@ -228,7 +227,7 @@ def test_tree_language_has_no_words_below_0(q):
 def _tree_decode_by_descent(word, sys_, descend_and_lift, binary_oracle):
     """``tree_decode`` as it was: the descent from U takes at each node the
     branch whose labels come next in the word, then lifts the partition."""
-    letters = "".join(word.letters)
+    letters = str(word)
     u = 1
     for letter in reversed(letters):
         u = u + 1 if letter == "1" else u * (2 if letter == "2" else sys_.q)
@@ -240,11 +239,11 @@ def _tree_decode_by_descent(word, sys_, descend_and_lift, binary_oracle):
             if letters.startswith(branch.labels, i):
                 i += len(branch.labels)
                 return branch
-        raise MalformedWordError(f"{word.letters} is not a canonical tree word")
+        raise MalformedWordError(f"{TreeWord.render(word, sys_)} is not a canonical tree word")
 
     pt = descend_and_lift(binary_oracle(sys_), u, match)
     if i < len(letters):
-        raise MalformedWordError(f"{word.letters} is not a canonical tree word")
+        raise MalformedWordError(f"{TreeWord.render(word, sys_)} is not a canonical tree word")
     return u, pt
 
 
@@ -293,9 +292,8 @@ def test_tree_ops_at_a_large_base_trace_under_64_kb(op):
     else:
         assert result == {
             "decode": (100004, validate([100003, 1], sys_)),
-            "enumerate": sorted(TreeWord(w) for w in TreeLanguage(sys_).words(100)),
-            "language": sorted("".join(tree_encode(m, sys_))
-                               for m in ResidueEnumerator(sys_).by_value(100)),
+            "enumerate": sorted(TreeLanguage(sys_).words(100)),
+            "language": sorted(tree_encode(m, sys_) for m in ResidueEnumerator(sys_).by_value(100)),
         }[op]
     assert peak < 64 * 2**10, peak
 
@@ -322,10 +320,9 @@ def test_tree_codec_equals_descent_oracle(q, by_descent):
     en = ResidueEnumerator(sys_)
     for u in range(1, 3001):
         word_of = {}
-        for text in lang.words(u):
-            word = TreeWord(tuple(text))
+        for word in lang.words(u):
             expected = by_descent(word, sys_)
-            assert tree_decode(word, sys_) == expected == (u, expected[1]), text
+            assert tree_decode(word, sys_) == expected == (u, expected[1]), word
             word_of[expected[1]] = word
         members = en.omega(u)
         assert len(members) == len(word_of)
@@ -339,7 +336,7 @@ def test_tree_decode_equals_descent_oracle_on_random_strings(by_descent):
     for q in (3, 5, 7, 11):
         sys_ = make_system(2, q)
         for _ in range(500):
-            word = TreeWord(tuple(rng.choice("12q") for _ in range(rng.randint(0, 40))))
+            word = TreeWord("".join(rng.choice("12q") for _ in range(rng.randint(0, 40))))
             expected = _outcome(by_descent, word, sys_)
             assert _outcome(tree_decode, word, sys_) == expected, word
             outcomes.add(expected[0] is MalformedWordError)
@@ -348,34 +345,66 @@ def test_tree_decode_equals_descent_oracle_on_random_strings(by_descent):
 
 def test_tree_decode_messages(sys23, by_descent):
     for text in ("21", "11213", "1", "23", "31"):
-        message = f"{tw(text, sys23).letters} is not a canonical tree word"
+        message = f"{text} is not a canonical tree word"  # the rendered word
         for decode in (tree_decode, by_descent):
             with pytest.raises(MalformedWordError) as info:
                 decode(tw(text, sys23), sys23)
             assert str(info.value) == message
 
 
-def test_tree_word_is_the_tuple_of_its_letters(sys23):
+def test_tree_word_is_the_string_of_its_letters(sys23):
     word = TreeWord("1qq2")
-    assert word.letters is word and word.letters == ("1", "q", "q", "2") == word
+    assert isinstance(word, str) and word == "1qq2" and TreeWord("") == ""
+    assert type(word.letters) is str and word.letters == word
     assert (len(word), word.render(sys23)) == (4, "1332")
-    for letters in ("13", ("1", "x")):
+    for letters in ("13", "1x", "x1", "1q 2"):
         with pytest.raises(MalformedWordError, match="invalid tree letter"):
             TreeWord(letters)
+    with pytest.raises(MalformedWordError, match="invalid tree letter '3'"):
+        TreeWord("12q3q")
 
 
 def test_tree_word_parse_paths():
     sys23, sys25, sys2_11 = make_system(2, 3), make_system(2, 5), make_system(2, 11)
-    assert TreeWord.parse(" 1332\n", sys23).letters == ("1", "q", "q", "2")
-    assert TreeWord.parse("1.3.3.2", sys23).letters == ("1", "q", "q", "2")
-    assert TreeWord.parse("125", sys25).letters == ("1", "2", "q")
-    assert TreeWord.parse("1.11.2", sys2_11).letters == ("1", "q", "2")
-    assert TreeWord.parse("", sys23).letters == ()
+    for text, sys_, word in ((" 1332\n", sys23, "1qq2"), ("1.3.3.2", sys23, "1qq2"),
+                             ("125", sys25, "12q"), ("1.11.2", sys2_11, "1q2"),
+                             ("11", sys2_11, "q"), ("", sys23, ""), (" ", sys2_11, "")):
+        parsed = TreeWord.parse(text, sys_)
+        assert type(parsed) is TreeWord and parsed == word, text
     for text, sys_, token in (("1q", sys23, "q"), ("1 3", sys23, " "), ("135", sys23, "5"),
                               ("1..3", sys23, ""), ("1.3x", sys23, "3x"), ("111", sys2_11, "111")):
         with pytest.raises(MalformedWordError) as info:
             TreeWord.parse(text, sys_)
         assert str(info.value) == f"token {token!r} is not a letter for {sys_}", text
+
+
+@pytest.mark.parametrize("q", [3, 5, 11, 13])
+def test_tree_word_render_parse_round_trip(q):
+    # undotted for q < 10, dotted from 10 on; the empty word renders as ""
+    sys_ = make_system(2, q)
+    rng = random.Random(q)
+    words = [TreeWord("".join(rng.choice("12q") for _ in range(rng.randint(0, 40))))
+             for _ in range(300)] + [TreeWord("")]
+    for word in words:
+        text = word.render(sys_)
+        assert ("." in text) == (q >= 10 and len(word) > 1), text
+        assert TreeWord.parse(text, sys_) == word, text
+    assert TreeWord("").render(sys_) == "" and TreeWord.parse("", sys_) == ""
+
+
+@pytest.mark.parametrize("q", [3, 5, 11])
+def test_tree_decode_takes_the_plain_words_of_the_tree_language(q):
+    # TreeLanguage.words gives plain strs; each decodes as its TreeWord does
+    sys_ = make_system(2, q)
+    lang, en = TreeLanguage(sys_), ResidueEnumerator(sys_)
+    for u in (1, 19, 100, 999):
+        words = lang.words(u)
+        assert all(type(w) is str for w in words)
+        decoded = {tree_decode(w, sys_) for w in words}
+        assert decoded == {tree_decode(TreeWord(w), sys_) for w in words}
+        assert decoded == {(u, pt) for pt in en.omega(u)}
+    with pytest.raises(MalformedWordError, match="^21 is not a canonical tree word$"):
+        tree_decode("21", make_system(2, 3))
 
 
 def _check_hypercode_pairwise(words):

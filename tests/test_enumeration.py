@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -248,6 +249,21 @@ def test_budget_is_checked_before_any_member_is_built(sys23, monkeypatch):
         ResidueEnumerator(sys23, budget=4).omega(60)
     with pytest.raises(BudgetError, match="past the budget of 4"):
         ResidueEnumerator(sys23, budget=4).by_value(60)
+
+
+def test_over_budget_omega_at_10_600_traces_under_4_mb(sys23):
+    # W(10^600 + 7) is read from a sweep of two rows before any row is kept:
+    # the every-row sweep alone traced 48.2 MiB, the two-row sweep 1.4 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="past the budget of 2000000$"):
+            ResidueEnumerator(sys23).omega(10**600 + 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    # past the budget but W(u) within it, both sweeps run and the walk is the same
+    assert ResidueEnumerator(sys23, budget=4).by_value(19) == ResidueEnumerator(sys23).by_value(19)
 
 
 def test_ground_values(sys23):

@@ -73,7 +73,7 @@ def test_words_round_trip(chain):
        st.lists(st.sampled_from("12q"), max_size=40))
 def test_tree_decode_accepts_exactly_the_canonical_words(q, letters):
     sys_ = make_system(2, q)
-    word = TreeWord(tuple(letters))
+    word = TreeWord("".join(letters))
     try:
         u, pt = tree_decode(word, sys_)
     except MalformedWordError:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 import time
 from collections import defaultdict
 from typing import Callable, NamedTuple
@@ -37,6 +38,7 @@ class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of the body, set by _criterion
 
 
 class _Failure(Exception):
@@ -55,12 +57,14 @@ def _criterion(cid: int, name: str) -> Callable[[Callable[..., str]], Callable]:
     def wrap(body: Callable[..., str]) -> Callable[..., CriterionResult]:
         @functools.wraps(body)
         def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
             try:
-                return CriterionResult(cid, name, True, body(*args, **kwargs))
+                passed, detail = True, body(*args, **kwargs)
             except _Failure as exc:
-                return CriterionResult(cid, name, False, str(exc))
+                passed, detail = False, str(exc)
             except core.ChainPartError as exc:
-                return CriterionResult(cid, name, False, f"{type(exc).__name__}: {exc}")
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
+            return CriterionResult(cid, name, passed, detail, time.perf_counter() - t0)
 
         return run
 
@@ -396,9 +400,8 @@ def run_selftest(profile: str = "quick") -> int:
     failures = 0
     for fn in CRITERIA:
         result = fn(profile)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.cid:02d} {result.name}: {result.detail}")
-        if not result.passed:
-            failures += 1
+        print(f"{'PASS' if result.passed else 'FAIL'} {result.cid:02d} {result.name}: {result.detail}")
+        print(f"{result.cid:02d} {result.name}: {result.seconds:.3f} s", file=sys.stderr)
+        failures += not result.passed
     print(f"{'OK' if failures == 0 else 'FAILED'} {len(CRITERIA) - failures}/{len(CRITERIA)} criteria")
     return 0 if failures == 0 else 2

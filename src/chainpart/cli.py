@@ -13,6 +13,7 @@ or acceptance check fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -539,6 +540,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (ChainPartError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=_sys.stderr)
+        return 1
+    except OSError as exc:  # a refused write to stdout: a closed pipe, a full disk
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=_sys.stderr)
+        # a stdout with a file descriptor goes to devnull, so the flush at exit writes nothing
+        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull.fileno(), _sys.stdout.fileno())
         return 1
 
 

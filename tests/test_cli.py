@@ -3,10 +3,13 @@
 import inspect
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -185,9 +188,34 @@ def test_decode_does_not_repeat_a_failed_write(monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_LINES", 1)
     monkeypatch.setattr("sys.stdin", io.StringIO("1332\n1332\n"))
     monkeypatch.setattr("sys.stdout", out)
-    with pytest.raises(BrokenPipeError):
-        cli.main(["decode", "--codec", "tree", "--format", "values"])
+    assert cli.main(["decode", "--codec", "tree", "--format", "values"]) == 1
     assert out.writes == ["18 1\n"]
+
+
+def _cli_process(*argv, **kwargs):
+    """``python -m chainpart.cli argv`` in a new interpreter on this package, stderr piped."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "chainpart.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_a_closed_pipe_ends_the_command_with_exit_1_and_no_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # output is far larger than a pipe's buffer, so the closing comes mid-write
+    with _cli_process("scan", "w", "--limit", "200000", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == '{"u":0,"w":"1"}\n'
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [("count", "--u", "5"), ("sigma", "--witness", "--u", "1000")])
+def test_a_full_device_is_one_error_line(argv):
+    with open("/dev/full", "w") as full, _cli_process(*argv, stdout=full) as proc:
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, "error: [Errno 28] No space left on device\n")
 
 
 def test_decode_malformed_word_exit_code(capsys, monkeypatch):
@@ -508,6 +536,17 @@ def test_selftest_quick(capsys):
     lines = out.splitlines()
     assert sum(1 for line in lines if line.startswith("PASS")) == 14
     assert lines[-1] == "OK 14/14 criteria"
+
+
+def test_selftest_times_each_criterion_on_stderr(capsys):
+    # one line per criterion, in CRITERIA order, as "01 omega19-words: 0.012 s"
+    code, out, err = run(capsys, "selftest", "--quick")
+    assert code == 0
+    names = [line.split(" ", 1)[1].split(":")[0] for line in out.splitlines()[:-1]]
+    assert [int(name[:2]) for name in names] == list(range(1, 15))
+    timed = [line.rsplit(": ", 1) for line in err.splitlines()]
+    assert [name for name, _ in timed] == names
+    assert all(t.endswith(" s") and float(t[:-2]) >= 0 for _, t in timed)
 
 
 def test_selftest_detects_injected_corruption(capsys, damaged_halving_memo):

@@ -218,18 +218,24 @@ def test_row_folds_start_at_the_first_reached_cell():
             assert codes == bytes(run) + alone, run
 
 
-@pytest.mark.parametrize("pq", [(2, 3), (2, 5), (2, 7), (3, 4)])
+@pytest.mark.parametrize("pq", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 2), (5, 2), (2, 17)])
 def test_unreached_cells_of_a_row_lead_it_on_p_2(pq):
     # on p = 2 every reached cell has STEP_P, so the unreached cells of a row
     # are the run left of its first reached cell, which the folds skip; on
-    # p = 3 some row holds an unreached cell right of it, which they step over
+    # p = 3 some row holds an unreached cell right of it, which they step over;
+    # on q = 2 every cell has STEP_Q, so a row's seeds are the whole reach of
+    # the row above, and no row holds an unreached cell
     sys_ = make_system(*pq)
     rng = random.Random(68)
-    spans = [[codes.lstrip(b"\0") for codes in grid_cells(u, sys_)]
-             for u in (rng.randrange(10**149, 10**150), chain_sum(rng, 150, *pq))]
-    if pq[0] == 2:
+    grids = [grid_cells(u, sys_) for u in (rng.randrange(10**149, 10**150), chain_sum(rng, 150, *pq))]
+    spans = [[codes.lstrip(b"\0") for codes in rows] for rows in grids]
+    least = 30 if pq[1] > 7 else 50  # a grid on q = 17 has about 0.7x the rows of one on q = 7
+    if pq[1] == 2:
+        for rows in grids:
+            assert len(rows) > least and all(0 not in codes for codes in rows)
+    elif pq[0] == 2:
         for rows in spans:
-            assert len(rows) > 50 and all(code & STEP_P for codes in rows for code in codes)
+            assert len(rows) > least and all(code & STEP_P for codes in rows for code in codes)
     else:
         rows = spans[1]  # a random U of 150 digits has a grid of one row on (3, 4)
         assert len(rows) > 50 and any(0 in codes for codes in rows)

@@ -400,8 +400,10 @@ def run_selftest(profile: str = "quick") -> int:
     failures = 0
     for fn in CRITERIA:
         result = fn(profile)
-        print(f"{'PASS' if result.passed else 'FAIL'} {result.cid:02d} {result.name}: {result.detail}")
+        status = "PASS" if result.passed else "FAIL"
+        print(f"{status} {result.cid:02d} {result.name}: {result.detail}")
         print(f"{result.cid:02d} {result.name}: {result.seconds:.3f} s", file=sys.stderr)
-        failures += not result.passed
+        if not result.passed:
+            failures += 1
     print(f"{'OK' if failures == 0 else 'FAILED'} {len(CRITERIA) - failures}/{len(CRITERIA)} criteria")
     return 0 if failures == 0 else 2

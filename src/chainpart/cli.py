@@ -13,7 +13,6 @@ or acceptance check fails.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -534,19 +533,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # raised by _Parser.error with code 1
         return int(exc.code or 0)
     try:  # the handler by name at call time, so the cached parser holds no function
-        return globals()["_cmd_" + args.command.replace("-", "_")](args, _system(args))
+        code = globals()["_cmd_" + args.command.replace("-", "_")](args, _system(args))
+        _sys.stdout and _sys.stdout.flush()  # a refused write fails here, not in the flush at exit
+        return code
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=_sys.stderr)
         return 2
-    except (ChainPartError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=_sys.stderr)
-        return 1
-    except OSError as exc:  # a refused write to stdout: a closed pipe, a full disk
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: {exc}", file=_sys.stderr)
-        # a stdout with a file descriptor goes to devnull, so the flush at exit writes nothing
-        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
-            os.dup2(devnull.fileno(), _sys.stdout.fileno())
+    except (ChainPartError, ValueError, OverflowError, RecursionError, MemoryError, OSError) as exc:
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe ends the command in silence
+            print(f"error: {str(exc) or type(exc).__name__}", file=_sys.stderr)
+        try:  # only a stdout that still refuses its bytes goes to devnull, for a quiet exit
+            _sys.stdout and _sys.stdout.flush()  # stdout is None where the process has none
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
         return 1
 
 

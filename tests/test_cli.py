@@ -193,9 +193,11 @@ def test_decode_does_not_repeat_a_failed_write(monkeypatch):
 
 
 def _cli_process(*argv, **kwargs):
-    """``python -m chainpart.cli argv`` in a new interpreter on this package, stderr piped."""
+    """``python -m chainpart.cli argv`` in a new interpreter on this package, stderr piped;
+    stdout keeps its default buffering, so a short output is written only when flushed."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "chainpart.cli", *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
@@ -216,6 +218,27 @@ def test_a_full_device_is_one_error_line(argv):
     with open("/dev/full", "w") as full, _cli_process(*argv, stdout=full) as proc:
         err = proc.stderr.read()
     assert (proc.returncode, err) == (1, "error: [Errno 28] No space left on device\n")
+
+
+def test_an_unreadable_stdin_leaves_stdout_as_it_is(capsys, monkeypatch):
+    # the error is stdin's, so stdout, which takes its bytes, is not sent to devnull
+    class Stdin(io.StringIO):
+        def __iter__(self):
+            raise OSError(5, "Input/output error")
+
+    dup2 = []
+    monkeypatch.setattr("sys.stdin", Stdin())
+    monkeypatch.setattr(os, "dup2", lambda *fds: dup2.append(fds))
+    assert run(capsys, "decode") == (1, "", "error: [Errno 5] Input/output error\n")
+    assert dup2 == []
+
+
+def test_no_stdout_is_no_traceback(capsys, monkeypatch):
+    # a process started with its stdout closed has sys.stdout None
+    monkeypatch.setattr("sys.stdout", None)
+    assert cli.main(["count", "--u", "5"]) == 0
+    assert cli.main(["count", "--p", "4", "--q", "2", "--u", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_decode_malformed_word_exit_code(capsys, monkeypatch):

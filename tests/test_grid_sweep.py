@@ -237,7 +237,7 @@ def test_unreached_cells_of_a_row_lead_it_on_p_2(pq):
         for rows in spans:
             assert len(rows) > least and all(code & STEP_P for codes in rows for code in codes)
     else:
-        rows = spans[1]  # a random U of 150 digits has a grid of one row on (3, 4)
+        rows = spans[1]  # on p >= 3 only the chain sum's grid is checked
         assert len(rows) > 50 and any(0 in codes for codes in rows)
 
 

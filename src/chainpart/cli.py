@@ -70,6 +70,8 @@ def _print_numbered(head: str, mid: str, tail: str, values: Sequence[int]) -> No
     per call; in a block of rows from 1000 on, u div 1000 is made once and the
     low digits are read from ``_LOW_DIGITS``.
     """
+    if _sys.stdout is None:  # a process started with its stdout closed
+        return
     write = _sys.stdout.write  # looked up per call, so a swapped stdout is honoured
     text = _TextOf(lambda w: f"{mid}{w}{tail}")
     for lo in range(0, len(values), 1000):
@@ -173,10 +175,12 @@ def _write_lines(lines: Iterable[str], size: int = 0) -> None:
 
     On a terminal each line is written as soon as it is made, as ``print``
     would.  When ``lines`` raises, the lines finished before it are written
-    first; a write that raises is not repeated.
+    first; a write that raises is not repeated.  With no stdout the lines are
+    still made, so that an error in one still ends the command, but none is written.
     """
     out = _sys.stdout  # looked up per call, so a swapped stdout is honoured
-    size = 1 if out.isatty() else size or _BLOCK_LINES
+    write = out.write if out else len  # len: a write that keeps nothing
+    size = 1 if out and out.isatty() else size or _BLOCK_LINES
     block: list[str] = []
 
     def flush() -> None:
@@ -184,7 +188,7 @@ def _write_lines(lines: Iterable[str], size: int = 0) -> None:
         block.append("")  # the last newline, without a second copy of the block
         text = "\n".join(block)
         block.clear()
-        out.write(text)
+        write(text)
 
     try:
         for line in lines:
@@ -331,11 +335,12 @@ def _cmd_sigma(args: argparse.Namespace, sys_: PQSystem) -> int:
 
 def _cmd_sigma_stats(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import shortest
-    stats = shortest.ShortestTable(sys_).stats(args.limit)
-    if args.emit == "csv":
+    if args.emit == "csv":  # the histogram alone, with no float fold for the mean
+        histogram = shortest.ShortestTable(sys_).histogram(args.limit)
         print("sigma,count")
-        _write_lines(map("%d,%d".__mod__, stats.histogram.items()))
+        _write_lines(map("%d,%d".__mod__, histogram.items()))
     else:
+        stats = shortest.ShortestTable(sys_).stats(args.limit)
         _print_json({"limit": stats.limit, "mean_ratio": repr(stats.mean_ratio),
                      "histogram": {str(k): v for k, v in stats.histogram.items()}})
     return 0

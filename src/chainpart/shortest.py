@@ -8,14 +8,14 @@ of the branch images is the same.  A sparse sigma(U) is one two-row
 ``sigma_grid`` sweep over the reachable quotients U div (p^a q^b), and a
 dense scan is ``sigma_fill`` on a ``bytearray``, one byte per sum and
 ``NO_SIGMA`` (0x7F) where Omega is empty; sigma(U) <= log2(U) + 1 keeps every
-value below 0x7E.  ``stats`` reads those bytes directly, and ``scan`` lists
-them, with math.inf for NO_SIGMA.  A witness is one ``decomposition.descend``
-of the cells of one two-row sweep along the first branch of each cell: the
-sweep prunes each code to its argmin branches, ties to the first branch of a
-cell in the order p, q, 1p, 1q, which makes witnesses deterministic.  Below a
-filtered branch into Omega(pv) the descent drops the p-scaled branch, which
-is never the argmin there: the descent enters pv only when
-sigma(pv) < sigma(v).
+value below 0x7E.  ``histogram`` and ``stats`` read those bytes directly,
+and ``scan`` lists them, with math.inf for NO_SIGMA.  A witness is one
+``decomposition.descend`` of the cells of one two-row sweep along the first
+branch of each cell: the sweep prunes each code to its argmin branches, ties
+to the first branch of a cell in the order p, q, 1p, 1q, which makes
+witnesses deterministic.  Below a filtered branch into Omega(pv) the descent
+drops the p-scaled branch, which is never the argmin there: the descent
+enters pv only when sigma(pv) < sigma(v).
 
 A witness doubles as a multiply-few exponentiation schedule: g^U is evaluated
 by a Horner walk along the chain, with one p-th or q-th powering per exponent
@@ -129,31 +129,41 @@ class ShortestTable:
         """sigma on 0..limit bottom-up (math.inf where Omega is empty)."""
         return list(map(_SIGMA_OF.__getitem__, self._dense(limit)))
 
+    def histogram(self, limit: int) -> dict[int, int]:
+        """Histogram of sigma over [2, limit], counted from the dense bytes."""
+        return self._counted(limit)[1]
+
+    def _counted(self, limit: int) -> tuple[bytearray, dict[int, int]]:
+        """The sigma bytes of [2, limit] and their histogram, one count per value."""
+        if limit < 2:
+            raise ValueError("limit must be >= 2")
+        sigmas = self._dense(limit)
+        del sigmas[:2]
+        histogram, left, s = {}, len(sigmas) - sigmas.count(NO_SIGMA), 0
+        if not left:
+            raise UnreachableSumError(f"no reachable sums in [2, {limit}] for {self.sys}")
+        while left:  # up to the largest sigma
+            if count := sigmas.count(s):
+                histogram[s] = count
+                left -= count
+            s += 1
+        return sigmas, histogram
+
     def stats(self, limit: int) -> ShortestStats:
         """Histogram of sigma over [2, limit] and the mean of 4*sigma/log2(U).
 
         The mean hovering around 1 reflects the empirical growth rate of
         roughly a quarter of log2(U) parts on average.
         """
-        if limit < 2:
-            raise ValueError("limit must be >= 2")
-        sigmas, us = self._dense(limit), range(2, limit + 1)
-        del sigmas[:2]
+        sigmas, histogram = self._counted(limit)
+        us = range(2, limit + 1)
         if NO_SIGMA in sigmas:
             us = compress(us, sigmas.translate(_REACHED))
             sigmas = sigmas.replace(bytes((NO_SIGMA,)), b"")
-        if not sigmas:
-            raise UnreachableSumError(f"no reachable sums in [2, {limit}] for {self.sys}")
         # a left fold in u order (sum() compensates rounding from Python 3.12 on);
         # one product by 4 at the end is exact, as it commutes with each rounding
         terms = map(operator.truediv, sigmas, map(math.log2, us))
         total = 4.0 * functools.reduce(operator.add, terms, 0.0)
-        histogram, left, s = {}, len(sigmas), 0
-        while left:  # one count per value, up to the largest sigma
-            if count := sigmas.count(s):
-                histogram[s] = count
-                left -= count
-            s += 1
         return ShortestStats(limit, total / len(sigmas), histogram)
 
 

@@ -239,6 +239,33 @@ def test_no_stdout_is_no_traceback(capsys, monkeypatch):
     assert cli.main(["count", "--u", "5"]) == 0
     assert cli.main(["count", "--p", "4", "--q", "2", "--u", "5"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # the row writers still make their lines, so an error in one still ends the command
+    for argv in (["scan", "w", "--limit", "10"], ["enumerate", "--u", "100"],
+                 ["sigma-stats", "--limit", "100", "--emit", "csv"]):
+        assert cli.main(argv) == 0, argv
+    monkeypatch.setattr("sys.stdin", io.StringIO("3203\n"))
+    assert cli.main(["decode"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr("sys.stdin", io.StringIO("123\n"))
+    assert cli.main(["decode"]) == 1
+    assert capsys.readouterr().err == "error: '123' is not a lattice word\n"
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (5, 7)])
+def test_sigma_stats_csv_runs_no_fold(capsys, monkeypatch, p, q):
+    # csv prints the histogram alone: its rows need no stats(), which json still calls
+    from chainpart import shortest
+    base = ["sigma-stats", "--p", str(p), "--q", str(q), "--limit", str(10**5)]
+    histogram = shortest.ShortestTable(make_system(p, q)).stats(10**5).histogram
+
+    def no_fold(self, limit):
+        raise RuntimeError("stats ran")
+
+    monkeypatch.setattr(shortest.ShortestTable, "stats", no_fold)
+    rows = "".join(f"{s},{n}\n" for s, n in histogram.items())
+    assert run(capsys, *base, "--emit", "csv") == (0, "sigma,count\n" + rows, "")
+    with pytest.raises(RuntimeError, match="stats ran"):
+        cli.main([*base, "--emit", "json"])
 
 
 def test_decode_malformed_word_exit_code(capsys, monkeypatch):

@@ -360,6 +360,28 @@ def test_sigma_stats_match_the_loop(p, q):
 
 
 @pytest.mark.parametrize("p,q", SYSTEMS)
+def test_sigma_histogram_matches_the_stats(p, q):
+    # the histogram alone: the same rows in the same order, and the same errors
+    table = shortest.ShortestTable(make_system(p, q))
+    arr = table.scan(REPORT_LIMIT)
+    for limit in (2, 3, 1000, REPORT_LIMIT):
+        if all(map(math.isinf, arr[2:limit + 1])):  # no reachable sum in [2, limit]
+            messages = []
+            for method in (table.stats, table.histogram):
+                with pytest.raises(UnreachableSumError) as raised:
+                    method(limit)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
+            continue
+        expected = table.stats(limit).histogram
+        assert list(table.histogram(limit).items()) == list(expected.items())
+    for limit in (1, 0, -1):
+        for method in (table.stats, table.histogram):
+            with pytest.raises(ValueError, match=r"^limit must be >= 2$"):
+                method(limit)
+
+
+@pytest.mark.parametrize("p,q", SYSTEMS)
 def test_sumfn_ratios_match_the_loop(p, q):
     sys_ = make_system(p, q)
     estimate = analytics.estimate_growth_constant(sys_, REPORT_LIMIT)

@@ -140,6 +140,18 @@ def test_stats_to_a_million_trace_under_4_mb(sys23):
     assert peak < 4 * 2**20, peak
 
 
+def test_histogram_to_a_million_traces_under_4_mb(sys23):
+    # the csv path of sigma-stats counts the same bytes and makes no float per sum
+    tracemalloc.start()
+    try:
+        histogram = ShortestTable(sys23).histogram(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(histogram.values()) == 10**6 - 1
+    assert peak < 4 * 2**20, peak
+
+
 @pytest.fixture(scope="module")
 def sample_at_10_600(sys23):
     """Four draws at 10^600 and the tracemalloc peak of drawing them: one

@@ -45,7 +45,6 @@ from .core import (
 )
 from .counting import make_counter
 from .decomposition import _at_least
-from .enumeration import ResidueEnumerator
 
 BISECTION_LO = 1e-6
 BISECTION_HI = 8.0
@@ -134,8 +133,8 @@ def constant_upper_bound(sys: PQSystem, alpha: Optional[float] = None) -> float:
 class PrefixSums:
     """S(x) for real x up to a limit, backed by one bottom-up count scan.
 
-    The scan is an ``array('I')``, W < 2^31, and its prefix sums an
-    ``array('Q')``: S(n) <= n^(1 + beta) < 2^64 for every n below 2^35.
+    The scan is an ``array('I')``, W < 2^31, and its prefix sums, all it
+    keeps, an ``array('Q')``: S(n) <= n^(1 + beta) < 2^64 for n below 2^35.
     """
 
     def __init__(self, sys: PQSystem, limit: int) -> None:
@@ -361,6 +360,7 @@ def doubling_witnesses(u0: int, n: int, sys: PQSystem) -> list[DoublingStep]:
     distinct partitions of u0 (hence W(u0) >= 2 is required).  Each step is
     verified against a counting engine while u_k <= 10^18.
     """
+    from .enumeration import ResidueEnumerator  # here alone: the other analyses never enumerate
     counter = make_counter(sys)
     if counter.w(u0) < 2:
         raise UnreachableSumError(f"need at least two partitions of {u0}")

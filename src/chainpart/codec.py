@@ -262,7 +262,7 @@ def tree_decode(word: str, sys: PQSystem) -> tuple[int, Partition]:
 
 
 class TreeLanguage:
-    """Memoized generator of the full tree-word set per value."""
+    """The tree words of every value, memoized by ``core.fill_memo``."""
 
     def __init__(self, sys: PQSystem) -> None:
         require_p2(sys)

@@ -1,8 +1,10 @@
 """Strictly chained two-base partitions: base systems, the partition type,
 the maps that scale by p or q or append the part 1, the JSON form, the memo
-walk ``fill_memo``, and the brute-force oracle, one explicit-stack walk over
-every chain (``iter_chains``) that ``brute_force_enumerate`` and
-``chain_census`` read.
+walk ``fill_memo`` of the recurrences off the cell grid (the halving and direct
+counters, ``SplitEnumerator``, ``TreeLanguage``), and the brute-force oracle,
+one explicit-stack walk over every chain (``iter_chains``) that
+``brute_force_enumerate`` and ``chain_census`` read.  Every result record of
+the package, ``PQSystem`` among them, is a ``NamedTuple``.
 
 A (p,q)-part is an integer p^a * q^b for coprime bases p, q >= 2.  A strictly
 chained (p,q)-ary partition of U is a set of distinct parts summing to U in

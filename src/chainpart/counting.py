@@ -183,7 +183,7 @@ class DirectSumCounter(CountTable):
         return const, tuple(deps)
 
 
-#: The counting engines by name, in the order of ``all_counters``.
+#: The engines by name, in ``all_counters`` order, for ``make_counter`` and ``count --method all``.
 ENGINES = {"cases": CaseTableCounter, "halving": HalvingCounter, "direct": DirectSumCounter}
 
 #: Other spellings of the engine names: ``auto``, and those of the CLI contract.

@@ -28,7 +28,8 @@ Omega(U) is returned with probability exactly 1/W(U), and no draw is
 rejected.  One sweep keeps checkpoint rows placed by their bytes, and each
 block of draws (of at most ``_BLOCK_PARTS`` parts, or one draw per checkpoint
 row) goes down ``decomposition.segments``, which refolds the rows between
-with binomial checkpoints, three folds at most.
+with binomial checkpoints, three folds at most: the rows held grow like the
+cube root of the number of rows, not its square root, whatever n is.
 """
 
 from __future__ import annotations

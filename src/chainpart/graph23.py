@@ -42,7 +42,6 @@ from .core import (
     binary_partition,
     value,
 )
-from .enumeration import ResidueEnumerator
 
 
 def _require_23(sys: PQSystem) -> None:
@@ -215,6 +214,7 @@ def build_graph(u: int, sys: PQSystem) -> TransitionGraph:
     W(u) is checked against before any member is built, and, for a u past
     the budget, from a two-row sweep before any row of W is kept.
     """
+    from .enumeration import ResidueEnumerator  # here alone: the moves and walks never enumerate
     _require_23(sys)
     vertices = tuple(sorted(ResidueEnumerator(sys).omega(u)))
     index = {v: i for i, v in enumerate(vertices)}

@@ -1,13 +1,15 @@
-"""Full-scale acceptance gate: one test per criterion, stated tolerances.
+"""Full-scale acceptance gate: one test per entry of ``acceptance.CRITERIA``.
 
-Criterion 7 contains a soft mean-ratio window that is numerically
-unattainable at the stated scan scale even though sigma itself is verified
-exactly against brute-force minima (the measured mean is about 1.29 against
-a stated ceiling of 1.15).  That check is asserted as stated and therefore
-fails; the failure message carries the measurement.
+Each test is named from its criterion's number and name, as
+``test_criterion_07_shortest_lengths``.  Criterion 7 contains a soft
+mean-ratio window that is numerically unattainable at the stated scan scale
+even though sigma itself is verified exactly against brute-force minima (the
+measured mean is about 1.29 against a stated ceiling of 1.15).  That check is
+asserted as stated and therefore fails; the failure message carries the
+measurement.
 """
 
-import pytest
+import re
 
 from chainpart import acceptance, core, graph23
 
@@ -15,58 +17,46 @@ from chainpart import acceptance, core, graph23
 def _run(fn):
     result = fn("full")
     print(f"criterion {result.cid:02d} {result.name}: "
-          f"{'PASS' if result.passed else 'FAIL'} - {result.detail}")
+          f"{'PASS' if result.passed else 'FAIL'} in {result.seconds:.3f} s - {result.detail}")
     assert result.passed, f"criterion {result.cid} ({result.name}): {result.detail}"
 
 
-def test_criterion_01_omega19_words():
-    _run(acceptance.criterion_01_omega19)
+def _test_of(fn):
+    def test():
+        _run(fn)
+
+    return test
 
 
-def test_criterion_02_omega27_graph():
-    _run(acceptance.criterion_02_omega27)
+for _fn in acceptance.CRITERIA:
+    globals()[f"test_criterion_{_fn.cid:02d}_{_fn.name.replace('-', '_')}"] = _test_of(_fn)
 
 
-def test_criterion_03_count_cross_validation():
-    _run(acceptance.criterion_03_counting)
+def test_criteria_holds_each_criterion_once_in_cid_order():
+    names = sorted(name for name in vars(acceptance) if re.fullmatch(r"criterion_\d\d_\w+", name))
+    assert [fn.__name__ for fn in acceptance.CRITERIA] == names
+    assert all(getattr(acceptance, fn.__name__) is fn for fn in acceptance.CRITERIA)
+    assert all(fn.__name__.startswith(f"criterion_{fn.cid:02d}_") for fn in acceptance.CRITERIA)
+
+
+def test_a_budget_fails_a_slow_body_after_its_own_checks():
+    slow = acceptance._criterion(99, "slow", budget=0.0)(lambda profile: "done")
+    result = slow("quick")
+    assert not result.passed
+    assert re.fullmatch(r"took \d+\.\d{3}s, budget 0s", result.detail), result.detail
+
+    def broken(profile):
+        raise acceptance._Failure("its own message")
+
+    result = acceptance._criterion(99, "broken", budget=0.0)(broken)("quick")
+    assert (result.passed, result.detail) == (False, "its own message")
+    assert acceptance._criterion(99, "fast", budget=60.0)(lambda profile: "done")("quick").passed
 
 
 def test_criterion_03_detects_corrupted_memo(damaged_halving_memo):
     result = acceptance.criterion_03_counting("quick")
     assert not result.passed
     assert "disagreement" in result.detail
-
-
-def test_criterion_04_small_count_characterization():
-    _run(acceptance.criterion_04_small_counts)
-
-
-def test_criterion_05_local_monotonicity():
-    _run(acceptance.criterion_05_monotonicity)
-
-
-def test_criterion_06_max_jumps():
-    _run(acceptance.criterion_06_max_jumps)
-
-
-def test_criterion_07_shortest_lengths():
-    _run(acceptance.criterion_07_shortest)
-
-
-def test_criterion_08_growth_bound():
-    _run(acceptance.criterion_08_growth_bound)
-
-
-def test_criterion_09_exponent_solver():
-    _run(acceptance.criterion_09_exponents)
-
-
-def test_criterion_10_partial_sum_identity():
-    _run(acceptance.criterion_10_partial_sums)
-
-
-def test_criterion_11_graph_properties():
-    _run(acceptance.criterion_11_graph)
 
 
 def test_criterion_11_detects_a_disconnected_graph(monkeypatch):
@@ -82,14 +72,3 @@ def test_criterion_11_detects_a_disconnected_graph(monkeypatch):
     result = acceptance.criterion_11_graph("quick")
     assert (result.passed, result.detail) == (False, "graph on Omega(3) disconnected")
 
-
-def test_criterion_12_sampler_uniformity():
-    _run(acceptance.criterion_12_sampler)
-
-
-def test_criterion_13_codec_roundtrip():
-    _run(acceptance.criterion_13_codec)
-
-
-def test_criterion_14_digit_indicator_powers():
-    _run(acceptance.criterion_14_digit_powers)

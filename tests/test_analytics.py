@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from chainpart.analytics import (
+    JumpRecord,
     PrefixSums,
     check_growth_bound,
     check_local_monotonicity,
@@ -17,7 +18,12 @@ from chainpart.analytics import (
     max_count_jumps,
     solve_exponents,
 )
-from chainpart.core import InvalidSystemError, UnreachableSumError, make_system
+from chainpart.core import (
+    InvalidSystemError,
+    InvariantViolationError,
+    UnreachableSumError,
+    make_system,
+)
 from chainpart.counting import make_counter
 
 
@@ -86,6 +92,8 @@ def test_monotonicity_scan(sys23):
     report = check_local_monotonicity(20_000, sys23, arr)
     assert report.violations == ()
     assert arr[9] == 4 and arr[9] >= arr[10] >= arr[8] == 2
+    with pytest.raises(ValueError, match="^need counts through 20003, got 20002$"):
+        check_local_monotonicity(20_000, sys23, arr[:-1])
     with pytest.raises(InvalidSystemError):
         check_local_monotonicity(100, make_system(3, 5))
 
@@ -131,6 +139,20 @@ def test_max_jumps_no_exceptions_medium(sys23):
     report = max_count_jumps(100_000, sys23)
     assert all(r.u % 3 == 0 for r in report.records)
     assert report.conjecture_exceptions == ()
+
+
+def test_an_even_multiple_jump_is_an_exception_at_2q2_and_an_error_elsewhere(sys23):
+    # a jump planted at u = 3k with k even: 36 is a multiple of 2q^2 = 18, 12 is not
+    counts = list(make_counter(sys23).scan(400))
+    report = max_count_jumps(400, sys23, counts[:36] + [10**6] + counts[37:])
+    assert report.records == (
+        JumpRecord(3, 2, True), JumpRecord(9, 4, True), JumpRecord(21, 5, True),
+        JumpRecord(27, 7, True), JumpRecord(36, 10**6, False),
+    )
+    assert report.conjecture_exceptions == (36,)
+    with pytest.raises(InvariantViolationError,
+                       match="^even-multiple jump at 12 is not a multiple of 18$"):
+        max_count_jumps(400, sys23, counts[:12] + [10**6] + counts[13:])
 
 
 def test_small_count_classification(sys23):

@@ -151,12 +151,21 @@ def test_tree_codec_other_odd_bases(q):
         assert encoded == set(lang.words(u))
 
 
+def _infix_pairs(words):
+    """Every (shorter, longer) pair of ``words`` whose shorter word is a factor of the longer."""
+    return {(w, v) for w in words for v in words if len(w) < len(v) and w in v}
+
+
 def test_code_properties_small(sys23):
     lang = TreeLanguage(sys23)
     en = ResidueEnumerator(sys23)
     for u in range(1, 300):
         assert check_hypercode(lang.words(u)) is None
-        assert check_infix_code([lattice_encode(pt) for pt in en.omega(u)]) is None
+        words = [lattice_encode(pt) for pt in en.omega(u)]
+        assert check_infix_code(words) is None and not _infix_pairs(words)
+        # plant a factor of the longest word: the pair found must be a violating one
+        planted = words + [max(words, key=len)[1:]]
+        assert check_infix_code(planted) in _infix_pairs(planted)
 
 
 def _lattice_encode_per_letter(pt):
@@ -439,3 +448,9 @@ def test_check_hypercode_planted_pairs():
     assert check_hypercode(["21", "1q2"]) is None
     words = ["qq", "1212", "2q2q", "q2", "11qq2"]
     assert check_hypercode(words) == _check_hypercode_pairwise(words) == ("qq", "2q2q")
+
+def test_check_infix_code_planted_pairs():
+    assert check_infix_code([]) is None
+    assert check_infix_code(["13", "31"]) is None  # equal lengths never violate
+    assert check_infix_code(["13", "103"]) is None  # a subsequence, not a factor
+    assert check_infix_code(["3", "203", "1133"]) == ("3", "203")

@@ -73,6 +73,27 @@ def test_count_loads_the_counting_modules_alone():
                                   "chainpart.counting", "chainpart.decomposition"]]
 
 
+#: What every analytics command loads: the dense counts, never an enumerator.
+ANALYTICS = ["chainpart", "chainpart.analytics", "chainpart.cli", "chainpart.core",
+             "chainpart.counting", "chainpart.decomposition"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["walk", "--u", "100", "--steps", "5", "--seed", "1"],
+     ["chainpart", "chainpart.cli", "chainpart.codec", "chainpart.core", "chainpart.graph23"]),
+    (["scan", "maxw", "--limit", "100"], ANALYTICS),
+    (["sumfn", "--xmax", "100"], ANALYTICS),
+    (["alpha"], ANALYTICS),
+], ids=["walk", "scan-maxw", "sumfn", "alpha"])
+def test_walk_and_the_analytics_commands_load_no_enumerator(argv, modules):
+    loaded = fresh("from chainpart import cli\n"
+                   "import contextlib, io\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    rc = cli.main({argv!r})\n"
+                   f"print(json.dumps([rc, {LOADED}]))")
+    assert loaded == [0, modules]
+
+
 @pytest.mark.parametrize("argv, stdin, out", [
     (["encode", "--codec", "tree"], "18 1\n", "1332\n"),
     (["decode", "--codec", "tree"], "1332\n",

@@ -73,7 +73,7 @@ def _print_numbered(head: str, mid: str, tail: str, values: Sequence[int]) -> No
     if _sys.stdout is None:  # a process started with its stdout closed
         return
     write = _sys.stdout.write  # looked up per call, so a swapped stdout is honoured
-    text = _TextOf(lambda w: f"{mid}{w}{tail}")
+    text = core.TextOf(lambda w: f"{mid}{w}{tail}")
     for lo in range(0, len(values), 1000):
         block = values[lo:lo + 1000]
         line = [f"{head}{lo // 1000 or ''}"] * (3 * len(block))
@@ -117,50 +117,17 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, separators=(",", ":")))
 
 
-class _TextOf(dict):
-    """``make(key)`` for each key, made on its first lookup and kept."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        text = self[key] = self.make(key)
-        return text
-
-
-def _pair_texts(sys_: PQSystem) -> tuple[_TextOf, Callable[[tuple, object], str]]:
-    """The decimal value of each exponent pair, and the json line of a partition.
-
-    ``json_line(parts, total)`` is the ``core.to_json`` line of a partition
-    with sum ``total`` and a ``values`` list, the decimal text of each part,
-    put together from the text of each distinct pair and its value, made once
-    per call of this function.
-    """
-    p, q = sys_.p, sys_.q
-    values = _TextOf(lambda pair: str(p**pair[0] * q**pair[1]))
-    quoted = _TextOf(lambda pair: f'"{values[pair]}"')
-    pairs = _TextOf(lambda pair: f"[{pair[0]},{pair[1]}]")
-    head = f'{{"p":{p},"q":{q},"parts":['
-
-    def json_line(parts: tuple, total: object) -> str:
-        return (head + ",".join(map(pairs.__getitem__, parts)) + f'],"sum":"{total}","values":['
-                + ",".join(map(quoted.__getitem__, parts)) + "]}")
-
-    return values, json_line
-
-
 def _member_line(sys_: PQSystem, u: int, fmt: str) -> Callable[[Partition], str]:
     """The line of one member of Omega(u) in ``fmt``, without the newline.
 
     The sum is u for every member; the json and csv lines read the text of
-    each pair and its value from ``_pair_texts``.
+    each pair and its value from ``core.json_lines``.
     """
     if fmt in ("words", "tree"):
         from . import codec
         return (codec.lattice_encode if fmt == "words"
                 else lambda pt: codec.tree_encode(pt, sys_).render(sys_))
-    values, json_line = _pair_texts(sys_)
+    values, json_line = core.json_lines(sys_)
     if fmt == "csv":
         head, text = f"{u},", values.__getitem__
         return lambda pt: head + " ".join(map(text, pt))
@@ -278,7 +245,8 @@ def _cmd_scan(args: argparse.Namespace, sys_: PQSystem) -> int:
 def _cmd_sample(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import enumeration
     draws = enumeration.sample_uniform(args.u, sys_, random.Random(args.seed), args.n)
-    _write_lines(core.to_json(pt, sys_) for pt in draws)
+    line, total = core.json_lines(sys_)[1], str(args.u)  # every draw sums to u
+    _write_lines(line(pt, total, False) for pt in draws)
     return 0
 
 
@@ -306,7 +274,7 @@ def _cmd_encode(args: argparse.Namespace, sys_: PQSystem) -> int:
 
 def _cmd_decode(args: argparse.Namespace, sys_: PQSystem) -> int:
     from . import codec
-    values, json_line = _pair_texts(sys_)
+    values, json_line = core.json_lines(sys_)
     words = _iter_stdin()
     if args.codec == "tree":  # (U, partition); U is the json sum
         decoded = (codec.tree_decode(codec.TreeWord.parse(w, sys_), sys_) for w in words)
@@ -327,8 +295,9 @@ def _cmd_sigma(args: argparse.Namespace, sys_: PQSystem) -> int:
         print(table.sigma(args.u))
         return 0
     res = table.witness(args.u)
+    values = core.json_lines(sys_)[0]
     _print_json({"u": args.u, "sigma": res.sigma, "witness": res.witness,
-                 "values": [str(core.part_value(pair, sys_)) for pair in res.witness],
+                 "values": [values[pair] for pair in res.witness],
                  "cost": shortest.chain_cost(res.witness)._asdict()})
     return 0
 

@@ -421,17 +421,45 @@ def chain_census(limit: int, sys: PQSystem,
 # ---------------------------------------------------------------------------
 
 
-def to_json(pt: Partition, sys: PQSystem) -> str:
-    """Serialize as ``{"p":2,"q":3,"parts":[[a,b],...],"sum":"19"}``.
+class TextOf(dict):
+    """``make(key)`` for each key, made on its first lookup and kept."""
 
-    The sum is a decimal string so that arbitrary-precision sums survive
-    lossy JSON readers.  The text is the compact ``json.dumps`` of that
-    document, formatted in one pass.
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+def json_lines(sys: PQSystem) -> tuple[TextOf, Callable[..., str]]:
+    """The decimal value of each exponent pair, and the JSON line of a partition.
+
+    ``line(parts, total)`` is ``{"p":2,"q":3,"parts":[[1,2],[0,0]],"sum":"19",
+    "values":["18","1"]}``, the compact ``json.dumps`` text; with
+    ``values=False`` it ends after the sum.  Numbers are decimal strings, so
+    that big ones survive lossy JSON readers.  The text of each distinct pair
+    and of its value is made once per call of this function.
     """
     p, q = sys.p, sys.q
-    values = [p**a * q**b for a, b in pt]
-    pairs = ",".join([f"[{a},{b}]" for a, b in pt])
-    return f'{{"p":{p},"q":{q},"parts":[{pairs}],"sum":"{sum(values)}"}}'
+    decimal = TextOf(lambda pair: str(p**pair[0] * q**pair[1]))
+    quoted = TextOf(lambda pair: f'"{decimal[pair]}"')
+    pairs = TextOf(lambda pair: f"[{pair[0]},{pair[1]}]")
+    head = f'{{"p":{p},"q":{q},"parts":['
+
+    def line(parts: tuple, total: object, values: bool = True) -> str:
+        text = head + ",".join(map(pairs.__getitem__, parts)) + f'],"sum":"{total}"'
+        if not values:
+            return text + "}"
+        return text + ',"values":[' + ",".join(map(quoted.__getitem__, parts)) + "]}"
+
+    return decimal, line
+
+
+def to_json(pt: Partition, sys: PQSystem) -> str:
+    """``{"p":2,"q":3,"parts":[[1,2],[0,0]],"sum":"19"}``: the ``json_lines`` line, no values."""
+    return json_lines(sys)[1](pt, value(pt, sys), False)
 
 
 def from_json(text: str, sys: Optional[PQSystem] = None) -> tuple[Partition, PQSystem]:

@@ -53,6 +53,14 @@ def test_a_budget_fails_a_slow_body_after_its_own_checks():
     assert acceptance._criterion(99, "fast", budget=60.0)(lambda profile: "done")("quick").passed
 
 
+def test_a_library_error_in_a_body_fails_its_criterion_with_the_error_named():
+    def unreachable(profile):
+        raise core.UnreachableSumError("no partition of 2")
+
+    result = acceptance._criterion(99, "unreachable")(unreachable)("quick")
+    assert (result.passed, result.detail) == (False, "UnreachableSumError: no partition of 2")
+
+
 def test_criterion_03_detects_corrupted_memo(damaged_halving_memo):
     result = acceptance.criterion_03_counting("quick")
     assert not result.passed

@@ -193,3 +193,10 @@ def test_alpha_residual_monotone_and_root_below_two(sys23):
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert solve_exponents(sys23).alpha < 2.0
     assert _alpha_gap(2.0, sys23) < 0  # root is unique in (0, 2]
+
+
+def test_analytics_refusals(sys23):
+    with pytest.raises(ValueError, match="beyond the scanned limit"):
+        PrefixSums(sys23, 100).s(101)
+    with pytest.raises(InvalidSystemError, match="requires p = 2"):
+        max_count_jumps(100, make_system(3, 4))

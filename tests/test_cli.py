@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from chainpart import cli
+from chainpart import cli, core
 from chainpart.core import make_system
 
 
@@ -55,6 +55,16 @@ def test_enumerate_json_sum_strings(capsys):
     docs = [json.loads(line) for line in out.splitlines()]
     assert [d["sum"] for d in docs] == ["5"]
     assert docs[0]["parts"] == [[2, 0], [0, 0]]
+
+
+def test_enumerate_json_line_reads_back_with_its_system(capsys):
+    code, out, _ = run(capsys, "enumerate", "--p", "3", "--q", "5", "--u", "100")
+    assert code == 0 and out
+    sys35 = make_system(3, 5)
+    for line in out.splitlines():
+        pt, sys_ = core.from_json(line)
+        assert sys_ == sys35
+        assert json.loads(line)["values"] == [str(core.part_value(pair, sys35)) for pair in pt]
 
 
 def test_enumerate_csv(capsys):

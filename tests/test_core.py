@@ -13,6 +13,8 @@ from chainpart.core import (
     InvalidSystemError,
     NonSmoothPartError,
     Partition,
+    PartitionError,
+    append_unit,
     brute_force_enumerate,
     chain_census,
     factor_value,
@@ -36,7 +38,7 @@ def test_make_system_inverses(sys23, sys35):
     assert sys35.k0 * 3 - (3 - sys35.l0) * 5 == 1
 
 
-@pytest.mark.parametrize("p,q", [(2, 4), (6, 9), (1, 3), (2, 2), (0, 5)])
+@pytest.mark.parametrize("p,q", [(2, 4), (6, 9), (1, 3), (2, 2), (0, 5), (2.0, 3)])
 def test_make_system_rejections(p, q):
     with pytest.raises(InvalidSystemError):
         make_system(p, q)
@@ -73,6 +75,15 @@ def test_from_pairs_sorts_and_checks():
         Partition.from_pairs([(2, 0), (0, 1)])
     with pytest.raises(DuplicatePartError):
         Partition.from_pairs([(1, 1), (1, 1)])
+    with pytest.raises(PartitionError):
+        Partition.from_pairs([(-1, 0)])
+
+
+def test_append_unit_and_iter_chains_refusals(sys23):
+    with pytest.raises(DuplicatePartError):
+        append_unit(Partition(((1, 0), (0, 0))))
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        list(iter_chains(-1, sys23))
 
 
 def test_partition_is_the_tuple_of_its_pairs():
@@ -190,6 +201,25 @@ def test_json_exact_format(sys23):
 def test_json_rejects_bad_sum(sys23):
     with pytest.raises(Exception):
         from_json('{"p":2,"q":3,"parts":[[1,2]],"sum":"19"}', sys23)
+
+
+@pytest.mark.parametrize("p,q,u", [(2, 3, 100), (3, 5, 100), (2, 11, 200), (2, 3, 0)])
+def test_json_round_trip_reads_the_system_from_the_document(p, q, u):
+    sys_ = make_system(p, q)
+    members = brute_force_enumerate(u, sys_)
+    assert members
+    for pt in members:
+        assert from_json(to_json(pt, sys_)) == (pt, sys_)
+
+
+def test_json_document_with_non_coprime_bases_is_refused():
+    with pytest.raises(InvalidSystemError, match=r"bases must be coprime, gcd\(4,6\) = 2"):
+        from_json('{"p":4,"q":6,"parts":[[0,0]],"sum":"1"}')
+
+
+def test_to_json_of_non_chains_sums_every_pair(sys23):
+    assert to_json(((0, 1), (1, 0)), sys23) == '{"p":2,"q":3,"parts":[[0,1],[1,0]],"sum":"5"}'
+    assert to_json(((3, 0), (3, 0)), sys23) == '{"p":2,"q":3,"parts":[[3,0],[3,0]],"sum":"16"}'
 
 
 def _factor_by_single_divisions(v, sys_):

@@ -297,3 +297,11 @@ def test_sparse_expansions_at_27_digits(sys23):
     counter._expand = lambda v: calls.append(v) or real(v)
     counter.w(495997235245523141262311424)
     assert len(calls) == len(counter.table) - 2 == 748
+
+
+def test_counting_refusals(sys23):
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        digits_zero_one(5, 1)
+    with pytest.raises(ValueError, match="unknown counting method"):
+        make_counter(sys23, "bogus")
+    assert [engine.w_star(-1) for engine in all_counters(sys23)] == [0, 0, 0]

@@ -549,3 +549,7 @@ def test_sampler_law_is_exactly_uniform(p, q, limit):
                 break
         assert set(law) == enumerator.omega(u), u
         assert set(law.values()) == {Fraction(1, counter.w(u))}, u
+
+
+def test_split_enumerator_has_no_member_below_zero(sys23):
+    assert SplitEnumerator(sys23).omega(-1) == frozenset()

@@ -291,3 +291,9 @@ def test_walk_deterministic(sys23):
     a = random_walk(81, 40, sys23, 11)
     b = random_walk(81, 40, sys23, 11)
     assert a == b
+
+
+def test_graph_refusals_and_the_empty_graph(sys23):
+    with pytest.raises(ValueError, match="does not sum to u"):
+        random_walk(5, 3, sys23, 1, start=Partition(((1, 1),)))
+    assert build_graph(-1, sys23).diameter() == 0

@@ -242,3 +242,10 @@ def test_chain_pow_rejects_a_witness_out_of_chain_order(sys23):
     with pytest.raises(DuplicatePartError):
         chain_pow(5, 4, m, sys23, Partition(((1, 0), (1, 0))))
     assert chain_pow(5, 5, m, sys23, Partition(((2, 0), (0, 0)))) == pow(5, 5, m)
+
+
+def test_shortest_refusals(sys23):
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        ShortestTable(sys23).scan(-1)
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
+        chain_pow(5, -1, 7, sys23)
